@@ -16,8 +16,9 @@ from .liealg import graded_algebra, gminus_of
 from .gmod import FlagCase
 from .cohom import cohomology, full_window
 from .decomp import HIGHEST, LOWEST, decompose, levi_irrep_dim
-from .prolong import full_prolong, yamaguchi_classify
+from .prolong import full_prolong, prolong_as_module, yamaguchi_classify
 from .verify import CaseSpec, bwb_adjoint, run_case, run_g2_structure, MATCH, NO_DATA
+from .expected import TABLE1
 from .cache import default_cache
 
 
@@ -99,7 +100,6 @@ def cmd_cohomology(args) -> int:
     }.get(args.coeff)
     if mod is None:
         fcp = full_prolong(fc.gminus, fc.levi_g0(), args.kmax)
-        from .prolong import prolong_as_module
         module = prolong_as_module(fcp)
     else:
         module = mod()
@@ -147,7 +147,7 @@ def _verify_suite(args) -> list[tuple[str, dict]]:
         "table1": _suite_table1,
         "tables234": _suite_tables234,
         "sec6": _suite_sec6,
-        "sec71": lambda c: [("sec7.1 g2-structure", run_g2_structure())],
+        "sec71": lambda: [("sec7.1 g2-structure", None)],
     }
     if args.suite == "all":
         chosen = [suites[k] for k in ("table1", "tables234", "sec6", "sec71")]
@@ -155,54 +155,49 @@ def _verify_suite(args) -> list[tuple[str, dict]]:
         if args.suite not in suites:
             raise SystemExit(2)
         chosen = [suites[args.suite]]
-    results = []
-    for fn in chosen:
-        results.extend(fn(cache))
+    cases = [case for fn in chosen for case in fn()]
     if args.only:
-        results = [(name, rec) for name, rec in results if args.only in name]
-    return results
+        cases = [(name, spec) for name, spec in cases if args.only in name]
+    return [(name, run_g2_structure() if spec is None else run_case(spec, cache))
+            for name, spec in cases]
 
 
-def _suite_table1(cache):
+def _suite_table1():
+    """(name, CaseSpec) for every Table-1 row."""
     out = []
     for t, r, budget_nodes in [("G", 2, {}), ("F", 4, {}),
                                ("E", 6, {1: "full", 5: "full", 2: "bwb", 3: "bwb",
                                          4: "bwb", 6: "bwb"}),
                                ("E", 7, "bwb"), ("E", 8, "bwb")]:
-        for node in sorted(__import__("nhsf.expected", fromlist=["TABLE1"]).TABLE1[(t, r)]):
+        for node in sorted(TABLE1[(t, r)]):
             if budget_nodes == "bwb":
                 budget = "bwb"
             elif isinstance(budget_nodes, dict) and budget_nodes:
                 budget = budget_nodes.get(node, "bwb")
             else:
                 budget = "full"
-            rec = run_case(CaseSpec(t, r, (node,), budget=budget), cache)
-            out.append((f"table1 {t.lower()}{r} node {node}", rec))
+            out.append((f"table1 {t.lower()}{r} node {node}",
+                        CaseSpec(t, r, (node,), budget=budget)))
     return out
 
 
-def _suite_tables234(cache):
-    out = []
+def _suite_tables234():
     cases = ([("D", 4, n) for n in (1, 2, 3, 4)] + [("D", 5, n) for n in (1, 2, 3)]
              + [("B", 3, n) for n in (1, 2, 3)] + [("B", 4, n) for n in (1, 2, 3, 4)]
              + [("C", 2, n) for n in (1, 2)] + [("C", 3, n) for n in (1, 2, 3)]
              + [("C", 4, n) for n in (1, 2, 3, 4)])
-    names = {"D": "o(%d)" % 0, "B": "", "C": ""}
-    for t, r, node in cases:
-        rec = run_case(CaseSpec(t, r, (node,)), cache)
-        label = {"D": f"o({2 * r})", "B": f"o({2 * r + 1})", "C": f"sp({2 * r})"}[t]
-        out.append((f"tables234 {label} node {node}", rec))
-    return out
-
-
-def _suite_sec6(cache):
     out = []
-    for t, r, nodes in [("A", 2, (1, 2)), ("A", 3, (1, 2)), ("A", 3, (1, 3)),
-                        ("A", 4, (1, 2)), ("A", 4, (1, 3)),
-                        ("C", 2, (1, 2)), ("C", 3, (1, 3))]:
-        rec = run_case(CaseSpec(t, r, nodes), cache)
-        out.append((f"sec6 {t.lower()}{r} nodes {nodes}", rec))
+    for t, r, node in cases:
+        label = {"D": f"o({2 * r})", "B": f"o({2 * r + 1})", "C": f"sp({2 * r})"}[t]
+        out.append((f"tables234 {label} node {node}", CaseSpec(t, r, (node,))))
     return out
+
+
+def _suite_sec6():
+    return [(f"sec6 {t.lower()}{r} nodes {nodes}", CaseSpec(t, r, nodes))
+            for t, r, nodes in [("A", 2, (1, 2)), ("A", 3, (1, 2)), ("A", 3, (1, 3)),
+                                ("A", 4, (1, 2)), ("A", 4, (1, 3)),
+                                ("C", 2, (1, 2)), ("C", 3, (1, 3))]]
 
 
 def cmd_verify(args) -> int:

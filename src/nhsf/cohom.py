@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Q, Reducer, SparseRationalMatrix, nullspace
+from .linalg import IntSpan, acc, nullspace
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
 
@@ -106,7 +106,7 @@ def differential_columns(gm: GradedNilpotent, mod: GradedModule,
                 tgt = dst.pos.get((new_mono, m2))
                 if tgt is None:
                     raise TruncationEscape(src.s, src.k)
-                _acc(col, tgt, sign * v)
+                acc(col, tgt, sign * v)
         # Lie term: replace one argument c by a bracket pair (a, b)
         for ci, c in enumerate(mono):
             for a, b, coef in rev.get(c, ()):
@@ -119,32 +119,13 @@ def differential_columns(gm: GradedNilpotent, mod: GradedModule,
                 tgt = dst.pos.get((new_mono, m))
                 if tgt is None:
                     raise TruncationEscape(src.s, src.k)
-                _acc(col, tgt, Q((-1) ** (t + u + ci)) * coef)
-        cols.append({t: v for t, v in col.items() if v != 0})
+                acc(col, tgt, (-1) ** (t + u + ci) * coef)
+        cols.append(col)
     return cols
 
 
 class TruncationEscape(Exception):
     """The differential left the enumerated window; slice must be invalid."""
-
-
-def _acc(d, k, v):
-    nv = d.get(k, Q(0)) + v
-    if nv == 0:
-        d.pop(k, None)
-    else:
-        d[k] = nv
-
-
-def differential(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> SparseRationalMatrix:
-    """The matrix of d: C^s_k -> C^{s+1}_k in the fixed cochain bases."""
-    src = cochain_basis(gm, mod, s, k)
-    dst = cochain_basis(gm, mod, s + 1, k)
-    out = SparseRationalMatrix(dst.dim, src.dim)
-    for j, col in enumerate(differential_columns(gm, mod, src, dst)):
-        for i, v in col.items():
-            out.set(i, j, v)
-    return out
 
 
 @dataclass
@@ -154,22 +135,22 @@ class WeightBlock:
     rank_in: int
     rank_out: int
     reps: list[dict[int, Fraction]]  # local coords
-    in_cols: list[list[Fraction]]  # coboundary spanning vectors, local coords
-    _reducer: Reducer | None = None
+    in_cols: list[list]  # coboundary spanning vectors, local coords
+    _reducer: IntSpan | None = None
 
     @property
-    def reducer(self) -> Reducer:
+    def reducer(self) -> IntSpan:
         """Representatives first, then coboundaries (built on demand)."""
         if self._reducer is None:
-            red = Reducer(len(self.idx))
+            span = IntSpan(len(self.idx))
             for rep in self.reps:
-                vec = [Q(0)] * len(self.idx)
+                vec = [0] * len(self.idx)
                 for i, v in rep.items():
                     vec[i] = v
-                red.add(vec)
+                span.add(vec)
             for col in self.in_cols:
-                red.add(col)
-            self._reducer = red
+                span.add(col)
+            self._reducer = span
         return self._reducer
 
 
@@ -186,9 +167,6 @@ class CohomologySlice:
     rep_weights: list[tuple | None]
     basis: CochainBasis | None = None
     blocks: dict = field(default_factory=dict)
-
-    def euler_term(self) -> int:
-        return (-1) ** self.s * self.dim_cochains[1]
 
 
 def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
@@ -241,57 +219,29 @@ def _slice(gm, mod, s, k, check_dd) -> CohomologySlice:
         for j, col in enumerate(cols_in):
             if col:
                 in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
-    from .linalg import IntSpan, echelon_int, row_to_ints
-
     for w in sorted(basis_cur.by_weight, key=lambda x: (x is None, x)):
         idx = basis_cur.by_weight[w]
         nloc = len(idx)
-        in_cols = [[col.get(g, Q(0)) for g in idx] for col in in_by_weight.get(w, [])]
+        cols_w = in_by_weight.get(w, [])
+        if check_dd:
+            for col in cols_w:
+                dd: dict = {}
+                for g, c in col.items():
+                    for tgt, v in cols_out[g].items():
+                        acc(dd, tgt, c * v)
+                if dd:
+                    raise AssertionError(f"d o d != 0 at (s={s}, k={k})")
+        in_cols = [[col.get(g, 0) for g in idx] for col in cols_w]
         # outgoing map rows (target coordinate -> row over block columns)
         rows_map: dict = {}
         for li, g in enumerate(idx):
             for tgt, v in cols_out[g].items():
-                rows_map.setdefault(tgt, [Q(0)] * nloc)
-                rows_map[tgt][li] = v
-        rows = [rows_map[t] for t in sorted(rows_map)]
-        if rows:
-            int_rows = [row_to_ints(r) for r in rows]
-            if check_dd:
-                for col in in_cols:
-                    icol = row_to_ints(col)
-                    for row in int_rows:
-                        if sum(a * b for a, b in zip(row, icol)) != 0:
-                            raise AssertionError(f"d o d != 0 at (s={s}, k={k})")
-            ech, pivots = echelon_int(int_rows)
-            from .linalg import _rref_from_echelon
-
-            if ech:
-                red_rows = _rref_from_echelon(ech, pivots)
-                pivset = set(pivots)
-                free = [c for c in range(nloc) if c not in pivset]
-                kernel = []
-                for fcol in free:
-                    v = [Q(0)] * nloc
-                    v[fcol] = Q(1)
-                    for i, pc in enumerate(pivots):
-                        v[pc] = -red_rows[i][fcol]
-                    kernel.append(v)
-            else:
-                kernel = [[Q(1) if j == i else Q(0) for j in range(nloc)]
-                          for i in range(nloc)]
-        else:
-            kernel = [[Q(1) if j == i else Q(0) for j in range(nloc)]
-                      for i in range(nloc)]
+                rows_map.setdefault(tgt, [0] * nloc)[li] = v
+        kernel = nullspace([rows_map[t] for t in sorted(rows_map)], nloc)
         rank_out = nloc - len(kernel)
         span = IntSpan(nloc)
-        rank_in = 0
-        for col in in_cols:
-            if span.add(col):
-                rank_in += 1
-        reps_local = []
-        for vec in kernel:
-            if span.add(vec):
-                reps_local.append(vec)
+        rank_in = sum(span.add(col) for col in in_cols)
+        reps_local = [vec for vec in kernel if span.add(vec)]
         dim_h = len(reps_local)
         if dim_h != nloc - rank_out - rank_in:
             raise AssertionError("cohomology dimension bookkeeping failed")
@@ -305,11 +255,6 @@ def _slice(gm, mod, s, k, check_dd) -> CohomologySlice:
             rep_weights.append(w)
     return CohomologySlice(s, k, dims, rank_in_tot, rank_out_tot, dim_h_tot,
                            valid, reps_global, rep_weights, basis_cur, blocks)
-
-
-def spencer_bigrade(sl: CohomologySlice) -> tuple[int, int]:
-    """Bigraded (k, s) label; the reported order of the class is k."""
-    return (sl.k, sl.s)
 
 
 def full_window(gm: GradedNilpotent, mod: GradedModule, s: int) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Q, nullspace
+from .linalg import Q, acc, nullspace
 from .gmod import Actor, GradedModule
 from .cohom import CohomologySlice
 from .rootsys import COROOT, SIMPLEROOT, RootSystem, Weight, convert_weight
@@ -57,11 +57,7 @@ def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor):
         for g, c in vec.items():
             mono, m = basis.elts[g]
             for tgt, v in _act_on_cochain(gm, mod, basis, actor, mono, m).items():
-                nv = img.get(tgt, Q(0)) + c * v
-                if nv == 0:
-                    img.pop(tgt, None)
-                else:
-                    img[tgt] = nv
+                acc(img, tgt, c * v)
         if not img:
             continue
         wt = tuple(a + b for a, b in zip(w, actor.weight))
@@ -70,7 +66,7 @@ def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor):
             raise DecompositionError(
                 f"actor {actor.name} maps H out of the computed weight blocks")
         local_of = {g: i for i, g in enumerate(block.idx)}
-        loc = [Q(0)] * len(block.idx)
+        loc = [0] * len(block.idx)
         for g, v in img.items():
             if g not in local_of:
                 raise DecompositionError("actor image left the weight block")
@@ -97,7 +93,7 @@ def _act_on_cochain(gm, mod: GradedModule, basis, actor: Actor,
         tgt = basis.pos.get((mono, m2))
         if tgt is None:
             raise DecompositionError("module action escaped the cochain window")
-        _acc(out, tgt, v)
+        acc(out, tgt, v)
     pos_in = {i: t for t, i in enumerate(mono)}
     for j in range(gm.dim):
         col = actor.on_gminus.get(j, {})
@@ -113,16 +109,8 @@ def _act_on_cochain(gm, mod: GradedModule, basis, actor: Actor,
             tgt = basis.pos.get((new_mono, m))
             if tgt is None:
                 raise DecompositionError("dual action escaped the cochain window")
-            _acc(out, tgt, -Q(sign) * c)
+            acc(out, tgt, -sign * c)
     return out
-
-
-def _acc(d, k, v):
-    nv = d.get(k, Q(0)) + v
-    if nv == 0:
-        d.pop(k, None)
-    else:
-        d[k] = nv
 
 
 def g0_action(sl: CohomologySlice, mod: GradedModule) -> dict[str, dict]:
@@ -143,7 +131,6 @@ def extremal_vectors(sl: CohomologySlice, mod: GradedModule, kind: str):
     want = "lower" if kind == LOWEST else "raise"
     ops = [a for a in mod.actors if a.kind == want]
     mats = [actor_matrix_on_reps(sl, mod, a) for a in ops]
-    nrep = len(sl.representatives)
     bywt: dict = {}
     for r, w in enumerate(sl.rep_weights):
         bywt.setdefault(w, []).append(r)
@@ -155,8 +142,7 @@ def extremal_vectors(sl: CohomologySlice, mod: GradedModule, kind: str):
             row_map: dict[int, list[Fraction]] = {}
             for li, r in enumerate(idx):
                 for tgt, v in mat.get(r, {}).items():
-                    row_map.setdefault(tgt, [Q(0)] * len(idx))
-                    row_map[tgt][li] = v
+                    row_map.setdefault(tgt, [0] * len(idx))[li] = v
             rows.extend(row_map[t] for t in sorted(row_map))
         for vec in nullspace(rows, len(idx)):
             out.append((w, {idx[i]: v for i, v in enumerate(vec) if v != 0}))

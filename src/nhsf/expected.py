@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import InvariantError
+
 
 @dataclass(frozen=True)
 class H2Row:
@@ -189,8 +191,9 @@ def table1_case(type_letter: str, rank: int, node: int) -> CaseExpectation:
 
 
 def _pad(prefix: list[int], filler: int, suffix: list[int], rank: int) -> tuple[int, ...]:
+    if len(prefix) + len(suffix) > rank:
+        raise InvariantError(f"table pattern {prefix}...{suffix} is longer than rank {rank}")
     body = [filler] * (rank - len(prefix) - len(suffix))
-    assert len(body) >= 0
     return tuple(prefix + body + suffix)
 
 

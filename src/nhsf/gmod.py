@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Q, Reducer, solve
+from . import InvariantError
+from .linalg import IntSpan, Q, acc
 from .liealg import (
     Element,
     GradedNilpotent,
@@ -73,9 +74,6 @@ class GradedModule:
             return True
         return degree <= self.truncation_bound
 
-    def apply(self, mat: SparseMat, col: int) -> dict[int, Fraction]:
-        return dict(mat.get(col, {}))
-
     def verify_representation(self) -> None:
         """act([u,v]) = [act(u), act(v)] on every g_- pair and basis column."""
         gm = self.gminus
@@ -86,14 +84,14 @@ class GradedModule:
                     lhs: dict[int, Fraction] = {}
                     for k, c in br.items():
                         for row, v in self.act[k].get(col, {}).items():
-                            _acc(lhs, row, c * v)
+                            acc(lhs, row, c * v)
                     rhs: dict[int, Fraction] = {}
                     for mid, v in self.act[j].get(col, {}).items():
                         for row, w in self.act[i].get(mid, {}).items():
-                            _acc(rhs, row, v * w)
+                            acc(rhs, row, v * w)
                     for mid, v in self.act[i].get(col, {}).items():
                         for row, w in self.act[j].get(mid, {}).items():
-                            _acc(rhs, row, -v * w)
+                            acc(rhs, row, -v * w)
                     if _clean(lhs) != _clean(rhs):
                         raise AssertionError(
                             f"representation property fails on pair ({i},{j}), column {col}"
@@ -111,14 +109,6 @@ class GradedModule:
                     expect = tuple(a + b for a, b in zip(wc, wk))
                     if wr != expect:
                         raise AssertionError("weight additivity violated")
-
-
-def _acc(d: dict[int, Fraction], k: int, v: Fraction) -> None:
-    nv = d.get(k, Q(0)) + v
-    if nv == 0:
-        d.pop(k, None)
-    else:
-        d[k] = nv
 
 
 def _clean(d: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -228,33 +218,32 @@ class FlagCase:
                   for i in pos_idx]
         pos_of = {amb: len(zbasis) + k for k, amb in enumerate(pos_idx)}
 
-        # Cartan splits as l1-Cartan (unselected coroots) + z; build projector.
+        # Cartan splits as l1-Cartan (unselected coroots) + z; span both once.
         unsel0 = [j - 1 for j in self.unselected]
-        cart_cols = []  # columns: l1-coroots then z-basis
+        cart = IntSpan(self.rank)
         for j in unsel0:
-            cart_cols.append([Q(1) if i == j else Q(0) for i in range(self.rank)])
+            cart.add([1 if i == j else 0 for i in range(self.rank)])
         for zel in zbasis:
-            cart_cols.append([zel.get(i, Q(0)) for i in range(self.rank)])
+            cart.add([zel.get(i, 0) for i in range(self.rank)])
         nz = len(zbasis)
 
         def project(vec: Element) -> dict[int, Fraction]:
             """Image of an ambient element in the quotient basis."""
             out: dict[int, Fraction] = {}
-            cart_rhs = [Q(0)] * self.rank
+            cart_rhs = [0] * self.rank
             for amb, c in vec.items():
                 lab = alg.basis[amb]
                 if lab.kind == "h":
                     cart_rhs[lab.index] += c
                 elif lab.degree > 0:
-                    _acc(out, pos_of[amb], c)
+                    acc(out, pos_of[amb], c)
                 # negative-degree and degree-0 root vectors die in the quotient
-            if any(x != 0 for x in cart_rhs):
-                rows = [[cart_cols[c][i] for c in range(len(cart_cols))]
-                        for i in range(self.rank)]
-                sol = solve(rows, cart_rhs)
-                assert sol is not None
+            if any(cart_rhs):
+                sol = cart.express(cart_rhs)
+                if sol is None:
+                    raise InvariantError("Cartan element outside l1-Cartan + z")
                 for k in range(nz):
-                    _acc(out, k, sol[len(unsel0) + k])
+                    acc(out, k, sol[len(unsel0) + k])
             return out
 
         def mat_of(actor_amb: int) -> SparseMat:
@@ -263,11 +252,11 @@ class FlagCase:
                 if col < nz:
                     vec = dict(zbasis[col])
                 else:
-                    vec = {pos_idx[col - nz]: Q(1)}
+                    vec = {pos_idx[col - nz]: 1}
                 res: dict[int, Fraction] = {}
                 for amb, c in vec.items():
                     for m, v in alg.bracket_basis(actor_amb, amb).items():
-                        _acc(res, m, c * v)
+                        acc(res, m, c * v)
                 proj = project(res)
                 if proj:
                     out[col] = proj
@@ -362,11 +351,8 @@ class IrreducibleModule:
                 pairs = sorted(cand[nu])
                 gram = [[self._form_ff(j, b, j2, b2) for (j2, b2) in pairs]
                         for (j, b) in pairs]
-                red = Reducer(len(pairs))
-                chosen: list[int] = []
-                for r, row in enumerate(gram):
-                    if red.add(row):
-                        chosen.append(r)
+                span = IntSpan(len(pairs))
+                chosen = [r for r, row in enumerate(gram) if span.add(row)]
                 if not chosen:
                     continue
                 ids = []
@@ -376,12 +362,15 @@ class IrreducibleModule:
                     self.weights.append(nu)
                 self._levels[nu] = ids
                 self._grams[nu] = [[gram[r][c] for c in chosen] for r in chosen]
-                # f-action: each candidate (j, b) expressed in the chosen basis
-                sub = self._grams[nu]
+                # f-action: each candidate (j, b) expressed in the chosen basis,
+                # solving against the columns of the chosen Gram block
+                sub_cols = IntSpan(len(chosen))
+                for col in zip(*self._grams[nu]):
+                    sub_cols.add(col)
                 for r, (j, b) in enumerate(pairs):
-                    rhs = [gram[r][c] for c in chosen]
-                    coords = solve(sub, rhs)
-                    assert coords is not None
+                    coords = sub_cols.express([gram[r][c] for c in chosen])
+                    if coords is None:
+                        raise InvariantError("candidate outside the chosen weight basis")
                     col = {ids[t]: c for t, c in enumerate(coords) if c != 0}
                     if col:
                         self.f_mat[j][b] = col
@@ -392,11 +381,11 @@ class IrreducibleModule:
                         res: dict[int, Fraction] = {}
                         for m, v in self.e_mat[i].get(b, {}).items():
                             for row, w in self.f_mat[j].get(m, {}).items():
-                                _acc(res, row, v * w)
+                                acc(res, row, v * w)
                         if i == j:
                             hval = Q(self.weights[b][i])
                             if hval != 0:
-                                _acc(res, b, hval)
+                                acc(res, b, hval)
                         if res:
                             self.e_mat[i][ids[t]] = res
                 created.append(nu)
@@ -407,21 +396,21 @@ class IrreducibleModule:
         res: dict[int, Fraction] = {}
         for m, v in self.e_mat[j].get(b2, {}).items():
             for row, w in self.f_mat[j2].get(m, {}).items():
-                _acc(res, row, v * w)
+                acc(res, row, v * w)
         if j == j2:
-            _acc(res, b2, Q(self.weights[b2][j]))
+            acc(res, b2, Q(self.weights[b2][j]))
         if not res:
             return Q(0)
         # pair <v_b, res> through the Gram matrix of b's weight space
         mu = self.weights[b]
         gram = self._grams[mu]
         lb = self._local[b]
-        acc = Q(0)
+        total = Q(0)
         for m, v in res.items():
             if self.weights[m] != mu:
                 raise AssertionError("contravariant form pairing across weights")
-            acc += v * gram[lb][self._local[m]]
-        return acc
+            total += v * gram[lb][self._local[m]]
+        return total
 
 
 def build_irreducible(rs: RootSystem, lam: Weight, dim_bound: int = 1000) -> IrreducibleModule:
@@ -478,10 +467,10 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
             res: dict[int, Fraction] = {}
             for m, v in m2.get(col, {}).items():
                 for row, w in m1.get(m, {}).items():
-                    _acc(res, row, v * w)
+                    acc(res, row, v * w)
             for m, v in m1.get(col, {}).items():
                 for row, w in m2.get(m, {}).items():
-                    _acc(res, row, -v * w)
+                    acc(res, row, -v * w)
             res = {r: v / coeff for r, v in res.items() if v != 0}
             if res:
                 out[col] = res

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .linalg import Q, nullspace
+from .linalg import Q, acc, nullspace
 from .rootsys import RootSystem, build_root_system
 
-Element = dict[int, Fraction]  # basis index -> coefficient
+Element = dict[int, int | Fraction]  # basis index -> coefficient
 
 
 class ChevalleyError(AssertionError):
@@ -121,7 +122,7 @@ class ZGradedLieAlgebra:
         if a.kind == "h":
             beta = self.root_of(j)
             c = rs.pair_with_coroot(beta, a.index)
-            return {j: Q(c)} if c else {}
+            return {j: c} if c else {}
         if b.kind == "h":
             return {k: -v for k, v in self._bracket_basis_raw(j, i).items()}
         alpha, beta = self.root_of(i), self.root_of(j)
@@ -133,17 +134,17 @@ class ZGradedLieAlgebra:
             out: Element = {}
             for node, c in enumerate(self._coroot_coeffs(pos)):
                 if c:
-                    out[self.h_index(node)] = Q(sign * c)
+                    out[self.h_index(node)] = sign * c
             return out
         n = self._n(alpha, beta)
         if n == 0:
             return {}
         if any(c != 0 for c in ssum) and min(ssum) >= 0:
             k = rs.root_index[ssum]
-            return {self.x_index(k): Q(n)}
+            return {self.x_index(k): n}
         neg = tuple(-c for c in ssum)
         k = rs.root_index[neg]
-        return {self.y_index(k): Q(n)}
+        return {self.y_index(k): n}
 
     def _coroot_coeffs(self, beta) -> list[int]:
         """beta^vee = sum c_i alpha_i^vee with integer c_i."""
@@ -162,11 +163,7 @@ class ZGradedLieAlgebra:
         for i, ci in u.items():
             for j, cj in v.items():
                 for k, ck in self.bracket_basis(i, j).items():
-                    val = out.get(k, Q(0)) + ci * cj * ck
-                    if val == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = val
+                    acc(out, k, ci * cj * ck)
         return out
 
     # -- verification -------------------------------------------------------
@@ -177,19 +174,15 @@ class ZGradedLieAlgebra:
             for j in range(i + 1, n):
                 bij = self.bracket_basis(i, j)
                 for k in range(j + 1, n):
-                    acc: Element = {}
+                    total: Element = {}
                     for term in (
-                        self.bracket(bij, {k: Q(1)}),
-                        self.bracket(self.bracket_basis(j, k), {i: Q(1)}),
-                        self.bracket(self.bracket_basis(k, i), {j: Q(1)}),
+                        self.bracket(bij, {k: 1}),
+                        self.bracket(self.bracket_basis(j, k), {i: 1}),
+                        self.bracket(self.bracket_basis(k, i), {j: 1}),
                     ):
                         for m, v in term.items():
-                            nv = acc.get(m, Q(0)) + v
-                            if nv == 0:
-                                acc.pop(m, None)
-                            else:
-                                acc[m] = nv
-                    if acc:
+                            acc(total, m, v)
+                    if total:
                         raise ChevalleyError(
                             f"Jacobi fails on basis triple ({i},{j},{k}) of {self.rs.spec.name}"
                         )
@@ -197,12 +190,12 @@ class ZGradedLieAlgebra:
     def killing_on_cartan(self, ti, tj) -> Fraction:
         """K(h,h') for h = sum ti[i] h_i via the root-space trace formula."""
         rs = self.rs
-        acc = Q(0)
+        total = Q(0)
         for beta in rs.positive_roots:
             bi = sum(Q(rs.pair_with_coroot(beta, i)) * ti[i] for i in range(rs.rank))
             bj = sum(Q(rs.pair_with_coroot(beta, i)) * tj[i] for i in range(rs.rank))
-            acc += 2 * bi * bj
-        return acc
+            total += 2 * bi * bj
+        return total
 
 
 def _root_string_p(rs: RootSystem, alpha, beta) -> int:
@@ -345,26 +338,17 @@ def levi_pieces(alg: ZGradedLieAlgebra) -> LeviPieces:
     l1 += [alg.h_index(j) for j in unselected]
     # z = {h in Cartan : alpha_j(h) = 0 for all unselected j}
     a = alg.rs.cartan_matrix
-    rows = [[Q(a[i][j]) for i in range(alg.rank)] for j in unselected]
+    rows = [[a[i][j] for i in range(alg.rank)] for j in unselected]
     z_basis = []
     for vec in nullspace(rows, alg.rank):
-        den = 1
-        for c in vec:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
-        elem = {i: c * den for i, c in enumerate(vec) if c != 0}
-        z_basis.append(elem)
+        den = lcm(*(c.denominator for c in vec))
+        z_basis.append({i: int(c * den) for i, c in enumerate(vec) if c != 0})
     pieces = LeviPieces(g_minus, l_part, sorted(l1), z_basis)
     if len(pieces.z) != len(alg.grading.selected_nodes):
         raise ChevalleyError("dim z != number of selected nodes")
     if len(pieces.l) != len(pieces.l1) + len(pieces.z):
         raise ChevalleyError("l != l1 (+) z dimension split")
     return pieces
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass
@@ -374,7 +358,7 @@ class GradedNilpotent:
     labels: list[str]
     degrees: list[int]  # all < 0
     weights: list[tuple[int, ...] | None]
-    bracket_table: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
+    bracket_table: dict[tuple[int, int], Element] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -390,7 +374,7 @@ class GradedNilpotent:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> Element:
         if i == j:
             return {}
         if i > j:
@@ -463,5 +447,5 @@ def heisenberg(n_pairs: int) -> GradedNilpotent:
     nil = GradedNilpotent(labels, degrees, weights)
     z = 2 * n_pairs
     for i in range(n_pairs):
-        nil.bracket_table[(i, n_pairs + i)] = {z: Q(1)}
+        nil.bracket_table[(i, n_pairs + i)] = {z: 1}
     return nil

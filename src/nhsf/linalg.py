@@ -1,63 +1,69 @@
-"""Exact rational linear algebra shared by the whole package.
+"""Exact linear algebra shared by the whole package: one integer kernel.
 
-Everything here works over ``fractions.Fraction`` (ints are accepted and
-treated as exact rationals).  All pivot choices are deterministic, so any
-two runs produce identical echelon forms, kernels and representative
-choices.
+The kernel is fraction-free forward elimination over the integers
+(``echelon_int``): each step replaces a row r by ``e[c] * r - r[c] * e`` and
+divides the result by its content (Bareiss, Math. Comp. 22 (1968), with
+content division in place of the Bareiss quotient).  Rows reach it as
+integers: ``row_to_ints`` passes ``int`` entries through, clears the
+denominators of ``fractions.Fraction`` entries and divides out the content.
+``rank``, ``nullspace``, ``IntSpan`` and ``solve`` are thin entry points over
+that one step, and ``Fraction`` appears only in the vectors that
+``nullspace``, ``IntSpan.express`` and ``solve`` return.
+
+Pivots are the leftmost nonzero column, chosen on the first row that has
+one, so any two runs produce identical echelon forms.  ``nullspace`` returns
+the canonical basis read off the reduced row echelon form: a 1 at each free
+column, minus that column of the RREF at the pivot columns.  All arithmetic
+is exact over Z; there is no modular shortcut, since a rank mod p can
+undercount.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 Q = Fraction
 
-Row = list
+
+def acc(d: dict, k, v) -> None:
+    """d[k] += v on a sparse vector, dropping the entry when it becomes 0."""
+    nv = d.get(k, 0) + v
+    if nv == 0:
+        d.pop(k, None)
+    else:
+        d[k] = nv
 
 
-def _as_frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _scaled(row) -> tuple[list[int], Fraction]:
+    """(coprime integer row, the positive factor it is the given row times)."""
+    dens = [x.denominator for x in row if type(x) is Fraction]
+    if dens:
+        den = lcm(*dens)
+        ints = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
+                for x in row]
+    else:
+        den = 1
+        ints = list(row)
+    g = gcd(*ints)
+    if g > 1:
+        return [v // g for v in ints], Fraction(den, g)
+    return ints, Fraction(den)
 
 
 def row_to_ints(row) -> list[int]:
-    """Scale a rational row to coprime integers (empty rows stay zero)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            d = x.denominator
-            den = den * d // _igcd(den, d)
-    out = []
-    for x in row:
-        if isinstance(x, Fraction):
-            out.append(int(x * den))
-        else:
-            out.append(int(x) * den)
-    g = 0
-    for v in out:
-        g = _igcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+    """Scale a row of ints and Fractions to coprime integers (zero rows stay zero)."""
+    return _scaled(row)[0]
 
 
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _reduce_content(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        g = _igcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+def _eliminate(r: list[int], e: list[int], c: int) -> list[int]:
+    """The kernel step: e[c] * r - r[c] * e, which clears column c, over its content."""
+    p, q = e[c], r[c]
+    out = [p * a - q * b for a, b in zip(r, e)]
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -67,282 +73,116 @@ def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     ech: list[list[int]] = []
     pivots: list[int] = []
     for c in range(ncols):
-        nxt = []
-        sel = None
-        for r in work:
-            if sel is None and r[c] != 0:
-                sel = r
-            else:
-                nxt.append(r)
-        if sel is None:
-            work = nxt
+        if not work:
+            break
+        i = next((i for i, r in enumerate(work) if r[c]), None)
+        if i is None:
             continue
-        p = sel[c]
+        sel = work.pop(i)
         out = []
-        for r in nxt:
-            q = r[c]
-            if q:
-                r = _reduce_content([p * a - q * b for a, b in zip(r, sel)])
-            if any(r):
-                out.append(r)
+        for r in work:
+            if r[c]:
+                r = _eliminate(r, sel, c)
+                if not any(r):
+                    continue
+            out.append(r)
         ech.append(sel)
         pivots.append(c)
         work = out
-        if not work:
-            break
     return ech, pivots
 
 
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(echelon_int([row_to_ints(r) for r in rows])[0])
+
+
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
+    """Deterministic basis of {x : M x = 0} (the canonical RREF form)."""
+    ech, pivots = echelon_int([row_to_ints(r) for r in rows])
+    for i in range(len(ech) - 1, 0, -1):
+        p = pivots[i]
+        for j in range(i):
+            if ech[j][p]:
+                ech[j] = _eliminate(ech[j], ech[i], p)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for r, p in zip(ech, pivots):
+            v[p] = Q(-r[f], r[p])
+        basis.append(v)
+    return basis
+
+
 class IntSpan:
-    """Incremental integer row span with deterministic membership tests."""
+    """Incremental integer row span with deterministic membership tests.
+
+    A stored row is ``ncols`` integers, then ``ncols`` slots saying which
+    combination of the independent added rows it is (slot k is the k-th
+    independent one), then one slot that ``express`` uses to carry the
+    scale of the vector it reduces.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self._sources: list[tuple[int, Fraction]] = []  # (add index, scale) per slot
+        self._added = 0
 
-    def residual(self, row) -> list[int]:
-        r = row_to_ints(row)
-        for erow, p in zip(self.rows, self.pivots):
+    def _reduce(self, r: list[int]) -> list[int]:
+        for e, p in zip(self.rows, self.pivots):
             if r[p]:
-                pv = erow[p]
-                q = r[p]
-                r = _reduce_content([pv * a - q * b for a, b in zip(r, erow)])
+                r = _eliminate(r, e, p)
         return r
 
     def add(self, row) -> bool:
-        r = self.residual(row)
-        piv = next((c for c in range(self.ncols) if r[c]), None)
+        """Add a row; True when it is independent of the rows added before."""
+        ints, scale = _scaled(row)
+        n = self.ncols
+        r = ints + [0] * (n + 1)
+        r[n + len(self._sources)] = 1
+        self._added += 1
+        r = self._reduce(r)
+        piv = next((c for c in range(n) if r[c]), None)
         if piv is None:
             return False
-        ins = 0
-        while ins < len(self.pivots) and self.pivots[ins] < piv:
-            ins += 1
+        self._sources.append((self._added - 1, scale))
+        ins = bisect_left(self.pivots, piv)
         self.rows.insert(ins, r)
         self.pivots.insert(ins, piv)
         return True
+
+    def express(self, v) -> list[Fraction] | None:
+        """Coordinates of v over every row added so far, or None outside the span.
+
+        Rows that ``add`` found dependent get coordinate 0, so the answer is
+        unique whenever v is in the span.
+        """
+        ints, scale = _scaled(v)
+        n = self.ncols
+        r = self._reduce(ints + [0] * n + [1])
+        if any(r[:n]):
+            return None
+        den = -r[2 * n] * scale
+        out = [Q(0)] * self._added
+        for k, (i, src_scale) in enumerate(self._sources):
+            out[i] = r[n + k] * src_scale / den
+        return out
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with leftmost-pivot, first-row selection.
-
-    Returns (rref_rows_without_zero_rows, pivot_columns).
-    """
-    m = [[_as_frac(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(echelon_int([row_to_ints(r) for r in rows])[0])
-
-
-def _rref_from_echelon(ech: list[list[int]], pivots: list[int]):
-    """Canonical RREF (Fractions) from an integer echelon form."""
-    rows = [list(r) for r in ech]
-    for i in range(len(rows) - 1, -1, -1):
-        p = pivots[i]
-        pv = rows[i][p]
-        for j in range(i):
-            q = rows[j][p]
-            if q:
-                rows[j] = _reduce_content([pv * a - q * b for a, b in zip(rows[j], rows[i])])
-    out = []
-    for r, p in zip(rows, pivots):
-        pv = Fraction(1, 1) / r[p]
-        out.append([x * pv for x in r])
-    return out
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Deterministic basis of {x : M x = 0} (the canonical RREF form)."""
-    if not rows:
-        return [[Q(1) if j == i else Q(0) for j in range(ncols)] for i in range(ncols)]
-    ech, pivots = echelon_int([row_to_ints(r) for r in rows])
-    if not ech:
-        return [[Q(1) if j == i else Q(0) for j in range(ncols)] for i in range(ncols)]
-    red = _rref_from_echelon(ech, pivots)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fcol in free:
-        v = [Q(0)] * ncols
-        v[fcol] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fcol]
-        basis.append(v)
-    return basis
-
-
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One solution of M x = b, or None if inconsistent."""
+    """One solution of M x = b with the free variables 0, or None if inconsistent."""
     if not rows:
         return None
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-    x = [Q(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
-
-
-class Reducer:
-    """Incremental reduction against a fixed spanning set, with coordinates.
-
-    Rows are added once; ``express(v)`` then writes v as a combination of the
-    added rows (returning the coefficient vector) or returns None when v is
-    outside their span.  Used to express cocycles in a (representatives +
-    coboundaries) basis.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.combos: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self.n_sources = 0
-
-    def add(self, v: Sequence) -> bool:
-        """Reduce v against current rows; keep it if independent."""
-        vec = [_as_frac(x) for x in v]
-        combo = [Q(0)] * self.n_sources + [Q(1)]
-        self.n_sources += 1
-        for row in self.combos:
-            row.append(Q(0))
-        vec, combo = self._reduce(vec, combo)
-        piv = next((c for c in range(self.ncols) if vec[c] != 0), None)
-        if piv is None:
-            return False
-        inv = Q(1) / vec[piv]
-        vec = [x * inv for x in vec]
-        combo = [x * inv for x in combo]
-        self.rows.append(vec)
-        self.combos.append(combo)
-        self.pivots.append(piv)
-        return True
-
-    def _reduce(self, vec, combo):
-        for row, crow, piv in zip(self.rows, self.combos, self.pivots):
-            f = vec[piv]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, row)]
-                combo = [a - f * b for a, b in zip(combo, crow)]
-        return vec, combo
-
-    def express(self, v: Sequence) -> list[Fraction] | None:
-        vec = [_as_frac(x) for x in v]
-        combo = [Q(0)] * self.n_sources
-        vec, combo = self._reduce(vec, combo)
-        if any(x != 0 for x in vec):
-            return None
-        return [-c for c in combo]
-
-
-class SparseRationalMatrix:
-    """Sparse exact-rational matrix, row-indexed; no explicit zeros stored."""
-
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def set(self, i: int, j: int, val) -> None:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i},{j}) out of bounds")
-        v = _as_frac(val)
-        if v == 0:
-            self.rows.get(i, {}).pop(j, None)
-            if i in self.rows and not self.rows[i]:
-                del self.rows[i]
-            return
-        self.rows.setdefault(i, {})[j] = v
-
-    def add(self, i: int, j: int, val) -> None:
-        cur = self.rows.get(i, {}).get(j, Q(0))
-        self.set(i, j, cur + _as_frac(val))
-
-    def get(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, {}).get(j, Q(0))
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
-
-    def entries(self) -> Iterable[tuple[int, int, Fraction]]:
-        for i in sorted(self.rows):
-            row = self.rows[i]
-            for j in sorted(row):
-                yield i, j, row[j]
-
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Q(0)] * self.ncols for _ in range(self.nrows)]
-        for i, j, v in self.entries():
-            out[i][j] = v
-        return out
-
-    def rank(self) -> int:
-        """Exact rank by sparse elimination with sparsity-guided pivoting."""
-        rows = [dict(r) for r in self.rows.values() if r]
-        rk = 0
-        while rows:
-            # deterministic pivot: shortest row, then lowest column index
-            best = min(range(len(rows)), key=lambda i: (len(rows[i]), min(rows[i])))
-            prow = rows.pop(best)
-            pc = min(prow)
-            pval = prow[pc]
-            rk += 1
-            nxt = []
-            for r in rows:
-                f = r.get(pc)
-                if f is not None:
-                    factor = f / pval
-                    for c, v in prow.items():
-                        nv = r.get(c, Q(0)) - factor * v
-                        if nv == 0:
-                            r.pop(c, None)
-                        else:
-                            r[c] = nv
-                if r:
-                    nxt.append(r)
-            rows = nxt
-        return rk
-
-    def mul_vec(self, x: Sequence) -> list[Fraction]:
-        out = [Q(0)] * self.nrows
-        for i, row in self.rows.items():
-            acc = Q(0)
-            for j, v in row.items():
-                acc += v * _as_frac(x[j])
-            out[i] = acc
-        return out
+    span = IntSpan(len(rows))
+    for col in zip(*rows):
+        span.add(col)
+    return span.express(rhs)

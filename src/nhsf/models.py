@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Q, nullspace
+from . import InvariantError
+from .linalg import IntSpan, Q, nullspace
 from .liealg import GradedNilpotent, abelian_nilpotent, heisenberg
 from .gmod import GradedModule, ModuleElt, SparseMat
 
@@ -82,8 +83,8 @@ def svect_module(n: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
                     continue
                 down = tuple(e - (1 if t == i else 0) for t, e in enumerate(a))
                 targets.setdefault(down, len(targets))
-                entries.append((targets[down], pos, Q(a[i])))
-            rows = [[Q(0)] * len(block) for _ in range(len(targets))]
+                entries.append((targets[down], pos, a[i]))
+            rows = [[0] * len(block) for _ in range(len(targets))]
             for r, c, v in entries:
                 rows[r][c] = v
             for vec in nullspace(rows, len(block)):
@@ -96,22 +97,20 @@ def svect_module(n: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
 
 def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[SparseMat]:
     """Action matrices of a submodule given expansions in the parent basis."""
-    from .linalg import Reducer
-
-    reducers: dict[int, tuple[Reducer, list[int]]] = {}
+    spans: dict[int, tuple[IntSpan, list[int]]] = {}
     pdim = parent.dim
     bydeg: dict[int, list[int]] = {}
     for k, b in enumerate(basis):
         bydeg.setdefault(b.degree, []).append(k)
     for deg, ks in bydeg.items():
-        red = Reducer(pdim)
+        span = IntSpan(pdim)
         for k in ks:
-            vec = [Q(0)] * pdim
+            vec = [0] * pdim
             for c, v in vectors[k].items():
                 vec[c] = v
-            ok = red.add(vec)
-            assert ok, "submodule expansion vectors must be independent"
-        reducers[deg] = (red, ks)
+            if not span.add(vec):
+                raise InvariantError("submodule expansion vectors must be independent")
+        spans[deg] = (span, ks)
     act: list[SparseMat] = []
     for j in range(n_gminus):
         mat: SparseMat = {}
@@ -126,12 +125,13 @@ def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[S
             tdeg = b.degree - 1
             if tdeg < parent.min_degree:
                 raise AssertionError("action fell below the module window")
-            red, ks = reducers[tdeg]
-            vec = [Q(0)] * pdim
+            span, ks = spans[tdeg]
+            vec = [0] * pdim
             for c, v in img.items():
                 vec[c] = v
-            coords = red.express(vec)
-            assert coords is not None, "submodule is not action-closed"
+            coords = span.express(vec)
+            if coords is None:
+                raise InvariantError("submodule is not action-closed")
             col = {ks[t]: c for t, c in enumerate(coords) if c != 0}
             if col:
                 mat[k] = col

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Q, Reducer, nullspace
+from . import InvariantError
+from .linalg import IntSpan, Q, nullspace, solve
 from .liealg import GradedNilpotent
 from .gmod import GradedModule, ModuleElt, SparseMat
 
@@ -159,7 +160,6 @@ def _derivation_rows(p, k, unknown_layers, unk, pos_of):
     rows = []
     for u in range(gm.dim):
         for v in range(u + 1, gm.dim):
-            target_level = k + gm.degrees[u] + gm.degrees[v]
             coeffs: dict[int, dict[int, Fraction]] = {}
 
             def add(coord, unknown_key, val):
@@ -170,7 +170,7 @@ def _derivation_rows(p, k, unknown_layers, unk, pos_of):
                     return
                 col = pos_of[unknown_key]
                 row = coeffs.setdefault(coord, {})
-                row[col] = row.get(col, Q(0)) + val
+                row[col] = row.get(col, 0) + val
 
             # LHS: D([u, v])
             for w, c in gm.bracket(u, v).items():
@@ -187,10 +187,10 @@ def _derivation_rows(p, k, unknown_layers, unk, pos_of):
                 for coord, val in p.apply(mv, t, u).items():
                     add(coord, (v, t), val)
             for coord in sorted(coeffs):
-                row = [Q(0)] * len(unk)
+                row = [0] * len(unk)
                 for col, val in coeffs[coord].items():
                     row[col] = val
-                if any(x != 0 for x in row):
+                if any(row):
                     rows.append(row)
     return rows
 
@@ -248,7 +248,7 @@ def der0(gminus: GradedNilpotent) -> G0:
                         return
                     col = pos_of[key]
                     row = coeffs.setdefault(coord, {})
-                    row[col] = row.get(col, Q(0)) + val
+                    row[col] = row.get(col, 0) + val
 
                 for w, c in gm.bracket(u, v).items():
                     for t in targets[w]:
@@ -260,10 +260,10 @@ def der0(gminus: GradedNilpotent) -> G0:
                     for coord, val in gm.bracket(t, u).items():
                         add(coord, (v, t), val)
                 for coord in sorted(coeffs):
-                    row = [Q(0)] * len(unk)
+                    row = [0] * len(unk)
                     for col, val in coeffs[coord].items():
                         row[col] = val
-                    if any(x != 0 for x in row):
+                    if any(row):
                         rows.append(row)
         for sol in nullspace(rows, len(unk)):
             t = len(labels)
@@ -281,17 +281,17 @@ def der0(gminus: GradedNilpotent) -> G0:
 
 def _matrix_bracket_table(n: int, act: list[SparseMat]):
     """Commutators of action matrices, expressed in the given basis."""
-    red = Reducer(n * n)
+    span = IntSpan(n * n)
 
     def flat(mat: SparseMat):
-        vec = [Q(0)] * (n * n)
+        vec = [0] * (n * n)
         for col, rowd in mat.items():
             for row, v in rowd.items():
                 vec[row * n + col] = v
         return vec
 
     for mat in act:
-        red.add(flat(mat))
+        span.add(flat(mat))
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(len(act)):
         for j in range(i + 1, len(act)):
@@ -300,13 +300,13 @@ def _matrix_bracket_table(n: int, act: list[SparseMat]):
                 for mid, v in rowd.items():
                     for row, w in act[i].get(mid, {}).items():
                         d = comm.setdefault(col, {})
-                        d[row] = d.get(row, Q(0)) + v * w
+                        d[row] = d.get(row, 0) + v * w
             for col, rowd in act[i].items():
                 for mid, v in rowd.items():
                     for row, w in act[j].get(mid, {}).items():
                         d = comm.setdefault(col, {})
-                        d[row] = d.get(row, Q(0)) - v * w
-            coords = red.express(flat(comm))
+                        d[row] = d.get(row, 0) - v * w
+            coords = span.express(flat(comm))
             if coords is None:
                 raise AssertionError("derivation algebra not closed under commutator")
             entry = {t: c for t, c in enumerate(coords) if c != 0}
@@ -336,7 +336,6 @@ def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
             coords.append((k, t))
     pos_of: dict[tuple[int, int], int] = {}
     for idx, (lvl, t) in enumerate(coords):
-        key = (lvl, t if lvl > 0 or lvl == 0 else t)
         pos_of[(lvl, t)] = idx
     # for negative levels the in-layer coordinate is the global gminus index
     neg_pos = {u: i for i, (lvl, t) in enumerate(coords) if lvl < 0 for u in [t]}
@@ -373,10 +372,6 @@ ProlongElt = dict[tuple[int, int], Fraction]  # (level, index) -> coefficient
 
 def _as_elt(level: int, idx: int) -> ProlongElt:
     return {(level, idx): Q(1)}
-
-
-def _coords_to_elt(p: ProlongedAlgebra, level: int, coords: dict[int, Fraction]) -> ProlongElt:
-    return {(level, i): v for i, v in coords.items() if v != 0}
 
 
 def bracket_elements(p: ProlongedAlgebra, e1: ProlongElt, e2: ProlongElt) -> ProlongElt:
@@ -449,8 +444,6 @@ def _pbracket_raw(p, l1, i1, l2, i2) -> ProlongElt:
 
 def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
     """Express a degree-s derivation by matching its g_{-1} values."""
-    from .linalg import solve as lin_solve
-
     tgt = s - 1
     coords_idx = {}
     for u in top:
@@ -461,17 +454,18 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
         if any(vals[u] for u in top):
             raise AssertionError("nonzero bracket lands in an empty layer")
         return {}
-    rows = [[Q(0)] * n for _ in range(len(coords_idx))]
+    rows = [[0] * n for _ in range(len(coords_idx))]
     for t in range(n):
         for u in top:
             for coord, v in p.apply(s, t, u).items():
                 rows[coords_idx[(u, coord)]][t] = v
-    rhs = [Q(0)] * len(coords_idx)
+    rhs = [0] * len(coords_idx)
     for u in top:
         for (lvl, coord), v in vals[u].items():
-            assert lvl == tgt
+            if lvl != tgt:
+                raise InvariantError(f"bracket value at level {lvl}, expected {tgt}")
             rhs[coords_idx[(u, coord)]] = v
-    sol = lin_solve(rows, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         raise AssertionError("bracket image is not in the prolong layer")
     return {(s, t): c for t, c in enumerate(sol) if c != 0}

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
+from . import InvariantError
 from .linalg import Q, solve
 
 COROOT = "coroot"
@@ -111,21 +113,12 @@ def _symmetrizer(a: list[list[int]]) -> list[Fraction]:
                 if i != j and a[i][j] != 0 and d[i] is not None and d[j] is None:
                     d[j] = d[i] * Fraction(a[i][j], a[j][i])
                     changed = True
-    assert all(x is not None for x in d)
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // _gcd(lcm_den, x.denominator)
+    if any(x is None for x in d):
+        raise InvariantError("Dynkin diagram is not connected")
+    lcm_den = lcm(*(x.denominator for x in d))
     vals = [x * lcm_den for x in d]
-    g = 0
-    for x in vals:
-        g = _gcd(g, x.numerator)
+    g = gcd(*(x.numerator for x in vals))
     return [x / g for x in vals]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass(frozen=True)
@@ -295,8 +288,9 @@ def convert_weight(w: Weight, target: str, rs: RootSystem) -> Weight:
     if target == COROOT:
         coords = tuple(sum(Q(a[i][j]) * w.coords[j] for j in range(n)) for i in range(n))
         return Weight(coords, COROOT)
-    sol = solve([[Q(a[i][j]) for j in range(n)] for i in range(n)], list(w.coords))
-    assert sol is not None
+    sol = solve(a, list(w.coords))
+    if sol is None:
+        raise InvariantError(f"Cartan matrix of {rs.spec.name} is singular")
     return Weight(tuple(sol), SIMPLEROOT)
 
 

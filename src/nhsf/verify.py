@@ -18,13 +18,13 @@ from . import ENGINE_VERSION
 from .linalg import Q
 from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, WeylWord,
                       build_root_system, convert_weight, dynkin_split,
-                      enumerate_w_i)
-from .liealg import graded_algebra
+                      enumerate_w_i, weyl_dim)
+from .liealg import build_chevalley
 from .gmod import FlagCase, GradedModule, build_irreducible, abelian_negative
-from .cohom import cohomology, full_window, spencer_bigrade
+from .cohom import cohomology, full_window
 from .decomp import (HIGHEST, LOWEST, IrreducibleSummand, decompose,
                      extremal_vectors, levi_irrep_dim)
-from .prolong import (TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, full_prolong,
+from .prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, full_prolong,
                       prolong_as_module, yamaguchi_classify)
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
                        table1_case, TABLE1, SEC71)
@@ -414,10 +414,6 @@ def run_g2_structure(variant: str = "auto") -> dict:
     variant: "g2", "cg2" or "auto" (= report both, pin whichever reproduces
     the expected table).
     """
-    from .liealg import build_chevalley
-    from .prolong import G0
-    from .rootsys import weyl_dim
-
     alg = build_chevalley("G", 2)
     rs = alg.rs
     irr = build_irreducible(rs, Weight((1, 0), COROOT))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nhsf.cli
 from nhsf.cache import ResultCache
 from nhsf.cli import main
 from nhsf.verify import CaseSpec, run_case
@@ -61,10 +62,19 @@ def test_cohomology_command(capsys):
                                  "multiplicity": 1}]
 
 
-def test_verify_table1_only_g2(capsys):
+def test_verify_table1_only_g2(capsys, monkeypatch):
+    calls = []
+
+    def counting_run_case(spec, cache=None):
+        calls.append(spec)
+        return run_case(spec, cache)
+
+    # --only filters the case list before anything runs
+    monkeypatch.setattr(nhsf.cli, "run_case", counting_run_case)
     code, out = run(capsys, "verify", "--suite", "table1", "--only", "g2")
     assert code == 0
     assert out.count("Match") == 2
+    assert len(calls) == 2
 
 
 def test_byte_determinism(capsys, tmp_path):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nhsf
 from nhsf.rootsys import COROOT, Weight, build_root_system
 from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
                          premet_split_check, run_case, run_g2_structure,
@@ -100,3 +106,22 @@ def test_sp4_node2_rank2_boundary_premet():
     rec = run_case(CaseSpec("C", 2, (2,)))
     assert rec["checks"]["premet_split"]["rank2_boundary"]
     assert rec["status"] == MATCH  # table row still matches
+
+
+def test_invariant_raises_under_python_O():
+    """A former bare assert (expected._pad) still raises with asserts stripped."""
+    code = ("import sys\n"
+            "from nhsf import InvariantError\n"
+            "from nhsf.expected import _pad\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    _pad([1, 2], 0, [3], 2)\n"
+            "except InvariantError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
