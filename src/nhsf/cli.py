@@ -12,7 +12,7 @@ import json
 import sys
 
 from .rootsys import COROOT, Weight, build_root_system, InvalidCartanType
-from .liealg import graded_algebra, gminus_of
+from .liealg import GradingSpec, graded_algebra
 from .gmod import FlagCase
 from .cohom import cohomology, full_window
 from .decomp import HIGHEST, LOWEST, decompose, levi_irrep_dim
@@ -34,9 +34,11 @@ def _common(p: argparse.ArgumentParser, need_nodes: bool = True):
 
 def _nodes(args) -> tuple[int, ...]:
     try:
-        return tuple(sorted(int(x) for x in args.nodes.split(",")))
+        nodes = tuple(sorted(int(x) for x in args.nodes.split(",")))
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"--nodes must be comma-separated integers, not {args.nodes!r}") from None
+    GradingSpec.from_nodes(args.rank, nodes)  # rejects nodes outside 1..rank and repeats
+    return nodes
 
 
 def _emit(args, obj, text_render=None) -> None:

@@ -135,23 +135,10 @@ class WeightBlock:
     rank_in: int
     rank_out: int
     reps: list[dict[int, Fraction]]  # local coords
-    in_cols: list[list]  # coboundary spanning vectors, local coords
-    _reducer: IntSpan | None = None
-
-    @property
-    def reducer(self) -> IntSpan:
-        """Representatives first, then coboundaries (built on demand)."""
-        if self._reducer is None:
-            span = IntSpan(len(self.idx))
-            for rep in self.reps:
-                vec = [0] * len(self.idx)
-                for i, v in rep.items():
-                    vec[i] = v
-                span.add(vec)
-            for col in self.in_cols:
-                span.add(col)
-            self._reducer = span
-        return self._reducer
+    # the coboundary columns, then the cocycle basis, as added by _slice;
+    # span.express(v)[rep_slots[t]] is the coordinate of v on reps[t]
+    span: IntSpan
+    rep_slots: list[int]
 
 
 @dataclass
@@ -241,12 +228,14 @@ def _slice(gm, mod, s, k, check_dd) -> CohomologySlice:
         rank_out = nloc - len(kernel)
         span = IntSpan(nloc)
         rank_in = sum(span.add(col) for col in in_cols)
-        reps_local = [vec for vec in kernel if span.add(vec)]
+        kept = [(len(in_cols) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
+        reps_local = [vec for _, vec in kept]
         dim_h = len(reps_local)
         if dim_h != nloc - rank_out - rank_in:
             raise AssertionError("cohomology dimension bookkeeping failed")
         reps_block = [{i: v for i, v in enumerate(vec) if v != 0} for vec in reps_local]
-        blocks[w] = WeightBlock(w, idx, rank_in, rank_out, reps_block, in_cols)
+        blocks[w] = WeightBlock(w, idx, rank_in, rank_out, reps_block, span,
+                                [slot for slot, _ in kept])
         rank_in_tot += rank_in
         rank_out_tot += rank_out
         dim_h_tot += dim_h

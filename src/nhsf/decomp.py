@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Q, acc, nullspace
+from .linalg import acc, nullspace
 from .gmod import Actor, GradedModule
 from .cohom import CohomologySlice
-from .rootsys import COROOT, SIMPLEROOT, RootSystem, Weight, convert_weight
+from .rootsys import COROOT, SIMPLEROOT, RootSystem, Weight, _weyl_product, convert_weight
 
 LOWEST = "Lowest"
 HIGHEST = "Highest"
@@ -71,14 +71,14 @@ def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor):
             if g not in local_of:
                 raise DecompositionError("actor image left the weight block")
             loc[local_of[g]] = v
-        coords = block.reducer.express(loc)
+        coords = block.span.express(loc)
         if coords is None:
             raise DecompositionError(
                 f"actor {actor.name} image is not a cocycle mod coboundaries")
         col: dict[int, Fraction] = {}
-        for t in range(len(block.reps)):
-            if coords[t] != 0:
-                col[rep_offset[wt] + t] = coords[t]
+        for t, slot in enumerate(block.rep_slots):
+            if coords[slot] != 0:
+                col[rep_offset[wt] + t] = coords[slot]
         if col:
             out[r] = col
     return out
@@ -194,23 +194,10 @@ def levi_irrep_dim(rs: RootSystem, unselected: list[int], weight: tuple, kind: s
     ``unselected`` holds 1-based nodes; the weight is in ambient coroot
     coordinates.  Lowest weights are flipped to their dual highest weight.
     """
-    lam = {j: (Q(-weight[j - 1]) if kind == LOWEST else Q(weight[j - 1]))
-           for j in unselected}
-    if any(v < 0 for v in lam.values()):
+    lam = [-c for c in weight] if kind == LOWEST else list(weight)
+    if any(lam[j - 1] < 0 for j in unselected):
         raise DecompositionError(f"extremal weight {weight} not {kind}-dominant")
-    unsel0 = {j - 1 for j in unselected}
-    num = Q(1)
-    den = Q(1)
-    d = rs.symmetrizer
-    for beta in rs.positive_roots:
-        if any(beta[t] and t not in unsel0 for t in range(rs.rank)):
-            continue
-        dbeta = rs.norm2(beta) / 2
-        lam_b = sum(lam[t + 1] * beta[t] * d[t] for t in unsel0) / dbeta
-        rho_b = sum(Q(beta[t]) * d[t] for t in unsel0) / dbeta
-        num *= lam_b + rho_b
-        den *= rho_b
-    val = num / den
+    val = _weyl_product(rs, lam, [j - 1 for j in unselected])
     if val.denominator != 1:
         raise DecompositionError("non-integral Weyl dimension")
     return int(val)

@@ -38,6 +38,13 @@ class GradingSpec:
 
     @classmethod
     def from_nodes(cls, rank: int, nodes) -> "GradingSpec":
+        """The grading that puts the selected 1-based ``nodes`` in degree 1."""
+        nodes = list(nodes)
+        bad = [n for n in nodes if not 1 <= n <= rank]
+        if bad:
+            raise ValueError(f"nodes {bad} lie outside 1..{rank}")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"nodes {nodes} repeat a node")
         return cls(tuple(1 if i + 1 in set(nodes) else 0 for i in range(rank)))
 
     @property

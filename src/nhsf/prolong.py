@@ -1,11 +1,14 @@
 """Tanaka-Shchepochkina prolongation, computed degreewise.
 
-A degree-k component is realized as the space of degree-k derivations
-D: g_- -> (previously built graded space); since g_- is generated by its
-degree -1 part, such a derivation is determined by its restriction to
-g_{-1}, which makes the realization equivalent to the symbolic intersection
-definition.  Layers are solved as exact kernels, blocked by weight whenever
-weights are available.
+Every layer of degree k >= 0 is one ``G0``: a basis of degree-k derivations
+D of g_-, each stored by its values D(v) on the g_- basis, as coordinates in
+layer k + deg(v) (global g_- indices when that layer is negative).  Since
+g_- is generated by its degree -1 part, such a derivation is determined by
+its restriction to g_{-1}, which makes the realization equivalent to the
+symbolic intersection definition.  g_0 is supplied (a Levi part, gl(V), ...)
+or computed by ``der0``; the positive layers come from ``prolong_step``.
+Both solve D([u,v]) = [D(u),v] + [u,D(v)] with one solver, as exact kernels
+blocked by weight whenever weights are available.
 """
 
 from __future__ import annotations
@@ -14,31 +17,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import InvariantError
-from .linalg import IntSpan, Q, nullspace, solve
+from .linalg import IntSpan, Q, acc, nullspace, solve
 from .liealg import GradedNilpotent
 from .gmod import GradedModule, ModuleElt, SparseMat
 
 
 @dataclass
 class G0:
-    """A degree-0 algebra acting on g_- (Levi part, der0 output, gl(V), ...)."""
+    """One layer of degree k >= 0 acting on g_- (Levi part, der0, D_k, gl(V), ...).
+
+    ``act[t][v]`` is [E_t, v] for the t-th basis element E_t and the g_-
+    basis vector v, as coordinates in layer k + deg(v).  ``bracket`` is the
+    bracket table of a degree-0 layer; positive layers leave it None.
+    """
 
     labels: list[str]
     weights: list[tuple[int, ...] | None]
-    act: list[SparseMat]  # on the g_- basis
+    act: list[SparseMat]
     bracket: dict[tuple[int, int], dict[int, Fraction]] | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-
-@dataclass
-class PositiveLayer:
-    labels: list[str]
-    weights: list[tuple[int, ...] | None]
-    # maps[t][u] = value of D_t on gminus basis u, as coords in the target layer
-    maps: list[list[dict[int, Fraction]]]
 
     @property
     def dim(self) -> int:
@@ -49,7 +45,7 @@ class PositiveLayer:
 class ProlongedAlgebra:
     gminus: GradedNilpotent
     g0: G0
-    positive: dict[int, PositiveLayer] = field(default_factory=dict)
+    positive: dict[int, G0] = field(default_factory=dict)
     computed_to: int = 0
     stabilized: bool = False
 
@@ -62,99 +58,77 @@ class ProlongedAlgebra:
 
     # -- layer access ------------------------------------------------------
 
-    def layer_size(self, m: int) -> int:
-        if m > 0:
-            return self.positive[m].dim if m in self.positive else 0
+    def layer(self, m: int) -> G0:
+        """Layer m >= 0; empty for a degree that has no computed layer."""
         if m == 0:
-            return self.g0.dim
-        return sum(1 for d in self.gminus.degrees if d == m)
+            return self.g0
+        return self.positive.get(m) or G0([], [], [])
 
     def layer_indices(self, m: int) -> list[int]:
         """Coordinate index set of layer m (global gminus idx for m < 0)."""
         if m < 0:
             return [i for i, d in enumerate(self.gminus.degrees) if d == m]
-        return list(range(self.layer_size(m)))
+        return list(range(self.layer(m).dim))
 
     def layer_weight(self, m: int, t: int):
-        if m > 0:
-            return self.positive[m].weights[t]
-        if m == 0:
-            return self.g0.weights[t]
-        return self.gminus.weights[t]
+        if m < 0:
+            return self.gminus.weights[t]
+        return self.layer(m).weights[t]
 
     def apply(self, m: int, t: int, v: int) -> dict[int, Fraction]:
         """[E, v] for E the t-th basis element of layer m, v a gminus index.
 
         Result coordinates live in layer m + deg(v) (gminus indices if that
-        layer is negative).
+        layer is negative).  The result is shared: callers must not mutate it.
         """
-        if m > 0:
-            return dict(self.positive[m].maps[t][v])
-        if m == 0:
-            return dict(self.g0.act[t].get(v, {}))
-        return dict(self.gminus.bracket(t, v))
+        if m < 0:
+            return self.gminus.bracket(t, v)
+        return self.layer(m).act[t].get(v, {})
 
 
-def prolong_step(p: ProlongedAlgebra, k: int) -> PositiveLayer:
+def prolong_step(p: ProlongedAlgebra, k: int) -> G0:
     """Solve for the degree-k component; requires components < k present."""
     if k <= 0:
         raise ValueError("prolong_step needs k >= 1")
+    return _derivations(p, k, f"D{k}")
+
+
+def _derivations(p: ProlongedAlgebra, k: int, prefix: str) -> G0:
+    """All degree-k derivations of g_- into the layers of p, as a layer (k >= 0).
+
+    The unknowns are the coordinates (u, t) of D(u) in layer k + deg(u); they
+    are solved per block weight wt(t) - wt(u) when every weight is known.
+    """
     gm = p.gminus
-    unknown_layers = {}
-    for u in range(gm.dim):
-        m = k + gm.degrees[u]
-        unknown_layers[u] = m
-
+    unknowns = [(u, t) for u in range(gm.dim) for t in p.layer_indices(k + gm.degrees[u])]
     weighted = all(w is not None for w in gm.weights) and all(
-        p.layer_weight(m, t) is not None
-        for u, m in unknown_layers.items()
-        for t in p.layer_indices(m)
-    )
-
-    def unknowns_for(block_weight):
-        out = []
-        for u in range(gm.dim):
-            m = unknown_layers[u]
-            for t in p.layer_indices(m):
-                if block_weight is not None:
-                    wu = gm.weights[u]
-                    wt = p.layer_weight(m, t)
-                    if tuple(a - b for a, b in zip(wt, wu)) != block_weight:
-                        continue
-                out.append((u, t))
-        return out
-
-    if weighted:
-        block_weights = sorted({
-            tuple(a - b for a, b in zip(p.layer_weight(unknown_layers[u], t), gm.weights[u]))
-            for u in range(gm.dim)
-            for t in p.layer_indices(unknown_layers[u])
-        })
-    else:
-        block_weights = [None]
+        p.layer_weight(k + gm.degrees[u], t) is not None for u, t in unknowns)
+    blocks: dict = {}
+    for u, t in unknowns:
+        bw = None
+        if weighted:
+            wt = p.layer_weight(k + gm.degrees[u], t)
+            bw = tuple(a - b for a, b in zip(wt, gm.weights[u]))
+        blocks.setdefault(bw, []).append((u, t))
 
     labels: list[str] = []
     weights: list = []
-    maps: list[list[dict[int, Fraction]]] = []
-    for bw in block_weights:
-        unk = unknowns_for(bw)
-        if not unk:
-            continue
+    act: list[SparseMat] = []
+    for bw in sorted(blocks):
+        unk = blocks[bw]
         pos_of = {ut: c for c, ut in enumerate(unk)}
-        rows = _derivation_rows(p, k, unknown_layers, unk, pos_of)
-        for sol in nullspace(rows, len(unk)):
-            t = len(labels)
-            labels.append(f"D{k}.{t}")
-            weights.append(bw)
-            elt: list[dict[int, Fraction]] = [dict() for _ in range(gm.dim)]
+        for sol in nullspace(_derivation_rows(p, k, pos_of), len(unk)):
+            mat: SparseMat = {}
             for c, (u, tgt) in enumerate(unk):
                 if sol[c] != 0:
-                    elt[u][tgt] = sol[c]
-            maps.append(elt)
-    return PositiveLayer(labels, weights, maps)
+                    mat.setdefault(u, {})[tgt] = sol[c]
+            labels.append(f"{prefix}.{len(labels)}")
+            weights.append(bw)
+            act.append(mat)
+    return G0(labels, weights, act)
 
 
-def _derivation_rows(p, k, unknown_layers, unk, pos_of):
+def _derivation_rows(p, k, pos_of):
     """Linear constraints D([u,v]) = [D(u),v] + [u,D(v)] as matrix rows."""
     gm = p.gminus
     rows = []
@@ -174,20 +148,20 @@ def _derivation_rows(p, k, unknown_layers, unk, pos_of):
 
             # LHS: D([u, v])
             for w, c in gm.bracket(u, v).items():
-                for t in p.layer_indices(unknown_layers[w]):
+                for t in p.layer_indices(k + gm.degrees[w]):
                     add(t, (w, t), c)
             # RHS: [D(u), v]
-            mu = unknown_layers[u]
+            mu = k + gm.degrees[u]
             for t in p.layer_indices(mu):
                 for coord, val in p.apply(mu, t, v).items():
                     add(coord, (u, t), -val)
             # RHS: + [u, D(v)] = -[D(v), u]
-            mv = unknown_layers[v]
+            mv = k + gm.degrees[v]
             for t in p.layer_indices(mv):
                 for coord, val in p.apply(mv, t, u).items():
                     add(coord, (v, t), val)
             for coord in sorted(coeffs):
-                row = [0] * len(unk)
+                row = [0] * len(pos_of)
                 for col, val in coeffs[coord].items():
                     row[col] = val
                 if any(row):
@@ -214,68 +188,8 @@ def full_prolong(gminus: GradedNilpotent, g0: G0, kmax: int) -> ProlongedAlgebra
 
 def der0(gminus: GradedNilpotent) -> G0:
     """All degree-preserving derivations of g_-, closed under commutator."""
-    gm = gminus
-    # unknowns: per u, target coordinates at the same degree
-    weighted = all(w is not None for w in gm.weights)
-    targets = {u: [i for i, d in enumerate(gm.degrees) if d == gm.degrees[u]]
-               for u in range(gm.dim)}
-    if weighted:
-        block_weights = sorted({
-            tuple(a - b for a, b in zip(gm.weights[t], gm.weights[u]))
-            for u in range(gm.dim) for t in targets[u]
-        })
-    else:
-        block_weights = [None]
-    labels, weights, act = [], [], []
-    for bw in block_weights:
-        unk = []
-        for u in range(gm.dim):
-            for t in targets[u]:
-                if bw is not None:
-                    if tuple(a - b for a, b in zip(gm.weights[t], gm.weights[u])) != bw:
-                        continue
-                unk.append((u, t))
-        if not unk:
-            continue
-        pos_of = {ut: c for c, ut in enumerate(unk)}
-        rows = []
-        for u in range(gm.dim):
-            for v in range(u + 1, gm.dim):
-                coeffs: dict[int, dict[int, Fraction]] = {}
-
-                def add(coord, key, val):
-                    if key not in pos_of:
-                        return
-                    col = pos_of[key]
-                    row = coeffs.setdefault(coord, {})
-                    row[col] = row.get(col, 0) + val
-
-                for w, c in gm.bracket(u, v).items():
-                    for t in targets[w]:
-                        add(t, (w, t), c)
-                for t in targets[u]:
-                    for coord, val in gm.bracket(t, v).items():
-                        add(coord, (u, t), -val)
-                for t in targets[v]:
-                    for coord, val in gm.bracket(t, u).items():
-                        add(coord, (v, t), val)
-                for coord in sorted(coeffs):
-                    row = [0] * len(unk)
-                    for col, val in coeffs[coord].items():
-                        row[col] = val
-                    if any(row):
-                        rows.append(row)
-        for sol in nullspace(rows, len(unk)):
-            t = len(labels)
-            labels.append(f"der0.{t}")
-            weights.append(bw)
-            mat: SparseMat = {}
-            for c, (u, tgt) in enumerate(unk):
-                if sol[c] != 0:
-                    mat.setdefault(u, {})[tgt] = sol[c]
-            act.append(mat)
-    g0 = G0(labels, weights, act)
-    g0.bracket = _matrix_bracket_table(gm.dim, act)
+    g0 = _derivations(ProlongedAlgebra(gminus, G0([], [], [])), 0, "der0")
+    g0.bracket = _matrix_bracket_table(gminus.dim, g0.act)
     return g0
 
 
@@ -319,45 +233,32 @@ def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
     """The prolong as a g_- module: g_- + g_0 + positive layers.
 
     Marked complete up to the last computed degree unless stabilized, in
-    which case the module is complete everywhere above as well.
+    which case the module is complete everywhere above as well.  The g_-
+    basis comes first, so module index u is the g_- basis vector u.
     """
     gm = p.gminus
-    basis: list[ModuleElt] = []
-    coords: list[tuple[int, int]] = []  # (level, idx-in-layer)
-    for u in range(gm.dim):
-        basis.append(ModuleElt(gm.labels[u], gm.degrees[u], gm.weights[u]))
-        coords.append((gm.degrees[u], u))
-    for t in range(p.g0.dim):
-        basis.append(ModuleElt(p.g0.labels[t], 0, p.g0.weights[t]))
-        coords.append((0, t))
-    for k in sorted(p.positive):
-        for t in range(p.positive[k].dim):
-            basis.append(ModuleElt(p.positive[k].labels[t], k, p.positive[k].weights[t]))
+    basis = [ModuleElt(gm.labels[u], gm.degrees[u], gm.weights[u]) for u in range(gm.dim)]
+    coords: list[tuple[int, int]] = []  # (level, idx-in-layer) of basis[gm.dim:]
+    for k in [0] + sorted(p.positive):
+        layer = p.layer(k)
+        for t in range(layer.dim):
+            basis.append(ModuleElt(layer.labels[t], k, layer.weights[t]))
             coords.append((k, t))
-    pos_of: dict[tuple[int, int], int] = {}
-    for idx, (lvl, t) in enumerate(coords):
-        pos_of[(lvl, t)] = idx
-    # for negative levels the in-layer coordinate is the global gminus index
-    neg_pos = {u: i for i, (lvl, t) in enumerate(coords) if lvl < 0 for u in [t]}
+    pos_of = {lt: gm.dim + i for i, lt in enumerate(coords)}
 
     act: list[SparseMat] = []
     for u in range(gm.dim):
         mat: SparseMat = {}
-        for idx, (lvl, t) in enumerate(coords):
+        for w in range(gm.dim):
+            col = {x: c for x, c in gm.bracket(u, w).items() if c != 0}
+            if col:
+                mat[w] = col
+        for idx, (lvl, t) in enumerate(coords, gm.dim):
+            # [u, E] = -E(u), coords in layer lvl + deg(u)
+            target_lvl = lvl + gm.degrees[u]
             col: dict[int, Fraction] = {}
-            if lvl < 0:
-                for w, c in gm.bracket(u, t).items():
-                    col[neg_pos[w]] = col.get(neg_pos[w], Q(0)) + c
-            else:
-                # [u, E] = -E(u), coords in layer lvl + deg(u)
-                target_lvl = lvl + gm.degrees[u]
-                for coord, val in p.apply(lvl, t, u).items():
-                    if target_lvl < 0:
-                        row = neg_pos[coord]
-                    else:
-                        row = pos_of[(target_lvl, coord)]
-                    col[row] = col.get(row, Q(0)) - val
-            col = {r: v for r, v in col.items() if v != 0}
+            for coord, val in p.apply(lvl, t, u).items():
+                acc(col, coord if target_lvl < 0 else pos_of[(target_lvl, coord)], -val)
             if col:
                 mat[idx] = col
         act.append(mat)
@@ -366,8 +267,8 @@ def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
 
 
 ProlongElt = dict[tuple[int, int], Fraction]  # (level, index) -> coefficient
-# negative levels index the global gminus basis; level 0 indexes g0;
-# positive levels index the computed PositiveLayer bases
+# negative levels index the global gminus basis; levels >= 0 index the
+# basis of p.layer(level)
 
 
 def _as_elt(level: int, idx: int) -> ProlongElt:
@@ -380,11 +281,7 @@ def bracket_elements(p: ProlongedAlgebra, e1: ProlongElt, e2: ProlongElt) -> Pro
     for (l1, i1), c1 in e1.items():
         for (l2, i2), c2 in e2.items():
             for key, v in _pbracket_basis(p, l1, i1, l2, i2).items():
-                nv = out.get(key, Q(0)) + c1 * c2 * v
-                if nv == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
+                acc(out, key, c1 * c2 * v)
     return out
 
 
@@ -415,7 +312,7 @@ def _pbracket_raw(p, l1, i1, l2, i2) -> ProlongElt:
         tgt = l2 + gm.degrees[i1]
         out: ProlongElt = {}
         for coord, v in p.apply(l2, i2, i1).items():
-            out[(tgt, coord)] = out.get((tgt, coord), Q(0)) - v
+            acc(out, (tgt, coord), -v)
         return out
     if l1 == 0 and l2 == 0:
         if p.g0.bracket is None:
@@ -449,7 +346,7 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
     for u in top:
         for coord in p.layer_indices(tgt):
             coords_idx.setdefault((u, coord), len(coords_idx))
-    n = p.layer_size(s) if (s <= 0 or s in p.positive) else 0
+    n = p.layer(s).dim
     if n == 0:
         if any(vals[u] for u in top):
             raise AssertionError("nonzero bracket lands in an empty layer")
@@ -475,14 +372,8 @@ def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> 
     """Jacobi identity on all basis triples within the computed window."""
     if max_total is None:
         max_total = p.computed_to
-    gens: list[tuple[int, int]] = []
-    for u in range(p.gminus.dim):
-        gens.append((p.gminus.degrees[u], u))
-    for t in range(p.g0.dim):
-        gens.append((0, t))
-    for k in sorted(p.positive):
-        for t in range(p.positive[k].dim):
-            gens.append((k, t))
+    gens = [(d, u) for u, d in enumerate(p.gminus.degrees)]
+    gens += [(k, t) for k in [0] + sorted(p.positive) for t in range(p.layer(k).dim)]
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
             for c in range(b + 1, len(gens)):
@@ -493,19 +384,15 @@ def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> 
                 if la + lb + lc > max_total:
                     continue
                 ea, eb, ec = (_as_elt(*gens[a]), _as_elt(*gens[b]), _as_elt(*gens[c]))
-                acc: ProlongElt = {}
+                total: ProlongElt = {}
                 for term in (
                     bracket_elements(p, bracket_elements(p, ea, eb), ec),
                     bracket_elements(p, bracket_elements(p, eb, ec), ea),
                     bracket_elements(p, bracket_elements(p, ec, ea), eb),
                 ):
                     for k2, v in term.items():
-                        nv = acc.get(k2, Q(0)) + v
-                        if nv == 0:
-                            acc.pop(k2, None)
-                        else:
-                            acc[k2] = nv
-                if acc:
+                        acc(total, k2, v)
+                if total:
                     raise AssertionError(f"prolong Jacobi fails on {gens[a]},{gens[b]},{gens[c]}")
 
 

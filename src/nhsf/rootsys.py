@@ -405,16 +405,28 @@ def dynkin_split(rs: RootSystem, selected: set[int] | frozenset[int]) -> DynkinS
 
 def weyl_dim(rs: RootSystem, hw_coroot: tuple) -> Fraction:
     """Weyl dimension formula for a dominant weight in coroot coordinates."""
-    lam = [Q(c) for c in hw_coroot]
-    if any(c < 0 for c in lam):
+    if any(c < 0 for c in hw_coroot):
         raise ValueError(f"{hw_coroot} is not dominant")
+    return _weyl_product(rs, hw_coroot, range(rs.rank))
+
+
+def _weyl_product(rs: RootSystem, lam, nodes) -> Fraction:
+    """Weyl's product over the positive roots supported on ``nodes`` (0-based).
+
+    This is the dimension of the irreducible module, with highest weight lam
+    (coroot coordinates; only the entries at ``nodes`` are read), of the
+    semisimple subalgebra spanned by those nodes.
+    """
+    inside = set(nodes)
     num = Q(1)
     den = Q(1)
     d = rs.symmetrizer
     for beta in rs.positive_roots:
+        if any(beta[t] and t not in inside for t in range(rs.rank)):
+            continue
         dbeta = rs.norm2(beta) / 2
-        lam_b = sum(lam[i] * beta[i] * d[i] for i in range(rs.rank)) / dbeta
-        rho_b = sum(Q(beta[i]) * d[i] for i in range(rs.rank)) / dbeta
+        lam_b = sum(lam[t] * beta[t] * d[t] for t in nodes) / dbeta
+        rho_b = sum(Q(beta[t]) * d[t] for t in nodes) / dbeta
         num *= lam_b + rho_b
         den *= rho_b
     return num / den

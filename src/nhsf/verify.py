@@ -16,14 +16,12 @@ from fractions import Fraction
 
 from . import ENGINE_VERSION
 from .linalg import Q
-from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, WeylWord,
-                      build_root_system, convert_weight, dynkin_split,
-                      enumerate_w_i, weyl_dim)
+from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, build_root_system,
+                      convert_weight, dynkin_split, enumerate_w_i)
 from .liealg import build_chevalley
 from .gmod import FlagCase, GradedModule, build_irreducible, abelian_negative
 from .cohom import cohomology, full_window
-from .decomp import (HIGHEST, LOWEST, IrreducibleSummand, decompose,
-                     extremal_vectors, levi_irrep_dim)
+from .decomp import HIGHEST, LOWEST, IrreducibleSummand, decompose, levi_irrep_dim
 from .prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, full_prolong,
                       prolong_as_module, yamaguchi_classify)
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
@@ -32,6 +30,7 @@ from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
 MATCH = "Match"
 MISMATCH = "Mismatch"
 NO_DATA = "NoExpectedData"
+BUDGETS = ("full", "h2", "bwb")
 
 
 @dataclass(frozen=True)
@@ -39,19 +38,17 @@ class CaseSpec:
     type_letter: str
     rank: int
     nodes: tuple[int, ...]
-    coefficients: str = "adjoint"
-    min_degree: int | None = None
-    max_degree: int | None = None
-    kmax: int = 8
-    budget: str = "full"  # full | h2 | bwb
+    # full: H^2 and the co-Riemann H^1 by the direct route; h2: direct H^2
+    # only; bwb: the Borel-Weil-Bott route only
+    budget: str = "full"
+
+    def __post_init__(self):
+        if self.budget not in BUDGETS:
+            raise ValueError(f"budget must be one of {', '.join(BUDGETS)}, not {self.budget!r}")
 
     def key(self) -> dict:
-        return {
-            "type": self.type_letter, "rank": self.rank,
-            "nodes": list(self.nodes), "coefficients": self.coefficients,
-            "min_degree": self.min_degree, "max_degree": self.max_degree,
-            "kmax": self.kmax, "budget": self.budget,
-        }
+        return {"type": self.type_letter, "rank": self.rank,
+                "nodes": list(self.nodes), "budget": self.budget}
 
 
 # -- BWB ---------------------------------------------------------------------
@@ -168,15 +165,6 @@ def _dims(slices) -> dict[int, int]:
     return {sl.k: sl.dim_h for sl in slices}
 
 
-def _low_fw_multiset(fc: FlagCase, mod: GradedModule, slices) -> Counter:
-    out: Counter = Counter()
-    for sl in slices:
-        for w, _vec in extremal_vectors(sl, mod, LOWEST):
-            fw = convert_weight(Weight(w, COROOT), SIMPLEROOT, fc.rs)
-            out[tuple(int(c) for c in fw.coords)] += 1
-    return out
-
-
 def _summand_rows(summands: list[IrreducibleSummand]) -> list[dict]:
     rows = []
     for sm in sorted(summands, key=lambda s: (s.s, s.degree, s.weight_cm)):
@@ -191,8 +179,11 @@ def _summand_rows(summands: list[IrreducibleSummand]) -> list[dict]:
     return rows
 
 
-def premet_split_check(fc: FlagCase, adj_slices, cor_slices) -> dict:
-    """Degreewise dim H^2(riem) = dim H^2(g) + dim H^1((g- + z)*), + census."""
+def premet_split_check(fc: FlagCase, adj_slices, cor_slices, tag: str) -> dict:
+    """Degreewise dim H^2(riem) = dim H^2(g) + dim H^1((g- + z)*), + census.
+
+    ``tag`` is the case's ``yamaguchi_classify`` tag.
+    """
     riem = fc.riemann_module()
     riem_slices = _nonzero_slices(fc, riem, 2)
     d_riem, d_adj, d_cor = _dims(riem_slices), _dims(adj_slices), _dims(cor_slices)
@@ -202,7 +193,6 @@ def premet_split_check(fc: FlagCase, adj_slices, cor_slices) -> dict:
     holds = all(d_riem.get(k, 0) == d_adj.get(k, 0) + d_cor.get(k, 0) for k in ks)
     out = {"holds_degreewise": holds, "per_degree": {str(k): v for k, v in per_degree.items()},
            "rank2_boundary": fc.rank == 2}
-    tag = yamaguchi_classify(fc.alg)
     if tag == TAG_CONTACT or fc.alg.depth == 1:
         census: Counter = Counter()
         g1 = [i for i in range(fc.gminus.dim) if fc.gminus.degrees[i] == -1]
@@ -359,8 +349,11 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
                 slices_out.append({"s": 1, "k": sl.k, "dim_h": sl.dim_h,
                                    "valid": sl.valid, "module": "coriemann"})
             summands += _summand_rows(h1_summands)
-            checks["premet_split"] = premet_split_check(fc, adj_slices, cor_slices)
-            low_fws = _low_fw_multiset(fc, cor, cor_slices)
+            checks["premet_split"] = premet_split_check(fc, adj_slices, cor_slices, tag)
+            h1_low = decompose(cor_slices, cor, LOWEST, dim_of, fc.rs)
+            low_fws: Counter = Counter()
+            for sm in h1_low:
+                low_fws[tuple(int(c) for c in sm.weight_fw)] += sm.multiplicity
             checks["h1_footnote_found"] = low_fws.get(
                 footnote_row(fc.rank, fc.nodes[0]) if len(fc.nodes) == 1 else (), 0) > 0
 
@@ -368,7 +361,6 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
             if exp.sec6_h2 is not None:
                 comparison["h2"] = _compare_h2(fc, exp, h2_summands)
                 if exp.sec6_h1 is not None and spec.budget == "full":
-                    h1_low = decompose(cor_slices, cor, LOWEST, dim_of, fc.rs)
                     comparison["h1"] = _compare_h1_sec6(exp, h1_low)
             else:
                 comparison["h2"] = _compare_h2(fc, exp, h2_summands)
@@ -448,8 +440,7 @@ def run_g2_structure(variant: str = "auto") -> dict:
             res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}
 
             def dim_of(w, kind):
-                lam = w if kind == HIGHEST else tuple(-c for c in w)
-                return int(weyl_dim(rs, lam))
+                return levi_irrep_dim(rs, list(range(1, rs.rank + 1)), w, kind)
 
             summands = decompose(slices, mod, HIGHEST, dim_of, rs)
             res["orders"] = {}

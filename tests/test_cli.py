@@ -45,6 +45,15 @@ def test_invalid_rank_exit_code(capsys):
     assert main(["roots", "--type", "E", "--rank", "5"]) == 2
 
 
+@pytest.mark.parametrize("nodes, message", [("1,9", "outside 1..2"), ("1,1", "repeat"),
+                                            ("x", "comma-separated integers")])
+def test_bad_nodes_exit_code(capsys, nodes, message):
+    assert main(["grade", "--type", "G", "--rank", "2", "--nodes", nodes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_prolong_command(capsys):
     code, out = run(capsys, "prolong", "--type", "G", "--rank", "2", "--nodes", "1")
     data = json.loads(out)
@@ -110,9 +119,14 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_key_granularity(tmp_path):
     cache = ResultCache(tmp_path)
     s1 = CaseSpec("G", 2, (1,))
-    s2 = CaseSpec("G", 2, (1,), kmax=9)
+    s2 = CaseSpec("G", 2, (1,), budget="h2")
     run_case(s1, cache)
-    assert cache.get("case", s2.key()) is None  # kmax participates in the key
+    assert cache.get("case", s2.key()) is None  # budget participates in the key
+
+
+def test_case_spec_rejects_unknown_budget():
+    with pytest.raises(ValueError, match="budget"):
+        CaseSpec("G", 2, (1,), budget="fulll")
 
 
 def test_cache_corrupt_entry(tmp_path, capsys):

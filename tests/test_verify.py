@@ -56,6 +56,7 @@ def test_statement41():
 def test_premet_g2_node1():
     from nhsf.cohom import cohomology, full_window
     from nhsf.gmod import FlagCase
+    from nhsf.prolong import yamaguchi_classify
 
     fc = FlagCase("G", 2, (1,))
     adj, cor = fc.adjoint_module(), fc.coriemann_module()
@@ -63,7 +64,7 @@ def test_premet_g2_node1():
                   if s.dim_h]
     cor_slices = [s for s in cohomology(fc.gminus, cor, 1, full_window(fc.gminus, cor, 1))
                   if s.dim_h]
-    rep = premet_split_check(fc, adj_slices, cor_slices)
+    rep = premet_split_check(fc, adj_slices, cor_slices, yamaguchi_classify(fc.alg))
     assert rep["holds_degreewise"]
     assert rep["rank2_boundary"]
 
