@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .rootsys import COROOT, Weight, build_root_system, InvalidCartanType
+from .rootsys import build_root_system, InvalidCartanType
 from .liealg import GradingSpec, graded_algebra
 from .gmod import FlagCase
 from .cohom import cohomology, full_window
@@ -118,7 +118,7 @@ def cmd_cohomology(args) -> int:
                    for sl in slices if sl.dim_h or not sl.valid],
     }
     nz = [sl for sl in slices if sl.dim_h and sl.valid]
-    if module.actors and nz:
+    if args.coeff != "prolong" and nz:
         kind = LOWEST if args.s == 2 else HIGHEST
         dim_of = lambda w, k2: levi_irrep_dim(fc.rs, fc.unselected, w, k2)
         sums = decompose(nz, module, kind, dim_of, fc.rs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import IntSpan, acc, nullspace
+from .linalg import IntSpan, acc, dense_rows, nullspace
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
 
@@ -219,12 +219,7 @@ def _slice(gm, mod, s, k, check_dd) -> CohomologySlice:
                 if dd:
                     raise AssertionError(f"d o d != 0 at (s={s}, k={k})")
         in_cols = [[col.get(g, 0) for g in idx] for col in cols_w]
-        # outgoing map rows (target coordinate -> row over block columns)
-        rows_map: dict = {}
-        for li, g in enumerate(idx):
-            for tgt, v in cols_out[g].items():
-                rows_map.setdefault(tgt, [0] * nloc)[li] = v
-        kernel = nullspace([rows_map[t] for t in sorted(rows_map)], nloc)
+        kernel = nullspace(dense_rows([cols_out[g] for g in idx]), nloc)
         rank_out = nloc - len(kernel)
         span = IntSpan(nloc)
         rank_in = sum(span.add(col) for col in in_cols)

@@ -1,8 +1,11 @@
 """Decomposition of cohomology slices into irreducible g_0-constituents.
 
-The Levi (or any reductive g_0 supplied through actors) acts on harmonic
-representatives modulo coboundaries; extremal vectors are the joint kernel
-of its lowering (lowest-weight) or raising (highest-weight) operators.
+The module's actors (the raising and lowering generators of the Levi, or of
+any reductive g_0 packaged the same way) act on cochains; ``decomp`` reduces
+their images modulo coboundaries through each weight block's ``IntSpan``, so
+they act on the representatives of H.  Extremal vectors are the joint kernel
+of the lowering (lowest-weight) or raising (highest-weight) actors on each
+weight space; the Cartan part acts through the weights themselves.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import acc, nullspace
+from .linalg import acc, dense_rows, nullspace
 from .gmod import Actor, GradedModule
 from .cohom import CohomologySlice
 from .rootsys import COROOT, SIMPLEROOT, RootSystem, Weight, _weyl_product, convert_weight
@@ -115,12 +118,7 @@ def _act_on_cochain(gm, mod: GradedModule, basis, actor: Actor,
 
 def g0_action(sl: CohomologySlice, mod: GradedModule) -> dict[str, dict]:
     """Matrices of all raise/lower actors on the slice's representatives."""
-    out = {}
-    for actor in mod.actors:
-        if actor.kind == "cartan":
-            continue
-        out[actor.name] = actor_matrix_on_reps(sl, mod, actor)
-    return out
+    return {actor.name: actor_matrix_on_reps(sl, mod, actor) for actor in mod.actors}
 
 
 def extremal_vectors(sl: CohomologySlice, mod: GradedModule, kind: str):
@@ -137,13 +135,7 @@ def extremal_vectors(sl: CohomologySlice, mod: GradedModule, kind: str):
     out = []
     for w in sorted(bywt, key=lambda x: (x is None, x)):
         idx = bywt[w]
-        rows = []
-        for mat in mats:
-            row_map: dict[int, list[Fraction]] = {}
-            for li, r in enumerate(idx):
-                for tgt, v in mat.get(r, {}).items():
-                    row_map.setdefault(tgt, [0] * len(idx))[li] = v
-            rows.extend(row_map[t] for t in sorted(row_map))
+        rows = [row for mat in mats for row in dense_rows([mat.get(r, {}) for r in idx])]
         for vec in nullspace(rows, len(idx)):
             out.append((w, {idx[i]: v for i, v in enumerate(vec) if v != 0}))
     return out

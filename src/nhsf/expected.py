@@ -13,14 +13,15 @@ independent computation during development):
 * Section-6 lists (two selected coroots): highest weights in coroot
   coordinates together with explicit degrees.
 
-Each entry carries a provenance string.  Entries contradicted by two
-independent computational routes are listed in ERRATA with the corrected
-value; comparisons treat them as corrected transcriptions.
+Each entry carries a provenance string.  Entries contradicted by exact
+recomputation are listed in ERRATA with the corrected value; comparisons
+treat them as corrected transcriptions.  notes/decisions.md gives, for each
+corrected cell, the verify record and the routes that confirm it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import InvariantError
 
@@ -51,8 +52,8 @@ class CaseExpectation:
     sec6_h1: list[tuple[int, tuple[int, ...]]] | None = None
 
 
-# Table rows where the printed value contradicts exact recomputation
-# through two independent routes (see notes/decisions.md); corrected here.
+# Table rows where the printed value contradicts exact recomputation (see
+# notes/decisions.md for the routes that confirm each cell); corrected here.
 # The printed originals stay visible as the lookup keys.
 ERRATA = {
     ("F", 4, (2,), "h2_fw", (-2, -1, 2, -2)): (-2, -1, -2, -2),

@@ -1,23 +1,25 @@
 """Coefficient modules: adjoint, Riemannian, co-Riemannian, irreducibles.
 
-A ``GradedModule`` is a g_- module given degreewise with exact rational
-action matrices, plus optional named "actors" (Levi generators and Cartan
-elements) used later to decompose cohomology.  Weights are coroot-coordinate
-tuples; modules without a torus carry ``None`` weights and are only used
-where no decomposition is required.
+A ``GradedModule`` is a g_- module given degreewise by exact sparse action
+matrices (``linalg.SparseMat``), plus optional "actors": the raising and
+lowering Levi generators, each acting on both g_- and the module, which
+``decomp`` uses to split cohomology into irreducibles.  Every module that is
+a subspace of the flag algebra takes its action from
+``ZGradedLieAlgebra.restricted_ad``.  Weights are coroot-coordinate tuples;
+modules without a torus carry ``None`` weights and are only used where no
+decomposition is required.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InvariantError
-from .linalg import IntSpan, Q, acc
+from .linalg import IntSpan, Q, SparseMat, acc, apply, commutator
 from .liealg import (
     Element,
     GradedNilpotent,
-    GradingSpec,
     LeviPieces,
     ZGradedLieAlgebra,
     abelian_nilpotent,
@@ -27,16 +29,13 @@ from .liealg import (
 )
 from .rootsys import COROOT, RootSystem, Weight, weyl_dim
 
-SparseMat = dict[int, dict[int, Fraction]]  # column -> {row: coeff}
-
 
 @dataclass
 class Actor:
-    """A decomposition operator acting on both g_- and the module."""
+    """A raising or lowering Levi generator acting on both g_- and the module."""
 
     name: str
-    kind: str  # "cartan" | "raise" | "lower"
-    node: int | None  # 1-based node for raise/lower, 0-based slot for cartan
+    kind: str  # "raise" | "lower"
     weight: tuple[int, ...] | None
     on_gminus: SparseMat
     on_module: SparseMat
@@ -52,13 +51,12 @@ class ModuleElt:
 class GradedModule:
     def __init__(self, gminus: GradedNilpotent, basis: list[ModuleElt],
                  act: list[SparseMat], truncation_bound: int | None,
-                 actors: list[Actor] | None = None, name: str = ""):
+                 actors: list[Actor] | None = None):
         self.gminus = gminus
         self.basis = basis
         self.act = act  # indexed like gminus basis
         self.truncation_bound = truncation_bound
         self.actors = actors or []
-        self.name = name
         self.min_degree = min((b.degree for b in basis), default=0)
         self.by_degree: dict[int, list[int]] = {}
         for k, b in enumerate(basis):
@@ -85,14 +83,7 @@ class GradedModule:
                     for k, c in br.items():
                         for row, v in self.act[k].get(col, {}).items():
                             acc(lhs, row, c * v)
-                    rhs: dict[int, Fraction] = {}
-                    for mid, v in self.act[j].get(col, {}).items():
-                        for row, w in self.act[i].get(mid, {}).items():
-                            acc(rhs, row, v * w)
-                    for mid, v in self.act[i].get(col, {}).items():
-                        for row, w in self.act[j].get(mid, {}).items():
-                            acc(rhs, row, -v * w)
-                    if _clean(lhs) != _clean(rhs):
+                    if lhs != commutator(self.act[i], self.act[j], col):
                         raise AssertionError(
                             f"representation property fails on pair ({i},{j}), column {col}"
                         )
@@ -111,10 +102,6 @@ class GradedModule:
                         raise AssertionError("weight additivity violated")
 
 
-def _clean(d: dict[int, Fraction]) -> dict[int, Fraction]:
-    return {k: v for k, v in d.items() if v != 0}
-
-
 class FlagCase:
     """All per-grading data for one (algebra, selected nodes) flag case."""
 
@@ -126,86 +113,38 @@ class FlagCase:
         self.rs = self.alg.rs
         self.levi: LeviPieces = levi_pieces(self.alg)
         self.gminus, self.ambient = gminus_of(self.alg)
-        self._pos_of_ambient = {amb: k for k, amb in enumerate(self.ambient)}
         self.unselected = [j + 1 for j, d in enumerate(self.alg.grading.degrees) if d == 0]
 
-    # -- actor plumbing ----------------------------------------------------
-
-    def _ad_on_gminus(self, actor_idx: int) -> SparseMat:
-        out: SparseMat = {}
-        for col, amb in enumerate(self.ambient):
-            br = self.alg.bracket_basis(actor_idx, amb)
-            col_out = {}
-            for m, v in br.items():
-                col_out[self._pos_of_ambient[m]] = v
-            if col_out:
-                out[col] = col_out
-        return out
-
     def _actors_for(self, on_module) -> list[Actor]:
-        """Cartan + unselected raise/lower actors; on_module maps ambient idx."""
+        """Unselected raise/lower actors; on_module maps an ambient index."""
         actors = []
-        for i in range(self.rank):
-            actors.append(Actor(f"h{i + 1}", "cartan", i, (0,) * self.rank, {}, {}))
         for j in self.unselected:
             k = self.rs.root_index[tuple(1 if t == j - 1 else 0 for t in range(self.rank))]
-            for kind, amb, sgn in (
-                ("raise", self.alg.x_index(k), 1),
-                ("lower", self.alg.y_index(k), -1),
-            ):
-                w = self.alg.basis[amb].weight
-                actors.append(Actor(
-                    f"{'x' if sgn > 0 else 'y'}{j}", kind, j, w,
-                    self._ad_on_gminus(amb), on_module(amb),
-                ))
+            for kind, amb, name in (("raise", self.alg.x_index(k), f"x{j}"),
+                                    ("lower", self.alg.y_index(k), f"y{j}")):
+                actors.append(Actor(name, kind, self.alg.basis[amb].weight,
+                                    self.alg.restricted_ad(amb, self.ambient),
+                                    on_module(amb)))
         return actors
 
     # -- modules -------------------------------------------------------------
 
-    def adjoint_module(self) -> GradedModule:
+    def _sub_adjoint(self, sub) -> GradedModule:
+        """span(sub), an ad(g_- + l)-stable subspace of g, ordered by degree."""
         alg = self.alg
-        order = sorted(range(alg.dim), key=lambda i: (alg.basis[i].degree, i))
-        pos = {amb: k for k, amb in enumerate(order)}
+        sub = sorted(sub, key=lambda i: (alg.basis[i].degree, i))
         basis = [ModuleElt(_amb_label(alg, i), alg.basis[i].degree, alg.basis[i].weight)
-                 for i in order]
+                 for i in sub]
+        mat_of = lambda amb: alg.restricted_ad(amb, sub)
+        return GradedModule(self.gminus, basis, [mat_of(a) for a in self.ambient],
+                            None, self._actors_for(mat_of))
 
-        def mat_of(actor_amb: int) -> SparseMat:
-            out: SparseMat = {}
-            for col, amb in enumerate(order):
-                br = alg.bracket_basis(actor_amb, amb)
-                if br:
-                    out[col] = {pos[m]: v for m, v in br.items()}
-            return out
-
-        act = [mat_of(amb) for amb in self.ambient]
-        mod = GradedModule(self.gminus, basis, act, None,
-                           self._actors_for(mat_of), name="adjoint")
-        return mod
+    def adjoint_module(self) -> GradedModule:
+        return self._sub_adjoint(range(self.alg.dim))
 
     def riemann_module(self) -> GradedModule:
         """g_- (+) l1 with the induced action (a p-submodule of the adjoint)."""
-        alg = self.alg
-        sub = sorted(self.levi.g_minus + self.levi.l1,
-                     key=lambda i: (alg.basis[i].degree, i))
-        pos = {amb: k for k, amb in enumerate(sub)}
-        basis = [ModuleElt(_amb_label(alg, i), alg.basis[i].degree, alg.basis[i].weight)
-                 for i in sub]
-
-        def mat_of(actor_amb: int) -> SparseMat:
-            out: SparseMat = {}
-            for col, amb in enumerate(sub):
-                br = alg.bracket_basis(actor_amb, amb)
-                col_out = {}
-                for m, v in br.items():
-                    if m not in pos:
-                        raise AssertionError("g_- + l1 is not closed under this actor")
-                    col_out[pos[m]] = v
-                if col_out:
-                    out[col] = col_out
-            return out
-
-        return GradedModule(self.gminus, basis, [mat_of(a) for a in self.ambient],
-                            None, self._actors_for(mat_of), name="riemann")
+        return self._sub_adjoint(self.levi.g_minus + self.levi.l1)
 
     def coriemann_module(self) -> GradedModule:
         """g/(g_- (+) l1), the quotient realization of (g_- (+) z)^*."""
@@ -246,30 +185,23 @@ class FlagCase:
                     acc(out, k, sol[len(unsel0) + k])
             return out
 
+        reps = zbasis + [{amb: 1} for amb in pos_idx]  # ambient lift of each basis vector
+
         def mat_of(actor_amb: int) -> SparseMat:
             out: SparseMat = {}
-            for col in range(len(basis)):
-                if col < nz:
-                    vec = dict(zbasis[col])
-                else:
-                    vec = {pos_idx[col - nz]: 1}
-                res: dict[int, Fraction] = {}
-                for amb, c in vec.items():
-                    for m, v in alg.bracket_basis(actor_amb, amb).items():
-                        acc(res, m, c * v)
-                proj = project(res)
+            for col, vec in enumerate(reps):
+                proj = project(alg.bracket({actor_amb: 1}, vec))
                 if proj:
                     out[col] = proj
             return out
 
         return GradedModule(self.gminus, basis, [mat_of(a) for a in self.ambient],
-                            None, self._actors_for(mat_of), name="coriemann")
+                            None, self._actors_for(mat_of))
 
     def trivial_module(self) -> GradedModule:
         basis = [ModuleElt("1", 0, (0,) * self.rank)]
         act: list[SparseMat] = [{} for _ in range(self.gminus.dim)]
-        actors = self._actors_for(lambda amb: {})
-        return GradedModule(self.gminus, basis, act, None, actors, name="trivial")
+        return GradedModule(self.gminus, basis, act, None, self._actors_for(lambda amb: {}))
 
     def levi_g0(self):
         """The Levi l as a degree-0 acting algebra for prolongation."""
@@ -277,17 +209,13 @@ class FlagCase:
 
         alg = self.alg
         lidx = self.levi.l
-        pos = {amb: k for k, amb in enumerate(lidx)}
-        labels = [_amb_label(alg, i) for i in lidx]
-        weights = [alg.basis[i].weight for i in lidx]
-        act = [self._ad_on_gminus(i) for i in lidx]
         bracket: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a in range(len(lidx)):
-            for b in range(a + 1, len(lidx)):
-                br = alg.bracket_basis(lidx[a], lidx[b])
-                if br:
-                    bracket[(a, b)] = {pos[m]: v for m, v in br.items()}
-        return G0(labels, weights, act, bracket)
+        for a, amb in enumerate(lidx):
+            for b, col in alg.restricted_ad(amb, lidx).items():
+                if b > a:
+                    bracket[(a, b)] = col
+        return G0([_amb_label(alg, i) for i in lidx], [alg.basis[i].weight for i in lidx],
+                  [alg.restricted_ad(i, self.ambient) for i in lidx], bracket)
 
 
 def _amb_label(alg: ZGradedLieAlgebra, i: int) -> str:
@@ -378,10 +306,7 @@ class IrreducibleModule:
                 for t, r in enumerate(chosen):
                     j, b = pairs[r]
                     for i in range(n):
-                        res: dict[int, Fraction] = {}
-                        for m, v in self.e_mat[i].get(b, {}).items():
-                            for row, w in self.f_mat[j].get(m, {}).items():
-                                acc(res, row, v * w)
+                        res = apply(self.f_mat[j], self.e_mat[i].get(b, {}))
                         if i == j:
                             hval = Q(self.weights[b][i])
                             if hval != 0:
@@ -393,10 +318,7 @@ class IrreducibleModule:
 
     def _form_ff(self, j: int, b: int, j2: int, b2: int) -> Fraction:
         """<f_j v_b, f_{j2} v_{b2}> = <v_b, f_{j2}(e_j v_{b2}) + d_jj2 h_j v_{b2}>."""
-        res: dict[int, Fraction] = {}
-        for m, v in self.e_mat[j].get(b2, {}).items():
-            for row, w in self.f_mat[j2].get(m, {}).items():
-                acc(res, row, v * w)
+        res = apply(self.f_mat[j2], self.e_mat[j].get(b2, {}))
         if j == j2:
             acc(res, b2, Q(self.weights[b2][j]))
         if not res:
@@ -424,20 +346,22 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
     """Package V = L(lambda) as abelian g_{-1} with g_0 = g (+ optional center).
 
     Coefficients are V (degree -1) + g_0 (degree 0); the actors are the
-    Chevalley generators of g (plus the center scalar), so cohomology can be
-    decomposed into irreducible g_0-constituents.
+    Chevalley generators of g, so cohomology can be decomposed into
+    irreducible g_0-constituents.
     """
     rs = irr.rs
     n = rs.rank
     nil = abelian_nilpotent(irr.dim, weights=irr.weights)
 
     g_order = sorted(range(alg.dim), key=lambda i: (alg.basis[i].degree, i))
-    gpos = {amb: k for k, amb in enumerate(g_order)}
     nV = irr.dim
     basis = [ModuleElt(f"v{k}", -1, irr.weights[k]) for k in range(nV)]
     basis += [ModuleElt(_amb_label(alg, i), 0, alg.basis[i].weight) for i in g_order]
     if include_center:
         basis.append(ModuleElt("z", 0, (0,) * n))
+
+    def simple(j: int) -> int:
+        return rs.root_index[tuple(1 if t == j else 0 for t in range(n))]
 
     def irr_action(amb: int) -> SparseMat:
         """Action of an ambient g-basis element on V, via Chevalley words."""
@@ -448,50 +372,34 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
         beta = rs.positive_roots[lab.index]
         if sum(beta) == 1:
             j = beta.index(1)
-            return dict(irr.e_mat[j] if lab.kind == "x" else irr.f_mat[j])
+            return irr.e_mat[j] if lab.kind == "x" else irr.f_mat[j]
         # non-simple root vector: peel one simple root off
         for j in range(n):
             down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
             if min(down) >= 0 and down in rs.root_index:
                 break
-        simple_amb = alg.x_index(rs.root_index[tuple(1 if t == j else 0 for t in range(n))])
-        rest_amb = alg.x_index(rs.root_index[down])
-        if lab.kind == "y":
-            simple_amb = alg.y_index(rs.root_index[tuple(1 if t == j else 0 for t in range(n))])
-            rest_amb = alg.y_index(rs.root_index[down])
-        br = alg.bracket_basis(simple_amb, rest_amb)
-        coeff = br[amb]
-        m1, m2 = irr_action(simple_amb), irr_action(rest_amb)
+        index = alg.x_index if lab.kind == "x" else alg.y_index
+        simple_amb, rest_amb = index(simple(j)), index(rs.root_index[down])
+        coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
+        m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
         out: SparseMat = {}
         for col in range(nV):
-            res: dict[int, Fraction] = {}
-            for m, v in m2.get(col, {}).items():
-                for row, w in m1.get(m, {}).items():
-                    acc(res, row, v * w)
-            for m, v in m1.get(col, {}).items():
-                for row, w in m2.get(m, {}).items():
-                    acc(res, row, -v * w)
-            res = {r: v / coeff for r, v in res.items() if v != 0}
+            res = commutator(m1, m2, col)
             if res:
-                out[col] = res
+                out[col] = {r: v / coeff for r, v in res.items()}
         return out
 
-    irr_acts = {amb: irr_action(amb) for amb in range(alg.dim)}
+    # the ambient order lists lower roots first, so the sub-root actions a
+    # non-simple root vector needs are already in irr_acts
+    irr_acts: dict[int, SparseMat] = {}
+    for amb in range(alg.dim):
+        irr_acts[amb] = irr_action(amb)
 
-    def module_action_of(amb_or_z) -> SparseMat:
-        """Action on V (+) g0 of one g-basis element (or the center scalar)."""
-        out: SparseMat = {}
-        if amb_or_z == "z":
-            for k in range(nV):
-                out[k] = {k: Q(1)}
-            return out
-        amb = amb_or_z
-        for col, c in irr_acts[amb].items():
-            out[col] = dict(c)
-        for col, gamb in enumerate(g_order):
-            br = alg.bracket_basis(amb, gamb)
-            if br:
-                out[nV + col] = {nV + gpos[m]: v for m, v in br.items()}
+    def module_action_of(amb: int) -> SparseMat:
+        """Action on V (+) g0 of one g-basis element."""
+        out = dict(irr_acts[amb])
+        for col, img in alg.restricted_ad(amb, g_order).items():
+            out[nV + col] = {nV + r: v for r, v in img.items()}
         return out
 
     # g_- action on the coefficients: v . (w (+) X (+) z) = -X(v) - z(v)
@@ -507,16 +415,9 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
         act.append(mat)
 
     actors: list[Actor] = []
-    for i in range(n):
-        actors.append(Actor(f"h{i + 1}", "cartan", i, (0,) * n, {}, {}))
     for j in range(n):
-        simple = tuple(1 if t == j else 0 for t in range(n))
-        for kind, amb in (("raise", alg.x_index(rs.root_index[simple])),
-                          ("lower", alg.y_index(rs.root_index[simple]))):
-            on_gm: SparseMat = {c: dict(r) for c, r in irr_acts[amb].items()}
-            actors.append(Actor(f"{'x' if kind == 'raise' else 'y'}{j + 1}", kind,
-                                j + 1, alg.basis[amb].weight, on_gm,
+        for kind, amb, name in (("raise", alg.x_index(simple(j)), f"x{j + 1}"),
+                                ("lower", alg.y_index(simple(j)), f"y{j + 1}")):
+            actors.append(Actor(name, kind, alg.basis[amb].weight, irr_acts[amb],
                                 module_action_of(amb)))
-    mod = GradedModule(nil, basis, act, None, actors,
-                       name="abelian_negative" + ("+center" if include_center else ""))
-    return nil, mod
+    return nil, GradedModule(nil, basis, act, None, actors)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import Q, acc, nullspace
+from . import InvariantError
+from .linalg import Q, SparseMat, acc, nullspace
 from .rootsys import RootSystem, build_root_system
 
 Element = dict[int, int | Fraction]  # basis index -> coefficient
@@ -163,6 +164,22 @@ class ZGradedLieAlgebra:
             if c.denominator != 1:
                 raise ChevalleyError(f"non-integer coroot coefficient for {beta}")
             out.append(int(c))
+        return out
+
+    def restricted_ad(self, i: int, sub: list[int]) -> SparseMat:
+        """ad(i) on span(sub), with rows and columns in sub's order.
+
+        Raises InvariantError when ad(i) maps span(sub) outside itself.
+        """
+        pos = {amb: k for k, amb in enumerate(sub)}
+        out: SparseMat = {}
+        for col, amb in enumerate(sub):
+            br = self.bracket_basis(i, amb)
+            if br:
+                if not br.keys() <= pos.keys():
+                    raise InvariantError(f"span of {len(sub)} basis elements is not "
+                                         f"closed under ad of basis element {i}")
+                out[col] = {pos[m]: v for m, v in br.items()}
         return out
 
     def bracket(self, u: Element, v: Element) -> Element:
@@ -408,7 +425,6 @@ def gminus_of(alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, list[int]]:
     """Extract g_- as a GradedNilpotent; also return ambient basis indices."""
     idx = [i for i, lab in enumerate(alg.basis) if lab.degree < 0]
     idx.sort(key=lambda i: (-alg.basis[i].degree, alg.basis[i].index))
-    pos = {amb: k for k, amb in enumerate(idx)}
     labels, degrees, weights = [], [], []
     for amb in idx:
         lab = alg.basis[amb]
@@ -416,11 +432,10 @@ def gminus_of(alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, list[int]]:
         degrees.append(lab.degree)
         weights.append(lab.weight)
     nil = GradedNilpotent(labels, degrees, weights)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            br = alg.bracket_basis(idx[a], idx[b])
-            if br:
-                nil.bracket_table[(a, b)] = {pos[m]: v for m, v in br.items()}
+    for a, amb in enumerate(idx):
+        for b, col in alg.restricted_ad(amb, idx).items():
+            if b > a:
+                nil.bracket_table[(a, b)] = col
     return nil, idx
 
 

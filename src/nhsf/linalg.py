@@ -10,6 +10,9 @@ denominators of ``fractions.Fraction`` entries and divides out the content.
 that one step, and ``Fraction`` appears only in the vectors that
 ``nullspace``, ``IntSpan.express`` and ``solve`` return.
 
+Module actions are sparse matrices (``SparseMat``: column -> {row: coeff});
+``apply``, ``commutator`` and ``dense_rows`` are their whole algebra.
+
 Pivots are the leftmost nonzero column, chosen on the first row that has
 one, so any two runs produce identical echelon forms.  ``nullspace`` returns
 the canonical basis read off the reduced row echelon form: a 1 at each free
@@ -26,6 +29,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 Q = Fraction
+SparseMat = dict[int, dict[int, "int | Fraction"]]  # column -> {row: coeff}
 
 
 def acc(d: dict, k, v) -> None:
@@ -35,6 +39,32 @@ def acc(d: dict, k, v) -> None:
         d.pop(k, None)
     else:
         d[k] = nv
+
+
+def apply(mat: SparseMat, vec: dict) -> dict:
+    """mat . vec for a sparse vector {column: coeff}; zeros are dropped."""
+    out: dict = {}
+    for col, c in vec.items():
+        for row, v in mat.get(col, {}).items():
+            acc(out, row, c * v)
+    return out
+
+
+def commutator(a: SparseMat, b: SparseMat, col: int) -> dict:
+    """Column ``col`` of ab - ba."""
+    out = apply(a, b.get(col, {}))
+    for row, v in apply(b, a.get(col, {})).items():
+        acc(out, row, -v)
+    return out
+
+
+def dense_rows(cols: Sequence[dict]) -> list[list]:
+    """The rows, in target order, of the matrix whose j-th column is cols[j]."""
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for t, v in col.items():
+            rows.setdefault(t, [0] * len(cols))[j] = v
+    return [rows[t] for t in sorted(rows)]
 
 
 def _scaled(row) -> tuple[list[int], Fraction]:

@@ -9,12 +9,11 @@ prolongation solver cross-checks these dimensions in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from . import InvariantError
-from .linalg import IntSpan, Q, nullspace
+from .linalg import IntSpan, Q, SparseMat, apply, nullspace
 from .liealg import GradedNilpotent, abelian_nilpotent, heisenberg
-from .gmod import GradedModule, ModuleElt, SparseMat
+from .gmod import GradedModule, ModuleElt
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -53,7 +52,7 @@ def _vect_data(n: int, kmax: int):
             down = tuple(e - (1 if t == j else 0) for t, e in enumerate(a))
             mat[col] = {index[(down, i)]: Q(a[j])}
         act.append(mat)
-    return nil, GradedModule(nil, basis, act, kmax, name=f"vect({n})"), index
+    return nil, GradedModule(nil, basis, act, kmax), index
 
 
 def vect_module(n: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
@@ -92,7 +91,7 @@ def svect_module(n: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
                 basis.append(ModuleElt(f"s{deg}.{k}", deg, w))
                 vectors.append({block[t]: v for t, v in enumerate(vec) if v != 0})
     act = _restricted_action(vect, basis, vectors, nil.dim)
-    return nil, GradedModule(nil, basis, act, kmax, name=f"svect({n})")
+    return nil, GradedModule(nil, basis, act, kmax)
 
 
 def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[SparseMat]:
@@ -115,11 +114,7 @@ def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[S
     for j in range(n_gminus):
         mat: SparseMat = {}
         for k, b in enumerate(basis):
-            img: dict[int, Fraction] = {}
-            for c, v in vectors[k].items():
-                for row, w in parent.act[j].get(c, {}).items():
-                    img[row] = img.get(row, Q(0)) + v * w
-            img = {r: v for r, v in img.items() if v != 0}
+            img = apply(parent.act[j], vectors[k])
             if not img:
                 continue
             tdeg = b.degree - 1
@@ -170,7 +165,7 @@ def hamiltonian_module(n_pairs: int, kmax: int) -> tuple[GradedNilpotent, Graded
                 continue  # constants are dropped in h(2n)
             mat[col] = {index[down]: sign * f[var]}
         act.append(mat)
-    return nil, GradedModule(nil, basis, act, kmax, name=f"h({2 * n})")
+    return nil, GradedModule(nil, basis, act, kmax)
 
 
 def _poisson_bracket(f: tuple[int, ...], g: tuple[int, ...], n: int) -> dict[tuple, Fraction]:
@@ -222,7 +217,7 @@ def poisson_module(n_pairs: int, kmax: int) -> tuple[GradedNilpotent, GradedModu
                 mat[col] = col_out
         act.append(mat)
     act.append({})  # center z maps to the constant; {const, t-free}_K = 0
-    return nil, GradedModule(nil, basis, act, kmax, name=f"po({2 * n})")
+    return nil, GradedModule(nil, basis, act, kmax)
 
 
 def contact_module(n_pairs: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
@@ -288,7 +283,7 @@ def contact_module(n_pairs: int, kmax: int) -> tuple[GradedNilpotent, GradedModu
             if col_out:
                 mat[col] = col_out
         act.append(mat)
-    return nil, GradedModule(nil, basis, act, kmax, name=f"k({2 * n + 1})")
+    return nil, GradedModule(nil, basis, act, kmax)
 
 
 def contact_dim_oracle(n_pairs: int, degree: int) -> int:

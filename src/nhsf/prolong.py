@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import InvariantError
-from .linalg import IntSpan, Q, acc, nullspace, solve
+from .linalg import IntSpan, Q, SparseMat, acc, commutator, nullspace, solve
 from .liealg import GradedNilpotent
-from .gmod import GradedModule, ModuleElt, SparseMat
+from .gmod import GradedModule, ModuleElt
 
 
 @dataclass
@@ -209,17 +209,7 @@ def _matrix_bracket_table(n: int, act: list[SparseMat]):
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(len(act)):
         for j in range(i + 1, len(act)):
-            comm: SparseMat = {}
-            for col, rowd in act[j].items():
-                for mid, v in rowd.items():
-                    for row, w in act[i].get(mid, {}).items():
-                        d = comm.setdefault(col, {})
-                        d[row] = d.get(row, 0) + v * w
-            for col, rowd in act[i].items():
-                for mid, v in rowd.items():
-                    for row, w in act[j].get(mid, {}).items():
-                        d = comm.setdefault(col, {})
-                        d[row] = d.get(row, 0) - v * w
+            comm = {col: commutator(act[i], act[j], col) for col in range(n)}
             coords = span.express(flat(comm))
             if coords is None:
                 raise AssertionError("derivation algebra not closed under commutator")
@@ -263,7 +253,7 @@ def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
                 mat[idx] = col
         act.append(mat)
     bound = None if p.stabilized else p.computed_to
-    return GradedModule(gm, basis, act, bound, name="prolong")
+    return GradedModule(gm, basis, act, bound)
 
 
 ProlongElt = dict[tuple[int, int], Fraction]  # (level, index) -> coefficient

@@ -261,10 +261,6 @@ class RootSystem:
     def word_inverse(word: WeylWord) -> WeylWord:
         return WeylWord(tuple(reversed(word.reflections)))
 
-    def words_equal(self, w1: WeylWord, w2: WeylWord) -> bool:
-        """Equality as Weyl-group elements, tested by the action on rho."""
-        return self.apply_word_to_weight(w1, self.rho) == self.apply_word_to_weight(w2, self.rho)
-
 
 def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -308,8 +304,10 @@ def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int], length: i
     """W(I)_length: reduced words w with w^{-1} positive on unselected simples.
 
     ``selected`` holds 1-based node indices.  Only lengths 0..2 are needed
-    (H^0, H^1, H^2); larger lengths are rejected.  Words are brute-forced and
-    deduplicated by their action on rho.
+    (H^0, H^1, H^2); larger lengths are rejected.  The words are built
+    directly: every (i) and every (i, j) with i != j is reduced, and
+    s_i s_j = s_j s_i exactly when a_ij = 0, so for i < j the word (j, i) is
+    kept only when a_ji != 0.
     """
     if length > 2:
         raise ValueError("only Weyl words of length <= 2 are supported")
@@ -331,26 +329,13 @@ def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int], length: i
                 return False
         return True
 
-    candidates = []
+    a = rs.cartan_matrix
     if length == 1:
         candidates = [WeylWord((i,)) for i in range(rs.rank)]
     else:
-        candidates = [
-            WeylWord((i, j))
-            for i in range(rs.rank)
-            for j in range(rs.rank)
-            if i != j
-        ]
-    out: list[WeylWord] = []
-    for w in candidates:
-        if len(rs.inversions_of_inverse(w)) != length:
-            continue  # not reduced
-        if not admissible(w):
-            continue
-        if any(rs.words_equal(w, u) for u in out):
-            continue
-        out.append(w)
-    return out
+        candidates = [WeylWord((i, j)) for i in range(rs.rank) for j in range(rs.rank)
+                      if i != j and (i < j or a[i][j] != 0)]
+    return [w for w in candidates if admissible(w)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ENGINE_VERSION
@@ -22,8 +22,8 @@ from .liealg import build_chevalley
 from .gmod import FlagCase, GradedModule, build_irreducible, abelian_negative
 from .cohom import cohomology, full_window
 from .decomp import HIGHEST, LOWEST, IrreducibleSummand, decompose, levi_irrep_dim
-from .prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, full_prolong,
-                      prolong_as_module, yamaguchi_classify)
+from .prolong import (G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, prolong_as_module,
+                      yamaguchi_classify)
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
                        table1_case, TABLE1, SEC71)
 

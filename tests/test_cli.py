@@ -1,7 +1,13 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nhsf.cache
 import nhsf.cli
 from nhsf.cache import ResultCache
 from nhsf.cli import main
@@ -71,6 +77,15 @@ def test_cohomology_command(capsys):
                                  "multiplicity": 1}]
 
 
+def test_cohomology_fully_selected_prints_summands(capsys):
+    # no Levi raise/lower actors at all: every representative is extremal
+    code, out = run(capsys, "cohomology", "--type", "A", "--rank", "2", "--nodes", "1,2")
+    data = json.loads(out)
+    assert code == 0
+    assert [(sm["weight_cm"], sm["degree"]) for sm in data["summands"]] == [
+        ([-1, 5], 4), ([5, -1], 4)]
+
+
 def test_verify_table1_only_g2(capsys, monkeypatch):
     calls = []
 
@@ -138,3 +153,43 @@ def test_cache_corrupt_entry(tmp_path, capsys):
     assert cache.get("case", spec.key()) is None  # warning + recompute path
     rec = run_case(spec, cache)
     assert rec["status"] == "Match"
+
+
+def test_cache_put_replaces_atomically(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    cache.put("case", {"k": 1}, {"v": "old"})
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nhsf.cache.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cache.put("case", {"k": 1}, {"v": "new"})
+    # the old entry is intact and no temporary file is left behind
+    assert cache.get("case", {"k": 1}) == {"v": "old"}
+    assert [p.suffix for p in (tmp_path / "case").iterdir()] == [".json"]
+    monkeypatch.undo()
+    cache.put("case", {"k": 1}, {"v": "new"})
+    assert cache.get("case", {"k": 1}) == {"v": "new"}
+    assert [p.suffix for p in (tmp_path / "case").iterdir()] == [".json"]
+
+
+def _key_hash_from(package_dir: Path, cache_dir: Path) -> str:
+    """key_hash of one fixed key, computed by the package copy in package_dir."""
+    code = ("import sys; from nhsf.cache import ResultCache; "
+            "print(ResultCache(sys.argv[1]).key_hash('case', {'k': 1}))")
+    env = dict(os.environ, PYTHONPATH=str(package_dir))
+    return subprocess.run([sys.executable, "-c", code, str(cache_dir)], env=env,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_cache_key_covers_the_source(tmp_path):
+    here = ResultCache(tmp_path / "cache").key_hash("case", {"k": 1})
+    copy = tmp_path / "src"
+    shutil.copytree(Path(nhsf.cache.__file__).parent, copy / "nhsf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert _key_hash_from(copy, tmp_path / "cache") == here
+    # any edit to the package, even without an ENGINE_VERSION bump, changes the key
+    decomp = copy / "nhsf" / "decomp.py"
+    decomp.write_text(decomp.read_text() + "\n# edited\n")
+    assert _key_hash_from(copy, tmp_path / "cache") != here

@@ -1,5 +1,6 @@
 import pytest
 
+from nhsf import InvariantError
 from nhsf.gmod import FlagCase, abelian_negative, build_irreducible
 from nhsf.liealg import build_chevalley
 from nhsf.rootsys import COROOT, Weight, build_root_system, weyl_dim
@@ -60,6 +61,19 @@ def test_riemann_module_dims():
     riem = fc.riemann_module()
     assert {d: len(v) for d, v in riem.by_degree.items()} == {-2: 1, -1: 4, 0: 10}
     riem.verify_representation()
+
+
+def test_restricted_ad_rejects_a_span_that_is_not_closed():
+    fc = _case("G", 2, (1,))
+    alg = fc.alg
+    riemann = fc.levi.g_minus + fc.levi.l1
+    x1 = next(i for i, lab in enumerate(alg.basis) if lab.kind == "x" and lab.degree == 1)
+    # [x, y] for the degree -1 partner of x lands on h1, outside g_- + l1
+    with pytest.raises(InvariantError, match="not closed"):
+        alg.restricted_ad(x1, riemann)
+    # a Levi generator keeps g_- + l1
+    x2 = alg.x_index(alg.rs.root_index[(0, 1)])
+    assert alg.restricted_ad(x2, riemann)
 
 
 def test_coriemann_dims_equal_gminus_plus_z():

@@ -1,10 +1,14 @@
-"""The integer kernel against an independent oracle: textbook Gauss-Jordan over Fraction."""
+"""The integer kernel against an independent oracle: textbook Gauss-Jordan over Fraction.
+
+The sparse-matrix helpers are checked against dense Fraction products.
+"""
 
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
-from nhsf.linalg import IntSpan, nullspace, rank, row_to_ints, solve
+from nhsf.linalg import (IntSpan, apply, commutator, dense_rows, nullspace, rank, row_to_ints,
+                         solve)
 
 
 def oracle_rref(rows, ncols):
@@ -154,3 +158,68 @@ def test_express_reproduces_or_refuses(m, data):
     assert len(coords) == len(rows)
     assert all(c == 0 for c, ind in zip(coords, independent) if not ind)
     assert combination(coords, rows, ncols) == [Q(x) for x in v]
+
+
+# -- sparse matrices (column -> {row: coeff}) --------------------------------
+
+sparse_entries = st.one_of(st.just(0), st.just(0), entries)
+
+
+def to_sparse(dense):
+    """Sparse column dict of a dense square matrix dense[row][col]."""
+    out = {}
+    for r, row in enumerate(dense):
+        for c, v in enumerate(row):
+            if v != 0:
+                out.setdefault(c, {})[r] = v
+    return out
+
+
+def dense_product(a, b):
+    n = len(a)
+    return [[sum(Q(a[i][k]) * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def square(draw, n):
+    return draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(square(n), st.lists(sparse_entries, min_size=n, max_size=n))))
+@settings(max_examples=80, deadline=None)
+def test_apply_is_the_dense_product(case):
+    dense, vec = case
+    got = apply(to_sparse(dense), {c: v for c, v in enumerate(vec) if v != 0})
+    want = times(dense, vec)
+    assert got == {r: v for r, v in enumerate(want) if v != 0}
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(square(n), square(n))))
+@settings(max_examples=80, deadline=None)
+def test_commutator_is_ab_minus_ba(case):
+    a, b = case
+    ab, ba = dense_product(a, b), dense_product(b, a)
+    sa, sb = to_sparse(a), to_sparse(b)
+    for col in range(len(a)):
+        want = {r: ab[r][col] - ba[r][col] for r in range(len(a)) if ab[r][col] != ba[r][col]}
+        assert commutator(sa, sb, col) == want
+
+
+@given(st.lists(st.dictionaries(st.integers(min_value=0, max_value=8),
+                                entries.filter(lambda v: v != 0), max_size=4), max_size=5),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_dense_rows_reproduce_the_columns(cols, data):
+    rows = dense_rows(cols)
+    targets = sorted(set().union(*cols))
+    assert len(rows) == len(targets)
+    assert all(len(row) == len(cols) and any(row) for row in rows)
+    # rows . x is the combination of the sparse columns, in target order
+    x = data.draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
+    combo = {}
+    for xj, col in zip(x, cols):
+        for t, v in col.items():
+            combo[t] = combo.get(t, 0) + Q(xj) * v
+    assert times(rows, x) == [combo[t] for t in targets]

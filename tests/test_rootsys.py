@@ -126,6 +126,53 @@ def test_w_i_brute_force_oracle_g2():
     assert len(found) == len(enumerate_w_i(rs, {1}, 2)) == 1
 
 
+def _brute_force_w_i(rs):
+    """W(I)_{<=2} by brute force over all words: the reference for enumerate_w_i.
+
+    A word is kept when it is reduced (as many inversions as letters),
+    admissible (w^{-1} sends no unselected simple root negative) and not
+    equal, by its action on rho, to a word kept before.  Inversion sets and
+    rho images are computed once per word.
+    """
+    words = {length: [(WeylWord(word), set(rs.inversions_of_inverse(WeylWord(word))),
+                       rs.apply_word_to_weight(WeylWord(word), rs.rho))
+                      for word in itertools.product(range(rs.rank), repeat=length)]
+             for length in (1, 2)}
+    simple = [tuple(1 if t == j else 0 for t in range(rs.rank)) for j in range(rs.rank)]
+
+    def w_i(selected, length):
+        if length == 0:
+            return [WeylWord(())]
+        unselected = {simple[j] for j in range(rs.rank) if j + 1 not in selected}
+        out, images = [], []
+        for w, inv, image in words[length]:
+            if len(inv) == length and not inv & unselected and image not in images:
+                out.append(w)
+                images.append(image)
+        return out
+
+    return w_i
+
+
+def test_w_i_built_equals_brute_force():
+    """Every type up to rank 8, every 1- and 2-node selection, lengths 0-2."""
+    checked = 0
+    for t in "ABCDEFG":
+        for n in range(1, 9):
+            try:
+                rs = build_root_system(t, n)
+            except InvalidCartanType:
+                continue
+            oracle = _brute_force_w_i(rs)
+            for k in (1, 2):
+                for sel in itertools.combinations(range(1, n + 1), k):
+                    for length in (0, 1, 2):
+                        assert enumerate_w_i(rs, set(sel), length) == oracle(set(sel), length), \
+                            (t, n, sel, length)
+                        checked += 1
+    assert checked == 1716
+
+
 @pytest.mark.parametrize("t,n,node", [("G", 2, 1), ("F", 4, 2), ("B", 3, 3), ("D", 4, 2)])
 def test_length2_inversion_count_and_rho_identity(t, n, node):
     rs = build_root_system(t, n)
