@@ -5,3 +5,7 @@ ENGINE_VERSION = "1.0.0"
 
 class InvariantError(AssertionError):
     """An internal invariant failed: a bug in nhsf, never bad input."""
+
+
+class InputError(ValueError):
+    """Bad input: a Cartan type, node list, budget or bound nhsf cannot take."""

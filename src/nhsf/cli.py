@@ -1,8 +1,14 @@
 """Command-line front end: nhsf <roots|grade|prolong|cohomology|bwb|verify>.
 
 JSON output (default) is byte-deterministic for identical inputs and engine
-version, excluding the "timing" field.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage error.
+version, excluding the "timing" field.  Exit codes:
+
+* 0: success;
+* 1: ``verify`` found a case whose status is neither Match nor NoExpectedData;
+* 2: usage error: bad arguments, or input nhsf rejects (``nhsf.InputError``:
+  Cartan type, node list, budget, ``--kmax``), with ``error: ...`` on stderr;
+* 3: internal error: any other exception, such as a failed invariant
+  (``nhsf.InvariantError``), with ``internal error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ import argparse
 import json
 import sys
 
-from .rootsys import build_root_system, InvalidCartanType
+from . import InputError
+from .rootsys import build_root_system
 from .liealg import GradingSpec, graded_algebra
 from .gmod import FlagCase
 from .cohom import cohomology, full_window
@@ -36,7 +43,7 @@ def _nodes(args) -> tuple[int, ...]:
     try:
         nodes = tuple(sorted(int(x) for x in args.nodes.split(",")))
     except ValueError:
-        raise ValueError(f"--nodes must be comma-separated integers, not {args.nodes!r}") from None
+        raise InputError(f"--nodes must be comma-separated integers, not {args.nodes!r}") from None
     GradingSpec.from_nodes(args.rank, nodes)  # rejects nodes outside 1..rank and repeats
     return nodes
 
@@ -151,12 +158,7 @@ def _verify_suite(args) -> list[tuple[str, dict]]:
         "sec6": _suite_sec6,
         "sec71": lambda: [("sec7.1 g2-structure", None)],
     }
-    if args.suite == "all":
-        chosen = [suites[k] for k in ("table1", "tables234", "sec6", "sec71")]
-    else:
-        if args.suite not in suites:
-            raise SystemExit(2)
-        chosen = [suites[args.suite]]
+    chosen = list(suites.values()) if args.suite == "all" else [suites[args.suite]]
     cases = [case for fn in chosen for case in fn()]
     if args.only:
         cases = [(name, spec) for name, spec in cases if args.only in name]
@@ -267,12 +269,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidCartanType as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """The Chevalley-Eilenberg complex of g_- and its exact cohomology slices.
 
 Cochains C^s = Hom(Lambda^s g_-, M) are enumerated as (exterior monomial,
-module element) pairs in a fixed deterministic order.  The differential
-includes the Lie term f([v_i, v_j], ...), which vanishes in the abelian case
-and recovers the classical Spencer differential there.  Every slice is
-computed blockwise per weight (the Cartan action commutes with d), with an
-exact d o d = 0 check on each block.
+module element) pairs in a fixed deterministic order; a cochain's weight is
+its monomial's dual weight, computed once per monomial, plus its module
+element's.  The differential includes the Lie term f([v_i, v_j], ...), which
+vanishes in the abelian case and recovers the classical Spencer differential
+there.  Every slice is computed blockwise per weight (the Cartan action
+commutes with d), with an exact d o d = 0 check on each block.  By default
+every weight block is built; a weight filter (``cohomology(...,
+weights=...)``, e.g. ``decomp.ExtremalWeights``) builds only the blocks it
+accepts, on C^{s-1}, C^s and C^{s+1} alike.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .linalg import IntSpan, acc, dense_rows, nullspace
 from .liealg import GradedNilpotent
@@ -37,39 +42,66 @@ class CochainBasis:
         return len(self.elts)
 
 
-def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> CochainBasis:
-    """Ordered basis of C^s_k: degree-k maps Lambda^s g_- -> M."""
+def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
+                  weights=None) -> CochainBasis:
+    """Ordered basis of C^s_k: degree-k maps Lambda^s g_- -> M.
+
+    With a weight filter, only the cochains whose weight it accepts.
+    """
     cache = getattr(mod, "_basis_cache", None)
     if cache is None:
         cache = {}
         mod._basis_cache = cache
-    hit = cache.get((s, k))
+    hit = cache.get((s, k, weights))
     if hit is not None:
         return hit
-    out = _cochain_basis_raw(gm, mod, s, k)
-    cache[(s, k)] = out
+    out = _cochain_basis_raw(gm, mod, s, k, weights)
+    cache[(s, k, weights)] = out
     return out
 
 
-def _cochain_basis_raw(gm, mod, s, k) -> CochainBasis:
+def _monomials(gm: GradedNilpotent, s: int):
+    """(mono, dual degree, dual weight) of every exterior s-monomial of g_-."""
+    cache = getattr(gm, "_mono_cache", None)
+    if cache is None:
+        cache = {}
+        gm._mono_cache = cache
+    if s not in cache:
+        have_w = gm.dim > 0 and all(w is not None for w in gm.weights)
+        zero = (0,) * len(gm.weights[0]) if have_w else None
+        out = []
+        for mono in combinations(range(gm.dim), s):
+            w = zero
+            if have_w and mono:
+                w = tuple(-sum(col) for col in zip(*(gm.weights[i] for i in mono)))
+            out.append((mono, -sum(gm.degrees[i] for i in mono), w))
+        cache[s] = out
+    return cache[s]
+
+
+def _cochain_basis_raw(gm, mod, s, k, weights) -> CochainBasis:
     if s < 0:
         return CochainBasis(s, k, [], [])
     elts: list[tuple[tuple[int, ...], int]] = []
-    weights: list = []
-    have_w = all(w is not None for w in gm.weights)
-    for mono in combinations(range(gm.dim), s):
-        dual_deg = -sum(gm.degrees[i] for i in mono)
-        mdeg = k - dual_deg
-        for m in mod.by_degree.get(mdeg, []):
-            elts.append((mono, m))
-            if have_w and mod.basis[m].weight is not None:
-                w = list(mod.basis[m].weight)
-                for i in mono:
-                    w = [a - b for a, b in zip(w, gm.weights[i])]
-                weights.append(tuple(w))
-            else:
-                weights.append(None)
-    return CochainBasis(s, k, elts, weights)
+    wts: list = []
+    # a cochain's weight is its module element's plus its monomial's dual
+    # weight, so the filter is asked once per (monomial weight, module weight)
+    kept: dict = {}
+    for mono, dual_deg, dual_w in _monomials(gm, s):
+        hits = kept.get((dual_deg, dual_w))
+        if hits is None:
+            hits = []
+            for mod_w, ms in mod.by_degree_weight.get(k - dual_deg, {}).items():
+                w = None
+                if dual_w is not None and mod_w is not None:
+                    w = tuple(map(add, mod_w, dual_w))
+                if weights is None or weights(w):
+                    hits.append((w, ms))
+            kept[(dual_deg, dual_w)] = hits
+        for w, ms in hits:
+            elts += [(mono, m) for m in ms]
+            wts += [w] * len(ms)
+    return CochainBasis(s, k, elts, wts)
 
 
 def _reverse_bracket(gm: GradedNilpotent) -> dict[int, list[tuple[int, int, Fraction]]]:
@@ -154,6 +186,8 @@ class CohomologySlice:
     rep_weights: list[tuple | None]
     basis: CochainBasis | None = None
     blocks: dict = field(default_factory=dict)
+    # the weight filter the slice was computed on; None: every weight block
+    weights: object = None
 
 
 def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
@@ -173,29 +207,36 @@ def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
 
 
 def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
-               k_range, check_dd: bool = True) -> list[CohomologySlice]:
-    """Exact H^s_k slices with deterministic representatives."""
+               k_range, check_dd: bool = True, weights=None) -> list[CohomologySlice]:
+    """Exact H^s_k slices with deterministic representatives.
+
+    ``weights`` is None (every weight block) or a hashable predicate on
+    weight tuples (g_- and the module must carry weights): then C^{s-1}, C^s
+    and C^{s+1} are enumerated, and their differentials built and reduced,
+    only on the weights it accepts.  d preserves weights, so each block
+    built is exact; ``dim_h`` then sums the built blocks only.
+    """
     if isinstance(k_range, int):
         k_range = [k_range]
     out = []
     for k in k_range:
-        out.append(_slice(gm, mod, s, k, check_dd))
+        out.append(_slice(gm, mod, s, k, check_dd, weights))
     return out
 
 
-def _slice(gm, mod, s, k, check_dd) -> CohomologySlice:
+def _slice(gm, mod, s, k, check_dd, weights=None) -> CohomologySlice:
     valid = slice_valid(gm, mod, s, k)
-    basis_cur = cochain_basis(gm, mod, s, k)
+    basis_cur = cochain_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
-        return CohomologySlice(s, k, (0, 0, 0), 0, 0, 0, valid, [], [], basis_cur, {})
-    basis_prev = cochain_basis(gm, mod, s - 1, k)
-    basis_next = cochain_basis(gm, mod, s + 1, k)
+        return CohomologySlice(s, k, (0, 0, 0), 0, 0, 0, valid, [], [], basis_cur, {}, weights)
+    basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
+    basis_next = cochain_basis(gm, mod, s + 1, k, weights)
     dims = (basis_prev.dim, basis_cur.dim, basis_next.dim)
     try:
         cols_in = differential_columns(gm, mod, basis_prev, basis_cur) if s >= 1 else []
         cols_out = differential_columns(gm, mod, basis_cur, basis_next)
     except TruncationEscape:
-        return CohomologySlice(s, k, dims, 0, 0, 0, False, [], [], basis_cur, {})
+        return CohomologySlice(s, k, dims, 0, 0, 0, False, [], [], basis_cur, {}, weights)
 
     blocks: dict = {}
     rank_in_tot = rank_out_tot = dim_h_tot = 0
@@ -238,7 +279,7 @@ def _slice(gm, mod, s, k, check_dd) -> CohomologySlice:
             reps_global.append({idx[i]: v for i, v in enumerate(vec) if v != 0})
             rep_weights.append(w)
     return CohomologySlice(s, k, dims, rank_in_tot, rank_out_tot, dim_h_tot,
-                           valid, reps_global, rep_weights, basis_cur, blocks)
+                           valid, reps_global, rep_weights, basis_cur, blocks, weights)
 
 
 def full_window(gm: GradedNilpotent, mod: GradedModule, s: int) -> list[int]:

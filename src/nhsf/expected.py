@@ -200,6 +200,8 @@ def _pad(prefix: list[int], filler: int, suffix: list[int], rank: int) -> tuple[
 
 def table2_rows(rank: int, node: int):
     """o(2n) = D_rank; H2 rows in FW coordinates, or None if no pattern."""
+    if rank < 4:
+        return None  # o(6) = sl(4) is not a Table 2 row
     fork = rank - 2
     prov = f"Table 2, o({2 * rank}), node {node}"
     if node == 1:
@@ -256,7 +258,7 @@ def table3_rows(rank: int, node: int):
         if rank == 2:
             return [(3, 1)], [(2, 2)], prov
         return [_pad([2, 0], -2, [], rank)], [_pad([], 2, [], rank)], prov
-    if node == 2:
+    if node == 2 and rank >= 3:
         return ([_pad([0, 1], -2, [], rank), _pad([-1, 1, -1], -2, [], rank)],
                 [_pad([0], 2, [], rank), _pad([1, 2, 1], 0, [], rank)], prov)
     if node == rank:

@@ -59,8 +59,11 @@ class GradedModule:
         self.actors = actors or []
         self.min_degree = min((b.degree for b in basis), default=0)
         self.by_degree: dict[int, list[int]] = {}
+        # degree -> weight -> basis indices, each in basis order
+        self.by_degree_weight: dict[int, dict] = {}
         for k, b in enumerate(basis):
             self.by_degree.setdefault(b.degree, []).append(k)
+            self.by_degree_weight.setdefault(b.degree, {}).setdefault(b.weight, []).append(k)
 
     @property
     def dim(self) -> int:

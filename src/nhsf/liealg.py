@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import InvariantError
+from . import InputError, InvariantError
 from .linalg import Q, SparseMat, acc, nullspace
 from .rootsys import RootSystem, build_root_system
 
@@ -33,9 +33,9 @@ class GradingSpec:
 
     def __post_init__(self):
         if any(d < 0 for d in self.degrees):
-            raise ValueError("only parabolic gradings (all degrees >= 0) are supported")
+            raise InputError("only parabolic gradings (all degrees >= 0) are supported")
         if all(d == 0 for d in self.degrees):
-            raise ValueError("grading must have at least one positive degree")
+            raise InputError("grading must have at least one positive degree")
 
     @classmethod
     def from_nodes(cls, rank: int, nodes) -> "GradingSpec":
@@ -43,9 +43,9 @@ class GradingSpec:
         nodes = list(nodes)
         bad = [n for n in nodes if not 1 <= n <= rank]
         if bad:
-            raise ValueError(f"nodes {bad} lie outside 1..{rank}")
+            raise InputError(f"nodes {bad} lie outside 1..{rank}")
         if len(set(nodes)) != len(nodes):
-            raise ValueError(f"nodes {nodes} repeat a node")
+            raise InputError(f"nodes {nodes} repeat a node")
         return cls(tuple(1 if i + 1 in set(nodes) else 0 for i in range(rank)))
 
     @property

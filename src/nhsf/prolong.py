@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import InvariantError
+from . import InputError, InvariantError
 from .linalg import IntSpan, Q, SparseMat, acc, commutator, nullspace, solve
 from .liealg import GradedNilpotent
 from .gmod import GradedModule, ModuleElt
@@ -171,7 +171,7 @@ def _derivation_rows(p, k, pos_of):
 
 def full_prolong(gminus: GradedNilpotent, g0: G0, kmax: int) -> ProlongedAlgebra:
     if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+        raise InputError("kmax must be >= 1")
     if not gminus.generated_by_top():
         raise ValueError("g_- must be generated by its degree -1 part")
     p = ProlongedAlgebra(gminus, g0)

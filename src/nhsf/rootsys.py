@@ -12,6 +12,11 @@ The Cartan matrix convention is a[i][j] = <alpha_j, alpha_i^vee>, so the
 coroot coordinates of alpha_j form the j-th column of A.  Weights are stored
 either in coroot coordinates ("coroot": pairings with simple coroots, the
 fundamental-weight coefficients) or in simple-root coordinates ("root").
+
+Irreducible modules of a Levi subalgebra (the Cartan subalgebra plus the
+root vectors on a node set) are described by Weyl's dimension product
+(``_weyl_product``) and by Freudenthal's multiplicities on their dominant
+weights (``dominant_multiplicities``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import InvariantError
+from . import InputError, InvariantError
 from .linalg import Q, solve
 
 COROOT = "coroot"
@@ -38,7 +43,7 @@ _POSITIVE_ROOT_COUNT = {
 }
 
 
-class InvalidCartanType(ValueError):
+class InvalidCartanType(InputError):
     pass
 
 
@@ -402,16 +407,114 @@ def _weyl_product(rs: RootSystem, lam, nodes) -> Fraction:
     (coroot coordinates; only the entries at ``nodes`` are read), of the
     semisimple subalgebra spanned by those nodes.
     """
-    inside = set(nodes)
     num = Q(1)
     den = Q(1)
     d = rs.symmetrizer
-    for beta in rs.positive_roots:
-        if any(beta[t] and t not in inside for t in range(rs.rank)):
-            continue
+    for beta in _roots_on(rs, nodes):
         dbeta = rs.norm2(beta) / 2
         lam_b = sum(lam[t] * beta[t] * d[t] for t in nodes) / dbeta
         rho_b = sum(Q(beta[t]) * d[t] for t in nodes) / dbeta
         num *= lam_b + rho_b
         den *= rho_b
     return num / den
+
+
+def _roots_on(rs: RootSystem, nodes) -> list[tuple[int, ...]]:
+    """The positive roots supported on ``nodes`` (0-based), simple-root coordinates."""
+    inside = set(nodes)
+    return [beta for beta in rs.positive_roots
+            if all(beta[t] == 0 or t in inside for t in range(rs.rank))]
+
+
+def dominant_multiplicities(rs: RootSystem, hw, nodes) -> dict[tuple[int, ...], int]:
+    """Freudenthal's formula on the dominant weights of an irreducible module.
+
+    The module is the irreducible one, with highest weight ``hw`` (coroot
+    coordinates, dominant at ``nodes``), of the reductive subalgebra spanned
+    by the Cartan subalgebra and the root vectors supported on ``nodes``
+    (0-based).  Returns {weight: multiplicity} for its weights that are
+    dominant at ``nodes``, as full coroot-coordinate tuples.  Every other
+    weight is W-conjugate to one of these, by the Weyl group of ``nodes``.
+    """
+    nodes = tuple(sorted(nodes))
+    if any(hw[t] < 0 for t in nodes):
+        raise ValueError(f"{tuple(hw)} is not dominant at nodes {[t + 1 for t in nodes]}")
+    a = rs.cartan_matrix
+    out = {}
+    for beta, m in _freudenthal(rs, tuple(int(hw[t]) for t in nodes), nodes).items():
+        out[tuple(int(hw[i]) - sum(a[i][t] * b for t, b in zip(nodes, beta))
+                  for i in range(rs.rank))] = m
+    return out
+
+
+@lru_cache(maxsize=None)
+def _freudenthal(rs: RootSystem, lam: tuple[int, ...], nodes: tuple[int, ...]):
+    """{beta: m(lam - beta)} over the dominant weights, in the coordinates of ``nodes``.
+
+    ``lam`` holds hw's entries at ``nodes`` and beta is a sum of the simple
+    roots at ``nodes``.  For mu = lam - beta, Freudenthal reads
+    (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{alpha>0} sum_{k>=1}
+    (mu + k alpha, alpha) m(mu + k alpha), with left factor
+    2 (lam + rho, beta) - (beta, beta) > 0 for beta != 0; m is W-invariant, so
+    each m(mu + k alpha) is read at the dominant conjugate.  The dominant
+    weights are those dominant mu with lam - mu >= 0; each is reached from
+    lam by subtracting positive roots through dominant weights (Stembridge,
+    The partial order of dominant weights, Adv. Math. 136 (1998)).
+    """
+    n = len(nodes)
+    a = [[rs.cartan_matrix[i][j] for j in nodes] for i in nodes]
+    d = [int(rs.symmetrizer[t]) for t in nodes]
+    roots = [tuple(beta[t] for t in nodes) for beta in _roots_on(rs, nodes)]
+
+    def coroot(beta):  # <beta, alpha_i^vee> at each node
+        return tuple(sum(a[i][j] * beta[j] for j in range(n)) for i in range(n))
+
+    def pair(mu, beta):  # (mu, beta): mu in coroot, beta in root coordinates
+        return sum(beta[i] * d[i] * mu[i] for i in range(n))
+
+    def dominant(mu):
+        mu = list(mu)
+        while True:
+            j = next((j for j in range(n) if mu[j] < 0), None)
+            if j is None:
+                return tuple(mu)
+            c = mu[j]
+            for i in range(n):
+                mu[i] -= c * a[i][j]
+
+    root_data = [(alpha, coroot(alpha), pair(coroot(alpha), alpha)) for alpha in roots]
+    zero = (0,) * n
+    beta_of = {lam: zero}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for alpha, alpha_cr, _ in root_data:
+                nu = tuple(x - y for x, y in zip(mu, alpha_cr))
+                if min(nu, default=0) >= 0 and nu not in beta_of:
+                    beta_of[nu] = tuple(x + y for x, y in zip(beta_of[mu], alpha))
+                    new.append(nu)
+        frontier = new
+    lam_rho = tuple(x + 1 for x in lam)
+    mult = {}
+    for mu in sorted(beta_of, key=lambda mu: (sum(beta_of[mu]), beta_of[mu])):
+        beta = beta_of[mu]
+        if beta == zero:
+            mult[mu] = 1
+            continue
+        lhs = 2 * pair(lam_rho, beta) - pair(coroot(beta), beta)
+        rhs = 0
+        for alpha, alpha_cr, alpha2 in root_data:
+            base = pair(mu, alpha)
+            up, rest, k = mu, beta, 1
+            while True:
+                rest = tuple(x - y for x, y in zip(rest, alpha))
+                if min(rest) < 0:
+                    break
+                up = tuple(x + y for x, y in zip(up, alpha_cr))
+                rhs += (base + k * alpha2) * mult.get(dominant(up), 0)
+                k += 1
+        if lhs <= 0 or 2 * rhs % lhs or rhs <= 0:
+            raise InvariantError(f"Freudenthal: multiplicity {2 * rhs}/{lhs} at {mu}")
+        mult[mu] = 2 * rhs // lhs
+    return {beta_of[mu]: m for mu, m in mult.items()}

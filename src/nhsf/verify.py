@@ -2,9 +2,14 @@
 
 run_case drives the full pipeline (build -> grade -> modules -> cohomology ->
 decompose -> cross-check) and compares the result with the embedded table
-transcriptions.  The Weyl-word enumeration (BWB route) and the direct
-cohomology route are computed independently and compared whenever the
-prolongation classification allows it.
+transcriptions.  The adjoint H^2, the co-Riemann H^1 (by highest and by
+lowest weight) and the Riemann H^2 of the Premet split are computed only on
+the weight blocks their decomposition reads (``decomp.ExtremalWeights``),
+and every degreewise dimension a record reports is sum mult * dim over the
+summands.  On every direct-route case the Weyl-word enumeration (BWB route,
+Kostant's theorem for the parabolic grading) and the direct route are
+computed independently and compared (``checks.bwb.matches_direct``); a
+disagreement makes the case a Mismatch.
 """
 
 from __future__ import annotations
@@ -13,15 +18,17 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from . import ENGINE_VERSION
+from . import ENGINE_VERSION, InputError, InvariantError
 from .linalg import Q
 from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, build_root_system,
                       convert_weight, dynkin_split, enumerate_w_i)
 from .liealg import build_chevalley
 from .gmod import FlagCase, GradedModule, build_irreducible, abelian_negative
 from .cohom import cohomology, full_window
-from .decomp import HIGHEST, LOWEST, IrreducibleSummand, decompose, levi_irrep_dim
+from .decomp import (HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand, decompose,
+                     levi_irrep_dim)
 from .prolong import (G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, prolong_as_module,
                       yamaguchi_classify)
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
@@ -44,7 +51,7 @@ class CaseSpec:
 
     def __post_init__(self):
         if self.budget not in BUDGETS:
-            raise ValueError(f"budget must be one of {', '.join(BUDGETS)}, not {self.budget!r}")
+            raise InputError(f"budget must be one of {', '.join(BUDGETS)}, not {self.budget!r}")
 
     def key(self) -> dict:
         return {"type": self.type_letter, "rank": self.rank,
@@ -156,13 +163,22 @@ def statement41_check(rs: RootSystem, nodes) -> dict:
 # -- direct cohomology per case -------------------------------------------------
 
 
-def _nonzero_slices(fc: FlagCase, mod: GradedModule, s: int):
-    return [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s))
-            if sl.dim_h]
+def _decomposed(fc: FlagCase, mod: GradedModule, s: int, kind: str):
+    """The nonzero H^s slices on the weights ``decompose`` reads, and their summands."""
+    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+    slices = [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s),
+                                      weights=flt) if sl.dim_h]
+    dim_of = partial(levi_irrep_dim, fc.rs, fc.unselected)
+    return slices, decompose(slices, mod, kind, dim_of, fc.rs)
 
 
-def _dims(slices) -> dict[int, int]:
-    return {sl.k: sl.dim_h for sl in slices}
+def _dims(fc: FlagCase, summands: list[IrreducibleSummand]) -> dict[int, int]:
+    """Degreewise dim H: the sum of multiplicity * dimension over the summands."""
+    out: dict[int, int] = {}
+    for sm in summands:
+        dim = levi_irrep_dim(fc.rs, fc.unselected, sm.weight_cm, sm.extremal_kind)
+        out[sm.degree] = out.get(sm.degree, 0) + sm.multiplicity * dim
+    return out
 
 
 def _summand_rows(summands: list[IrreducibleSummand]) -> list[dict]:
@@ -179,14 +195,19 @@ def _summand_rows(summands: list[IrreducibleSummand]) -> list[dict]:
     return rows
 
 
-def premet_split_check(fc: FlagCase, adj_slices, cor_slices, tag: str) -> dict:
+def premet_split_check(fc: FlagCase, d_adj: dict[int, int], d_cor: dict[int, int],
+                       cor_slices, tag: str) -> dict:
     """Degreewise dim H^2(riem) = dim H^2(g) + dim H^1((g- + z)*), + census.
 
-    ``tag`` is the case's ``yamaguchi_classify`` tag.
+    ``d_adj`` and ``d_cor`` are the degreewise dims of H^2(g_-; g) and of the
+    co-Riemann H^1; the Riemann H^2 dims come from its decomposition.  The
+    S^2(g_1) census compares weight multisets on Levi-dominant weights only:
+    both sides are Levi characters, so that loses nothing.  ``cor_slices``
+    must hold every Levi-dominant weight block of the co-Riemann H^1 (a
+    complete slice, or one on the Highest ``ExtremalWeights``).  ``tag`` is
+    the case's ``yamaguchi_classify`` tag.
     """
-    riem = fc.riemann_module()
-    riem_slices = _nonzero_slices(fc, riem, 2)
-    d_riem, d_adj, d_cor = _dims(riem_slices), _dims(adj_slices), _dims(cor_slices)
+    d_riem = _dims(fc, _decomposed(fc, fc.riemann_module(), 2, LOWEST)[1])
     ks = sorted(set(d_riem) | set(d_adj) | set(d_cor))
     per_degree = {k: {"riemann": d_riem.get(k, 0), "adjoint": d_adj.get(k, 0),
                       "coriemann_h1": d_cor.get(k, 0)} for k in ks}
@@ -194,16 +215,18 @@ def premet_split_check(fc: FlagCase, adj_slices, cor_slices, tag: str) -> dict:
     out = {"holds_degreewise": holds, "per_degree": {str(k): v for k, v in per_degree.items()},
            "rank2_boundary": fc.rank == 2}
     if tag == TAG_CONTACT or fc.alg.depth == 1:
+        def dominant(w):
+            return all(w[j - 1] >= 0 for j in fc.unselected)
+
         census: Counter = Counter()
         g1 = [i for i in range(fc.gminus.dim) if fc.gminus.degrees[i] == -1]
         duals = [tuple(-c for c in fc.gminus.weights[i]) for i in g1]
         for i in range(len(duals)):
             for j in range(i, len(duals)):
-                census[tuple(a + b for a, b in zip(duals[i], duals[j]))] += 1
-        h1w: Counter = Counter()
-        for sl in cor_slices:
-            for w in sl.rep_weights:
-                h1w[w] += 1
+                w = tuple(a + b for a, b in zip(duals[i], duals[j]))
+                if dominant(w):
+                    census[w] += 1
+        h1w = Counter(w for sl in cor_slices for w in sl.rep_weights if dominant(w))
         out["s2_census_applies"] = True
         out["s2_census_matches"] = census == h1w
     else:
@@ -322,35 +345,35 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
         tag = yamaguchi_classify(fc.alg)
         checks["yamaguchi"] = tag
         adj = fc.adjoint_module()
-        adj_slices = _nonzero_slices(fc, adj, 2)
-        dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-        h2_summands = decompose(adj_slices, adj, LOWEST, dim_of, fc.rs)
+        h2_summands = _decomposed(fc, adj, 2, LOWEST)[1]
         # H^0 transitivity smoke test: no invariants in positive degrees
         for sl in cohomology(fc.gminus, adj, 0, [k for k in range(1, fc.alg.depth + 1)]):
             if sl.dim_h:
-                raise AssertionError("H^0(g-; g) nonzero in positive degree")
-        for sl in adj_slices:
-            slices_out.append({"s": 2, "k": sl.k, "dim_h": sl.dim_h, "valid": sl.valid,
-                               "module": "adjoint"})
+                raise InvariantError("H^0(g-; g) nonzero in positive degree")
+        d_adj = _dims(fc, h2_summands)
+        for k, dim in sorted(d_adj.items()):
+            slices_out.append({"s": 2, "k": k, "dim_h": dim, "valid": True, "module": "adjoint"})
         summands += _summand_rows(h2_summands)
+        # Kostant: BWB gives H^2(g_-; g) for every parabolic grading
+        got: Counter = Counter()
+        for sm in h2_summands:
+            got[(sm.weight_cm, sm.degree)] += sm.multiplicity
+        frombwb = Counter((tuple(int(c) for c in e["weight_cm"]), e["degree"]) for e in bwb)
+        checks["bwb"]["matches_direct"] = got == frombwb
         if tag == TAG_EQUALS_S:
-            got = Counter((sm.weight_cm, sm.degree) for sm in h2_summands)
-            frombwb = Counter((tuple(int(c) for c in e["weight_cm"]), e["degree"]) for e in bwb)
-            checks["bwb"]["matches_direct"] = got == frombwb
             checks["ir_count"]["direct_equals_summands"] = (
                 checks["ir_count"]["direct"] == sum(sm.multiplicity for sm in h2_summands))
 
-        cor_slices = []
         if spec.budget == "full":
             cor = fc.coriemann_module()
-            cor_slices = _nonzero_slices(fc, cor, 1)
-            h1_summands = decompose(cor_slices, cor, HIGHEST, dim_of, fc.rs)
-            for sl in cor_slices:
-                slices_out.append({"s": 1, "k": sl.k, "dim_h": sl.dim_h,
-                                   "valid": sl.valid, "module": "coriemann"})
+            cor_slices, h1_summands = _decomposed(fc, cor, 1, HIGHEST)
+            d_cor = _dims(fc, h1_summands)
+            for k, dim in sorted(d_cor.items()):
+                slices_out.append({"s": 1, "k": k, "dim_h": dim, "valid": True,
+                                   "module": "coriemann"})
             summands += _summand_rows(h1_summands)
-            checks["premet_split"] = premet_split_check(fc, adj_slices, cor_slices, tag)
-            h1_low = decompose(cor_slices, cor, LOWEST, dim_of, fc.rs)
+            checks["premet_split"] = premet_split_check(fc, d_adj, d_cor, cor_slices, tag)
+            h1_low = _decomposed(fc, cor, 1, LOWEST)[1]
             low_fws: Counter = Counter()
             for sm in h1_low:
                 low_fws[tuple(int(c) for c in sm.weight_fw)] += sm.multiplicity
@@ -368,6 +391,8 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
                     comparison["h1"] = _compare_h1_table(fc, exp, low_fws)
             bad = [v for v in comparison.values() if v["status"] != MATCH]
             status = MISMATCH if bad else MATCH
+        if not checks["bwb"]["matches_direct"]:
+            status = MISMATCH
     else:
         if exp is not None and exp.sec6_h2 is None:
             want = Counter()

@@ -51,6 +51,25 @@ def test_invalid_rank_exit_code(capsys):
     assert main(["roots", "--type", "E", "--rank", "5"]) == 2
 
 
+def test_bad_kmax_is_an_input_error(capsys):
+    assert main(["prolong", "--type", "G", "--rank", "2", "--nodes", "1", "--kmax", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: kmax")
+
+
+@pytest.mark.parametrize("exc", [nhsf.InvariantError("d o d != 0"),
+                                 ValueError("slice (s=2, k=4) is not valid")])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    """A failure inside nhsf, even a plain ValueError, is not a usage error."""
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(nhsf.cli, "build_root_system", broken)
+    assert main(["roots", "--type", "G", "--rank", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and str(exc) in captured.err
+
+
 @pytest.mark.parametrize("nodes, message", [("1,9", "outside 1..2"), ("1,1", "repeat"),
                                             ("x", "comma-separated integers")])
 def test_bad_nodes_exit_code(capsys, nodes, message):

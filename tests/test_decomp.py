@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import nhsf
+import nhsf.decomp
+from nhsf import InvariantError
 from nhsf.cohom import cohomology, full_window
-from nhsf.decomp import (HIGHEST, LOWEST, decompose, extremal_vectors,
+from nhsf.decomp import (HIGHEST, LOWEST, ExtremalWeights, decompose, extremal_vectors,
                          g0_action, levi_irrep_dim)
 from nhsf.gmod import FlagCase
 from nhsf.rootsys import COROOT, SIMPLEROOT, Weight, convert_weight
@@ -118,3 +125,82 @@ def test_levi_irrep_dim():
     fc = FlagCase("F", 4, (1,))
     # the 105-dim constituent of f(4) node 1 (equals dim H^2 there)
     assert levi_irrep_dim(fc.rs, [2, 3, 4], (3, 0, -1, -1), LOWEST) == 105
+
+
+def filtered_slices(fc, mod, s, kind):
+    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+    return [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s),
+                                    weights=flt) if sl.dim_h]
+
+
+def test_filtered_slice_builds_only_the_read_blocks():
+    fc = FlagCase("B", 3, (1,))
+    adj = fc.adjoint_module()
+    full, = slices_of(fc, adj, 2)
+    part, = filtered_slices(fc, adj, 2, LOWEST)
+    assert part.k == full.k and set(part.blocks) < set(full.blocks)
+    flt = part.weights
+    # every antidominant block of the complete slice is built, with the same H
+    for w, block in full.blocks.items():
+        if flt.extremal(w):
+            assert len(part.blocks[w].reps) == len(block.reps)
+    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
+    assert decompose([part], adj, LOWEST, dim_of, fc.rs) == decompose([full], adj, LOWEST,
+                                                                     dim_of, fc.rs)
+
+
+def test_filtered_slice_refuses_the_other_kind():
+    fc = FlagCase("G", 2, (1,))
+    adj = fc.adjoint_module()
+    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
+    with pytest.raises(InvariantError, match="Highest extremal weights"):
+        decompose(filtered_slices(fc, adj, 2, LOWEST), adj, HIGHEST, dim_of, fc.rs)
+
+
+def test_invalid_slice_is_an_internal_error():
+    from nhsf.models import vect_module
+
+    gm, mod = vect_module(2, 3)
+    sl, = cohomology(gm, mod, 2, 6)
+    assert not sl.valid
+    with pytest.raises(InvariantError, match="not valid"):
+        decompose([sl], mod, LOWEST, lambda w, kind: 1)
+
+
+def test_tampered_multiplicity_fails_the_local_identity(monkeypatch):
+    fc = FlagCase("C", 3, (2,))
+    adj = fc.adjoint_module()
+    slices = filtered_slices(fc, adj, 2, LOWEST)
+    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
+    assert decompose(slices, adj, LOWEST, dim_of, fc.rs)
+    real = nhsf.decomp.dominant_multiplicities
+    monkeypatch.setattr(nhsf.decomp, "dominant_multiplicities",
+                        lambda *args: {w: m + 1 for w, m in real(*args).items()})
+    with pytest.raises(InvariantError, match="local identity"):
+        decompose(slices, adj, LOWEST, dim_of, fc.rs)
+
+
+def test_tampered_multiplicity_fails_under_python_O():
+    code = ("import sys\n"
+            "import nhsf.decomp as d\n"
+            "from nhsf import InvariantError\n"
+            "from nhsf.gmod import FlagCase\n"
+            "from nhsf.cohom import cohomology, full_window\n"
+            "assert False, 'asserts are enabled'\n"
+            "fc = FlagCase('G', 2, (1,))\n"
+            "adj = fc.adjoint_module()\n"
+            "flt = d.ExtremalWeights(fc.rs, tuple(fc.unselected), d.LOWEST)\n"
+            "sl = cohomology(fc.gminus, adj, 2, [4], weights=flt)\n"
+            "real = d.dominant_multiplicities\n"
+            "d.dominant_multiplicities = lambda *a: {w: 2 * m for w, m in real(*a).items()}\n"
+            "try:\n"
+            "    d.decompose(sl, adj, d.LOWEST, lambda w, kind: 5, fc.rs)\n"
+            "except InvariantError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

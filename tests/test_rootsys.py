@@ -1,11 +1,15 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from collections import Counter
+
+from nhsf.gmod import build_irreducible
 from nhsf.rootsys import (COROOT, SIMPLEROOT, CartanMatrixSpec, InvalidCartanType,
-                          Weight, WeylWord, build_root_system, convert_weight,
-                          dynkin_split, enumerate_w_i, reflect, weyl_dim)
+                          Weight, WeylWord, _weyl_product, build_root_system,
+                          convert_weight, dominant_multiplicities, dynkin_split,
+                          enumerate_w_i, reflect, weyl_dim)
 
 ALL_TYPES = [("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4),
              ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -209,3 +213,57 @@ def test_weyl_dim():
     assert weyl_dim(a2, (1, 1)) == 8
     b3 = build_root_system("B", 3)
     assert weyl_dim(b3, (0, 0, 1)) == 8
+
+
+def all_weight_multiplicities(rs, hw, nodes):
+    """Every weight of the Freudenthal module: the orbits of its dominant weights."""
+    a = rs.cartan_matrix
+    out = {}
+    for mu, m in dominant_multiplicities(rs, hw, nodes).items():
+        orbit, frontier = {mu}, [mu]
+        while frontier:
+            new = []
+            for w in frontier:
+                for j in nodes:
+                    v = tuple(w[i] - w[j] * a[i][j] for i in range(rs.rank))
+                    if v not in orbit:
+                        orbit.add(v)
+                        new.append(v)
+            frontier = new
+        for w in orbit:
+            out[w] = m
+    return out
+
+
+@pytest.mark.parametrize("t,n,hw", [("A", 2, (1, 1)), ("A", 3, (2, 0, 1)), ("B", 3, (1, 0, 1)),
+                                    ("C", 3, (1, 1, 0)), ("D", 4, (1, 0, 0, 1)),
+                                    ("G", 2, (1, 1)), ("F", 4, (0, 0, 0, 1))])
+def test_freudenthal_matches_the_built_irreducible(t, n, hw):
+    """All nodes unselected: Freudenthal gives the weights of L(hw) as built by gmod."""
+    rs = build_root_system(t, n)
+    irr = build_irreducible(rs, Weight(hw, COROOT))
+    assert all_weight_multiplicities(rs, hw, range(n)) == dict(Counter(irr.weights))
+
+
+LEVI_TYPES = [("A", 1), ("A", 3), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5),
+              ("E", 6), ("F", 4), ("G", 2)]
+
+
+@st.composite
+def levi_highest_weights(draw):
+    """(rs, hw, nodes): a Levi node set and a weight dominant at it."""
+    t, n = draw(st.sampled_from(LEVI_TYPES))
+    rs = build_root_system(t, n)
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    hw = tuple(draw(st.integers(0, 2)) if i in nodes else draw(st.integers(-3, 3))
+               for i in range(n))
+    return rs, hw, sorted(nodes)
+
+
+@given(levi_highest_weights())
+@settings(max_examples=60, deadline=None)
+def test_freudenthal_sums_to_the_weyl_dimension(case):
+    rs, hw, nodes = case
+    dim = _weyl_product(rs, hw, nodes)
+    assume(dim <= 3000)
+    assert sum(all_weight_multiplicities(rs, hw, nodes).values()) == dim

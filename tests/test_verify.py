@@ -64,7 +64,9 @@ def test_premet_g2_node1():
                   if s.dim_h]
     cor_slices = [s for s in cohomology(fc.gminus, cor, 1, full_window(fc.gminus, cor, 1))
                   if s.dim_h]
-    rep = premet_split_check(fc, adj_slices, cor_slices, yamaguchi_classify(fc.alg))
+    dims = lambda slices: {s.k: s.dim_h for s in slices}
+    rep = premet_split_check(fc, dims(adj_slices), dims(cor_slices), cor_slices,
+                             yamaguchi_classify(fc.alg))
     assert rep["holds_degreewise"]
     assert rep["rank2_boundary"]
 
