@@ -22,7 +22,7 @@ from .rootsys import build_root_system
 from .liealg import GradingSpec, graded_algebra
 from .gmod import FlagCase
 from .cohom import cohomology, full_window
-from .decomp import HIGHEST, LOWEST, decompose, levi_irrep_dim
+from .decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
 from .prolong import full_prolong, prolong_as_module, yamaguchi_classify
 from .verify import CaseSpec, bwb_adjoint, run_case, run_g2_structure, MATCH, NO_DATA
 from .expected import TABLE1
@@ -127,8 +127,7 @@ def cmd_cohomology(args) -> int:
     nz = [sl for sl in slices if sl.dim_h and sl.valid]
     if args.coeff != "prolong" and nz:
         kind = LOWEST if args.s == 2 else HIGHEST
-        dim_of = lambda w, k2: levi_irrep_dim(fc.rs, fc.unselected, w, k2)
-        sums = decompose(nz, module, kind, dim_of, fc.rs)
+        sums = decompose(nz, module, ExtremalWeights(fc.rs, tuple(fc.unselected), kind))
         obj["summands"] = [{
             "kind": sm.extremal_kind, "weight_cm": list(sm.weight_cm),
             "weight_fw": [str(c) for c in sm.weight_fw],
@@ -162,6 +161,8 @@ def _verify_suite(args) -> list[tuple[str, dict]]:
     cases = [case for fn in chosen for case in fn()]
     if args.only:
         cases = [(name, spec) for name, spec in cases if args.only in name]
+        if not cases:
+            raise InputError(f"--only {args.only!r} matches no case of suite {args.suite!r}")
     return [(name, run_g2_structure() if spec is None else run_case(spec, cache))
             for name, spec in cases]
 

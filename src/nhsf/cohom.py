@@ -9,7 +9,9 @@ there.  Every slice is computed blockwise per weight (the Cartan action
 commutes with d), with an exact d o d = 0 check on each block.  By default
 every weight block is built; a weight filter (``cohomology(...,
 weights=...)``, e.g. ``decomp.ExtremalWeights``) builds only the blocks it
-accepts, on C^{s-1}, C^s and C^{s+1} alike.
+accepts, on C^{s-1}, C^s and C^{s+1} alike.  A slice stores H once: its
+representatives in cochain coordinates, and per weight block the
+``IntSpan`` that expresses a cocycle on them modulo coboundaries.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add
 
+from . import InvariantError
 from .linalg import IntSpan, acc, dense_rows, nullspace
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
@@ -42,24 +45,6 @@ class CochainBasis:
         return len(self.elts)
 
 
-def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
-                  weights=None) -> CochainBasis:
-    """Ordered basis of C^s_k: degree-k maps Lambda^s g_- -> M.
-
-    With a weight filter, only the cochains whose weight it accepts.
-    """
-    cache = getattr(mod, "_basis_cache", None)
-    if cache is None:
-        cache = {}
-        mod._basis_cache = cache
-    hit = cache.get((s, k, weights))
-    if hit is not None:
-        return hit
-    out = _cochain_basis_raw(gm, mod, s, k, weights)
-    cache[(s, k, weights)] = out
-    return out
-
-
 def _monomials(gm: GradedNilpotent, s: int):
     """(mono, dual degree, dual weight) of every exterior s-monomial of g_-."""
     cache = getattr(gm, "_mono_cache", None)
@@ -79,7 +64,12 @@ def _monomials(gm: GradedNilpotent, s: int):
     return cache[s]
 
 
-def _cochain_basis_raw(gm, mod, s, k, weights) -> CochainBasis:
+def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
+                  weights=None) -> CochainBasis:
+    """Ordered basis of C^s_k: degree-k maps Lambda^s g_- -> M.
+
+    With a weight filter, only the cochains whose weight it accepts.
+    """
     if s < 0:
         return CochainBasis(s, k, [], [])
     elts: list[tuple[tuple[int, ...], int]] = []
@@ -162,13 +152,10 @@ class TruncationEscape(Exception):
 
 @dataclass
 class WeightBlock:
-    weight: tuple | None
     idx: list[int]  # local -> global cochain index in C^s_k
-    rank_in: int
-    rank_out: int
-    reps: list[dict[int, Fraction]]  # local coords
     # the coboundary columns, then the cocycle basis, as added by _slice;
-    # span.express(v)[rep_slots[t]] is the coordinate of v on reps[t]
+    # span.express(v)[rep_slots[t]] is the coordinate of v on the block's
+    # t-th representative
     span: IntSpan
     rep_slots: list[int]
 
@@ -210,8 +197,8 @@ def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
                k_range, check_dd: bool = True, weights=None) -> list[CohomologySlice]:
     """Exact H^s_k slices with deterministic representatives.
 
-    ``weights`` is None (every weight block) or a hashable predicate on
-    weight tuples (g_- and the module must carry weights): then C^{s-1}, C^s
+    ``weights`` is None (every weight block) or a predicate on weight
+    tuples (g_- and the module must carry weights): then C^{s-1}, C^s
     and C^{s+1} are enumerated, and their differentials built and reduced,
     only on the weights it accepts.  d preserves weights, so each block
     built is exact; ``dim_h`` then sums the built blocks only.
@@ -258,7 +245,7 @@ def _slice(gm, mod, s, k, check_dd, weights=None) -> CohomologySlice:
                     for tgt, v in cols_out[g].items():
                         acc(dd, tgt, c * v)
                 if dd:
-                    raise AssertionError(f"d o d != 0 at (s={s}, k={k})")
+                    raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
         in_cols = [[col.get(g, 0) for g in idx] for col in cols_w]
         kernel = nullspace(dense_rows([cols_out[g] for g in idx]), nloc)
         rank_out = nloc - len(kernel)
@@ -268,10 +255,8 @@ def _slice(gm, mod, s, k, check_dd, weights=None) -> CohomologySlice:
         reps_local = [vec for _, vec in kept]
         dim_h = len(reps_local)
         if dim_h != nloc - rank_out - rank_in:
-            raise AssertionError("cohomology dimension bookkeeping failed")
-        reps_block = [{i: v for i, v in enumerate(vec) if v != 0} for vec in reps_local]
-        blocks[w] = WeightBlock(w, idx, rank_in, rank_out, reps_block, span,
-                                [slot for slot, _ in kept])
+            raise InvariantError("cohomology dimension bookkeeping failed")
+        blocks[w] = WeightBlock(idx, span, [slot for slot, _ in kept])
         rank_in_tot += rank_in
         rank_out_tot += rank_out
         dim_h_tot += dim_h

@@ -1,28 +1,35 @@
-"""Decomposition of cohomology slices into irreducible g_0-constituents.
+"""Decomposition of cohomology slices into irreducible Levi constituents.
 
 The module's actors (the raising and lowering generators of the Levi, or of
 any reductive g_0 packaged the same way) act on cochains; ``decomp`` reduces
 their images modulo coboundaries through each weight block's ``IntSpan``, so
 they act on the representatives of H.  Extremal vectors are the joint kernel
 of the lowering (lowest-weight) or raising (highest-weight) actors on each
-weight space; the Cartan part acts through the weights themselves.
+extremal weight space; the Cartan part acts through the weights themselves.
 
-A slice need not hold every weight block.  ``ExtremalWeights`` is the weight
-filter of ``cohom.cohomology`` that keeps the Levi-antidominant (Lowest) or
--dominant (Highest) weights, where extremal vectors live, and their images
-under one lowering (raising) step, which the joint kernel reads.  On such a
-slice ``decompose`` checks the local identity dim H_lam =
-sum_mu m(mu) mult_{L(mu)}(lam) on every extremal lam (and on every other
-block the slice built), with the multiplicities from Freudenthal's formula
-(``rootsys.dominant_multiplicities``).  H is a finite-dimensional Levi
-module, so its character is invariant under the Levi Weyl group and fixed by
-its values on the extremal weights: the identity holds exactly when the
-summands' characters add up to that of H.  That implies the global check
-sum_mu m(mu) dim L(mu) = dim H, which slices with every block keep.
+``ExtremalWeights`` names the Levi and the extremal kind of a decomposition.
+It is also the weight filter of ``cohom.cohomology`` that keeps the
+Levi-antidominant (Lowest) or -dominant (Highest) weights, where extremal
+vectors live, and their images under one lowering (raising) step, which the
+joint kernel reads.  ``decompose`` takes a slice computed on that filter or
+one with every weight block, and checks one identity on every block the
+slice built: dim H_lam = sum_mu m(mu) mult_{L(mu)}(lam), read at the
+extremal weight of lam's Levi Weyl orbit, with the multiplicities from
+Freudenthal's formula (``rootsys.dominant_multiplicities``).  H is a
+finite-dimensional Levi module, so its character is invariant under the
+Levi Weyl group and fixed by its values on the extremal weights: the
+identity holds exactly when the summands' characters add up to that of H.
+On a slice with every block it covers every weight, so it implies
+sum_mu m(mu) dim L(mu) = dim H.
+
+One kind of extremal weight gives the other: w0 of the Levi maps the
+highest weight of L(mu) to its lowest (``ExtremalWeights.relabel``), so each
+H is decomposed once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -47,9 +54,6 @@ class IrreducibleSummand:
     degree: int
     multiplicity: int
 
-    def key(self):
-        return (self.s, self.degree, self.weight_cm, self.multiplicity)
-
 
 class DecompositionError(InvariantError):
     pass
@@ -57,7 +61,8 @@ class DecompositionError(InvariantError):
 
 @dataclass(frozen=True)
 class ExtremalWeights:
-    """The weights ``decompose`` reads for one extremal kind, as a weight filter.
+    """The Levi and extremal kind of a decomposition; as a weight filter, the
+    weights ``decompose`` reads.
 
     A weight w is accepted when w or w - step is extremal for one actor step
     (+alpha_j for Highest, -alpha_j for Lowest, j unselected): extremal means
@@ -118,26 +123,36 @@ class ExtremalWeights:
         dual = dominant_multiplicities(self.rs, tuple(-c for c in mu), nodes)
         return {tuple(-c for c in lam): m for lam, m in dual.items()}
 
+    def summand(self, w, s: int, degree: int, multiplicity: int) -> IrreducibleSummand:
+        """The summand of this kind with extremal weight w (coroot coordinates)."""
+        fw = convert_weight(Weight(w, COROOT), SIMPLEROOT, self.rs).coords
+        return IrreducibleSummand(tuple(int(c) for c in w), fw, self.kind, s, degree,
+                                  multiplicity)
 
-def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor,
-                         rows=None):
+    def relabel(self, summands: list[IrreducibleSummand]) -> list[IrreducibleSummand]:
+        """The same summands, each named by its extremal weight of this kind.
+
+        w0 of the Levi maps the highest weight of L(mu) to its lowest and back.
+        """
+        return [self.summand(self.to_extremal(sm.weight_cm), sm.s, sm.degree, sm.multiplicity)
+                for sm in summands]
+
+
+def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor, rows):
     """Matrix of one raise/lower actor on the representatives of a slice.
 
     Returns {src_rep_index: {dst_rep_index: coeff}} over the representatives
-    listed in ``rows`` (default: all); the action is computed on cochains and
-    reduced modulo coboundaries inside the target weight block.  A failure to
-    reduce means H is not acted on, i.e. a bug.
+    listed in ``rows``; the action is computed on cochains and reduced modulo
+    coboundaries inside the target weight block.  A failure to reduce means
+    H is not acted on, i.e. a bug.
     """
     basis = sl.basis
     gm = mod.gminus
     out: dict[int, dict[int, Fraction]] = {}
-    # map global rep index per block for reassembly
-    rep_offset: dict = {}
-    off = 0
-    for w in sorted(sl.blocks, key=lambda x: (x is None, x)):
-        rep_offset[w] = off
-        off += len(sl.blocks[w].reps)
-    for r in range(len(sl.representatives)) if rows is None else rows:
+    first: dict = {}  # weight -> index of its block's first representative
+    for r, w in enumerate(sl.rep_weights):
+        first.setdefault(w, r)
+    for r in rows:
         vec, w = sl.representatives[r], sl.rep_weights[r]
         img: dict[int, Fraction] = {}
         for g, c in vec.items():
@@ -164,7 +179,7 @@ def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor,
         col: dict[int, Fraction] = {}
         for t, slot in enumerate(block.rep_slots):
             if coords[slot] != 0:
-                col[rep_offset[wt] + t] = coords[slot]
+                col[first[wt] + t] = coords[slot]
         if col:
             out[r] = col
     return out
@@ -199,28 +214,23 @@ def _act_on_cochain(gm, mod: GradedModule, basis, actor: Actor,
     return out
 
 
-def g0_action(sl: CohomologySlice, mod: GradedModule) -> dict[str, dict]:
-    """Matrices of all raise/lower actors on the slice's representatives."""
-    return {actor.name: actor_matrix_on_reps(sl, mod, actor) for actor in mod.actors}
-
-
-def extremal_vectors(sl: CohomologySlice, mod: GradedModule, kind: str):
+def extremal_vectors(sl: CohomologySlice, mod: GradedModule, flt: ExtremalWeights):
     """Basis of the joint kernel of lowering (Lowest) / raising (Highest) ops.
 
-    Returns a list of (weight, vector over representative indices).  On a
-    slice computed on ``ExtremalWeights`` only the extremal weights are read.
+    Returns a list of (weight, vector over representative indices).  Only
+    the extremal weights of ``flt`` are read: no other weight carries an
+    extremal vector.
     """
-    want = "lower" if kind == LOWEST else "raise"
+    want = "lower" if flt.kind == LOWEST else "raise"
     ops = [a for a in mod.actors if a.kind == want]
-    keep = None if sl.weights is None else _filter_of(sl, kind).extremal
     bywt: dict = {}
     for r, w in enumerate(sl.rep_weights):
-        if keep is None or keep(w):
+        if flt.extremal(w):
             bywt.setdefault(w, []).append(r)
     reps = [r for idx in bywt.values() for r in idx]
     mats = [actor_matrix_on_reps(sl, mod, a, reps) for a in ops]
     out = []
-    for w in sorted(bywt, key=lambda x: (x is None, x)):
+    for w in sorted(bywt):
         idx = bywt[w]
         rows = [row for mat in mats for row in dense_rows([mat.get(r, {}) for r in idx])]
         for vec in nullspace(rows, len(idx)):
@@ -228,68 +238,37 @@ def extremal_vectors(sl: CohomologySlice, mod: GradedModule, kind: str):
     return out
 
 
-def _filter_of(sl: CohomologySlice, kind: str) -> ExtremalWeights:
-    """The slice's weight filter, which must be ``ExtremalWeights`` of this kind."""
-    flt = sl.weights
-    if not isinstance(flt, ExtremalWeights) or flt.kind != kind:
-        raise InvariantError(f"slice (s={sl.s}, k={sl.k}) was not computed on the "
-                             f"{kind} extremal weights")
-    return flt
+def decompose(slices: list[CohomologySlice], mod: GradedModule,
+              flt: ExtremalWeights) -> list[IrreducibleSummand]:
+    """The Levi summands of each slice, named by their ``flt.kind`` extremal weight.
 
-
-def decompose(slices: list[CohomologySlice], mod: GradedModule, kind: str,
-              dim_of, rs: RootSystem | None = None) -> list[IrreducibleSummand]:
-    """Full decomposition, checked against the dimensions of H.
-
-    ``dim_of(weight, kind)`` gives the dimension of the irreducible
-    g_0-constituent with that extremal weight.  A slice with every weight
-    block is checked by sum mult * dim = dim H, a slice computed on
-    ``ExtremalWeights`` by the local identity on every extremal weight.
+    A slice holds every weight block or was computed on ``flt``; either way
+    the local identity is checked on every block it built.
     """
     out: list[IrreducibleSummand] = []
     for sl in slices:
         if not sl.valid:
             raise InvariantError(f"slice (s={sl.s}, k={sl.k}) is not valid")
+        if sl.weights not in (None, flt):
+            raise InvariantError(f"slice (s={sl.s}, k={sl.k}) was not computed on the "
+                                 f"{flt.kind} extremal weights")
         if sl.dim_h == 0:
             continue
-        ext = extremal_vectors(sl, mod, kind)
-        counts: dict[tuple, int] = {}
-        for w, _vec in ext:
-            counts[w] = counts.get(w, 0) + 1
-        total = 0
-        for w in sorted(counts):
-            dim = dim_of(w, kind)
-            total += counts[w] * dim
-            fw = None
-            if rs is not None:
-                fw = convert_weight(Weight(w, COROOT), SIMPLEROOT, rs).coords
-            out.append(IrreducibleSummand(
-                weight_cm=tuple(int(c) for c in w),
-                weight_fw=fw if fw is not None else tuple(),
-                extremal_kind=kind,
-                s=sl.s,
-                degree=sl.k,
-                multiplicity=counts[w],
-            ))
-        if sl.weights is None:
-            if total != sl.dim_h:
-                raise DecompositionError(
-                    f"bookkeeping: sum of irreducible dims {total} != dim H {sl.dim_h} "
-                    f"at (s={sl.s}, k={sl.k})")
-        else:
-            _check_local_identity(sl, _filter_of(sl, kind), counts)
+        counts = Counter(w for w, _vec in extremal_vectors(sl, mod, flt))
+        out += [flt.summand(w, sl.s, sl.k, counts[w]) for w in sorted(counts)]
+        _check_local_identity(sl, flt, counts)
     return out
 
 
-def _check_local_identity(sl: CohomologySlice, flt: ExtremalWeights, counts: dict) -> None:
-    """dim H_lam = sum_mu m(mu) mult_{L(mu)}(lam) on every extremal weight lam.
+def _check_local_identity(sl: CohomologySlice, flt: ExtremalWeights, counts: Counter) -> None:
+    """dim H_lam = sum_mu m(mu) mult_{L(mu)}(lam) on every block the slice built.
 
-    The identity is also checked on every other weight block the slice
-    built, through the extremal weight in lam's Levi Weyl orbit.
+    Each lam is read at the extremal weight in its Levi Weyl orbit; the
+    summands' extremal weights are checked too, built or not.
     """
     chars = {mu: flt.character(mu) for mu in counts}
     for lam in sorted(set(sl.blocks).union(*chars.values())):
-        have = len(sl.blocks[lam].reps) if lam in sl.blocks else 0
+        have = len(sl.blocks[lam].rep_slots) if lam in sl.blocks else 0
         ext = flt.to_extremal(lam)
         want = sum(m * chars[mu].get(ext, 0) for mu, m in counts.items())
         if have != want:

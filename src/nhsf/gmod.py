@@ -87,7 +87,7 @@ class GradedModule:
                         for row, v in self.act[k].get(col, {}).items():
                             acc(lhs, row, c * v)
                     if lhs != commutator(self.act[i], self.act[j], col):
-                        raise AssertionError(
+                        raise InvariantError(
                             f"representation property fails on pair ({i},{j}), column {col}"
                         )
 
@@ -102,7 +102,7 @@ class GradedModule:
                     wr = self.basis[row].weight
                     expect = tuple(a + b for a, b in zip(wc, wk))
                     if wr != expect:
-                        raise AssertionError("weight additivity violated")
+                        raise InvariantError("weight additivity violated")
 
 
 class FlagCase:
@@ -242,7 +242,7 @@ class IrreducibleModule:
             raise ValueError(f"highest weight {self.hw} is not dominant")
         pred = weyl_dim(rs, self.hw)
         if pred.denominator != 1:
-            raise AssertionError("Weyl dimension is not an integer")
+            raise InvariantError("Weyl dimension is not an integer")
         self.predicted_dim = int(pred)
         if self.predicted_dim > dim_bound:
             raise ValueError(
@@ -252,7 +252,7 @@ class IrreducibleModule:
         self.f_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
         self._build()
         if len(self.weights) != self.predicted_dim:
-            raise AssertionError(
+            raise InvariantError(
                 f"built dim {len(self.weights)} != Weyl dim {self.predicted_dim}")
 
     @property
@@ -278,7 +278,7 @@ class IrreducibleModule:
             created = []
             for nu in sorted(cand):
                 if nu in self._levels:
-                    raise AssertionError("weight revisited; level order broken")
+                    raise InvariantError("weight revisited; level order broken")
                 pairs = sorted(cand[nu])
                 gram = [[self._form_ff(j, b, j2, b2) for (j2, b2) in pairs]
                         for (j, b) in pairs]
@@ -333,7 +333,7 @@ class IrreducibleModule:
         total = Q(0)
         for m, v in res.items():
             if self.weights[m] != mu:
-                raise AssertionError("contravariant form pairing across weights")
+                raise InvariantError("contravariant form pairing across weights")
             total += v * gram[lb][self._local[m]]
         return total
 

@@ -21,7 +21,7 @@ from .rootsys import RootSystem, build_root_system
 Element = dict[int, int | Fraction]  # basis index -> coefficient
 
 
-class ChevalleyError(AssertionError):
+class ChevalleyError(InvariantError):
     pass
 
 

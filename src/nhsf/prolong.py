@@ -212,7 +212,7 @@ def _matrix_bracket_table(n: int, act: list[SparseMat]):
             comm = {col: commutator(act[i], act[j], col) for col in range(n)}
             coords = span.express(flat(comm))
             if coords is None:
-                raise AssertionError("derivation algebra not closed under commutator")
+                raise InvariantError("derivation algebra not closed under commutator")
             entry = {t: c for t, c in enumerate(coords) if c != 0}
             if entry:
                 table[(i, j)] = entry
@@ -339,7 +339,7 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
     n = p.layer(s).dim
     if n == 0:
         if any(vals[u] for u in top):
-            raise AssertionError("nonzero bracket lands in an empty layer")
+            raise InvariantError("nonzero bracket lands in an empty layer")
         return {}
     rows = [[0] * n for _ in range(len(coords_idx))]
     for t in range(n):
@@ -354,7 +354,7 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
             rhs[coords_idx[(u, coord)]] = v
     sol = solve(rows, rhs)
     if sol is None:
-        raise AssertionError("bracket image is not in the prolong layer")
+        raise InvariantError("bracket image is not in the prolong layer")
     return {(s, t): c for t, c in enumerate(sol) if c != 0}
 
 
@@ -383,7 +383,7 @@ def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> 
                     for k2, v in term.items():
                         acc(total, k2, v)
                 if total:
-                    raise AssertionError(f"prolong Jacobi fails on {gens[a]},{gens[b]},{gens[c]}")
+                    raise InvariantError(f"prolong Jacobi fails on {gens[a]},{gens[b]},{gens[c]}")
 
 
 TAG_EQUALS_S = "EqualsS"

@@ -166,12 +166,12 @@ class RootSystem:
         self.rho = Weight((Q(1),) * self.rank, COROOT)
         n_expected = _POSITIVE_ROOT_COUNT[spec.type_letter](spec.rank)
         if len(self.positive_roots) != n_expected:
-            raise AssertionError(
+            raise InvariantError(
                 f"{spec.name}: found {len(self.positive_roots)} positive roots, "
                 f"expected {n_expected}"
             )
         if any(self.maximal_root[i] < r[i] for r in self.positive_roots for i in range(self.rank)):
-            raise AssertionError(f"{spec.name}: maximal root fails to dominate")
+            raise InvariantError(f"{spec.name}: maximal root fails to dominate")
 
     # -- construction ---------------------------------------------------
 

@@ -2,14 +2,16 @@
 
 run_case drives the full pipeline (build -> grade -> modules -> cohomology ->
 decompose -> cross-check) and compares the result with the embedded table
-transcriptions.  The adjoint H^2, the co-Riemann H^1 (by highest and by
-lowest weight) and the Riemann H^2 of the Premet split are computed only on
-the weight blocks their decomposition reads (``decomp.ExtremalWeights``),
-and every degreewise dimension a record reports is sum mult * dim over the
-summands.  On every direct-route case the Weyl-word enumeration (BWB route,
-Kostant's theorem for the parabolic grading) and the direct route are
-computed independently and compared (``checks.bwb.matches_direct``); a
-disagreement makes the case a Mismatch.
+transcriptions.  The adjoint H^2, the co-Riemann H^1 and the Riemann H^2 of
+the Premet split are each computed once, only on the weight blocks their
+decomposition reads (``decomp.ExtremalWeights``), and every degreewise
+dimension a record reports is sum mult * dim over the summands.  The
+co-Riemann H^1 is decomposed by highest weight; its lowest weights, which
+the tables print, are their images under w0 of the Levi.  On every
+direct-route case the Weyl-word enumeration (BWB route, Kostant's theorem
+for the parabolic grading) and the direct route are computed independently
+and compared (``checks.bwb.matches_direct``); a disagreement makes the case
+a Mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import ENGINE_VERSION, InputError, InvariantError
 from .linalg import Q
@@ -168,8 +169,7 @@ def _decomposed(fc: FlagCase, mod: GradedModule, s: int, kind: str):
     flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
     slices = [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s),
                                       weights=flt) if sl.dim_h]
-    dim_of = partial(levi_irrep_dim, fc.rs, fc.unselected)
-    return slices, decompose(slices, mod, kind, dim_of, fc.rs)
+    return slices, decompose(slices, mod, flt)
 
 
 def _dims(fc: FlagCase, summands: list[IrreducibleSummand]) -> dict[int, int]:
@@ -373,7 +373,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
                                    "module": "coriemann"})
             summands += _summand_rows(h1_summands)
             checks["premet_split"] = premet_split_check(fc, d_adj, d_cor, cor_slices, tag)
-            h1_low = _decomposed(fc, cor, 1, LOWEST)[1]
+            h1_low = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST).relabel(h1_summands)
             low_fws: Counter = Counter()
             for sm in h1_low:
                 low_fws[tuple(int(c) for c in sm.weight_fw)] += sm.multiplicity
@@ -463,11 +463,7 @@ def run_g2_structure(variant: str = "auto") -> dict:
         else:
             slices = [sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h]
             res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}
-
-            def dim_of(w, kind):
-                return levi_irrep_dim(rs, list(range(1, rs.rank + 1)), w, kind)
-
-            summands = decompose(slices, mod, HIGHEST, dim_of, rs)
+            summands = decompose(slices, mod, ExtremalWeights(rs, (1, 2), HIGHEST))
             res["orders"] = {}
             for sm in summands:
                 res["orders"].setdefault(str(sm.degree), []).append(list(sm.weight_cm))

@@ -2,18 +2,20 @@
 
 These provide degreewise-complete coefficient modules for vect(n), svect(n),
 h(2n), po(2n) and k(2n+1), each truncated at a chosen bound.  Monomial bases
-make the actions exact and the degree/weight labels immediate; the
-prolongation solver cross-checks these dimensions in the test suite.
+make the actions exact and the degree/weight labels immediate.  The tests
+use them as the oracle for the prolongation solver and as complete
+coefficient modules for the cohomology checks; the ``nhsf`` package does
+not import them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import InvariantError
-from .linalg import IntSpan, Q, SparseMat, apply, nullspace
-from .liealg import GradedNilpotent, abelian_nilpotent, heisenberg
-from .gmod import GradedModule, ModuleElt
+from nhsf import InvariantError
+from nhsf.linalg import IntSpan, Q, SparseMat, apply, nullspace
+from nhsf.liealg import GradedNilpotent, abelian_nilpotent, heisenberg
+from nhsf.gmod import GradedModule, ModuleElt
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -119,7 +121,7 @@ def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[S
                 continue
             tdeg = b.degree - 1
             if tdeg < parent.min_degree:
-                raise AssertionError("action fell below the module window")
+                raise InvariantError("action fell below the module window")
             span, ks = spans[tdeg]
             vec = [0] * pdim
             for c, v in img.items():
@@ -279,7 +281,7 @@ def contact_module(n_pairs: int, kmax: int) -> tuple[GradedNilpotent, GradedModu
                 if key in index:
                     col_out[index[key]] = v
                 elif 2 * key[0] + sum(key[1]) - 2 > kmax:
-                    raise AssertionError("contact action escaped the window upward")
+                    raise InvariantError("contact action escaped the window upward")
             if col_out:
                 mat[col] = col_out
         act.append(mat)

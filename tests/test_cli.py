@@ -120,6 +120,17 @@ def test_verify_table1_only_g2(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("only", ["nosuchcase", "E6"])
+def test_verify_only_matching_nothing_is_an_input_error(capsys, monkeypatch, only):
+    """Case names are lower-case, so --only E6 matches none of them either."""
+    calls = []
+    monkeypatch.setattr(nhsf.cli, "run_case", lambda spec, cache=None: calls.append(spec))
+    assert main(["verify", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not calls
+    assert captured.err.startswith("error: ") and repr(only) in captured.err
+
+
 def test_byte_determinism(capsys, tmp_path):
     argv = ["cohomology", "--type", "C", "--rank", "2", "--nodes", "1",
             "--coeff", "adjoint", "--s", "2"]

@@ -11,7 +11,7 @@ from nhsf.cohom import (cochain_basis, cohomology, differential_columns,
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent, heisenberg
 from nhsf.linalg import rank
-from nhsf.models import (contact_module, hamiltonian_module, poisson_module,
+from models import (contact_module, hamiltonian_module, poisson_module,
                          svect_module, vect_module)
 from nhsf.prolong import G0, der0, full_prolong, prolong_as_module
 

@@ -11,9 +11,9 @@ import nhsf.decomp
 from nhsf import InvariantError
 from nhsf.cohom import cohomology, full_window
 from nhsf.decomp import (HIGHEST, LOWEST, ExtremalWeights, decompose, extremal_vectors,
-                         g0_action, levi_irrep_dim)
+                         levi_irrep_dim)
 from nhsf.gmod import FlagCase
-from nhsf.rootsys import COROOT, SIMPLEROOT, Weight, convert_weight
+from nhsf.rootsys import COROOT, SIMPLEROOT, Weight, build_root_system, convert_weight
 
 
 def slices_of(fc, mod, s):
@@ -21,12 +21,15 @@ def slices_of(fc, mod, s):
             if sl.dim_h]
 
 
+def extremal(fc, kind):
+    return ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+
+
 def test_g2_node1_h2_lowest_weight():
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
     slices = slices_of(fc, adj, 2)
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    sums = decompose(slices, adj, LOWEST, dim_of, fc.rs)
+    sums = decompose(slices, adj, extremal(fc, LOWEST))
     assert len(sums) == 1
     sm = sums[0]
     assert sm.weight_cm == (8, -4) and sm.degree == 4 and sm.multiplicity == 1
@@ -39,7 +42,7 @@ def test_g2_node1_h1_weights():
     slices = slices_of(fc, cor, 1)
     lows = Counter()
     for sl in slices:
-        for w, _ in extremal_vectors(sl, cor, LOWEST):
+        for w, _ in extremal_vectors(sl, cor, extremal(fc, LOWEST)):
             fw = convert_weight(Weight(w, COROOT), SIMPLEROOT, fc.rs)
             lows[tuple(int(c) for c in fw.coords)] += 1
     # the H1 column value and the always-present footnote component
@@ -49,8 +52,7 @@ def test_g2_node1_h1_weights():
 def test_f4_node2_h2_two_lowest_weights():
     fc = FlagCase("F", 4, (2,))
     adj = fc.adjoint_module()
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    sums = decompose(slices_of(fc, adj, 2), adj, LOWEST, dim_of, fc.rs)
+    sums = decompose(slices_of(fc, adj, 2), adj, extremal(fc, LOWEST))
     got = {sm.weight_cm for sm in sums}
     assert got == {(0, 3, -2, -1), (-3, 4, -1, -2)}
 
@@ -58,8 +60,7 @@ def test_f4_node2_h2_two_lowest_weights():
 def test_sl4_12_degrees_and_weights():
     fc = FlagCase("A", 3, (1, 2))
     adj = fc.adjoint_module()
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    sums = decompose(slices_of(fc, adj, 2), adj, LOWEST, dim_of, fc.rs)
+    sums = decompose(slices_of(fc, adj, 2), adj, extremal(fc, LOWEST))
     got = {(sm.degree, sm.weight_cm) for sm in sums}
     assert got == {(1, (-4, 4, 0)), (2, (4, -1, -2)), (3, (0, 4, -4))}
 
@@ -76,8 +77,8 @@ def test_one_dim_slice_extremal_kinds_coincide():
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
     sl = [s for s in slices_of(fc, adj, 2)][0]
-    lo = extremal_vectors(sl, adj, LOWEST)
-    hi = extremal_vectors(sl, adj, HIGHEST)
+    lo = extremal_vectors(sl, adj, extremal(fc, LOWEST))
+    hi = extremal_vectors(sl, adj, extremal(fc, HIGHEST))
     assert len(lo) == len(hi) == 1
 
 
@@ -85,8 +86,7 @@ def test_lowest_weights_nonpositive_at_unselected():
     for t, n, node in [("G", 2, 1), ("F", 4, 3), ("C", 3, 2), ("D", 4, 2)]:
         fc = FlagCase(t, n, (node,))
         adj = fc.adjoint_module()
-        dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-        for sm in decompose(slices_of(fc, adj, 2), adj, LOWEST, dim_of, fc.rs):
+        for sm in decompose(slices_of(fc, adj, 2), adj, extremal(fc, LOWEST)):
             for j in fc.unselected:
                 assert sm.weight_cm[j - 1] <= 0
 
@@ -95,18 +95,10 @@ def test_bookkeeping_totals():
     fc = FlagCase("C", 3, (3,))
     cor = fc.coriemann_module()
     slices = slices_of(fc, cor, 1)
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    sums = decompose(slices, cor, HIGHEST, dim_of, fc.rs)
-    total = sum(dim_of(sm.weight_cm, HIGHEST) * sm.multiplicity for sm in sums)
+    sums = decompose(slices, cor, extremal(fc, HIGHEST))
+    total = sum(levi_irrep_dim(fc.rs, fc.unselected, sm.weight_cm, HIGHEST) * sm.multiplicity
+                for sm in sums)
     assert total == sum(sl.dim_h for sl in slices)
-
-
-def test_g0_action_preserves_h():
-    fc = FlagCase("G", 2, (1,))
-    adj = fc.adjoint_module()
-    sl = slices_of(fc, adj, 2)[0]
-    mats = g0_action(sl, adj)
-    assert set(mats) == {"x2", "y2"}  # unselected node 2 raise/lower
 
 
 def test_zero_slice_decomposes_empty():
@@ -114,8 +106,7 @@ def test_zero_slice_decomposes_empty():
     adj = fc.adjoint_module()
     sl = cohomology(fc.gminus, adj, 2, 100)[0]
     assert sl.dim_h == 0
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    assert decompose([sl], adj, LOWEST, dim_of, fc.rs) == []
+    assert decompose([sl], adj, extremal(fc, LOWEST)) == []
 
 
 def test_levi_irrep_dim():
@@ -128,7 +119,7 @@ def test_levi_irrep_dim():
 
 
 def filtered_slices(fc, mod, s, kind):
-    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+    flt = extremal(fc, kind)
     return [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s),
                                     weights=flt) if sl.dim_h]
 
@@ -143,41 +134,41 @@ def test_filtered_slice_builds_only_the_read_blocks():
     # every antidominant block of the complete slice is built, with the same H
     for w, block in full.blocks.items():
         if flt.extremal(w):
-            assert len(part.blocks[w].reps) == len(block.reps)
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    assert decompose([part], adj, LOWEST, dim_of, fc.rs) == decompose([full], adj, LOWEST,
-                                                                     dim_of, fc.rs)
+            assert len(part.blocks[w].rep_slots) == len(block.rep_slots)
+    assert decompose([part], adj, flt) == decompose([full], adj, flt)
 
 
 def test_filtered_slice_refuses_the_other_kind():
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
     with pytest.raises(InvariantError, match="Highest extremal weights"):
-        decompose(filtered_slices(fc, adj, 2, LOWEST), adj, HIGHEST, dim_of, fc.rs)
+        decompose(filtered_slices(fc, adj, 2, LOWEST), adj, extremal(fc, HIGHEST))
 
 
 def test_invalid_slice_is_an_internal_error():
-    from nhsf.models import vect_module
+    from models import vect_module
 
     gm, mod = vect_module(2, 3)
     sl, = cohomology(gm, mod, 2, 6)
     assert not sl.valid
     with pytest.raises(InvariantError, match="not valid"):
-        decompose([sl], mod, LOWEST, lambda w, kind: 1)
+        decompose([sl], mod, ExtremalWeights(build_root_system("A", 2), (1, 2), LOWEST))
 
 
 def test_tampered_multiplicity_fails_the_local_identity(monkeypatch):
+    """Filtered and complete slices alike are checked by the local identity."""
     fc = FlagCase("C", 3, (2,))
     adj = fc.adjoint_module()
-    slices = filtered_slices(fc, adj, 2, LOWEST)
-    dim_of = lambda w, kind: levi_irrep_dim(fc.rs, fc.unselected, w, kind)
-    assert decompose(slices, adj, LOWEST, dim_of, fc.rs)
+    flt = extremal(fc, LOWEST)
+    cases = [filtered_slices(fc, adj, 2, LOWEST), slices_of(fc, adj, 2)]
+    for slices in cases:
+        assert decompose(slices, adj, flt)
     real = nhsf.decomp.dominant_multiplicities
     monkeypatch.setattr(nhsf.decomp, "dominant_multiplicities",
                         lambda *args: {w: m + 1 for w, m in real(*args).items()})
-    with pytest.raises(InvariantError, match="local identity"):
-        decompose(slices, adj, LOWEST, dim_of, fc.rs)
+    for slices in cases:
+        with pytest.raises(InvariantError, match="local identity"):
+            decompose(slices, adj, flt)
 
 
 def test_tampered_multiplicity_fails_under_python_O():
@@ -194,7 +185,7 @@ def test_tampered_multiplicity_fails_under_python_O():
             "real = d.dominant_multiplicities\n"
             "d.dominant_multiplicities = lambda *a: {w: 2 * m for w, m in real(*a).items()}\n"
             "try:\n"
-            "    d.decompose(sl, adj, d.LOWEST, lambda w, kind: 5, fc.rs)\n"
+            "    d.decompose(sl, adj, flt)\n"
             "except InvariantError:\n"
             "    sys.exit(0)\n"
             "sys.exit(3)\n")

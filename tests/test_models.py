@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from nhsf.models import (contact_dim_oracle, contact_module, hamiltonian_module,
+from models import (contact_dim_oracle, contact_module, hamiltonian_module,
                          poisson_module, svect_module, vect_module)
 
 

@@ -113,7 +113,7 @@ def test_svect_type_growth_never_stabilizes():
 
 
 def test_hei_prolong_matches_contact_algebra():
-    from nhsf.models import contact_dim_oracle
+    from models import contact_dim_oracle
 
     nil = heisenberg(2)
     p = full_prolong(nil, der0(nil), 3)

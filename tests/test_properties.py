@@ -9,7 +9,7 @@ filtered plus a complete run of one F4 grading takes 2-11 s, and
 from hypothesis import assume, given, settings, strategies as st
 
 from nhsf.cohom import cohomology, euler_characteristic_check, full_window
-from nhsf.decomp import HIGHEST, LOWEST, decompose, levi_irrep_dim
+from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
 from nhsf.gmod import FlagCase
 from nhsf.verify import MISMATCH, CaseSpec, _decomposed, _dims, run_case
 
@@ -29,8 +29,8 @@ def complete_decomposition(fc, mod, s, kind):
     """Degreewise dims and summands from slices holding every weight block."""
     slices = [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s))
               if sl.dim_h]
-    dim_of = lambda w, k: levi_irrep_dim(fc.rs, fc.unselected, w, k)
-    return {sl.k: sl.dim_h for sl in slices}, decompose(slices, mod, kind, dim_of, fc.rs)
+    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+    return {sl.k: sl.dim_h for sl in slices}, decompose(slices, mod, flt)
 
 
 @given(gradings())
@@ -38,12 +38,18 @@ def complete_decomposition(fc, mod, s, kind):
 def test_filtered_slices_decompose_like_complete_ones(case):
     fc = FlagCase(*case)
     adj, cor, riem = fc.adjoint_module(), fc.coriemann_module(), fc.riemann_module()
+    found = []
     for mod, s, kind in ((adj, 2, LOWEST), (cor, 1, HIGHEST), (cor, 1, LOWEST),
                          (riem, 2, LOWEST)):
         dims, summands = complete_decomposition(fc, mod, s, kind)
         filtered = _decomposed(fc, mod, s, kind)[1]
         assert filtered == summands
         assert _dims(fc, filtered) == dims
+        found.append(filtered)
+    # run_case reads the co-Riemann lowest weights off the highest ones (w0 of the Levi)
+    derived = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST).relabel(found[1])
+    key = lambda sm: (sm.degree, sm.weight_cm)
+    assert sorted(derived, key=key) == sorted(found[2], key=key)
 
 
 @given(gradings())

@@ -22,3 +22,17 @@ def test_no_unused_top_level_imports():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert SOURCES and not unused
+
+
+def test_invariants_raise_invariant_error():
+    """One failure type: no ``raise AssertionError`` and no ``assert`` (gone under -O)."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert SOURCES and not found

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import nhsf
+import nhsf.verify
+from nhsf.gmod import FlagCase
 from nhsf.rootsys import COROOT, Weight, build_root_system
 from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
                          premet_split_check, run_case, run_g2_structure,
@@ -128,3 +130,24 @@ def test_invariant_raises_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
+    """Its lowest weights are read off the highest ones, not computed again."""
+    built, calls = [], []
+    real_module, real_cohomology = FlagCase.coriemann_module, nhsf.verify.cohomology
+
+    def coriemann_module(self):
+        built.append(real_module(self))
+        return built[-1]
+
+    def cohomology(gm, mod, s, *args, **kwargs):
+        calls.append((mod, s))
+        return real_cohomology(gm, mod, s, *args, **kwargs)
+
+    monkeypatch.setattr(FlagCase, "coriemann_module", coriemann_module)
+    monkeypatch.setattr(nhsf.verify, "cohomology", cohomology)
+    rec = run_case(CaseSpec("C", 3, (3,)))
+    assert rec["status"] == MATCH and rec["checks"]["comparison"]["h1"]["status"] == MATCH
+    assert len(built) == 1
+    assert [s for mod, s in calls if mod is built[0]] == [1]
