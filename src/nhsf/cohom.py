@@ -75,8 +75,10 @@ def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
     elts: list[tuple[tuple[int, ...], int]] = []
     wts: list = []
     # a cochain's weight is its module element's plus its monomial's dual
-    # weight, so the filter is asked once per (monomial weight, module weight)
+    # weight, so the pairs are summed once per (monomial weight, module
+    # weight) and the filter, a function of the sum, is asked once per sum
     kept: dict = {}
+    verdict: dict = {}
     for mono, dual_deg, dual_w in _monomials(gm, s):
         hits = kept.get((dual_deg, dual_w))
         if hits is None:
@@ -85,8 +87,12 @@ def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
                 w = None
                 if dual_w is not None and mod_w is not None:
                     w = tuple(map(add, mod_w, dual_w))
-                if weights is None or weights(w):
-                    hits.append((w, ms))
+                if weights is not None:
+                    if w not in verdict:
+                        verdict[w] = weights(w)
+                    if not verdict[w]:
+                        continue
+                hits.append((w, ms))
             kept[(dual_deg, dual_w)] = hits
         for w, ms in hits:
             elts += [(mono, m) for m in ms]

@@ -9,10 +9,12 @@ a sign bug in this module, never user error.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, sub
 
 from . import InputError, InvariantError
 from .linalg import Q, SparseMat, acc, nullspace
@@ -193,11 +195,39 @@ class ZGradedLieAlgebra:
     # -- verification -------------------------------------------------------
 
     def verify_jacobi(self) -> None:
+        """Check the Jacobi identity exactly on every basis triple.
+
+        First, in O(n^2): every [e_i, e_j] lies in the weight wt(i) + wt(j).
+        Then every term of the Jacobi sum of (i, j, k) lies in the weight
+        wt(i) + wt(j) + wt(k), and g has no basis element there unless that
+        weight is a root or 0.  So only those triples i < j < k are summed,
+        with k read from a weight -> indices index; the others vanish by
+        construction.  Raises ChevalleyError on the first failure.
+        """
         n = self.dim
+        name = self.rs.spec.name
+        wt = [lab.weight for lab in self.basis]
+        by_weight: dict[tuple, list[int]] = {}
+        for k, w in enumerate(wt):
+            by_weight.setdefault(w, []).append(k)
+        # completing[s]: the k, ascending, with s + wt(k) a weight of g
+        completing: dict[tuple, list[int]] = {}
+        for t in by_weight:
+            for w, ks in by_weight.items():
+                completing.setdefault(tuple(map(sub, t, w)), []).extend(ks)
+        for ks in completing.values():
+            ks.sort()
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = tuple(map(add, wt[i], wt[j]))
+                if any(wt[m] != s for m in self.bracket_basis(i, j)):
+                    raise ChevalleyError(f"bracket of basis pair ({i},{j}) of {name} "
+                                         f"leaves the weight {s}")
         for i in range(n):
             for j in range(i + 1, n):
                 bij = self.bracket_basis(i, j)
-                for k in range(j + 1, n):
+                ks = completing.get(tuple(map(add, wt[i], wt[j])), [])
+                for k in ks[bisect_right(ks, j):]:
                     total: Element = {}
                     for term in (
                         self.bracket(bij, {k: 1}),
@@ -207,9 +237,7 @@ class ZGradedLieAlgebra:
                         for m, v in term.items():
                             acc(total, m, v)
                     if total:
-                        raise ChevalleyError(
-                            f"Jacobi fails on basis triple ({i},{j},{k}) of {self.rs.spec.name}"
-                        )
+                        raise ChevalleyError(f"Jacobi fails on basis triple ({i},{j},{k}) of {name}")
 
     def killing_on_cartan(self, ti, tj) -> Fraction:
         """K(h,h') for h = sum ti[i] h_i via the root-space trace formula."""

@@ -16,9 +16,18 @@ Module actions are sparse matrices (``SparseMat``: column -> {row: coeff});
 Pivots are the leftmost nonzero column, chosen on the first row that has
 one, so any two runs produce identical echelon forms.  ``nullspace`` returns
 the canonical basis read off the reduced row echelon form: a 1 at each free
-column, minus that column of the RREF at the pivot columns.  All arithmetic
-is exact over Z; there is no modular shortcut, since a rank mod p can
-undercount.
+column, minus that column of the RREF at the pivot columns.  It computes
+that basis from a sparse RREF mod the prime P = 2^61 - 1, lifts each entry
+to a fraction n/d with |n|, d < 2^30 (Wang's rational reconstruction) and
+certifies the lift exactly: every lifted vector, denominators cleared, must
+satisfy M u = 0 over Z.  The certificate suffices although a rank mod P can
+undercount: rank_P <= rank_Q, so n - rank_P independent exact kernel vectors
+force rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at
+the other free columns and support in {c <= f}, so every free column mod P
+is free over Q, the free sets agree, and u_f is the canonical vector of f,
+bit for bit.  If any entry fails to lift or any vector fails the
+certificate, the whole call falls back to ``echelon_int``.  ``rank``,
+``IntSpan`` and ``solve`` stay exact over Z throughout.
 """
 
 from __future__ import annotations
@@ -127,8 +136,19 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Deterministic basis of {x : M x = 0} (the canonical RREF form)."""
-    ech, pivots = echelon_int([row_to_ints(r) for r in rows])
+    """Deterministic basis of {x : M x = 0} (the canonical RREF form).
+
+    Computed mod P and lifted; a lift that fails its exact certificate
+    sends the whole call to the exact ``echelon_int`` route.
+    """
+    ints = [row_to_ints(r) for r in rows]
+    basis = _modular_nullspace(ints, ncols)
+    return _exact_nullspace(ints, ncols) if basis is None else basis
+
+
+def _exact_nullspace(ints: list[list[int]], ncols: int) -> list[list[Fraction]]:
+    """The canonical kernel basis by exact integer elimination."""
+    ech, pivots = echelon_int(ints)
     for i in range(len(ech) - 1, 0, -1):
         p = pivots[i]
         for j in range(i):
@@ -144,6 +164,119 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
         for r, p in zip(ech, pivots):
             v[p] = Q(-r[f], r[p])
         basis.append(v)
+    return basis
+
+
+P = (1 << 61) - 1  # a Mersenne prime
+LIFT_BOUND = 1 << 30  # a lift n/d has |n| < LIFT_BOUND and 0 < d < LIFT_BOUND
+
+
+def _rref_mod(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form mod P of sparse rows, as {pivot column: row}.
+
+    Rows are sparse ({column: entry}).  An entry is any integer in (-P, P)
+    of the right residue, reduced mod P only when it leaves that range, so
+    the small entries of the usual input stay small.  The pivot rows stay
+    reduced throughout (a 1 at their pivot, 0 at every other pivot), so a
+    new row is reduced by one pass over the pivot columns it holds; its
+    leftmost remaining entry becomes a pivot, cleared from the rows before
+    it.  The RREF does not depend on the row order, so the sparsest rows go
+    first, and rows after the rank reaches ``ncols`` are not read.
+    """
+    piv: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        if len(piv) == ncols:
+            break
+        r = {}
+        for c, v in row.items():
+            if not -P < v < P:
+                v %= P
+            if v:
+                r[c] = v
+        for q in [q for q in r if q in piv]:
+            _axpy(r, -r.pop(q), piv[q], q)
+        if not r:
+            continue
+        lead = min(r)
+        x = r[lead]
+        if x == -1:
+            r = {k: -v for k, v in r.items()}
+        elif x != 1:
+            inv = pow(x, -1, P)
+            r = {k: v * inv % P for k, v in r.items()}
+        for e in piv.values():
+            if lead in e:
+                _axpy(e, -e.pop(lead), r, lead)
+        piv[lead] = r
+    return piv
+
+
+def _axpy(r: dict[int, int], x: int, e: dict[int, int], skip: int) -> None:
+    """r += x * e mod P, in place, leaving out column ``skip`` of e."""
+    for k, v in e.items():
+        if k != skip:
+            nv = r.get(k, 0) + x * v
+            if not -P < nv < P:
+                nv %= P
+            if nv:
+                r[k] = nv
+            else:
+                r.pop(k, None)
+
+
+def _lift(a: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction: (n, d) with n/d = a mod P and |n|, d < LIFT_BOUND,
+    or None when no such fraction exists."""
+    r0, r1, t0, t1 = P, a, 0, 1
+    while r1 >= LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not -LIFT_BOUND < t1 < LIFT_BOUND or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _modular_nullspace(ints: list[list[int]], ncols: int) -> list[list[Fraction]] | None:
+    """The canonical kernel basis from the RREF mod P, or None when a lift fails.
+
+    Every lifted vector, denominators cleared, is checked against M over Z,
+    sparse by column; the module docstring says why that certifies the basis.
+    """
+    rows = [{c: v for c, v in enumerate(row) if v} for row in ints]
+    piv = _rref_mod(rows, ncols)
+    at: dict[int, list[tuple[int, int]]] = {}  # free column -> [(pivot, RREF entry)]
+    for p, r in piv.items():
+        for k, v in r.items():
+            if k != p:
+                at.setdefault(k, []).append((p, v))
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c].append((i, v))
+    zero, one = Q(0), Q(1)
+    basis = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        lifted = []  # (pivot, n, d)
+        for p, v in at.get(f, ()):
+            nd = _lift(-v % P)
+            if nd is None:
+                return None
+            lifted.append((p, *nd))
+            vec[p] = Q(*nd)
+        den = lcm(*(d for _, _, d in lifted))
+        total = {i: den * v for i, v in cols[f]}  # M u_f with the denominators cleared
+        for p, n, d in lifted:
+            u = n * (den // d)
+            for i, v in cols[p]:
+                total[i] = total.get(i, 0) + u * v
+        if any(total.values()):
+            return None
+        basis.append(vec)
     return basis
 
 

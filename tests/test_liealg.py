@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
-from nhsf.liealg import (GradingSpec, build_chevalley, gminus_of, graded_algebra,
-                         heisenberg, levi_pieces)
+import nhsf
+from nhsf.liealg import (ChevalleyError, GradingSpec, ZGradedLieAlgebra, _constants,
+                         build_chevalley, gminus_of, graded_algebra, heisenberg, levi_pieces)
+from nhsf.rootsys import build_root_system
 
 
 def test_sl2_relations():
@@ -141,3 +147,92 @@ def test_heisenberg_nilpotent():
     assert nil.dim == 5 and nil.depth == 2
     assert nil.generated_by_top()
     assert nil.bracket(0, 2) == {4: Q(1)}
+
+
+# -- the Jacobi check ----------------------------------------------------------
+
+
+def fresh(type_letter, rank):
+    """An unverified algebra with its own bracket cache, safe to tamper with."""
+    return ZGradedLieAlgebra(build_root_system(type_letter, rank), _constants(type_letter, rank))
+
+
+def jacobi_fails_somewhere(alg):
+    """Oracle: the Jacobi sum over every basis triple i < j < k."""
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        total = {}
+        for term in (alg.bracket(alg.bracket_basis(i, j), {k: 1}),
+                     alg.bracket(alg.bracket_basis(j, k), {i: 1}),
+                     alg.bracket(alg.bracket_basis(k, i), {j: 1})):
+            for m, v in term.items():
+                total[m] = total.get(m, 0) + v
+        if any(total.values()):
+            return True
+    return False
+
+
+def tamper_constant(alg):
+    """Double N on [x_a1, x_a2] = N x_{a1+a2}; its triple with y_{a1+a2} has weight 0."""
+    i, j = alg.x_index(0), alg.x_index(1)
+    alg._bracket_cache[(i, j)] = {k: 2 * v for k, v in alg.bracket_basis(i, j).items()}
+
+
+def tamper_weight(alg):
+    """[x_a1, x_a2] := h_1, which lies in weight 0, not in a1 + a2."""
+    alg._bracket_cache[(alg.x_index(0), alg.x_index(1))] = {alg.h_index(0): 1}
+
+
+def test_tampered_constant_fails_jacobi():
+    alg = fresh("A", 2)
+    alg.verify_jacobi()
+    tamper_constant(alg)
+    with pytest.raises(ChevalleyError, match="Jacobi fails"):
+        alg.verify_jacobi()
+
+
+def test_bracket_leaving_its_weight_fails():
+    alg = fresh("A", 2)
+    tamper_weight(alg)
+    with pytest.raises(ChevalleyError, match="leaves the weight"):
+        alg.verify_jacobi()
+
+
+@pytest.mark.parametrize("spec", [("A", 1), ("B", 2), ("G", 2)])
+def test_restricted_jacobi_is_as_strong_as_all_triples(spec):
+    """Scaling any one structure constant fails the restricted check iff it fails
+    the all-triples sum.  sl(2)'s one triple (h, x, y) has weight sum 0."""
+    base = fresh(*spec)
+    pairs = [(i, j) for i in range(base.dim) for j in range(i + 1, base.dim)
+             if base.bracket_basis(i, j)]
+    for i, j in pairs:
+        alg = fresh(*spec)
+        alg._bracket_cache[(i, j)] = {k: 3 * v for k, v in alg.bracket_basis(i, j).items()}
+        want = jacobi_fails_somewhere(alg)
+        try:
+            alg.verify_jacobi()
+            got = False
+        except ChevalleyError:
+            got = True
+        assert got == want, (i, j)
+
+
+@pytest.mark.parametrize("tamper,message", [("tamper_constant", "Jacobi fails"),
+                                            ("tamper_weight", "leaves the weight")])
+def test_jacobi_failures_raise_under_python_O(tamper, message):
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_liealg import ChevalleyError, fresh, " + tamper + "\n"
+            "assert False, 'asserts are enabled'\n"
+            "alg = fresh('A', 2)\n"
+            + tamper + "(alg)\n"
+            "try:\n"
+            "    alg.verify_jacobi()\n"
+            "except ChevalleyError as e:\n"
+            "    sys.exit(0 if " + repr(message) + " in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -1,14 +1,23 @@
 """The integer kernel against an independent oracle: textbook Gauss-Jordan over Fraction.
 
-The sparse-matrix helpers are checked against dense Fraction products.
+``nullspace``'s modular path, its certificate and its fallback to the exact
+kernel are checked on inputs that force each branch.  The sparse-matrix
+helpers are checked against dense Fraction products.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import nhsf
+import nhsf.linalg as linalg
 from nhsf.linalg import (IntSpan, apply, commutator, dense_rows, nullspace, rank, row_to_ints,
                          solve)
+from nhsf.verify import MATCH, CaseSpec, run_case
 
 
 def oracle_rref(rows, ncols):
@@ -45,13 +54,17 @@ def combination(coeffs, rows, ncols):
 
 entries = st.one_of(st.integers(min_value=-6, max_value=6),
                     st.fractions(min_value=-6, max_value=6, max_denominator=6))
+# past 2^31 a kernel entry can leave the lift's bound, so nullspace falls back
+big_entries = st.one_of(st.integers(min_value=2 ** 31, max_value=2 ** 64),
+                        st.integers(min_value=-2 ** 64, max_value=-2 ** 31))
+matrix_entries = st.one_of(entries, entries, entries, big_entries)
 
 
 @st.composite
 def matrices(draw, min_rows=0):
-    """(rows, ncols): up to 6 rows over 1..5 columns, ints and Fractions mixed."""
+    """(rows, ncols): up to 6 rows over 1..5 columns, ints and Fractions mixed, some past 2^31."""
     ncols = draw(st.integers(min_value=1, max_value=5))
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+    rows = draw(st.lists(st.lists(matrix_entries, min_size=ncols, max_size=ncols),
                          min_size=min_rows, max_size=6))
     return rows, ncols
 
@@ -62,6 +75,88 @@ def test_nullspace_simple():
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
+
+
+def canonical_kernel(rows, ncols):
+    """A 1 at each free column, minus that column of the oracle RREF at the pivots."""
+    red, pivots = oracle_rref(rows, ncols)
+    want = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for r, p in zip(red, pivots):
+            v[p] = -r[f]
+        want.append(v)
+    return want
+
+
+def count_fallbacks(monkeypatch) -> list:
+    """Wrap the exact kernel: the returned list grows by one per fallback."""
+    calls = []
+    exact = linalg._exact_nullspace
+
+    def counted(ints, ncols):
+        calls.append(ncols)
+        return exact(ints, ncols)
+
+    monkeypatch.setattr(linalg, "_exact_nullspace", counted)
+    return calls
+
+
+def test_small_entries_take_the_modular_path(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    rows = [[1, 2, 3, 4], [Q(1, 2), 0, -1, Q(2, 3)], [2, 4, 6, 8]]
+    assert nullspace(rows, 4) == canonical_kernel(rows, 4)
+    assert fallbacks == []
+
+
+def test_entry_past_the_lift_bound_falls_back(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    big = 2 ** 40 + 1
+    assert nullspace([[1, -big]], 2) == [[Q(big), Q(1)]]
+    assert fallbacks == [2]
+
+
+def test_prime_dividing_a_pivot_falls_back(monkeypatch):
+    # mod P the row is (0, 1): rank_P = rank_Q, but the free column differs
+    fallbacks = count_fallbacks(monkeypatch)
+    p = 2 ** 61 - 1
+    assert linalg._modular_nullspace([[p, 1]], 2) is None
+    assert nullspace([[p, 1]], 2) == [[Q(-1, p), Q(1)]]
+    assert fallbacks == [2]
+
+
+def test_tampered_lift_is_rejected(monkeypatch):
+    rows = [[1, 2, 3], [0, 1, 1]]
+    want = canonical_kernel(rows, 3)
+    assert linalg._modular_nullspace(rows, 3) == want
+    real = linalg._lift
+    monkeypatch.setattr(linalg, "_lift", lambda a: (real(a)[0] + 1, real(a)[1]))
+    assert linalg._modular_nullspace(rows, 3) is None
+    fallbacks = count_fallbacks(monkeypatch)
+    assert nullspace(rows, 3) == want
+    assert fallbacks == [3]
+
+
+def test_tampered_lift_is_rejected_under_python_O():
+    code = ("import sys\n"
+            "import nhsf.linalg as linalg\n"
+            "assert False, 'asserts are enabled'\n"
+            "real = linalg._lift\n"
+            "linalg._lift = lambda a: (real(a)[0] + 1, real(a)[1])\n"
+            "sys.exit(0 if linalg._modular_nullspace([[1, 2, 3], [0, 1, 1]], 3) is None else 3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_f4_node1_full_never_falls_back(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    assert run_case(CaseSpec("F", 4, (1,), "full"))["status"] == MATCH
+    assert fallbacks == []
 
 
 def test_solve_inconsistent():
@@ -101,17 +196,7 @@ def test_nullspace_annihilates(m):
         assert all(type(x) is Q for x in v)
         assert times(rows, v) == [0] * len(rows)
     assert len(basis) == ncols - oracle_rank(rows, ncols)
-    # canonical form: a 1 at each free column, minus that RREF column at the pivots
-    red, pivots = oracle_rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    want = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for r, p in zip(red, pivots):
-            v[p] = -r[f]
-        want.append(v)
-    assert basis == want
+    assert basis == canonical_kernel(rows, ncols)
 
 
 @given(matrices(min_rows=1), st.data())
