@@ -36,7 +36,6 @@ def _common(p: argparse.ArgumentParser, need_nodes: bool = True):
         p.add_argument("--nodes", required=True,
                        help="comma-separated selected node list, 1-based")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--cache-dir", default=None)
 
 
 def _nodes(args) -> tuple[int, ...]:

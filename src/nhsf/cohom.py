@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import add
 
 from . import InvariantError
-from .linalg import IntSpan, acc, dense_rows, nullspace
+from .linalg import IntSpan, acc, nullspace
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
 
@@ -160,8 +160,8 @@ class TruncationEscape(Exception):
 class WeightBlock:
     idx: list[int]  # local -> global cochain index in C^s_k
     # the coboundary columns, then the cocycle basis, as added by _slice;
-    # span.express(v)[rep_slots[t]] is the coordinate of v on the block's
-    # t-th representative
+    # span.express(v).get(rep_slots[t], 0) is the coordinate of v on the
+    # block's t-th representative
     span: IntSpan
     rep_slots: list[int]
 
@@ -200,7 +200,7 @@ def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
 
 
 def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
-               k_range, check_dd: bool = True, weights=None) -> list[CohomologySlice]:
+               k_range, weights=None) -> list[CohomologySlice]:
     """Exact H^s_k slices with deterministic representatives.
 
     ``weights`` is None (every weight block) or a predicate on weight
@@ -213,11 +213,11 @@ def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
         k_range = [k_range]
     out = []
     for k in k_range:
-        out.append(_slice(gm, mod, s, k, check_dd, weights))
+        out.append(_slice(gm, mod, s, k, weights))
     return out
 
 
-def _slice(gm, mod, s, k, check_dd, weights=None) -> CohomologySlice:
+def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
     valid = slice_valid(gm, mod, s, k)
     basis_cur = cochain_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
@@ -244,20 +244,19 @@ def _slice(gm, mod, s, k, check_dd, weights=None) -> CohomologySlice:
         idx = basis_cur.by_weight[w]
         nloc = len(idx)
         cols_w = in_by_weight.get(w, [])
-        if check_dd:
-            for col in cols_w:
-                dd: dict = {}
-                for g, c in col.items():
-                    for tgt, v in cols_out[g].items():
-                        acc(dd, tgt, c * v)
-                if dd:
-                    raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
-        in_cols = [[col.get(g, 0) for g in idx] for col in cols_w]
-        kernel = nullspace(dense_rows([cols_out[g] for g in idx]), nloc)
+        for col in cols_w:
+            dd: dict = {}
+            for g, c in col.items():
+                for tgt, v in cols_out[g].items():
+                    acc(dd, tgt, c * v)
+            if dd:
+                raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
+        local = {g: i for i, g in enumerate(idx)}
+        kernel = nullspace([cols_out[g] for g in idx])
         rank_out = nloc - len(kernel)
-        span = IntSpan(nloc)
-        rank_in = sum(span.add(col) for col in in_cols)
-        kept = [(len(in_cols) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
+        span = IntSpan()
+        rank_in = sum(span.add({local[g]: v for g, v in col.items()}) for col in cols_w)
+        kept = [(len(cols_w) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
         reps_local = [vec for _, vec in kept]
         dim_h = len(reps_local)
         if dim_h != nloc - rank_out - rank_in:
@@ -267,7 +266,7 @@ def _slice(gm, mod, s, k, check_dd, weights=None) -> CohomologySlice:
         rank_out_tot += rank_out
         dim_h_tot += dim_h
         for vec in reps_local:
-            reps_global.append({idx[i]: v for i, v in enumerate(vec) if v != 0})
+            reps_global.append({idx[i]: v for i, v in vec.items()})
             rep_weights.append(w)
     return CohomologySlice(s, k, dims, rank_in_tot, rank_out_tot, dim_h_tot,
                            valid, reps_global, rep_weights, basis_cur, blocks, weights)
@@ -291,7 +290,7 @@ def euler_characteristic_check(gm: GradedNilpotent, mod: GradedModule, k: int) -
     chi_c = 0
     chi_h = 0
     for s in range(0, gm.dim + 1):
-        sl = _slice(gm, mod, s, k, check_dd=False)
+        sl = _slice(gm, mod, s, k)
         chi_c += (-1) ** s * sl.dim_cochains[1]
         chi_h += (-1) ** s * sl.dim_h
     return chi_c == chi_h

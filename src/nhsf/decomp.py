@@ -35,7 +35,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import InvariantError
-from .linalg import acc, dense_rows, nullspace
+from .linalg import acc, nullspace
 from .gmod import Actor, GradedModule
 from .cohom import CohomologySlice
 from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, _weyl_product, convert_weight,
@@ -167,19 +167,14 @@ def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor, r
             raise DecompositionError(
                 f"actor {actor.name} maps H out of the computed weight blocks")
         local_of = {g: i for i, g in enumerate(block.idx)}
-        loc = [0] * len(block.idx)
-        for g, v in img.items():
-            if g not in local_of:
-                raise DecompositionError("actor image left the weight block")
-            loc[local_of[g]] = v
-        coords = block.span.express(loc)
+        if not local_of.keys() >= img.keys():
+            raise DecompositionError("actor image left the weight block")
+        coords = block.span.express({local_of[g]: v for g, v in img.items()})
         if coords is None:
             raise DecompositionError(
                 f"actor {actor.name} image is not a cocycle mod coboundaries")
-        col: dict[int, Fraction] = {}
-        for t, slot in enumerate(block.rep_slots):
-            if coords[slot] != 0:
-                col[first[wt] + t] = coords[slot]
+        col = {first[wt] + t: coords[slot]
+               for t, slot in enumerate(block.rep_slots) if slot in coords}
         if col:
             out[r] = col
     return out
@@ -232,9 +227,11 @@ def extremal_vectors(sl: CohomologySlice, mod: GradedModule, flt: ExtremalWeight
     out = []
     for w in sorted(bywt):
         idx = bywt[w]
-        rows = [row for mat in mats for row in dense_rows([mat.get(r, {}) for r in idx])]
-        for vec in nullspace(rows, len(idx)):
-            out.append((w, {idx[i]: v for i, v in enumerate(vec) if v != 0}))
+        # column r stacks the images of rep r under every actor, keyed (actor, rep)
+        cols = [{(a, t): v for a, mat in enumerate(mats) for t, v in mat.get(r, {}).items()}
+                for r in idx]
+        for vec in nullspace(cols):
+            out.append((w, {idx[i]: v for i, v in vec.items()}))
     return out
 
 

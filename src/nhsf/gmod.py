@@ -162,30 +162,30 @@ class FlagCase:
 
         # Cartan splits as l1-Cartan (unselected coroots) + z; span both once.
         unsel0 = [j - 1 for j in self.unselected]
-        cart = IntSpan(self.rank)
+        cart = IntSpan()
         for j in unsel0:
-            cart.add([1 if i == j else 0 for i in range(self.rank)])
+            cart.add({j: 1})
         for zel in zbasis:
-            cart.add([zel.get(i, 0) for i in range(self.rank)])
-        nz = len(zbasis)
+            cart.add(zel)
 
         def project(vec: Element) -> dict[int, Fraction]:
             """Image of an ambient element in the quotient basis."""
             out: dict[int, Fraction] = {}
-            cart_rhs = [0] * self.rank
+            cart_rhs: dict[int, Fraction] = {}
             for amb, c in vec.items():
                 lab = alg.basis[amb]
                 if lab.kind == "h":
-                    cart_rhs[lab.index] += c
+                    acc(cart_rhs, lab.index, c)
                 elif lab.degree > 0:
                     acc(out, pos_of[amb], c)
                 # negative-degree and degree-0 root vectors die in the quotient
-            if any(cart_rhs):
+            if cart_rhs:
                 sol = cart.express(cart_rhs)
                 if sol is None:
                     raise InvariantError("Cartan element outside l1-Cartan + z")
-                for k in range(nz):
-                    acc(out, k, sol[len(unsel0) + k])
+                for slot, c in sol.items():
+                    if slot >= len(unsel0):
+                        acc(out, slot - len(unsel0), c)
             return out
 
         reps = zbasis + [{amb: 1} for amb in pos_idx]  # ambient lift of each basis vector
@@ -265,7 +265,7 @@ class IrreducibleModule:
         alpha_cw = [tuple(rs.cartan_matrix[i][j] for i in range(n)) for j in range(n)]
         self.weights = [self.hw]
         self._levels: dict[tuple, list[int]] = {self.hw: [0]}
-        self._grams: dict[tuple, list[list[Fraction]]] = {self.hw: [[Q(1)]]}
+        self._grams: dict[tuple, list[dict[int, Fraction]]] = {self.hw: [{0: Q(1)}]}
         self._local: dict[int, int] = {0: 0}
         frontier = [self.hw]
         while frontier:
@@ -280,9 +280,9 @@ class IrreducibleModule:
                 if nu in self._levels:
                     raise InvariantError("weight revisited; level order broken")
                 pairs = sorted(cand[nu])
-                gram = [[self._form_ff(j, b, j2, b2) for (j2, b2) in pairs]
-                        for (j, b) in pairs]
-                span = IntSpan(len(pairs))
+                gram = [{c: g for c, (j2, b2) in enumerate(pairs)
+                         if (g := self._form_ff(j, b, j2, b2))} for (j, b) in pairs]
+                span = IntSpan()
                 chosen = [r for r, row in enumerate(gram) if span.add(row)]
                 if not chosen:
                     continue
@@ -292,17 +292,19 @@ class IrreducibleModule:
                     ids.append(len(self.weights))
                     self.weights.append(nu)
                 self._levels[nu] = ids
-                self._grams[nu] = [[gram[r][c] for c in chosen] for r in chosen]
+                pos = {c: t for t, c in enumerate(chosen)}
+                on_chosen = [{pos[c]: g for c, g in row.items() if c in pos} for row in gram]
+                self._grams[nu] = [on_chosen[r] for r in chosen]
                 # f-action: each candidate (j, b) expressed in the chosen basis,
                 # solving against the columns of the chosen Gram block
-                sub_cols = IntSpan(len(chosen))
-                for col in zip(*self._grams[nu]):
-                    sub_cols.add(col)
+                sub_cols = IntSpan()
+                for t in range(len(chosen)):
+                    sub_cols.add({u: row[t] for u, row in enumerate(self._grams[nu]) if t in row})
                 for r, (j, b) in enumerate(pairs):
-                    coords = sub_cols.express([gram[r][c] for c in chosen])
+                    coords = sub_cols.express(on_chosen[r])
                     if coords is None:
                         raise InvariantError("candidate outside the chosen weight basis")
-                    col = {ids[t]: c for t, c in enumerate(coords) if c != 0}
+                    col = {ids[t]: c for t, c in coords.items()}
                     if col:
                         self.f_mat[j][b] = col
                 # e-action on the new vectors: e_i(f_j v_b) = f_j(e_i v_b) + d_ij h_i v_b
@@ -334,7 +336,7 @@ class IrreducibleModule:
         for m, v in res.items():
             if self.weights[m] != mu:
                 raise InvariantError("contravariant form pairing across weights")
-            total += v * gram[lb][self._local[m]]
+            total += v * gram[lb].get(self._local[m], 0)
         return total
 
 

@@ -344,12 +344,11 @@ def _constants(type_letter: str, rank: int) -> _ConstantTable:
 
 
 @lru_cache(maxsize=None)
-def build_chevalley(type_letter: str, rank: int, verify: bool = True) -> ZGradedLieAlgebra:
+def build_chevalley(type_letter: str, rank: int) -> ZGradedLieAlgebra:
     """Trivially graded simple Lie algebra with verified structure constants."""
     rs = build_root_system(type_letter, rank)
     alg = ZGradedLieAlgebra(rs, _constants(type_letter, rank), grading=None)
-    if verify:
-        alg.verify_jacobi()
+    alg.verify_jacobi()
     return alg
 
 
@@ -390,11 +389,11 @@ def levi_pieces(alg: ZGradedLieAlgebra) -> LeviPieces:
     l1 += [alg.h_index(j) for j in unselected]
     # z = {h in Cartan : alpha_j(h) = 0 for all unselected j}
     a = alg.rs.cartan_matrix
-    rows = [[a[i][j] for i in range(alg.rank)] for j in unselected]
+    cols = [{j: a[i][j] for j in unselected if a[i][j]} for i in range(alg.rank)]
     z_basis = []
-    for vec in nullspace(rows, alg.rank):
-        den = lcm(*(c.denominator for c in vec))
-        z_basis.append({i: int(c * den) for i, c in enumerate(vec) if c != 0})
+    for vec in nullspace(cols):
+        den = lcm(*(c.denominator for c in vec.values()))
+        z_basis.append({i: int(c * den) for i, c in vec.items()})
     pieces = LeviPieces(g_minus, l_part, sorted(l1), z_basis)
     if len(pieces.z) != len(alg.grading.selected_nodes):
         raise ChevalleyError("dim z != number of selected nodes")

@@ -1,32 +1,36 @@
-"""Exact linear algebra shared by the whole package: one integer kernel.
+"""Exact linear algebra shared by the whole package: one sparse format, one integer kernel.
 
-The kernel is fraction-free forward elimination over the integers
-(``echelon_int``): each step replaces a row r by ``e[c] * r - r[c] * e`` and
-divides the result by its content (Bareiss, Math. Comp. 22 (1968), with
-content division in place of the Bareiss quotient).  Rows reach it as
-integers: ``row_to_ints`` passes ``int`` entries through, clears the
-denominators of ``fractions.Fraction`` entries and divides out the content.
-``rank``, ``nullspace``, ``IntSpan`` and ``solve`` are thin entry points over
-that one step, and ``Fraction`` appears only in the vectors that
-``nullspace``, ``IntSpan.express`` and ``solve`` return.
+Every vector is sparse: a dict {index: coeff} with ``int`` or
+``fractions.Fraction`` coefficients and its zeros absent (an explicit zero
+is read as absent).  A matrix is a sequence of such columns; its row keys
+may be any hashable.  ``rank``, ``nullspace``, ``IntSpan`` and ``solve``
+take these vectors as their callers hold them, and ``nullspace``,
+``IntSpan.express`` and ``solve`` return them, with ``Fraction`` values and
+keys in ascending order.  Module actions are ``SparseMat`` (column -> {row:
+coeff}); ``apply`` and ``commutator`` are their whole algebra.
 
-Module actions are sparse matrices (``SparseMat``: column -> {row: coeff});
-``apply``, ``commutator`` and ``dense_rows`` are their whole algebra.
+The kernel is fraction-free forward elimination over the integers on sparse
+rows (``echelon_int``): each step replaces a row r by ``e[c] * r - r[c] * e``
+and divides the result by its content (Bareiss, Math. Comp. 22 (1968), with
+content division in place of the Bareiss quotient).  ``_scaled`` brings a
+vector to that form: it clears the denominators of its nonzero values and
+divides out their content.
 
 Pivots are the leftmost nonzero column, chosen on the first row that has
 one, so any two runs produce identical echelon forms.  ``nullspace`` returns
 the canonical basis read off the reduced row echelon form: a 1 at each free
-column, minus that column of the RREF at the pivot columns.  It computes
-that basis from a sparse RREF mod the prime P = 2^61 - 1, lifts each entry
-to a fraction n/d with |n|, d < 2^30 (Wang's rational reconstruction) and
-certifies the lift exactly: every lifted vector, denominators cleared, must
-satisfy M u = 0 over Z.  The certificate suffices although a rank mod P can
-undercount: rank_P <= rank_Q, so n - rank_P independent exact kernel vectors
-force rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at
-the other free columns and support in {c <= f}, so every free column mod P
-is free over Q, the free sets agree, and u_f is the canonical vector of f,
-bit for bit.  If any entry fails to lift or any vector fails the
-certificate, the whole call falls back to ``echelon_int``.  ``rank``,
+column, minus that column of the RREF at the pivot columns.  It transposes
+its columns once to sparse integer rows, computes that basis from their
+sparse RREF mod the prime P = 2^61 - 1, lifts each entry to a fraction n/d
+with |n|, d < 2^30 (Wang's rational reconstruction) and certifies the lift
+exactly: every lifted vector, denominators cleared, must satisfy M u = 0
+over Z.  The certificate suffices although a rank mod P can undercount:
+rank_P <= rank_Q, so n - rank_P independent exact kernel vectors force
+rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at the
+other free columns and support in {c <= f}, so every free column mod P is
+free over Q, the free sets agree, and u_f is the canonical vector of f, bit
+for bit.  If any entry fails to lift or any vector fails the certificate,
+the whole call falls back to ``echelon_int`` on the same rows.  ``rank``,
 ``IntSpan`` and ``solve`` stay exact over Z throughout.
 """
 
@@ -67,62 +71,49 @@ def commutator(a: SparseMat, b: SparseMat, col: int) -> dict:
     return out
 
 
-def dense_rows(cols: Sequence[dict]) -> list[list]:
-    """The rows, in target order, of the matrix whose j-th column is cols[j]."""
-    rows: dict = {}
-    for j, col in enumerate(cols):
-        for t, v in col.items():
-            rows.setdefault(t, [0] * len(cols))[j] = v
-    return [rows[t] for t in sorted(rows)]
-
-
-def _scaled(row) -> tuple[list[int], Fraction]:
-    """(coprime integer row, the positive factor it is the given row times)."""
-    dens = [x.denominator for x in row if type(x) is Fraction]
+def _scaled(vec: dict) -> tuple[dict, Fraction]:
+    """(coprime integer vector, the positive factor it is ``vec`` times); zeros dropped."""
+    dens = [v.denominator for v in vec.values() if type(v) is Fraction]
     if dens:
         den = lcm(*dens)
-        ints = [x.numerator * (den // x.denominator) if type(x) is Fraction else x * den
-                for x in row]
+        ints = {k: v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
+                for k, v in vec.items() if v}
     else:
         den = 1
-        ints = list(row)
-    g = gcd(*ints)
+        ints = {k: v for k, v in vec.items() if v}
+    g = gcd(*ints.values())
     if g > 1:
-        return [v // g for v in ints], Fraction(den, g)
+        return {k: v // g for k, v in ints.items()}, Fraction(den, g)
     return ints, Fraction(den)
 
 
-def row_to_ints(row) -> list[int]:
-    """Scale a row of ints and Fractions to coprime integers (zero rows stay zero)."""
-    return _scaled(row)[0]
-
-
-def _eliminate(r: list[int], e: list[int], c: int) -> list[int]:
+def _eliminate(r: dict, e: dict, c) -> dict:
     """The kernel step: e[c] * r - r[c] * e, which clears column c, over its content."""
     p, q = e[c], r[c]
-    out = [p * a - q * b for a, b in zip(r, e)]
-    g = gcd(*out)
-    return [v // g for v in out] if g > 1 else out
+    out = {k: p * v for k, v in r.items()}
+    for k, v in e.items():
+        nv = out.get(k, 0) - q * v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
 
 
-def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Integer forward elimination (fraction-free); returns (rows, pivots)."""
-    work = [r for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    ech: list[list[int]] = []
-    pivots: list[int] = []
-    for c in range(ncols):
-        if not work:
-            break
-        i = next((i for i, r in enumerate(work) if r[c]), None)
-        if i is None:
-            continue
-        sel = work.pop(i)
+def echelon_int(rows: list[dict]) -> tuple[list[dict], list]:
+    """Integer forward elimination (fraction-free) on sparse rows; returns (rows, pivots)."""
+    work = [r for r in rows if r]
+    ech: list[dict] = []
+    pivots: list = []
+    while work:
+        c = min(min(r) for r in work)
+        sel = work.pop(next(i for i, r in enumerate(work) if c in r))
         out = []
         for r in work:
-            if r[c]:
+            if c in r:
                 r = _eliminate(r, sel, c)
-                if not any(r):
+                if not r:
                     continue
             out.append(r)
         ech.append(sel)
@@ -131,38 +122,40 @@ def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return ech, pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(echelon_int([row_to_ints(r) for r in rows])[0])
+def rank(vecs: Sequence[dict]) -> int:
+    return len(echelon_int([_scaled(v)[0] for v in vecs])[0])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Deterministic basis of {x : M x = 0} (the canonical RREF form).
+def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
+    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form).
 
     Computed mod P and lifted; a lift that fails its exact certificate
     sends the whole call to the exact ``echelon_int`` route.
     """
-    ints = [row_to_ints(r) for r in rows]
-    basis = _modular_nullspace(ints, ncols)
-    return _exact_nullspace(ints, ncols) if basis is None else basis
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for t, v in col.items():
+            rows.setdefault(t, {})[j] = v
+    ints = [_scaled(r)[0] for r in rows.values()]
+    basis = _modular_nullspace(ints, len(cols))
+    return _exact_nullspace(ints, len(cols)) if basis is None else basis
 
 
-def _exact_nullspace(ints: list[list[int]], ncols: int) -> list[list[Fraction]]:
+def _exact_nullspace(ints: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
     """The canonical kernel basis by exact integer elimination."""
     ech, pivots = echelon_int(ints)
     for i in range(len(ech) - 1, 0, -1):
         p = pivots[i]
         for j in range(i):
-            if ech[j][p]:
+            if p in ech[j]:
                 ech[j] = _eliminate(ech[j], ech[i], p)
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        v = [Q(0)] * ncols
+        v = {p: Q(-r[f], r[p]) for r, p in zip(ech, pivots) if f in r}
         v[f] = Q(1)
-        for r, p in zip(ech, pivots):
-            v[p] = Q(-r[f], r[p])
         basis.append(v)
     return basis
 
@@ -174,14 +167,14 @@ LIFT_BOUND = 1 << 30  # a lift n/d has |n| < LIFT_BOUND and 0 < d < LIFT_BOUND
 def _rref_mod(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
     """The reduced row echelon form mod P of sparse rows, as {pivot column: row}.
 
-    Rows are sparse ({column: entry}).  An entry is any integer in (-P, P)
-    of the right residue, reduced mod P only when it leaves that range, so
-    the small entries of the usual input stay small.  The pivot rows stay
-    reduced throughout (a 1 at their pivot, 0 at every other pivot), so a
-    new row is reduced by one pass over the pivot columns it holds; its
-    leftmost remaining entry becomes a pivot, cleared from the rows before
-    it.  The RREF does not depend on the row order, so the sparsest rows go
-    first, and rows after the rank reaches ``ncols`` are not read.
+    An entry is any integer in (-P, P) of the right residue, reduced mod P
+    only when it leaves that range, so the small entries of the usual input
+    stay small.  The pivot rows stay reduced throughout (a 1 at their pivot,
+    0 at every other pivot), so a new row is reduced by one pass over the
+    pivot columns it holds; its leftmost remaining entry becomes a pivot,
+    cleared from the rows before it.  The RREF does not depend on the row
+    order, so the sparsest rows go first, and rows after the rank reaches
+    ``ncols`` are not read.
     """
     piv: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
@@ -237,13 +230,12 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_nullspace(ints: list[list[int]], ncols: int) -> list[list[Fraction]] | None:
+def _modular_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]] | None:
     """The canonical kernel basis from the RREF mod P, or None when a lift fails.
 
     Every lifted vector, denominators cleared, is checked against M over Z,
     sparse by column; the module docstring says why that certifies the basis.
     """
-    rows = [{c: v for c, v in enumerate(row) if v} for row in ints]
     piv = _rref_mod(rows, ncols)
     at: dict[int, list[tuple[int, int]]] = {}  # free column -> [(pivot, RREF entry)]
     for p, r in piv.items():
@@ -254,20 +246,16 @@ def _modular_nullspace(ints: list[list[int]], ncols: int) -> list[list[Fraction]
     for i, row in enumerate(rows):
         for c, v in row.items():
             cols[c].append((i, v))
-    zero, one = Q(0), Q(1)
     basis = []
     for f in range(ncols):
         if f in piv:
             continue
-        vec = [zero] * ncols
-        vec[f] = one
         lifted = []  # (pivot, n, d)
         for p, v in at.get(f, ()):
             nd = _lift(-v % P)
             if nd is None:
                 return None
             lifted.append((p, *nd))
-            vec[p] = Q(*nd)
         den = lcm(*(d for _, _, d in lifted))
         total = {i: den * v for i, v in cols[f]}  # M u_f with the denominators cleared
         for p, n, d in lifted:
@@ -276,41 +264,41 @@ def _modular_nullspace(ints: list[list[int]], ncols: int) -> list[list[Fraction]
                 total[i] = total.get(i, 0) + u * v
         if any(total.values()):
             return None
+        vec = {p: Q(n, d) for p, n, d in sorted(lifted)}
+        vec[f] = Q(1)  # every pivot p with an entry at f is left of f
         basis.append(vec)
     return basis
 
 
 class IntSpan:
-    """Incremental integer row span with deterministic membership tests.
+    """Incremental integer span of sparse vectors with deterministic membership tests.
 
-    A stored row is ``ncols`` integers, then ``ncols`` slots saying which
-    combination of the independent added rows it is (slot k is the k-th
-    independent one), then one slot that ``express`` uses to carry the
-    scale of the vector it reduces.
+    Vectors are keyed by nonnegative integers.  A stored row also says, at
+    negative keys, which combination of the independent added vectors it
+    is: slot k, at key -1 - k, belongs to the k-th independent one.
+    ``express`` carries the scale of the vector it reduces in the first free
+    slot.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[int]] = []
+    def __init__(self):
+        self.rows: list[dict[int, int]] = []
         self.pivots: list[int] = []
         self._sources: list[tuple[int, Fraction]] = []  # (add index, scale) per slot
         self._added = 0
 
-    def _reduce(self, r: list[int]) -> list[int]:
+    def _reduce(self, r: dict[int, int]) -> dict[int, int]:
         for e, p in zip(self.rows, self.pivots):
-            if r[p]:
+            if p in r:
                 r = _eliminate(r, e, p)
         return r
 
-    def add(self, row) -> bool:
-        """Add a row; True when it is independent of the rows added before."""
-        ints, scale = _scaled(row)
-        n = self.ncols
-        r = ints + [0] * (n + 1)
-        r[n + len(self._sources)] = 1
+    def add(self, vec: dict) -> bool:
+        """Add a vector; True when it is independent of the vectors added before."""
+        ints, scale = _scaled(vec)
+        ints[-1 - len(self._sources)] = 1
         self._added += 1
-        r = self._reduce(r)
-        piv = next((c for c in range(n) if r[c]), None)
+        r = self._reduce(ints)
+        piv = min((c for c in r if c >= 0), default=None)
         if piv is None:
             return False
         self._sources.append((self._added - 1, scale))
@@ -319,33 +307,30 @@ class IntSpan:
         self.pivots.insert(ins, piv)
         return True
 
-    def express(self, v) -> list[Fraction] | None:
-        """Coordinates of v over every row added so far, or None outside the span.
+    def express(self, vec: dict) -> dict[int, Fraction] | None:
+        """Coordinates of vec over every vector added so far, or None outside the span.
 
-        Rows that ``add`` found dependent get coordinate 0, so the answer is
-        unique whenever v is in the span.
+        Vectors that ``add`` found dependent get coordinate 0, so the answer
+        is unique whenever vec is in the span.
         """
-        ints, scale = _scaled(v)
-        n = self.ncols
-        r = self._reduce(ints + [0] * n + [1])
-        if any(r[:n]):
+        ints, scale = _scaled(vec)
+        free = -1 - len(self._sources)
+        ints[free] = 1
+        r = self._reduce(ints)
+        if any(c >= 0 for c in r):
             return None
-        den = -r[2 * n] * scale
-        out = [Q(0)] * self._added
-        for k, (i, src_scale) in enumerate(self._sources):
-            out[i] = r[n + k] * src_scale / den
-        return out
+        den = -r[free] * scale
+        return {i: r[-1 - k] * src_scale / den
+                for k, (i, src_scale) in enumerate(self._sources) if -1 - k in r}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One solution of M x = b with the free variables 0, or None if inconsistent."""
-    if not rows:
-        return None
-    span = IntSpan(len(rows))
-    for col in zip(*rows):
+def solve(cols: Sequence[dict], rhs: dict) -> dict[int, Fraction] | None:
+    """One solution of sum_j x_j cols[j] = rhs with the free variables 0, or None."""
+    span = IntSpan()
+    for col in cols:
         span.add(col)
     return span.express(rhs)

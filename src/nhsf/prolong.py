@@ -117,34 +117,33 @@ def _derivations(p: ProlongedAlgebra, k: int, prefix: str) -> G0:
     for bw in sorted(blocks):
         unk = blocks[bw]
         pos_of = {ut: c for c, ut in enumerate(unk)}
-        for sol in nullspace(_derivation_rows(p, k, pos_of), len(unk)):
+        for sol in nullspace(_derivation_cols(p, k, pos_of)):
             mat: SparseMat = {}
-            for c, (u, tgt) in enumerate(unk):
-                if sol[c] != 0:
-                    mat.setdefault(u, {})[tgt] = sol[c]
+            for c, v in sol.items():
+                u, tgt = unk[c]
+                mat.setdefault(u, {})[tgt] = v
             labels.append(f"{prefix}.{len(labels)}")
             weights.append(bw)
             act.append(mat)
     return G0(labels, weights, act)
 
 
-def _derivation_rows(p, k, pos_of):
-    """Linear constraints D([u,v]) = [D(u),v] + [u,D(v)] as matrix rows."""
+def _derivation_cols(p, k, pos_of):
+    """Linear constraints D([u,v]) = [D(u),v] + [u,D(v)], one sparse column per unknown.
+
+    A constraint (row) is keyed (u, v, coordinate).
+    """
     gm = p.gminus
-    rows = []
+    cols: list[dict] = [{} for _ in pos_of]
     for u in range(gm.dim):
         for v in range(u + 1, gm.dim):
-            coeffs: dict[int, dict[int, Fraction]] = {}
 
             def add(coord, unknown_key, val):
                 # weight additivity keeps each constraint row inside one
                 # weight block, so unknowns outside this block never mix
                 # with in-block ones on the same row
-                if unknown_key not in pos_of:
-                    return
-                col = pos_of[unknown_key]
-                row = coeffs.setdefault(coord, {})
-                row[col] = row.get(col, 0) + val
+                if unknown_key in pos_of:
+                    acc(cols[pos_of[unknown_key]], (u, v, coord), val)
 
             # LHS: D([u, v])
             for w, c in gm.bracket(u, v).items():
@@ -160,13 +159,7 @@ def _derivation_rows(p, k, pos_of):
             for t in p.layer_indices(mv):
                 for coord, val in p.apply(mv, t, u).items():
                     add(coord, (v, t), val)
-            for coord in sorted(coeffs):
-                row = [0] * len(pos_of)
-                for col, val in coeffs[coord].items():
-                    row[col] = val
-                if any(row):
-                    rows.append(row)
-    return rows
+    return cols
 
 
 def full_prolong(gminus: GradedNilpotent, g0: G0, kmax: int) -> ProlongedAlgebra:
@@ -195,14 +188,10 @@ def der0(gminus: GradedNilpotent) -> G0:
 
 def _matrix_bracket_table(n: int, act: list[SparseMat]):
     """Commutators of action matrices, expressed in the given basis."""
-    span = IntSpan(n * n)
+    span = IntSpan()
 
-    def flat(mat: SparseMat):
-        vec = [0] * (n * n)
-        for col, rowd in mat.items():
-            for row, v in rowd.items():
-                vec[row * n + col] = v
-        return vec
+    def flat(mat: SparseMat) -> dict:
+        return {row * n + col: v for col, rowd in mat.items() for row, v in rowd.items()}
 
     for mat in act:
         span.add(flat(mat))
@@ -213,9 +202,8 @@ def _matrix_bracket_table(n: int, act: list[SparseMat]):
             coords = span.express(flat(comm))
             if coords is None:
                 raise InvariantError("derivation algebra not closed under commutator")
-            entry = {t: c for t, c in enumerate(coords) if c != 0}
-            if entry:
-                table[(i, j)] = entry
+            if coords:
+                table[(i, j)] = coords
     return table
 
 
@@ -341,21 +329,18 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
         if any(vals[u] for u in top):
             raise InvariantError("nonzero bracket lands in an empty layer")
         return {}
-    rows = [[0] * n for _ in range(len(coords_idx))]
-    for t in range(n):
-        for u in top:
-            for coord, v in p.apply(s, t, u).items():
-                rows[coords_idx[(u, coord)]][t] = v
-    rhs = [0] * len(coords_idx)
+    cols = [{coords_idx[(u, coord)]: v for u in top for coord, v in p.apply(s, t, u).items()}
+            for t in range(n)]
+    rhs = {}
     for u in top:
         for (lvl, coord), v in vals[u].items():
             if lvl != tgt:
                 raise InvariantError(f"bracket value at level {lvl}, expected {tgt}")
             rhs[coords_idx[(u, coord)]] = v
-    sol = solve(rows, rhs)
+    sol = solve(cols, rhs)
     if sol is None:
         raise InvariantError("bracket image is not in the prolong layer")
-    return {(s, t): c for t, c in enumerate(sol) if c != 0}
+    return {(s, t): c for t, c in sol.items()}
 
 
 def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> None:

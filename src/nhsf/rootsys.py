@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import InputError, InvariantError
-from .linalg import Q, solve
+from .linalg import IntSpan, Q
 
 COROOT = "coroot"
 SIMPLEROOT = "root"
@@ -173,6 +173,15 @@ class RootSystem:
         if any(self.maximal_root[i] < r[i] for r in self.positive_roots for i in range(self.rank)):
             raise InvariantError(f"{spec.name}: maximal root fails to dominate")
 
+    @cached_property
+    def cartan_columns(self) -> IntSpan:
+        """The span of the Cartan matrix's columns: ``convert_weight`` solves A x = w on it."""
+        a = self.cartan_matrix
+        span = IntSpan()
+        for j in range(self.rank):
+            span.add({i: a[i][j] for i in range(self.rank) if a[i][j]})
+        return span
+
     # -- construction ---------------------------------------------------
 
     def _enumerate_positive_roots(self) -> list[tuple[int, ...]]:
@@ -289,10 +298,10 @@ def convert_weight(w: Weight, target: str, rs: RootSystem) -> Weight:
     if target == COROOT:
         coords = tuple(sum(Q(a[i][j]) * w.coords[j] for j in range(n)) for i in range(n))
         return Weight(coords, COROOT)
-    sol = solve(a, list(w.coords))
+    sol = rs.cartan_columns.express({i: c for i, c in enumerate(w.coords) if c})
     if sol is None:
         raise InvariantError(f"Cartan matrix of {rs.spec.name} is singular")
-    return Weight(tuple(sol), SIMPLEROOT)
+    return Weight(tuple(sol.get(j, Q(0)) for j in range(n)), SIMPLEROOT)
 
 
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:

@@ -76,22 +76,16 @@ def svect_module(n: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
             bywt.setdefault(vect.basis[c].weight, []).append(c)
         for w in sorted(bywt):
             block = sorted(bywt[w])
-            targets: dict[tuple, int] = {}
-            entries = []
-            for pos, c in enumerate(block):
+            # column c: the divergence of basis vector c, keyed by its monomial
+            cols = []
+            for c in block:
                 a, i = key_of[c]
-                if a[i] == 0:
-                    continue
                 down = tuple(e - (1 if t == i else 0) for t, e in enumerate(a))
-                targets.setdefault(down, len(targets))
-                entries.append((targets[down], pos, a[i]))
-            rows = [[0] * len(block) for _ in range(len(targets))]
-            for r, c, v in entries:
-                rows[r][c] = v
-            for vec in nullspace(rows, len(block)):
+                cols.append({down: a[i]} if a[i] else {})
+            for vec in nullspace(cols):
                 k = len(basis)
                 basis.append(ModuleElt(f"s{deg}.{k}", deg, w))
-                vectors.append({block[t]: v for t, v in enumerate(vec) if v != 0})
+                vectors.append({block[t]: v for t, v in vec.items()})
     act = _restricted_action(vect, basis, vectors, nil.dim)
     return nil, GradedModule(nil, basis, act, kmax)
 
@@ -99,17 +93,13 @@ def svect_module(n: int, kmax: int) -> tuple[GradedNilpotent, GradedModule]:
 def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[SparseMat]:
     """Action matrices of a submodule given expansions in the parent basis."""
     spans: dict[int, tuple[IntSpan, list[int]]] = {}
-    pdim = parent.dim
     bydeg: dict[int, list[int]] = {}
     for k, b in enumerate(basis):
         bydeg.setdefault(b.degree, []).append(k)
     for deg, ks in bydeg.items():
-        span = IntSpan(pdim)
+        span = IntSpan()
         for k in ks:
-            vec = [0] * pdim
-            for c, v in vectors[k].items():
-                vec[c] = v
-            if not span.add(vec):
+            if not span.add(vectors[k]):
                 raise InvariantError("submodule expansion vectors must be independent")
         spans[deg] = (span, ks)
     act: list[SparseMat] = []
@@ -123,13 +113,10 @@ def _restricted_action(parent: GradedModule, basis, vectors, n_gminus) -> list[S
             if tdeg < parent.min_degree:
                 raise InvariantError("action fell below the module window")
             span, ks = spans[tdeg]
-            vec = [0] * pdim
-            for c, v in img.items():
-                vec[c] = v
-            coords = span.express(vec)
+            coords = span.express(img)
             if coords is None:
                 raise InvariantError("submodule is not action-closed")
-            col = {ks[t]: c for t, c in enumerate(coords) if c != 0}
+            col = {ks[t]: c for t, c in coords.items()}
             if col:
                 mat[k] = col
         act.append(mat)

@@ -47,6 +47,12 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_cache_dir_is_a_verify_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--type", "A", "--rank", "2", "--cache-dir", "d"])
+    assert exc.value.code == 2
+
+
 def test_invalid_rank_exit_code(capsys):
     assert main(["roots", "--type", "E", "--rank", "5"]) == 2
 

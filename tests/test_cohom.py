@@ -71,14 +71,14 @@ def brute_ce_dims(gm, mod, max_s):
         degs = sorted({deg_of(e) for e in src})
         for k in degs:
             cols = [i for i, e in enumerate(src) if deg_of(e) == k]
-            sub_out = [[rows[r][c] for c in cols] for r in range(len(dst))]
+            sub_out = [{j: rows[r][c] for j, c in enumerate(cols)} for r in range(len(dst))]
             r_out = rank(sub_out) if cols else 0
             if s == 0:
                 r_in = 0
             else:
                 prows, psrc, _ = mats[s - 1]
                 pcols = [i for i, e in enumerate(psrc) if deg_of_p(gm, mod, psrc[i]) == k]
-                sub_in = [[prows[r][c] for c in pcols] for r in range(len(src))]
+                sub_in = [{j: prows[r][c] for j, c in enumerate(pcols)} for r in range(len(src))]
                 r_in = rank(sub_in) if pcols else 0
             h = len(cols) - r_out - r_in
             if h:

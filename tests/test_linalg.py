@@ -1,8 +1,10 @@
 """The integer kernel against an independent oracle: textbook Gauss-Jordan over Fraction.
 
-``nullspace``'s modular path, its certificate and its fallback to the exact
-kernel are checked on inputs that force each branch.  The sparse-matrix
-helpers are checked against dense Fraction products.
+Each drawn dense matrix is handed to ``linalg`` as sparse columns (vectors
+as sparse dicts), the one format it takes and returns.  ``nullspace``'s
+modular path, its certificate and its fallback to the exact kernel are
+checked on inputs that force each branch.  The sparse-matrix helpers are
+checked against dense Fraction products.
 """
 
 import os
@@ -15,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import nhsf
 import nhsf.linalg as linalg
-from nhsf.linalg import (IntSpan, apply, commutator, dense_rows, nullspace, rank, row_to_ints,
-                         solve)
+from nhsf.linalg import IntSpan, _scaled, apply, commutator, nullspace, rank, solve
 from nhsf.verify import MATCH, CaseSpec, run_case
 
 
@@ -69,12 +70,25 @@ def matrices(draw, min_rows=0):
     return rows, ncols
 
 
+def columns(rows, ncols):
+    """The sparse columns {row: entry}, zeros absent, of a dense matrix."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j] != 0} for j in range(ncols)]
+
+
+def sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v != 0}
+
+
+def dense(vec, n):
+    return [Q(vec.get(i, 0)) for i in range(n)]
+
+
 def test_nullspace_simple():
     # x + y + z = 0
-    basis = nullspace([[1, 1, 1]], 3)
+    basis = nullspace([{0: 1}, {0: 1}, {0: 1}])
     assert len(basis) == 2
     for v in basis:
-        assert sum(v) == 0
+        assert sum(v.values()) == 0
 
 
 def canonical_kernel(rows, ncols):
@@ -86,7 +100,7 @@ def canonical_kernel(rows, ncols):
         v[f] = Q(1)
         for r, p in zip(red, pivots):
             v[p] = -r[f]
-        want.append(v)
+        want.append(sparse(v))
     return want
 
 
@@ -106,14 +120,14 @@ def count_fallbacks(monkeypatch) -> list:
 def test_small_entries_take_the_modular_path(monkeypatch):
     fallbacks = count_fallbacks(monkeypatch)
     rows = [[1, 2, 3, 4], [Q(1, 2), 0, -1, Q(2, 3)], [2, 4, 6, 8]]
-    assert nullspace(rows, 4) == canonical_kernel(rows, 4)
+    assert nullspace(columns(rows, 4)) == canonical_kernel(rows, 4)
     assert fallbacks == []
 
 
 def test_entry_past_the_lift_bound_falls_back(monkeypatch):
     fallbacks = count_fallbacks(monkeypatch)
     big = 2 ** 40 + 1
-    assert nullspace([[1, -big]], 2) == [[Q(big), Q(1)]]
+    assert nullspace([{0: 1}, {0: -big}]) == [{0: Q(big), 1: Q(1)}]
     assert fallbacks == [2]
 
 
@@ -121,20 +135,21 @@ def test_prime_dividing_a_pivot_falls_back(monkeypatch):
     # mod P the row is (0, 1): rank_P = rank_Q, but the free column differs
     fallbacks = count_fallbacks(monkeypatch)
     p = 2 ** 61 - 1
-    assert linalg._modular_nullspace([[p, 1]], 2) is None
-    assert nullspace([[p, 1]], 2) == [[Q(-1, p), Q(1)]]
+    assert linalg._modular_nullspace([{0: p, 1: 1}], 2) is None
+    assert nullspace([{0: p}, {0: 1}]) == [{0: Q(-1, p), 1: Q(1)}]
     assert fallbacks == [2]
 
 
 def test_tampered_lift_is_rejected(monkeypatch):
     rows = [[1, 2, 3], [0, 1, 1]]
     want = canonical_kernel(rows, 3)
-    assert linalg._modular_nullspace(rows, 3) == want
+    ints = [sparse(r) for r in rows]
+    assert linalg._modular_nullspace(ints, 3) == want
     real = linalg._lift
     monkeypatch.setattr(linalg, "_lift", lambda a: (real(a)[0] + 1, real(a)[1]))
-    assert linalg._modular_nullspace(rows, 3) is None
+    assert linalg._modular_nullspace(ints, 3) is None
     fallbacks = count_fallbacks(monkeypatch)
-    assert nullspace(rows, 3) == want
+    assert nullspace(columns(rows, 3)) == want
     assert fallbacks == [3]
 
 
@@ -144,7 +159,8 @@ def test_tampered_lift_is_rejected_under_python_O():
             "assert False, 'asserts are enabled'\n"
             "real = linalg._lift\n"
             "linalg._lift = lambda a: (real(a)[0] + 1, real(a)[1])\n"
-            "sys.exit(0 if linalg._modular_nullspace([[1, 2, 3], [0, 1, 1]], 3) is None else 3)\n")
+            "rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]\n"
+            "sys.exit(0 if linalg._modular_nullspace(rows, 3) is None else 3)\n")
     src = str(Path(nhsf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -160,43 +176,71 @@ def test_f4_node1_full_never_falls_back(monkeypatch):
 
 
 def test_solve_inconsistent():
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve([[1, 1], [1, -1]], [2, 0]) == [Q(1), Q(1)]
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2}) is None
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: -1}], {0: 2}) == {0: Q(1), 1: Q(1)}
 
 
-def test_row_to_ints():
-    assert row_to_ints([Q(1, 2), Q(1, 3)]) == [3, 2]
-    assert row_to_ints([2, 4]) == [1, 2]
-    assert row_to_ints([0, 0]) == [0, 0]
+def test_scaled():
+    assert _scaled({0: Q(1, 2), 3: Q(1, 3)}) == ({0: 3, 3: 2}, Q(6))
+    assert _scaled({1: 2, 2: 4}) == ({1: 1, 2: 2}, Q(1, 2))
+    assert _scaled({0: 0, 1: Q(0)}) == ({}, Q(1))
 
 
 def test_reducer_express():
-    span = IntSpan(3)
-    assert span.add([1, 0, 1])
-    assert span.add([0, 1, 1])
-    assert not span.add([1, 1, 2])  # dependent; still counted as a source
-    coords = span.express([2, 3, 5])
-    assert coords == [Q(2), Q(3), Q(0)]
-    assert span.express([0, 0, 1]) is None
+    span = IntSpan()
+    assert span.add({0: 1, 2: 1})
+    assert span.add({1: 1, 2: 1})
+    assert not span.add({0: 1, 1: 1, 2: 2})  # dependent; still counted as a source
+    assert span.express({0: 2, 1: 3, 2: 5}) == {0: Q(2), 1: Q(3)}
+    assert span.express({2: 1}) is None
 
 
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_rref(m):
     rows, ncols = m
-    assert rank(rows) == oracle_rank(rows, ncols)
+    assert rank(columns(rows, ncols)) == oracle_rank(rows, ncols)
 
 
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_nullspace_annihilates(m):
     rows, ncols = m
-    basis = nullspace(rows, ncols)
+    basis = nullspace(columns(rows, ncols))
     for v in basis:
-        assert all(type(x) is Q for x in v)
-        assert times(rows, v) == [0] * len(rows)
+        assert list(v) == sorted(v)
+        assert all(type(x) is Q and x != 0 for x in v.values())
+        assert times(rows, dense(v, ncols)) == [0] * len(rows)
     assert len(basis) == ncols - oracle_rank(rows, ncols)
     assert basis == canonical_kernel(rows, ncols)
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_nullspace_reads_any_row_keys_and_explicit_zeros(m):
+    rows, ncols = m
+    want = canonical_kernel(rows, ncols)
+    keyed = [{(i % 2, "r", i): v for i, v in col.items()} for col in columns(rows, ncols)]
+    assert nullspace(keyed) == want
+    with_zeros = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
+    assert nullspace(with_zeros) == want
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_nullspace_frees_empty_columns(m, data):
+    rows, ncols = m
+    extra = data.draw(st.integers(min_value=1, max_value=3))
+    n = ncols + extra
+    empty = set(data.draw(st.permutations(range(n)))[:extra])
+    kept = [c for c in range(n) if c not in empty]
+    padded = [[0] * n for _ in rows]
+    for row, out in zip(rows, padded):
+        for x, c in zip(row, kept):
+            out[c] = x
+    cols = columns(padded, n)
+    assert all(cols[c] == {} for c in empty)
+    assert nullspace(cols) == canonical_kernel(padded, n)
 
 
 @given(matrices(min_rows=1), st.data())
@@ -204,24 +248,24 @@ def test_nullspace_annihilates(m):
 def test_solve_matches_rref(m, data):
     rows, ncols = m
     rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    x = solve(rows, rhs)
+    x = solve(columns(rows, ncols), sparse(rhs))
     red, pivots = oracle_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
         assert x is None
         return
-    assert times(rows, x) == [Q(b) for b in rhs]
+    assert times(rows, dense(x, ncols)) == [Q(b) for b in rhs]
     want = [Q(0)] * ncols  # free variables 0
     for r, p in zip(red, pivots):
         want[p] = r[ncols]
-    assert x == want
+    assert x == sparse(want)
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_int_span_rank(m):
     rows, ncols = m
-    span = IntSpan(ncols)
-    added = sum(1 for r in rows if span.add(r))
+    span = IntSpan()
+    added = sum(1 for r in rows if span.add(sparse(r)))
     assert added == span.rank == oracle_rank(rows, ncols)
 
 
@@ -234,15 +278,15 @@ def test_express_reproduces_or_refuses(m, data):
         v = combination(coeffs, rows, ncols)
     else:
         v = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    span = IntSpan(ncols)
-    independent = [span.add(r) for r in rows]
-    coords = span.express(v)
+    span = IntSpan()
+    independent = [span.add(sparse(r)) for r in rows]
+    coords = span.express(sparse(v))
     if oracle_rank(rows + [v], ncols) > oracle_rank(rows, ncols):
         assert coords is None
         return
-    assert len(coords) == len(rows)
-    assert all(c == 0 for c, ind in zip(coords, independent) if not ind)
-    assert combination(coords, rows, ncols) == [Q(x) for x in v]
+    assert list(coords) == sorted(coords)
+    assert all(independent[i] and c != 0 for i, c in coords.items())
+    assert combination(dense(coords, len(rows)), rows, ncols) == [Q(x) for x in v]
 
 
 # -- sparse matrices (column -> {row: coeff}) --------------------------------
@@ -290,21 +334,3 @@ def test_commutator_is_ab_minus_ba(case):
     for col in range(len(a)):
         want = {r: ab[r][col] - ba[r][col] for r in range(len(a)) if ab[r][col] != ba[r][col]}
         assert commutator(sa, sb, col) == want
-
-
-@given(st.lists(st.dictionaries(st.integers(min_value=0, max_value=8),
-                                entries.filter(lambda v: v != 0), max_size=4), max_size=5),
-       st.data())
-@settings(max_examples=80, deadline=None)
-def test_dense_rows_reproduce_the_columns(cols, data):
-    rows = dense_rows(cols)
-    targets = sorted(set().union(*cols))
-    assert len(rows) == len(targets)
-    assert all(len(row) == len(cols) and any(row) for row in rows)
-    # rows . x is the combination of the sparse columns, in target order
-    x = data.draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
-    combo = {}
-    for xj, col in zip(x, cols):
-        for t, v in col.items():
-            combo[t] = combo.get(t, 0) + Q(xj) * v
-    assert times(rows, x) == [combo[t] for t in targets]
