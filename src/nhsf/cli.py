@@ -8,13 +8,16 @@ version, excluding the "timing" field.  Exit codes:
 * 2: usage error: bad arguments, or input nhsf rejects (``nhsf.InputError``:
   Cartan type, node list, budget, ``--kmax``), with ``error: ...`` on stderr;
 * 3: internal error: any other exception, such as a failed invariant
-  (``nhsf.InvariantError``), with ``internal error: ...`` on stderr.
+  (``nhsf.InvariantError``), with ``internal error: ...`` on stderr;
+* 141 (128 + SIGPIPE): stdout was closed before the output was written, as
+  in ``nhsf roots ... | head -1``; nothing is printed on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import InputError
@@ -268,7 +271,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

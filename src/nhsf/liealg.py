@@ -3,8 +3,10 @@
 Signs are fixed by choosing +(p+1) on extraspecial pairs under the root
 order of :mod:`nhsf.rootsys`; all remaining constants follow from the
 triple rule N(a,b)/(c,c) = N(b,c)/(a,a) (a+b+c=0) and one quadruple Jacobi
-relation.  The full table is Jacobi-verified at build time: a violation is
-a sign bug in this module, never user error.
+relation.  Root norms are the integers of ``RootSystem.norm2``; every
+division by a norm is exact and checked, and a remainder raises
+ChevalleyError.  The full table is Jacobi-verified at build time: a
+violation is a sign bug in this module, never user error.
 """
 
 from __future__ import annotations
@@ -149,23 +151,20 @@ class ZGradedLieAlgebra:
         n = self._n(alpha, beta)
         if n == 0:
             return {}
-        if any(c != 0 for c in ssum) and min(ssum) >= 0:
-            k = rs.root_index[ssum]
-            return {self.x_index(k): n}
-        neg = tuple(-c for c in ssum)
-        k = rs.root_index[neg]
-        return {self.y_index(k): n}
+        if min(ssum) >= 0:  # ssum != 0 here
+            return {self.x_index(rs.root_index[ssum]): n}
+        return {self.y_index(rs.root_index[_neg(ssum)]): n}
 
     def _coroot_coeffs(self, beta) -> list[int]:
-        """beta^vee = sum c_i alpha_i^vee with integer c_i."""
+        """beta^vee = sum c_i alpha_i^vee, c_i = 2 beta_i d_i / (beta, beta), integers."""
         rs = self.rs
-        dbeta = rs.norm2(beta) / 2
+        n2 = rs.norm2(beta)
         out = []
-        for i in range(rs.rank):
-            c = Q(beta[i]) * rs.symmetrizer[i] / dbeta
-            if c.denominator != 1:
+        for b, d in zip(beta, rs.symmetrizer):
+            c, r = divmod(2 * b * d, n2)
+            if r:
                 raise ChevalleyError(f"non-integer coroot coefficient for {beta}")
-            out.append(int(c))
+            out.append(c)
         return out
 
     def restricted_ad(self, i: int, sub: list[int]) -> SparseMat:
@@ -202,10 +201,16 @@ class ZGradedLieAlgebra:
         wt(i) + wt(j) + wt(k), and g has no basis element there unless that
         weight is a root or 0.  So only those triples i < j < k are summed,
         with k read from a weight -> indices index; the others vanish by
-        construction.  Raises ChevalleyError on the first failure.
+        construction.  Each [e_i, e_j] is read once through ``bracket_basis``
+        into a both-orders table.  Raises ChevalleyError on the first failure.
         """
         n = self.dim
         name = self.rs.spec.name
+        br: list[list[tuple]] = [[()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                bij = self.bracket_basis(i, j)
+                br[i][j], br[j][i] = tuple(bij.items()), tuple((m, -v) for m, v in bij.items())
         wt = [lab.weight for lab in self.basis]
         by_weight: dict[tuple, list[int]] = {}
         for k, w in enumerate(wt):
@@ -220,34 +225,23 @@ class ZGradedLieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 s = tuple(map(add, wt[i], wt[j]))
-                if any(wt[m] != s for m in self.bracket_basis(i, j)):
+                if any(wt[m] != s for m, _ in br[i][j]):
                     raise ChevalleyError(f"bracket of basis pair ({i},{j}) of {name} "
                                          f"leaves the weight {s}")
         for i in range(n):
+            bi = br[i]
             for j in range(i + 1, n):
-                bij = self.bracket_basis(i, j)
+                bij, bj = bi[j], br[j]
                 ks = completing.get(tuple(map(add, wt[i], wt[j])), [])
                 for k in ks[bisect_right(ks, j):]:
-                    total: Element = {}
-                    for term in (
-                        self.bracket(bij, {k: 1}),
-                        self.bracket(self.bracket_basis(j, k), {i: 1}),
-                        self.bracket(self.bracket_basis(k, i), {j: 1}),
-                    ):
-                        for m, v in term.items():
-                            acc(total, m, v)
-                    if total:
+                    # [[i,j],k] + [[j,k],i] + [[k,i],j]
+                    total: dict[int, int] = {}
+                    for first, last in ((bij, k), (bj[k], i), (br[k][i], j)):
+                        for m, c in first:
+                            for p, v in br[m][last]:
+                                total[p] = total.get(p, 0) + c * v
+                    if any(total.values()):
                         raise ChevalleyError(f"Jacobi fails on basis triple ({i},{j},{k}) of {name}")
-
-    def killing_on_cartan(self, ti, tj) -> Fraction:
-        """K(h,h') for h = sum ti[i] h_i via the root-space trace formula."""
-        rs = self.rs
-        total = Q(0)
-        for beta in rs.positive_roots:
-            bi = sum(Q(rs.pair_with_coroot(beta, i)) * ti[i] for i in range(rs.rank))
-            bj = sum(Q(rs.pair_with_coroot(beta, i)) * tj[i] for i in range(rs.rank))
-            total += 2 * bi * bj
-        return total
 
 
 def _root_string_p(rs: RootSystem, alpha, beta) -> int:
@@ -294,10 +288,10 @@ class _ConstantTable:
         t = Q(0)
         diff1 = tuple(b - a for b, a in zip(beta, a1))
         if rs.is_root(diff1):
-            t += Q(self(beta, _neg(a1)) * self(alpha, _neg(b1)), 1) / rs.norm2(diff1)
+            t += Q(self(beta, _neg(a1)) * self(alpha, _neg(b1)), rs.norm2(diff1))
         diff2 = tuple(b - a for b, a in zip(alpha, a1))
         if rs.is_root(diff2):
-            t += Q(self(_neg(a1), alpha) * self(beta, _neg(b1)), 1) / rs.norm2(diff2)
+            t += Q(self(_neg(a1), alpha) * self(beta, _neg(b1)), rs.norm2(diff2))
         val = rs.norm2(gamma) * t / self.pos[(a1, b1)]
         if val.denominator != 1:
             raise ChevalleyError(f"non-integer constant for pair {alpha},{beta}")
@@ -307,7 +301,7 @@ class _ConstantTable:
         """N(alpha, beta) for signed roots with alpha+beta a root."""
         rs = self.rs
         asum = tuple(x + y for x, y in zip(alpha, beta))
-        if not rs.is_root(asum) or all(c == 0 for c in asum):
+        if not rs.is_root(asum):  # 0 is not a root
             return 0
         pa, pb = min(alpha) >= 0, min(beta) >= 0
         if pa and pb:
@@ -324,14 +318,14 @@ class _ConstantTable:
         if min(diff) >= 0:
             # zeta = alpha - eta > 0; triple (alpha, -eta, -zeta)
             zeta = diff
-            val = rs.norm2(zeta) / rs.norm2(alpha) * (-Q(self(eta, zeta)))
+            val, r = divmod(-rs.norm2(zeta) * self(eta, zeta), rs.norm2(alpha))
         else:
             # zeta = eta - alpha > 0; triple (alpha, -eta, zeta)
             zeta = _neg(diff)
-            val = rs.norm2(zeta) / rs.norm2(eta) * Q(self(zeta, alpha))
-        if val.denominator != 1:
+            val, r = divmod(rs.norm2(zeta) * self(zeta, alpha), rs.norm2(eta))
+        if r:
             raise ChevalleyError(f"non-integer mixed constant for {alpha},{beta}")
-        return int(val)
+        return val
 
 
 def _neg(beta):

@@ -105,8 +105,8 @@ def _cartan_matrix(spec: CartanMatrixSpec) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(a: list[list[int]]) -> list[Fraction]:
-    """Minimal positive d_i with d_i a_ij = d_j a_ji ((alpha_i,alpha_i)/2)."""
+def _symmetrizer(a: list[list[int]]) -> list[int]:
+    """Minimal positive integers d_i with d_i a_ij = d_j a_ji ((alpha_i,alpha_i)/2)."""
     n = len(a)
     d: list[Fraction | None] = [None] * n
     d[0] = Q(1)
@@ -121,9 +121,9 @@ def _symmetrizer(a: list[list[int]]) -> list[Fraction]:
     if any(x is None for x in d):
         raise InvariantError("Dynkin diagram is not connected")
     lcm_den = lcm(*(x.denominator for x in d))
-    vals = [x * lcm_den for x in d]
-    g = gcd(*(x.numerator for x in vals))
-    return [x / g for x in vals]
+    vals = [int(x * lcm_den) for x in d]
+    g = gcd(*vals)
+    return [x // g for x in vals]
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,7 @@ class RootSystem:
         self.symmetrizer = _symmetrizer(self.cartan_matrix)
         self.positive_roots = self._enumerate_positive_roots()
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
+        self._norm2: dict[tuple[int, ...], int] = {}  # filled by norm2, once per root
         self.maximal_root = self.positive_roots[-1]
         self.rho = Weight((Q(1),) * self.rank, COROOT)
         n_expected = _POSITIVE_ROOT_COUNT[spec.type_letter](spec.rank)
@@ -220,21 +221,16 @@ class RootSystem:
     def root_coroot_coords(self, root_coords) -> tuple[int, ...]:
         return tuple(self.pair_with_coroot(tuple(root_coords), i) for i in range(self.rank))
 
-    def inner(self, beta, gamma) -> Fraction:
-        """(beta, gamma) for roots in simple-root coordinates."""
-        d = self.symmetrizer
-        a = self.cartan_matrix
-        acc = Q(0)
-        for i in range(self.rank):
-            if beta[i] == 0:
-                continue
-            for j in range(self.rank):
-                if gamma[j] != 0:
-                    acc += beta[i] * gamma[j] * d[i] * a[i][j]
-        return acc
+    def inner(self, beta, gamma) -> int:
+        """(beta, gamma) = sum d_i a_ij beta_i gamma_j, in simple-root coordinates."""
+        d, a, n = self.symmetrizer, self.cartan_matrix, range(self.rank)
+        return sum(d[i] * a[i][j] * beta[i] * gamma[j] for i in n for j in n)
 
-    def norm2(self, beta) -> Fraction:
-        return self.inner(beta, beta)
+    def norm2(self, beta: tuple[int, ...]) -> int:
+        """(beta, beta), an integer, for a root of either sign; computed once per root."""
+        if beta not in self._norm2:
+            self._norm2[beta] = self.inner(beta, beta)
+        return self._norm2[beta]
 
     def is_root(self, coords) -> bool:
         t = tuple(coords)
@@ -420,9 +416,9 @@ def _weyl_product(rs: RootSystem, lam, nodes) -> Fraction:
     den = Q(1)
     d = rs.symmetrizer
     for beta in _roots_on(rs, nodes):
-        dbeta = rs.norm2(beta) / 2
-        lam_b = sum(lam[t] * beta[t] * d[t] for t in nodes) / dbeta
-        rho_b = sum(Q(beta[t]) * d[t] for t in nodes) / dbeta
+        n2 = rs.norm2(beta)
+        lam_b = Q(2 * sum(lam[t] * beta[t] * d[t] for t in nodes), n2)
+        rho_b = Q(2 * sum(beta[t] * d[t] for t in nodes), n2)
         num *= lam_b + rho_b
         den *= rho_b
     return num / den
@@ -472,7 +468,7 @@ def _freudenthal(rs: RootSystem, lam: tuple[int, ...], nodes: tuple[int, ...]):
     """
     n = len(nodes)
     a = [[rs.cartan_matrix[i][j] for j in nodes] for i in nodes]
-    d = [int(rs.symmetrizer[t]) for t in nodes]
+    d = [rs.symmetrizer[t] for t in nodes]
     roots = [tuple(beta[t] for t in nodes) for beta in _roots_on(rs, nodes)]
 
     def coroot(beta):  # <beta, alpha_i^vee> at each node

@@ -76,6 +76,22 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert captured.err.startswith("internal error: ") and str(exc) in captured.err
 
 
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closes the pipe early (``nhsf roots ... | head -1``) is no internal error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(nhsf.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    try:
+        res = subprocess.run([sys.executable, "-m", "nhsf.cli", "roots", "--type", "A",
+                              "--rank", "2"], stdout=write_end, stderr=subprocess.PIPE,
+                             env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("nodes, message", [("1,9", "outside 1..2"), ("1,1", "repeat"),
                                             ("x", "comma-separated integers")])
 def test_bad_nodes_exit_code(capsys, nodes, message):

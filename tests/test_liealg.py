@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -131,6 +132,17 @@ def test_levi_pieces_examples():
     assert len(lp.l1) == 10  # sp(4)
 
 
+def killing_on_cartan(alg, ti, tj) -> Q:
+    """K(h,h') for h = sum ti[i] h_i via the root-space trace formula."""
+    rs = alg.rs
+    total = Q(0)
+    for beta in rs.positive_roots:
+        bi = sum(Q(rs.pair_with_coroot(beta, i)) * ti[i] for i in range(rs.rank))
+        bj = sum(Q(rs.pair_with_coroot(beta, i)) * tj[i] for i in range(rs.rank))
+        total += 2 * bi * bj
+    return total
+
+
 def test_z_killing_orthogonality():
     """z is the Killing-orthogonal complement of the unselected coroots."""
     alg = graded_algebra("F", 4, (2,))
@@ -139,7 +151,7 @@ def test_z_killing_orthogonality():
         zv = [zel.get(i, Q(0)) for i in range(alg.rank)]
         for j in (0, 2, 3):  # unselected nodes, 0-based
             hj = [Q(1) if i == j else Q(0) for i in range(alg.rank)]
-            assert alg.killing_on_cartan(zv, hj) == 0
+            assert killing_on_cartan(alg, zv, hj) == 0
 
 
 def test_heisenberg_nilpotent():
@@ -236,3 +248,47 @@ def test_jacobi_failures_raise_under_python_O(tamper, message):
     res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+# -- the structure constants themselves ----------------------------------------
+
+# sha256 of the full bracket table, both orders (see ``bracket_table_sha256``).
+# Recorded from the Fraction-norm constant table that preceded the integer one.
+BRACKET_TABLE_SHA256 = {
+    "A1": "55fe321c87f6d7f42cd6a4d073471b1a15d204ccd2d63d480253340b59914af2",
+    "A4": "6cd84b2270cf49048acd7579201ccf3924c198c7f1f351bb6f633f0314016d84",
+    "B3": "44bb1f7a0ddbe01dda4c7fcca0ca86eba73d2bdee186f4a98e5956c022c4ad2d",
+    "B5": "4e0b0f7d795560b2295f17a254fd439ea727b102d7222ed96a66932f1f33f182",
+    "C3": "540619ae6c9d3f022ca6990abe72907a20f5298642aeb685fd67f98369bbf042",
+    "C5": "a060d7e019e57fa069f3747785f10b1dcb7005f2b7d239ff34b325b1bfe6ad86",
+    "D4": "c009e8946da0eb762c99cfc8970f3f3407a33924a0072747edc03882f8d385e7",
+    "D6": "b2387e6c14ff5d33fdde817b697b357d534daff171cdabe8044757acfe354587",
+    "G2": "098383a3f3457f1f5d1cf3052b8fa233799af3c667a65c8cd5357ff1510454fc",
+    "F4": "34bd36c2e9453f62c411dab0118035fad93799aad2c1ee0e2cbbe9c9b2c8aa57",
+    "E6": "d39a0b30e6c7f32f29d22dca027fcafc265d772f9c0de05a8965ab917fb432b7",
+    "E7": "457dcb7a835e47630f18a935cefb9a59ee4d7b2676844f27fadb05522b2fe460",
+    "E8": "3b253e19b94cb0bc72ddc6757a7ce7c2ab2599280893c1a4c30ef39c869e385b",
+}
+
+
+def bracket_table_sha256(alg) -> str:
+    """sha256 over repr((i, j, sorted (k, str(coeff)))) of [e_i, e_j], for all i, j."""
+    h = hashlib.sha256()
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            entries = sorted((k, str(v)) for k, v in alg.bracket_basis(i, j).items())
+            h.update(repr((i, j, entries)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(BRACKET_TABLE_SHA256))
+def test_structure_constants_are_pinned(name):
+    alg = build_chevalley(name[0], int(name[1:]))
+    assert bracket_table_sha256(alg) == BRACKET_TABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_e7_e8_build_passes_jacobi(rank):
+    """The uncached build of E7 and E8 runs the whole Jacobi check and passes."""
+    alg = build_chevalley.__wrapped__("E", rank)
+    assert alg.dim == {7: 133, 8: 248}[rank]

@@ -95,6 +95,13 @@ def test_run_case_bwb_budget_e7():
     assert rec["checks"]["comparison"]["h2_bwb_only"]["fw_column_consistent"]
 
 
+def test_run_case_e7_node1_full_matches_both_routes():
+    """One E7 Table-1 row by the direct route, compared with BWB."""
+    rec = run_case(CaseSpec("E", 7, (1,), budget="full"))
+    assert rec["status"] == MATCH
+    assert rec["checks"]["bwb"]["matches_direct"] is True
+
+
 def test_g2_structure_statement():
     out = run_g2_structure()
     assert out["status"] == MATCH
