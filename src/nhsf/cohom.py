@@ -9,13 +9,24 @@ there.  Every slice is computed blockwise per weight (the Cartan action
 commutes with d), with an exact d o d = 0 check on each block.  By default
 every weight block is built; a weight filter (``cohomology(...,
 weights=...)``, e.g. ``decomp.ExtremalWeights``) builds only the blocks it
-accepts, on C^{s-1}, C^s and C^{s+1} alike.  A slice stores H once: its
-representatives in cochain coordinates, and per weight block the
-``IntSpan`` that expresses a cocycle on them modulo coboundaries.
+accepts.  A slice stores H once: its representatives in cochain
+coordinates, and per weight block the ``IntSpan`` that expresses a cocycle
+on them modulo coboundaries.
+
+Only C^{s-1}_k and C^s_k are enumerated: the rows of d: C^s -> C^{s+1} are
+its target cochains, numbered as d first reaches them.  None is lost.
+``GradedModule`` checks that the action and the g_- bracket add degrees and
+weights, so the action term (e_I, m) -> (e_I ^ a, a . m) and the Lie term,
+which trades a slot c for a, b with [a, b] in c's degree and weight, keep
+the internal degree k and the weight: every target of d lies in the window
+of its source, filtered or not.  ``nullspace`` returns the canonical RREF
+kernel whatever the row labels and order, and the d o d check only asks for
+an empty result, so each slice equals the one on an enumerated C^{s+1}_k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -29,8 +40,6 @@ from .gmod import GradedModule
 
 @dataclass
 class CochainBasis:
-    s: int
-    k: int
     elts: list[tuple[tuple[int, ...], int]]
     weights: list[tuple[int, ...] | None]
 
@@ -47,10 +56,7 @@ class CochainBasis:
 
 def _monomials(gm: GradedNilpotent, s: int):
     """(mono, dual degree, dual weight) of every exterior s-monomial of g_-."""
-    cache = getattr(gm, "_mono_cache", None)
-    if cache is None:
-        cache = {}
-        gm._mono_cache = cache
+    cache = gm.__dict__.setdefault("_mono_cache", {})
     if s not in cache:
         have_w = gm.dim > 0 and all(w is not None for w in gm.weights)
         zero = (0,) * len(gm.weights[0]) if have_w else None
@@ -71,7 +77,7 @@ def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
     With a weight filter, only the cochains whose weight it accepts.
     """
     if s < 0:
-        return CochainBasis(s, k, [], [])
+        return CochainBasis([], [])
     elts: list[tuple[tuple[int, ...], int]] = []
     wts: list = []
     # a cochain's weight is its module element's plus its monomial's dual
@@ -97,63 +103,62 @@ def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
         for w, ms in hits:
             elts += [(mono, m) for m in ms]
             wts += [w] * len(ms)
-    return CochainBasis(s, k, elts, wts)
+    return CochainBasis(elts, wts)
 
 
 def _reverse_bracket(gm: GradedNilpotent) -> dict[int, list[tuple[int, int, Fraction]]]:
-    cached = getattr(gm, "_rev_bracket", None)
-    if cached is not None:
-        return cached
-    out: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for (a, b), res in sorted(gm.bracket_table.items()):
-        for c, v in res.items():
-            if v != 0:
-                out.setdefault(c, []).append((a, b, v))
-    gm._rev_bracket = out
-    return out
+    if "_rev_bracket" not in gm.__dict__:
+        out: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for (a, b), res in sorted(gm.bracket_table.items()):
+            for c, v in res.items():
+                if v != 0:
+                    out.setdefault(c, []).append((a, b, v))
+        gm._rev_bracket = out
+    return gm._rev_bracket
 
 
-def differential_columns(gm: GradedNilpotent, mod: GradedModule,
-                         src: CochainBasis, dst: CochainBasis):
-    """d: C^s_k -> C^{s+1}_k as per-column sparse dictionaries."""
+def differential_columns(gm: GradedNilpotent, mod: GradedModule, src: CochainBasis,
+                         rows: dict) -> list[dict]:
+    """d: C^s_k -> C^{s+1}_k as per-column sparse dictionaries.
+
+    A target cochain (mono, m) is row ``rows[(mono, m)]``; a target not yet
+    in ``rows`` is added to it as the next row, in the order d first reaches
+    it.  Each monomial's insertions and Lie terms are computed once per call,
+    and the a acting on m are read from ``mod.acting``.
+    """
     rev = _reverse_bracket(gm)
-    cols: list[dict[int, Fraction]] = []
+    cols: list[dict] = []
+    cur = None
     for mono, m in src.elts:
-        col: dict[int, Fraction] = {}
-        mono_set = set(mono)
+        if mono is not cur:
+            cur, mono_set = mono, set(mono)
+            ins: dict = {}  # a -> (sign, mono with a inserted)
+            # Lie term: replace one argument c by a bracket pair (a, b)
+            lie: dict = {}  # new mono -> coefficient
+            for ci, c in enumerate(mono):
+                rest = mono_set - {c}
+                for a, b, coef in rev.get(c, ()):
+                    if a in rest or b in rest:
+                        continue
+                    new_mono = tuple(sorted(rest | {a, b}))
+                    acc(lie, new_mono, (-1) ** (new_mono.index(a) + new_mono.index(b) + ci) * coef)
+        col: dict = {}
         # action term: insert a new argument slot a
-        for a in range(gm.dim):
+        for a, outs in mod.acting[m]:
             if a in mono_set:
                 continue
-            outs = mod.act[a].get(m)
-            if not outs:
-                continue
-            sign = (-1) ** sum(1 for i in mono if i < a)
-            new_mono = tuple(sorted(mono + (a,)))
+            hit = ins.get(a)
+            if hit is None:
+                t = bisect_left(mono, a)
+                hit = ins[a] = ((-1) ** t, mono[:t] + (a,) + mono[t:])
+            sign, new_mono = hit
             for m2, v in outs.items():
-                tgt = dst.pos.get((new_mono, m2))
-                if tgt is None:
-                    raise TruncationEscape(src.s, src.k)
-                acc(col, tgt, sign * v)
-        # Lie term: replace one argument c by a bracket pair (a, b)
-        for ci, c in enumerate(mono):
-            for a, b, coef in rev.get(c, ()):
-                rest = mono_set - {c}
-                if a in rest or b in rest:
-                    continue
-                new_mono = tuple(sorted(rest | {a, b}))
-                t = new_mono.index(a)
-                u = new_mono.index(b)
-                tgt = dst.pos.get((new_mono, m))
-                if tgt is None:
-                    raise TruncationEscape(src.s, src.k)
-                acc(col, tgt, (-1) ** (t + u + ci) * coef)
+                r = rows.setdefault((new_mono, m2), len(rows))
+                acc(col, r, sign * v)
+        for new_mono, coef in lie.items():
+            acc(col, rows.setdefault((new_mono, m), len(rows)), coef)
         cols.append(col)
     return cols
-
-
-class TruncationEscape(Exception):
-    """The differential left the enumerated window; slice must be invalid."""
 
 
 @dataclass
@@ -170,7 +175,7 @@ class WeightBlock:
 class CohomologySlice:
     s: int
     k: int
-    dim_cochains: tuple[int, int, int]
+    dim_cochains: tuple[int, int]  # (dim C^{s-1}_k, dim C^s_k), as built
     rank_in: int
     rank_out: int
     dim_h: int
@@ -203,46 +208,39 @@ def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
                k_range, weights=None) -> list[CohomologySlice]:
     """Exact H^s_k slices with deterministic representatives.
 
+    Only C^{s-1}_k and C^s_k are enumerated (see the module docstring).
     ``weights`` is None (every weight block) or a predicate on weight
-    tuples (g_- and the module must carry weights): then C^{s-1}, C^s
-    and C^{s+1} are enumerated, and their differentials built and reduced,
-    only on the weights it accepts.  d preserves weights, so each block
-    built is exact; ``dim_h`` then sums the built blocks only.
+    tuples (g_- and the module must carry weights): then both are
+    enumerated, and their differentials built and reduced, only on the
+    weights it accepts.  d preserves weights, so each block built is exact;
+    ``dim_h`` then sums the built blocks only.
     """
-    if isinstance(k_range, int):
-        k_range = [k_range]
-    out = []
-    for k in k_range:
-        out.append(_slice(gm, mod, s, k, weights))
-    return out
+    ks = [k_range] if isinstance(k_range, int) else k_range
+    return [_slice(gm, mod, s, k, weights) for k in ks]
 
 
 def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
     valid = slice_valid(gm, mod, s, k)
     basis_cur = cochain_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
-        return CohomologySlice(s, k, (0, 0, 0), 0, 0, 0, valid, [], [], basis_cur, {}, weights)
+        return CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, [], [], basis_cur, {}, weights)
     basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
-    basis_next = cochain_basis(gm, mod, s + 1, k, weights)
-    dims = (basis_prev.dim, basis_cur.dim, basis_next.dim)
-    try:
-        cols_in = differential_columns(gm, mod, basis_prev, basis_cur) if s >= 1 else []
-        cols_out = differential_columns(gm, mod, basis_cur, basis_next)
-    except TruncationEscape:
-        return CohomologySlice(s, k, dims, 0, 0, 0, False, [], [], basis_cur, {}, weights)
+    pos = dict(basis_cur.pos)
+    cols_in = differential_columns(gm, mod, basis_prev, pos)
+    if len(pos) != basis_cur.dim:
+        raise InvariantError(f"d left C^{s}_{k}: an action or bracket is not additive")
+    cols_out = differential_columns(gm, mod, basis_cur, {})
 
     blocks: dict = {}
     rank_in_tot = rank_out_tot = dim_h_tot = 0
     reps_global: list[dict[int, Fraction]] = []
     rep_weights: list = []
     in_by_weight: dict = {}
-    if s >= 1:
-        for j, col in enumerate(cols_in):
-            if col:
-                in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
+    for j, col in enumerate(cols_in):
+        if col:
+            in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
     for w in sorted(basis_cur.by_weight, key=lambda x: (x is None, x)):
         idx = basis_cur.by_weight[w]
-        nloc = len(idx)
         cols_w = in_by_weight.get(w, [])
         for col in cols_w:
             dd: dict = {}
@@ -253,23 +251,22 @@ def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
                 raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
         local = {g: i for i, g in enumerate(idx)}
         kernel = nullspace([cols_out[g] for g in idx])
-        rank_out = nloc - len(kernel)
+        rank_out = len(idx) - len(kernel)
         span = IntSpan()
         rank_in = sum(span.add({local[g]: v for g, v in col.items()}) for col in cols_w)
         kept = [(len(cols_w) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
-        reps_local = [vec for _, vec in kept]
-        dim_h = len(reps_local)
-        if dim_h != nloc - rank_out - rank_in:
+        dim_h = len(kept)
+        if dim_h != len(idx) - rank_out - rank_in:
             raise InvariantError("cohomology dimension bookkeeping failed")
         blocks[w] = WeightBlock(idx, span, [slot for slot, _ in kept])
         rank_in_tot += rank_in
         rank_out_tot += rank_out
         dim_h_tot += dim_h
-        for vec in reps_local:
+        for _, vec in kept:
             reps_global.append({idx[i]: v for i, v in vec.items()})
             rep_weights.append(w)
-    return CohomologySlice(s, k, dims, rank_in_tot, rank_out_tot, dim_h_tot,
-                           valid, reps_global, rep_weights, basis_cur, blocks, weights)
+    return CohomologySlice(s, k, (basis_prev.dim, basis_cur.dim), rank_in_tot, rank_out_tot,
+                           dim_h_tot, valid, reps_global, rep_weights, basis_cur, blocks, weights)
 
 
 def full_window(gm: GradedNilpotent, mod: GradedModule, s: int) -> list[int]:
@@ -282,15 +279,3 @@ def full_window(gm: GradedNilpotent, mod: GradedModule, s: int) -> list[int]:
     hi = degs[-1] + dual_max
     return list(range(lo, hi + 1))
 
-
-def euler_characteristic_check(gm: GradedNilpotent, mod: GradedModule, k: int) -> bool:
-    """sum_s (-1)^s dim C^s_k = sum_s (-1)^s dim H^s_k for complete finite M."""
-    if mod.truncation_bound is not None:
-        raise ValueError("Euler characteristic check needs a complete module")
-    chi_c = 0
-    chi_h = 0
-    for s in range(0, gm.dim + 1):
-        sl = _slice(gm, mod, s, k)
-        chi_c += (-1) ** s * sl.dim_cochains[1]
-        chi_h += (-1) ** s * sl.dim_h
-    return chi_c == chi_h

@@ -8,12 +8,17 @@ a subspace of the flag algebra takes its action from
 ``ZGradedLieAlgebra.restricted_ad``.  Weights are coroot-coordinate tuples;
 modules without a torus carry ``None`` weights and are only used where no
 decomposition is required.
+
+Each module checks once, when built, that its action and the g_- bracket
+add degrees, and weights where both sides carry one; ``cohom`` relies on
+it.  A violation raises ``InvariantError`` by an ``if``, so also under -O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import InvariantError
 from .linalg import IntSpan, Q, SparseMat, acc, apply, commutator
@@ -64,6 +69,13 @@ class GradedModule:
         for k, b in enumerate(basis):
             self.by_degree.setdefault(b.degree, []).append(k)
             self.by_degree_weight.setdefault(b.degree, {}).setdefault(b.weight, []).append(k)
+        # m -> [(a, a . m)] over the g_- elements a with a . m != 0, a ascending
+        self.acting: list[list[tuple[int, dict]]] = [[] for _ in basis]
+        for a, mat in enumerate(act):
+            for m, outs in mat.items():
+                if outs:
+                    self.acting[m].append((a, outs))
+        self.verify_additivity()
 
     @property
     def dim(self) -> int:
@@ -91,18 +103,18 @@ class GradedModule:
                             f"representation property fails on pair ({i},{j}), column {col}"
                         )
 
-    def verify_weight_additivity(self) -> None:
-        for k in range(self.gminus.dim):
-            wk = self.gminus.weights[k]
-            if wk is None:
-                return
-            for col, outs in self.act[k].items():
-                wc = self.basis[col].weight
-                for row in outs:
-                    wr = self.basis[row].weight
-                    expect = tuple(a + b for a, b in zip(wc, wk))
-                    if wr != expect:
-                        raise InvariantError("weight additivity violated")
+    def verify_additivity(self) -> None:
+        """Every action entry a . m -> m2 and g_- bracket entry [a, b] -> c adds
+        degrees, and weights where both summands carry one (module docstring)."""
+        gm = self.gminus
+        g = list(zip(gm.degrees, gm.weights))
+        mo = [(b.degree, b.weight) for b in self.basis]
+        sums = [(g[a], mo[m], mo[m2]) for a, mat in enumerate(self.act)
+                for m, outs in mat.items() for m2 in outs]
+        sums += [(g[a], g[b], g[c]) for (a, b), res in gm.bracket_table.items() for c in res]
+        for (dx, wx), (dy, wy), (dz, wz) in sums:
+            if dz != dx + dy or not (wx is None or wy is None or wz == tuple(map(add, wx, wy))):
+                raise InvariantError("an action or g_- bracket entry is not additive")
 
 
 class FlagCase:

@@ -6,6 +6,11 @@ make the actions exact and the degree/weight labels immediate.  The tests
 use them as the oracle for the prolongation solver and as complete
 coefficient modules for the cohomology checks; the ``nhsf`` package does
 not import them.
+
+``reference_slice`` is the cohomology slice computed the long way: it
+enumerates C^{s+1}_k as well and finds every target of d by a lookup in the
+enumerated basis, as ``cohom`` did before it keyed d's rows as they appear.
+The tests hold ``cohom.cohomology`` to it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nhsf import InvariantError
-from nhsf.linalg import IntSpan, Q, SparseMat, apply, nullspace
+from nhsf.cohom import CohomologySlice, WeightBlock, _reverse_bracket, cochain_basis, slice_valid
+from nhsf.linalg import IntSpan, Q, SparseMat, acc, apply, nullspace
 from nhsf.liealg import GradedNilpotent, abelian_nilpotent, heisenberg
 from nhsf.gmod import GradedModule, ModuleElt
 
@@ -285,3 +291,80 @@ def contact_dim_oracle(n_pairs: int, degree: int) -> int:
         rem = target - 2 * t_exp
         count += len(_monomials(2 * n_pairs, rem))
     return count
+
+
+# -- the cohomology slice with C^{s+1} enumerated ---------------------------
+
+
+def _reference_columns(gm, mod, src, dst):
+    """d: C^s_k -> C^{s+1}_k with rows at ``dst.pos``; a target outside dst is a KeyError."""
+    rev = _reverse_bracket(gm)
+    cols = []
+    for mono, m in src.elts:
+        col = {}
+        mono_set = set(mono)
+        for a in range(gm.dim):
+            if a in mono_set:
+                continue
+            outs = mod.act[a].get(m)
+            if not outs:
+                continue
+            sign = (-1) ** sum(1 for i in mono if i < a)
+            new_mono = tuple(sorted(mono + (a,)))
+            for m2, v in outs.items():
+                acc(col, dst.pos[(new_mono, m2)], sign * v)
+        for ci, c in enumerate(mono):
+            for a, b, coef in rev.get(c, ()):
+                rest = mono_set - {c}
+                if a in rest or b in rest:
+                    continue
+                new_mono = tuple(sorted(rest | {a, b}))
+                t = new_mono.index(a)
+                u = new_mono.index(b)
+                acc(col, dst.pos[(new_mono, m)], (-1) ** (t + u + ci) * coef)
+        cols.append(col)
+    return cols
+
+
+def reference_slice(gm, mod, s, k, weights=None) -> CohomologySlice:
+    """H^s_k with C^{s-1}_k, C^s_k and C^{s+1}_k all enumerated (same filter)."""
+    valid = slice_valid(gm, mod, s, k)
+    basis_cur = cochain_basis(gm, mod, s, k, weights)
+    if basis_cur.dim == 0:
+        return CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, [], [], basis_cur, {}, weights)
+    basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
+    basis_next = cochain_basis(gm, mod, s + 1, k, weights)
+    cols_in = _reference_columns(gm, mod, basis_prev, basis_cur) if s >= 1 else []
+    cols_out = _reference_columns(gm, mod, basis_cur, basis_next)
+    blocks = {}
+    rank_in_tot = rank_out_tot = dim_h_tot = 0
+    reps_global, rep_weights = [], []
+    in_by_weight = {}
+    for j, col in enumerate(cols_in):
+        if col:
+            in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
+    for w in sorted(basis_cur.by_weight, key=lambda x: (x is None, x)):
+        idx = basis_cur.by_weight[w]
+        cols_w = in_by_weight.get(w, [])
+        for col in cols_w:
+            dd = {}
+            for g, c in col.items():
+                for tgt, v in cols_out[g].items():
+                    acc(dd, tgt, c * v)
+            assert not dd, f"d o d != 0 at (s={s}, k={k})"
+        local = {g: i for i, g in enumerate(idx)}
+        kernel = nullspace([cols_out[g] for g in idx])
+        rank_out = len(idx) - len(kernel)
+        span = IntSpan()
+        rank_in = sum(span.add({local[g]: v for g, v in col.items()}) for col in cols_w)
+        kept = [(len(cols_w) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
+        assert len(kept) == len(idx) - rank_out - rank_in
+        blocks[w] = WeightBlock(idx, span, [slot for slot, _ in kept])
+        rank_in_tot += rank_in
+        rank_out_tot += rank_out
+        dim_h_tot += len(kept)
+        for _, vec in kept:
+            reps_global.append({idx[i]: v for i, v in vec.items()})
+            rep_weights.append(w)
+    return CohomologySlice(s, k, (basis_prev.dim, basis_cur.dim), rank_in_tot, rank_out_tot,
+                           dim_h_tot, valid, reps_global, rep_weights, basis_cur, blocks, weights)

@@ -6,12 +6,12 @@ from math import comb
 
 import pytest
 
-from nhsf.cohom import (cochain_basis, cohomology, differential_columns,
-                        euler_characteristic_check, full_window)
+from nhsf.cohom import cochain_basis, cohomology, differential_columns, full_window
+from nhsf.decomp import LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent, heisenberg
 from nhsf.linalg import rank
-from models import (contact_module, hamiltonian_module, poisson_module,
+from models import (contact_module, hamiltonian_module, poisson_module, reference_slice,
                          svect_module, vect_module)
 from nhsf.prolong import G0, der0, full_prolong, prolong_as_module
 
@@ -143,8 +143,15 @@ def test_differential_matrix_and_dd_zero():
     adj = fc.adjoint_module()
     for k in (0, 1, 2):
         c1, c2, c3 = (cochain_basis(fc.gminus, adj, s, k) for s in (1, 2, 3))
-        d1 = differential_columns(fc.gminus, adj, c1, c2)
-        d2 = differential_columns(fc.gminus, adj, c2, c3)
+        pos2 = dict(c2.pos)
+        d1 = differential_columns(fc.gminus, adj, c1, pos2)
+        assert pos2 == c2.pos  # d: C^1_k -> C^2_k lands on the enumerated basis
+        rows3 = {}
+        d2 = differential_columns(fc.gminus, adj, c2, rows3)
+        # rows are numbered in the order d first reaches them, all inside C^3_k
+        assert sorted(rows3.values()) == list(range(len(rows3)))
+        assert rows3.keys() <= c3.pos.keys()
+        assert max((max(col, default=-1) for col in d2), default=-1) == len(rows3) - 1
         # d o d = 0, exactly: d2 applied to every column of d1
         for col in d1:
             out = {}
@@ -152,6 +159,30 @@ def test_differential_matrix_and_dd_zero():
                 for t, v in d2[i].items():
                     out[t] = out.get(t, 0) + c * v
             assert all(v == 0 for v in out.values())
+
+
+EQUIVALENCE_CASES = [("G", 2, (1,)), ("C", 3, (1,)), ("B", 3, (2,)), ("F", 4, (1,)),
+                     ("A", 3, (1, 3)), ("E", 6, (2,))]
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES,
+                         ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
+def test_slices_match_the_enumerated_reference(case):
+    """Rows keyed as d reaches them give the slices of an enumerated C^{s+1}."""
+    fc = FlagCase(*case)
+    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
+    for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module()):
+        for s in (1, 2):
+            for weights in (None, flt):
+                for k in full_window(fc.gminus, mod, s):
+                    got, = cohomology(fc.gminus, mod, s, k, weights)
+                    want = reference_slice(fc.gminus, mod, s, k, weights)
+                    assert (got.rank_in, got.rank_out, got.dim_h, got.dim_cochains) == \
+                        (want.rank_in, want.rank_out, want.dim_h, want.dim_cochains)
+                    assert got.representatives == want.representatives
+                    assert got.rep_weights == want.rep_weights
+                    assert {w: b.rep_slots for w, b in got.blocks.items()} == \
+                        {w: b.rep_slots for w, b in want.blocks.items()}
 
 
 def test_gl_flatness():
@@ -215,6 +246,19 @@ def test_truncation_validity():
     # s=2 at degree k needs module complete on [k-2d, k-1] = [k-2, k-1]
     assert cohomology(gm, mod, 2, 4)[0].valid
     assert not cohomology(gm, mod, 2, 6)[0].valid
+
+
+def euler_characteristic_check(gm, mod, k) -> bool:
+    """sum_s (-1)^s dim C^s_k = sum_s (-1)^s dim H^s_k for complete finite M."""
+    if mod.truncation_bound is not None:
+        raise ValueError("Euler characteristic check needs a complete module")
+    chi_c = 0
+    chi_h = 0
+    for s in range(0, gm.dim + 1):
+        sl, = cohomology(gm, mod, s, k)
+        chi_c += (-1) ** s * sl.dim_cochains[1]
+        chi_h += (-1) ** s * sl.dim_h
+    return chi_c == chi_h
 
 
 def test_euler_characteristic():

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nhsf
 from nhsf import InvariantError
-from nhsf.gmod import FlagCase, abelian_negative, build_irreducible
-from nhsf.liealg import build_chevalley
+from nhsf.gmod import FlagCase, GradedModule, ModuleElt, abelian_negative, build_irreducible
+from nhsf.liealg import GradedNilpotent, build_chevalley
 from nhsf.rootsys import COROOT, Weight, build_root_system, weyl_dim
 
 
@@ -44,7 +50,7 @@ def test_adjoint_module_dims_g2():
     dims = {d: len(v) for d, v in adj.by_degree.items()}
     assert dims == {-3: 2, -2: 1, -1: 2, 0: 4, 1: 2, 2: 1, 3: 2}
     adj.verify_representation()
-    adj.verify_weight_additivity()
+    adj.verify_additivity()
 
 
 def test_adjoint_module_total_f4():
@@ -83,7 +89,7 @@ def test_coriemann_dims_equal_gminus_plus_z():
         cor = fc.coriemann_module()
         assert cor.dim == fc.gminus.dim + len(fc.levi.z)
         cor.verify_representation()
-        cor.verify_weight_additivity()
+        cor.verify_additivity()
 
 
 def test_coriemann_weights_mirror_positive_part():
@@ -103,3 +109,84 @@ def test_abelian_negative_packaging():
     nil, mod = abelian_negative(irr, True, alg)
     assert mod.dim == 22
     mod.verify_representation()
+
+
+# -- the additivity check a module runs when it is built -------------------
+
+
+def _g2_adjoint_pieces(weights=True):
+    """g_-, basis and a copy of the action of the G2 node-1 adjoint module."""
+    adj = FlagCase("G", 2, (1,)).adjoint_module()
+    basis = adj.basis if weights else [ModuleElt(b.label, b.degree, None) for b in adj.basis]
+    act = [{m: dict(outs) for m, outs in mat.items()} for mat in adj.act]
+    return adj.gminus, basis, act
+
+
+def _move_one_entry(basis, act, bad):
+    """Move the first entry a . m -> m2 with a target m3, bad(m2, m3), to m3."""
+    for mat in act:
+        for outs in mat.values():
+            for m2 in outs:
+                for m3, e in enumerate(basis):
+                    if m3 not in outs and bad(basis[m2], e):
+                        outs[m3] = outs.pop(m2)
+                        return
+    raise AssertionError("no entry to move")
+
+
+def tamper_weight():
+    """A module with one action entry moved to the right degree but the wrong weight."""
+    gm, basis, act = _g2_adjoint_pieces()
+    _move_one_entry(basis, act, lambda t, e: e.degree == t.degree and e.weight != t.weight)
+    return GradedModule(gm, basis, act, None)
+
+
+def tamper_degree():
+    """A module without weights with one action entry moved to the wrong degree."""
+    gm, basis, act = _g2_adjoint_pieces(weights=False)
+    _move_one_entry(basis, act, lambda t, e: e.degree != t.degree)
+    return GradedModule(gm, basis, act, None)
+
+
+def tamper_bracket():
+    """A module over a copy of g_- with one bracket entry moved to the wrong weight."""
+    gm, basis, act = _g2_adjoint_pieces()
+    table = {ab: dict(res) for ab, res in gm.bracket_table.items()}
+    res, c, c2 = next((res, c, c2) for res in table.values() for c in res
+                      for c2 in range(gm.dim)
+                      if gm.degrees[c2] == gm.degrees[c] and gm.weights[c2] != gm.weights[c])
+    res[c2] = res.pop(c)
+    bad = GradedNilpotent(gm.labels, gm.degrees, gm.weights, table)
+    return GradedModule(bad, basis, act, None)
+
+
+def test_untampered_pieces_pass_the_additivity_check():
+    for weights in (True, False):
+        gm, basis, act = _g2_adjoint_pieces(weights)
+        GradedModule(gm, basis, act, None).verify_additivity()
+
+
+@pytest.mark.parametrize("tamper", [tamper_weight, tamper_degree, tamper_bracket])
+def test_non_additive_module_is_rejected_when_built(tamper):
+    with pytest.raises(InvariantError, match="not additive"):
+        tamper()
+
+
+@pytest.mark.parametrize("tamper", ["tamper_weight", "tamper_degree", "tamper_bracket"])
+def test_non_additive_module_is_rejected_under_python_O(tamper):
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from test_gmod import " + tamper + "\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    " + tamper + "()\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if 'not additive' in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -11,7 +11,7 @@ def test_vect_dims():
     for d, cols in mod.by_degree.items():
         assert len(cols) == 3 * comb(d + 1 + 2, 2)
     mod.verify_representation()
-    mod.verify_weight_additivity()
+    mod.verify_additivity()
 
 
 def test_svect_dims():
@@ -28,7 +28,7 @@ def test_hamiltonian_dims():
     for d, cols in mod.by_degree.items():
         assert len(cols) == comb(d + 2 + 3, 3)
     mod.verify_representation()
-    mod.verify_weight_additivity()
+    mod.verify_additivity()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -38,7 +38,7 @@ def test_contact_dims_match_monomial_oracle(n):
     for d in range(-2, kmax + 1):
         assert len(mod.by_degree.get(d, [])) == contact_dim_oracle(n, d)
     mod.verify_representation()
-    mod.verify_weight_additivity()
+    mod.verify_additivity()
 
 
 def test_poisson_module():

@@ -8,10 +8,11 @@ filtered plus a complete run of one F4 grading takes 2-11 s, and
 
 from hypothesis import assume, given, settings, strategies as st
 
-from nhsf.cohom import cohomology, euler_characteristic_check, full_window
+from nhsf.cohom import cohomology, full_window
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
 from nhsf.gmod import FlagCase
 from nhsf.verify import MISMATCH, CaseSpec, _decomposed, _dims, run_case
+from test_cohom import euler_characteristic_check
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
          ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2)]

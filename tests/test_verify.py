@@ -102,6 +102,14 @@ def test_run_case_e7_node1_full_matches_both_routes():
     assert rec["checks"]["bwb"]["matches_direct"] is True
 
 
+@pytest.mark.parametrize("node", [2, 3, 4, 6])
+def test_run_case_e6_bwb_only_rows_full_match_both_routes(node):
+    """The E6 Table-1 rows the suite checks by BWB alone, by the direct route too."""
+    rec = run_case(CaseSpec("E", 6, (node,), budget="full"))
+    assert rec["status"] == MATCH
+    assert rec["checks"]["bwb"]["matches_direct"] is True
+
+
 def test_g2_structure_statement():
     out = run_g2_structure()
     assert out["status"] == MATCH
