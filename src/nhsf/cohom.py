@@ -6,12 +6,13 @@ its monomial's dual weight, computed once per monomial, plus its module
 element's.  The differential includes the Lie term f([v_i, v_j], ...), which
 vanishes in the abelian case and recovers the classical Spencer differential
 there.  Every slice is computed blockwise per weight (the Cartan action
-commutes with d), with an exact d o d = 0 check on each block.  By default
+commutes with d), with an exact d o d = 0 check on each block.  A block
+keeps dim H = dim C^s_mu - rank d_out - rank d_in, each rank a column count
+less a ``nullspace`` count, and, where H is nonzero, its d columns.  By default
 every weight block is built; a weight filter (``cohomology(...,
-weights=...)``, e.g. ``decomp.ExtremalWeights``) builds only the blocks it
-accepts.  A slice stores H once: its representatives in cochain
-coordinates, and per weight block the ``IntSpan`` that expresses a cocycle
-on them modulo coboundaries.
+weights=...)``) builds only the blocks it accepts, ``decomp.ExtremalWeights``
+the Levi-extremal ones, on which ``decomp`` reads each multiplicity as dim H
+of the subcomplex of n-invariants (Hochschild-Serre; see its docstring).
 
 Only C^{s-1}_k and C^s_k are enumerated: the rows of d: C^s -> C^{s+1} are
 its target cochains, numbered as d first reaches them.  None is lost.
@@ -33,7 +34,7 @@ from itertools import combinations
 from operator import add
 
 from . import InvariantError
-from .linalg import IntSpan, acc, nullspace
+from .linalg import acc, nullspace
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
 
@@ -164,11 +165,10 @@ def differential_columns(gm: GradedNilpotent, mod: GradedModule, src: CochainBas
 @dataclass
 class WeightBlock:
     idx: list[int]  # local -> global cochain index in C^s_k
-    # the coboundary columns, then the cocycle basis, as added by _slice;
-    # span.express(v).get(rep_slots[t], 0) is the coordinate of v on the
-    # block's t-th representative
-    span: IntSpan
-    rep_slots: list[int]
+    d_in: list[dict]  # nonzero columns of d into the block, local rows; [] if dim_h = 0
+    d_out: list[dict]  # d on the block's cochains, local order; [] if dim_h = 0
+    rank_in: int
+    dim_h: int
 
 
 @dataclass
@@ -180,8 +180,6 @@ class CohomologySlice:
     rank_out: int
     dim_h: int
     valid: bool
-    representatives: list[dict[int, Fraction]]  # global cochain coordinates
-    rep_weights: list[tuple | None]
     basis: CochainBasis | None = None
     blocks: dict = field(default_factory=dict)
     # the weight filter the slice was computed on; None: every weight block
@@ -206,7 +204,7 @@ def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
 
 def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
                k_range, weights=None) -> list[CohomologySlice]:
-    """Exact H^s_k slices with deterministic representatives.
+    """Exact H^s_k slices, blockwise per weight.
 
     Only C^{s-1}_k and C^s_k are enumerated (see the module docstring).
     ``weights`` is None (every weight block) or a predicate on weight
@@ -223,7 +221,7 @@ def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
     valid = slice_valid(gm, mod, s, k)
     basis_cur = cochain_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
-        return CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, [], [], basis_cur, {}, weights)
+        return CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, basis_cur, {}, weights)
     basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
     pos = dict(basis_cur.pos)
     cols_in = differential_columns(gm, mod, basis_prev, pos)
@@ -233,40 +231,36 @@ def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
 
     blocks: dict = {}
     rank_in_tot = rank_out_tot = dim_h_tot = 0
-    reps_global: list[dict[int, Fraction]] = []
-    rep_weights: list = []
     in_by_weight: dict = {}
     for j, col in enumerate(cols_in):
         if col:
             in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
     for w in sorted(basis_cur.by_weight, key=lambda x: (x is None, x)):
         idx = basis_cur.by_weight[w]
-        cols_w = in_by_weight.get(w, [])
-        for col in cols_w:
+        local = {g: i for i, g in enumerate(idx)}
+        d_in = [{local[g]: v for g, v in col.items()} for col in in_by_weight.get(w, [])]
+        d_out = [cols_out[g] for g in idx]
+        for col in d_in:
             dd: dict = {}
-            for g, c in col.items():
-                for tgt, v in cols_out[g].items():
+            for i, c in col.items():
+                for tgt, v in d_out[i].items():
                     acc(dd, tgt, c * v)
             if dd:
                 raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
-        local = {g: i for i, g in enumerate(idx)}
-        kernel = nullspace([cols_out[g] for g in idx])
-        rank_out = len(idx) - len(kernel)
-        span = IntSpan()
-        rank_in = sum(span.add({local[g]: v for g, v in col.items()}) for col in cols_w)
-        kept = [(len(cols_w) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
-        dim_h = len(kept)
-        if dim_h != len(idx) - rank_out - rank_in:
+        rank_out = len(idx) - len(nullspace(d_out))
+        rank_in = len(d_in) - len(nullspace(d_in))
+        # B <= Z: d o d = 0 makes rank_in <= dim ker d_out
+        dim_h = len(idx) - rank_out - rank_in
+        if dim_h < 0:
             raise InvariantError("cohomology dimension bookkeeping failed")
-        blocks[w] = WeightBlock(idx, span, [slot for slot, _ in kept])
+        if not dim_h:  # no multiplicity is read here; a complete slice keeps less
+            d_in = d_out = []
+        blocks[w] = WeightBlock(idx, d_in, d_out, rank_in, dim_h)
         rank_in_tot += rank_in
         rank_out_tot += rank_out
         dim_h_tot += dim_h
-        for _, vec in kept:
-            reps_global.append({idx[i]: v for i, v in vec.items()})
-            rep_weights.append(w)
     return CohomologySlice(s, k, (basis_prev.dim, basis_cur.dim), rank_in_tot, rank_out_tot,
-                           dim_h_tot, valid, reps_global, rep_weights, basis_cur, blocks, weights)
+                           dim_h_tot, valid, basis_cur, blocks, weights)
 
 
 def full_window(gm: GradedNilpotent, mod: GradedModule, s: int) -> list[int]:

@@ -1,28 +1,34 @@
 """Decomposition of cohomology slices into irreducible Levi constituents.
 
-The module's actors (the raising and lowering generators of the Levi, or of
-any reductive g_0 packaged the same way) act on cochains; ``decomp`` reduces
-their images modulo coboundaries through each weight block's ``IntSpan``, so
-they act on the representatives of H.  Extremal vectors are the joint kernel
-of the lowering (lowest-weight) or raising (highest-weight) actors on each
-extremal weight space; the Cartan part acts through the weights themselves.
+The module's actors (the raising and lowering generators of the Levi
+semisimple part l1, or of any reductive g_0 packaged the same way) act on
+C^s = Hom(Lambda^s g_-, M) commuting with d (``gmod`` checks why).  Each
+C^s_k is finite-dimensional, hence a semisimple l1-module (Weyl's theorem;
+Humphreys, Introduction to Lie Algebras, Sec. 6.3), so taking n-invariants
+of weight mu is exact: H^{n-}_mu = Z^{n-}_mu / B^{n-}_mu (Hochschild-Serre,
+Ann. Math. 57 (1953)), and its dimension is the multiplicity m(mu) of the
+irreducible with extremal weight mu (n- spanned by the lowering actors for
+Lowest, n+ by the raising ones for Highest).  Let F stack those actors on
+cochains (``actor_columns``; its rows are keyed (actor, mono, m) as they
+are reached, so no cochain of another weight is enumerated), d_out be d on
+C^s_mu and d_in the coboundary columns into it.  Then
 
-``ExtremalWeights`` names the Levi and the extremal kind of a decomposition.
-It is also the weight filter of ``cohom.cohomology`` that keeps the
-Levi-antidominant (Lowest) or -dominant (Highest) weights, where extremal
-vectors live, and their images under one lowering (raising) step, which the
-joint kernel reads.  ``decompose`` takes a slice computed on that filter or
-one with every weight block, and checks one identity on every block the
-slice built: dim H_lam = sum_mu m(mu) mult_{L(mu)}(lam), read at the
-extremal weight of lam's Levi Weyl orbit, with the multiplicities from
-Freudenthal's formula (``rootsys.dominant_multiplicities``).  H is a
-finite-dimensional Levi module, so its character is invariant under the
-Levi Weyl group and fixed by its values on the extremal weights: the
-identity holds exactly when the summands' characters add up to that of H.
-On a slice with every block it covers every weight, so it implies
-sum_mu m(mu) dim L(mu) = dim H.
+    m(mu) = dim ker[d_out ; F] - dim ker(F o d_in) + dim ker(d_in):
 
-One kind of extremal weight gives the other: w0 of the Levi maps the
+the first term is dim Z^{n-}_mu, and B^{n-}_mu = B_mu cap ker F is the
+image under d_in of ker(F o d_in), which contains ker(d_in).  All three are
+``linalg.nullspace`` counts.
+
+``ExtremalWeights`` names the Levi and the extremal kind; as the weight
+filter of ``cohom.cohomology`` it keeps the Levi-antidominant (Lowest) or
+-dominant (Highest) weights, the only ones m(mu) is read on.  ``decompose``
+takes a slice on that filter or one with every weight block, and checks one
+identity on every block built: dim H_lam = sum_mu m(mu) mult_{L(mu)}(lam),
+read at the extremal weight of lam's Levi Weyl orbit, with Freudenthal's
+multiplicities (``rootsys.dominant_multiplicities``).  H's character is
+Levi-Weyl invariant and fixed by its extremal weights, so the identity holds
+exactly when the summands' characters add up to H's; on a slice with every
+block it implies sum_mu m(mu) dim L(mu) = dim H.  w0 of the Levi maps the
 highest weight of L(mu) to its lowest (``ExtremalWeights.relabel``), so each
 H is decomposed once.
 """
@@ -31,13 +37,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from . import InvariantError
 from .linalg import acc, nullspace
-from .gmod import Actor, GradedModule
-from .cohom import CohomologySlice
+from .gmod import GradedModule
+from .cohom import CohomologySlice, WeightBlock
 from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, _weyl_product, convert_weight,
                       dominant_multiplicities)
 
@@ -62,26 +67,12 @@ class DecompositionError(InvariantError):
 @dataclass(frozen=True)
 class ExtremalWeights:
     """The Levi and extremal kind of a decomposition; as a weight filter, the
-    weights ``decompose`` reads.
-
-    A weight w is accepted when w or w - step is extremal for one actor step
-    (+alpha_j for Highest, -alpha_j for Lowest, j unselected): extremal means
-    Levi-dominant for Highest and Levi-antidominant for Lowest.
+    extremal weights: Levi-dominant for Highest, Levi-antidominant for Lowest.
     """
 
     rs: RootSystem
     unselected: tuple[int, ...]  # 1-based Levi nodes
     kind: str
-
-    @cached_property
-    def _steps(self) -> list[list[int]]:
-        """alpha_j at the Levi nodes, for each Levi node j."""
-        a = self.rs.cartan_matrix
-        return [[a[i - 1][j - 1] for i in self.unselected] for j in self.unselected]
-
-    @cached_property
-    def _floor(self) -> int:
-        return min((min(step) for step in self._steps), default=0)
 
     def _signed(self, w) -> list:
         """w at the Levi nodes, negated for Lowest: extremal iff all >= 0."""
@@ -89,18 +80,8 @@ class ExtremalWeights:
             return [w[j - 1] for j in self.unselected]
         return [-w[j - 1] for j in self.unselected]
 
-    def extremal(self, w) -> bool:
-        return min(self._signed(w), default=0) >= 0
-
     def __call__(self, w) -> bool:
-        v = self._signed(w)
-        low = min(v, default=0)
-        if low >= 0:
-            return True
-        # v >= alpha_j needs v_j >= 2 and every entry >= min_i a_ij
-        if max(v) < 2 or low < self._floor:
-            return False
-        return any(all(x >= t for x, t in zip(v, step)) for step in self._steps)
+        return min(self._signed(w), default=0) >= 0
 
     def to_extremal(self, w) -> tuple:
         """The extremal weight in w's orbit under the Levi Weyl group."""
@@ -138,101 +119,41 @@ class ExtremalWeights:
                 for sm in summands]
 
 
-def actor_matrix_on_reps(sl: CohomologySlice, mod: GradedModule, actor: Actor, rows):
-    """Matrix of one raise/lower actor on the representatives of a slice.
+def actor_columns(mod: GradedModule, actors: list[int], elts) -> list[dict]:
+    """F on the cochains ``elts``: one column per (mono, m), rows keyed (t, mono, m).
 
-    Returns {src_rep_index: {dst_rep_index: coeff}} over the representatives
-    listed in ``rows``; the action is computed on cochains and reduced modulo
-    coboundaries inside the target weight block.  A failure to reduce means
-    H is not acted on, i.e. a bug.
+    Actor t acts on e^mono (x) m as a derivation: on m by ``on_module``, on
+    each slot by xi . e^i = -sum_j (xi e_j)_i e^j (``mod.actor_duals[t]``).
     """
-    basis = sl.basis
-    gm = mod.gminus
-    out: dict[int, dict[int, Fraction]] = {}
-    first: dict = {}  # weight -> index of its block's first representative
-    for r, w in enumerate(sl.rep_weights):
-        first.setdefault(w, r)
-    for r in rows:
-        vec, w = sl.representatives[r], sl.rep_weights[r]
-        img: dict[int, Fraction] = {}
-        for g, c in vec.items():
-            mono, m = basis.elts[g]
-            for tgt, v in _act_on_cochain(gm, mod, basis, actor, mono, m).items():
-                acc(img, tgt, c * v)
-        if not img:
-            continue
-        wt = tuple(a + b for a, b in zip(w, actor.weight))
-        block = sl.blocks.get(wt)
-        if block is None:
-            raise DecompositionError(
-                f"actor {actor.name} maps H out of the computed weight blocks")
-        local_of = {g: i for i, g in enumerate(block.idx)}
-        if not local_of.keys() >= img.keys():
-            raise DecompositionError("actor image left the weight block")
-        coords = block.span.express({local_of[g]: v for g, v in img.items()})
-        if coords is None:
-            raise DecompositionError(
-                f"actor {actor.name} image is not a cocycle mod coboundaries")
-        col = {first[wt] + t: coords[slot]
-               for t, slot in enumerate(block.rep_slots) if slot in coords}
-        if col:
-            out[r] = col
-    return out
+    cols = []
+    for mono, m in elts:
+        col: dict = {}
+        for t in actors:
+            for m2, v in mod.actors[t].on_module.get(m, {}).items():
+                acc(col, (t, mono, m2), v)
+            dual = mod.actor_duals[t]
+            for p, i in enumerate(mono):
+                for j, c in dual.get(i, ()):
+                    if j != i and j in mono:
+                        continue
+                    new = tuple(sorted(mono[:p] + (j,) + mono[p + 1:]))
+                    acc(col, (t, new, m), (-1) ** (new.index(j) + p + 1) * c)
+        cols.append(col)
+    return cols
 
 
-def _act_on_cochain(gm, mod: GradedModule, basis, actor: Actor,
-                    mono: tuple[int, ...], m: int) -> dict[int, Fraction]:
-    """(xi . (e_I (x) m)) in cochain coordinates."""
-    out: dict[int, Fraction] = {}
-    iset = set(mono)
-    for m2, v in actor.on_module.get(m, {}).items():
-        tgt = basis.pos.get((mono, m2))
-        if tgt is None:
-            raise DecompositionError("module action escaped the cochain window")
-        acc(out, tgt, v)
-    pos_in = {i: t for t, i in enumerate(mono)}
-    for j in range(gm.dim):
-        col = actor.on_gminus.get(j, {})
-        if not col:
-            continue
+def _multiplicity(block: WeightBlock, basis, mod: GradedModule, actors: list[int]) -> int:
+    """m(mu) = dim ker[d_out ; F] - dim ker(F o d_in) + dim ker(d_in) (module docstring)."""
+    f = actor_columns(mod, actors, [basis.elts[g] for g in block.idx])
+    z = len(nullspace([{**d, **fi} for d, fi in zip(block.d_out, f)]))
+    f_in = []
+    for col in block.d_in:
+        img: dict = {}
         for i, c in col.items():
-            if i not in iset:
-                continue
-            if j != i and j in iset:
-                continue
-            new_mono = tuple(sorted((iset - {i}) | {j}))
-            sign = (-1) ** (new_mono.index(j) + pos_in[i])
-            tgt = basis.pos.get((new_mono, m))
-            if tgt is None:
-                raise DecompositionError("dual action escaped the cochain window")
-            acc(out, tgt, -sign * c)
-    return out
-
-
-def extremal_vectors(sl: CohomologySlice, mod: GradedModule, flt: ExtremalWeights):
-    """Basis of the joint kernel of lowering (Lowest) / raising (Highest) ops.
-
-    Returns a list of (weight, vector over representative indices).  Only
-    the extremal weights of ``flt`` are read: no other weight carries an
-    extremal vector.
-    """
-    want = "lower" if flt.kind == LOWEST else "raise"
-    ops = [a for a in mod.actors if a.kind == want]
-    bywt: dict = {}
-    for r, w in enumerate(sl.rep_weights):
-        if flt.extremal(w):
-            bywt.setdefault(w, []).append(r)
-    reps = [r for idx in bywt.values() for r in idx]
-    mats = [actor_matrix_on_reps(sl, mod, a, reps) for a in ops]
-    out = []
-    for w in sorted(bywt):
-        idx = bywt[w]
-        # column r stacks the images of rep r under every actor, keyed (actor, rep)
-        cols = [{(a, t): v for a, mat in enumerate(mats) for t, v in mat.get(r, {}).items()}
-                for r in idx]
-        for vec in nullspace(cols):
-            out.append((w, {idx[i]: v for i, v in vec.items()}))
-    return out
+            for key, v in f[i].items():
+                acc(img, key, c * v)
+        f_in.append(img)
+    return z - len(nullspace(f_in)) + len(block.d_in) - block.rank_in
 
 
 def decompose(slices: list[CohomologySlice], mod: GradedModule,
@@ -240,8 +161,11 @@ def decompose(slices: list[CohomologySlice], mod: GradedModule,
     """The Levi summands of each slice, named by their ``flt.kind`` extremal weight.
 
     A slice holds every weight block or was computed on ``flt``; either way
-    the local identity is checked on every block it built.
+    each multiplicity is read on an extremal block and the local identity
+    is checked on every block the slice built.
     """
+    want = "lower" if flt.kind == LOWEST else "raise"
+    actors = [t for t, a in enumerate(mod.actors) if a.kind == want]
     out: list[IrreducibleSummand] = []
     for sl in slices:
         if not sl.valid:
@@ -249,9 +173,14 @@ def decompose(slices: list[CohomologySlice], mod: GradedModule,
         if sl.weights not in (None, flt):
             raise InvariantError(f"slice (s={sl.s}, k={sl.k}) was not computed on the "
                                  f"{flt.kind} extremal weights")
-        if sl.dim_h == 0:
-            continue
-        counts = Counter(w for w, _vec in extremal_vectors(sl, mod, flt))
+        counts: Counter = Counter()
+        for w, block in sl.blocks.items():
+            if block.dim_h and flt(w):
+                m = _multiplicity(block, sl.basis, mod, actors)
+                if not 0 <= m <= block.dim_h:
+                    raise DecompositionError(f"multiplicity {m} at {w} is not in 0..dim H")
+                if m:
+                    counts[w] = m
         out += [flt.summand(w, sl.s, sl.k, counts[w]) for w in sorted(counts)]
         _check_local_identity(sl, flt, counts)
     return out
@@ -265,7 +194,7 @@ def _check_local_identity(sl: CohomologySlice, flt: ExtremalWeights, counts: Cou
     """
     chars = {mu: flt.character(mu) for mu in counts}
     for lam in sorted(set(sl.blocks).union(*chars.values())):
-        have = len(sl.blocks[lam].rep_slots) if lam in sl.blocks else 0
+        have = sl.blocks[lam].dim_h if lam in sl.blocks else 0
         ext = flt.to_extremal(lam)
         want = sum(m * chars[mu].get(ext, 0) for mu, m in counts.items())
         if have != want:

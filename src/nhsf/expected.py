@@ -62,6 +62,9 @@ ERRATA = {
     # tail (nodes 6-8): node 6 FW cells hold nodes 7/8 FW values, and the
     # nodes 7/8 FW cells hold their own CM values.
     ("E", 8, (1,), "h2_fw", (-1, -2, -4, -5, -6, -4, -2, -3)): (1, -2, -4, -5, -6, -4, -2, -3),
+    # e(8) node 3's H^1 cells repeat node 2's, and neither is Levi-antidominant there
+    ("E", 8, (3,), "h1", (0, 2, 2, 2, 2, 1, 0, 1)): (0, 0, 2, 2, 2, 1, 0, 1),
+    ("E", 8, (3,), "h1", (1, 2, 1, 0, 0, 0, 0, 0)): (0, 1, 2, 1, 0, 0, 0, 0),
     ("E", 8, (5,), "h2_fw", (-2, -3, -4, -4, -4, -4, -2, -2)): (-2, -3, -4, -4, -4, -4, -2, -3),
     ("E", 8, (6,), "h2_fw", (-2, -3, -4, -5, -6, -3, 0, -3)): (-2, -3, -4, -5, -6, -2, -1, -3),
     ("E", 8, (6,), "h2_fw", (-2, -3, -4, -5, -5, -4, -2, -1)): (-2, -3, -4, -5, -5, -2, -2, -3),

@@ -10,8 +10,16 @@ modules without a torus carry ``None`` weights and are only used where no
 decomposition is required.
 
 Each module checks once, when built, that its action and the g_- bracket
-add degrees, and weights where both sides carry one; ``cohom`` relies on
-it.  A violation raises ``InvariantError`` by an ``if``, so also under -O.
+add degrees, and weights where both sides carry one (``cohom`` relies on
+it), and that every actor xi (``on_gminus`` column j is xi e_j) is a
+derivation of the bracket, xi[a, b] = [xi a, b] + [a, xi b], compatible
+with the action, xi(a . m) = [xi, a] . m + a . (xi m).  Then xi commutes
+with d on every cochain (``decomp`` relies on it): let xi act on g_-^* by
+xi . e^i = -sum_j (xi e_j)_i e^j and on Lambda(g_-^*) (x) M as a
+derivation, and write d = d_L (x) 1 + sum_a e^a ^ rho(a).  [xi, d_L] is an
+odd derivation, zero on each e^c by the first identity; [xi, sum_a e^a ^
+rho(a)] = sum_a e^a ^ ([xi, rho(a)] - rho([xi, a])) is zero by the second.
+A violation raises ``InvariantError`` by an ``if``, so also under -O.
 """
 
 from __future__ import annotations
@@ -75,7 +83,17 @@ class GradedModule:
             for m, outs in mat.items():
                 if outs:
                     self.acting[m].append((a, outs))
+        # per actor xi: i -> [(j, (xi e_j)_i)] over the j with (xi e_j)_i != 0, j
+        # ascending; ``decomp`` acts on cochain slots through it
+        self.actor_duals: list[dict[int, list[tuple[int, int]]]] = []
+        for xi in self.actors:
+            dual: dict = {}
+            for j in sorted(xi.on_gminus):
+                for i, c in xi.on_gminus[j].items():
+                    dual.setdefault(i, []).append((j, c))
+            self.actor_duals.append(dual)
         self.verify_additivity()
+        self.verify_actors()
 
     @property
     def dim(self) -> int:
@@ -115,6 +133,42 @@ class GradedModule:
         for (dx, wx), (dy, wy), (dz, wz) in sums:
             if dz != dx + dy or not (wx is None or wy is None or wz == tuple(map(add, wx, wy))):
                 raise InvariantError("an action or g_- bracket entry is not additive")
+
+    def verify_actors(self) -> None:
+        """xi[a, b] = [xi a, b] + [a, xi b] and xi(a . m) = [xi, a] . m + a . (xi m) for
+        every actor xi, g_- elements a, b and module element m (module docstring); the
+        second is summed over nonzero entries, [xi, a] . m through ``actor_duals``."""
+        gm = self.gminus
+        for xi, dual in zip(self.actors, self.actor_duals):
+            ad, on_mod = xi.on_gminus, xi.on_module
+            for a in range(gm.dim):
+                for b in range(a + 1, gm.dim):
+                    res = apply(ad, gm.bracket(a, b))
+                    for i, c in ad.get(a, {}).items():
+                        for e, v in gm.bracket(i, b).items():
+                            acc(res, e, -c * v)
+                    for i, c in ad.get(b, {}).items():
+                        for e, v in gm.bracket(a, i).items():
+                            acc(res, e, -c * v)
+                    if res:
+                        raise InvariantError(
+                            f"actor {xi.name} is not a derivation of the g_- bracket")
+            for m in range(self.dim):
+                res = {}  # (a, e) -> e-th entry of xi(a . m) - [xi, a] . m - a . (xi m)
+                for i, outs in self.acting[m]:
+                    for m2, v in outs.items():
+                        for e, u in on_mod.get(m2, {}).items():
+                            acc(res, (i, e), v * u)
+                    for a, c in dual.get(i, ()):
+                        for e, v in outs.items():
+                            acc(res, (a, e), -c * v)
+                for m2, c in on_mod.get(m, {}).items():
+                    for a, outs in self.acting[m2]:
+                        for e, v in outs.items():
+                            acc(res, (a, e), -c * v)
+                if res:
+                    raise InvariantError(
+                        f"actor {xi.name} is not compatible with the module action")
 
 
 class FlagCase:

@@ -3,11 +3,15 @@
 run_case drives the full pipeline (build -> grade -> modules -> cohomology ->
 decompose -> cross-check) and compares the result with the embedded table
 transcriptions.  The adjoint H^2, the co-Riemann H^1 and the Riemann H^2 of
-the Premet split are each computed once, only on the weight blocks their
-decomposition reads (``decomp.ExtremalWeights``), and every degreewise
-dimension a record reports is sum mult * dim over the summands.  The
-co-Riemann H^1 is decomposed by highest weight; its lowest weights, which
-the tables print, are their images under w0 of the Levi.  On every
+the Premet split are each computed once, only on the Levi-extremal weight
+blocks, where ``decomp`` reads each multiplicity as dim H of the subcomplex
+of n-invariants (Hochschild-Serre); every degreewise dimension a record
+reports is sum mult * dim over the summands.  The co-Riemann H^1 is
+decomposed by highest weight; its lowest weights, which the tables print,
+are their images under w0 of the Levi, and a printed one that is not
+Levi-antidominant makes the comparison a Mismatch.  The Premet census reads
+dim H of the co-Riemann blocks at Levi-dominant weights, the blocks that
+decomposition builds, so it does not depend on the summands.  On every
 direct-route case the Weyl-word enumeration (BWB route, Kostant's theorem
 for the parabolic grading) and the direct route are computed independently
 and compared (``checks.bwb.matches_direct``); a disagreement makes the case
@@ -215,9 +219,7 @@ def premet_split_check(fc: FlagCase, d_adj: dict[int, int], d_cor: dict[int, int
     out = {"holds_degreewise": holds, "per_degree": {str(k): v for k, v in per_degree.items()},
            "rank2_boundary": fc.rank == 2}
     if tag == TAG_CONTACT or fc.alg.depth == 1:
-        def dominant(w):
-            return all(w[j - 1] >= 0 for j in fc.unselected)
-
+        dominant = ExtremalWeights(fc.rs, tuple(fc.unselected), HIGHEST)
         census: Counter = Counter()
         g1 = [i for i in range(fc.gminus.dim) if fc.gminus.degrees[i] == -1]
         duals = [tuple(-c for c in fc.gminus.weights[i]) for i in g1]
@@ -226,7 +228,9 @@ def premet_split_check(fc: FlagCase, d_adj: dict[int, int], d_cor: dict[int, int
                 w = tuple(a + b for a, b in zip(duals[i], duals[j]))
                 if dominant(w):
                     census[w] += 1
-        h1w = Counter(w for sl in cor_slices for w in sl.rep_weights if dominant(w))
+        h1w: Counter = Counter()
+        for sl in cor_slices:
+            h1w.update({w: b.dim_h for w, b in sl.blocks.items() if b.dim_h and dominant(w)})
         out["s2_census_applies"] = True
         out["s2_census_matches"] = census == h1w
     else:
@@ -288,7 +292,19 @@ def _compare_h2(fc: FlagCase, exp: CaseExpectation, computed: list[IrreducibleSu
                          for (cm, d), n in sorted(got.items())]}
 
 
+def h1_not_antidominant(rs: RootSystem, nodes, exp: CaseExpectation) -> list[tuple]:
+    """The printed H^1 lowest weights (FW) with a positive coroot coordinate at an
+    unselected node: none of them can be a Levi lowest weight."""
+    unselected = [j for j in range(1, rs.rank + 1) if j not in nodes]
+    return [row.low_fw for row in exp.h1
+            if any(_cm_of_fw(rs, row.low_fw)[j - 1] > 0 for j in unselected)]
+
+
 def _compare_h1_table(fc: FlagCase, exp: CaseExpectation, low_fws: Counter) -> dict:
+    bad = h1_not_antidominant(fc.rs, fc.nodes, exp)
+    if bad:
+        return {"status": MISMATCH,
+                "note": f"expected H1 row not Levi-antidominant: {[list(fw) for fw in bad]}"}
     want = Counter()
     for row in exp.h1:
         want[tuple(row.low_fw)] += 1

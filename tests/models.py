@@ -9,19 +9,28 @@ not import them.
 
 ``reference_slice`` is the cohomology slice computed the long way: it
 enumerates C^{s+1}_k as well and finds every target of d by a lookup in the
-enumerated basis, as ``cohom`` did before it keyed d's rows as they appear.
-The tests hold ``cohom.cohomology`` to it.
+enumerated basis, as ``cohom`` did before it keyed d's rows as they appear,
+and it counts H by reducing a cocycle basis modulo coboundaries through an
+``IntSpan`` per block.  ``reference_decompose`` splits H into Levi summands
+the long way: it builds the one-step weight blocks as well, stores H as
+representatives and reduces the actors' images on them modulo coboundaries,
+as ``decomp`` did before it read multiplicities from kernel counts.  The
+tests hold ``cohom.cohomology`` and ``decomp.decompose`` to them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from nhsf import InvariantError
-from nhsf.cohom import CohomologySlice, WeightBlock, _reverse_bracket, cochain_basis, slice_valid
+from nhsf.cohom import (CochainBasis, CohomologySlice, WeightBlock, _reverse_bracket,
+                        cochain_basis, differential_columns, full_window, slice_valid)
+from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand
 from nhsf.linalg import IntSpan, Q, SparseMat, acc, apply, nullspace
 from nhsf.liealg import GradedNilpotent, abelian_nilpotent, heisenberg
-from nhsf.gmod import GradedModule, ModuleElt
+from nhsf.gmod import Actor, GradedModule, ModuleElt
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -328,15 +337,34 @@ def _reference_columns(gm, mod, src, dst):
 
 def reference_slice(gm, mod, s, k, weights=None) -> CohomologySlice:
     """H^s_k with C^{s-1}_k, C^s_k and C^{s+1}_k all enumerated (same filter)."""
-    valid = slice_valid(gm, mod, s, k)
     basis_cur = cochain_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
-        return CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, [], [], basis_cur, {}, weights)
+        return CohomologySlice(s, k, (0, 0), 0, 0, 0, slice_valid(gm, mod, s, k), basis_cur,
+                               {}, weights)
     basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
     basis_next = cochain_basis(gm, mod, s + 1, k, weights)
     cols_in = _reference_columns(gm, mod, basis_prev, basis_cur) if s >= 1 else []
     cols_out = _reference_columns(gm, mod, basis_cur, basis_next)
-    blocks = {}
+    return _by_representatives(gm, mod, s, k, weights, basis_prev, basis_cur, cols_in,
+                               cols_out)[0]
+
+
+@dataclass
+class Representatives:
+    """H of a slice stored once: representatives in cochain coordinates, and per
+    weight block (idx, the IntSpan of its coboundary columns then its cocycle
+    basis, the span slot of each representative)."""
+
+    basis: CochainBasis
+    vectors: list[dict]
+    weights: list
+    blocks: dict
+
+
+def _by_representatives(gm, mod, s, k, weights, basis_prev, basis_cur, cols_in, cols_out):
+    """The slice and its representatives, each block reduced through one IntSpan."""
+    valid = slice_valid(gm, mod, s, k)
+    blocks, spans = {}, {}
     rank_in_tot = rank_out_tot = dim_h_tot = 0
     reps_global, rep_weights = [], []
     in_by_weight = {}
@@ -345,26 +373,140 @@ def reference_slice(gm, mod, s, k, weights=None) -> CohomologySlice:
             in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
     for w in sorted(basis_cur.by_weight, key=lambda x: (x is None, x)):
         idx = basis_cur.by_weight[w]
-        cols_w = in_by_weight.get(w, [])
-        for col in cols_w:
+        local = {g: i for i, g in enumerate(idx)}
+        d_in = [{local[g]: v for g, v in col.items()} for col in in_by_weight.get(w, [])]
+        d_out = [cols_out[g] for g in idx]
+        for col in d_in:
             dd = {}
-            for g, c in col.items():
-                for tgt, v in cols_out[g].items():
+            for i, c in col.items():
+                for tgt, v in d_out[i].items():
                     acc(dd, tgt, c * v)
             assert not dd, f"d o d != 0 at (s={s}, k={k})"
-        local = {g: i for i, g in enumerate(idx)}
-        kernel = nullspace([cols_out[g] for g in idx])
+        kernel = nullspace(d_out)
         rank_out = len(idx) - len(kernel)
         span = IntSpan()
-        rank_in = sum(span.add({local[g]: v for g, v in col.items()}) for col in cols_w)
-        kept = [(len(cols_w) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
+        rank_in = sum(span.add(col) for col in d_in)
+        kept = [(len(d_in) + j, vec) for j, vec in enumerate(kernel) if span.add(vec)]
         assert len(kept) == len(idx) - rank_out - rank_in
-        blocks[w] = WeightBlock(idx, span, [slot for slot, _ in kept])
+        blocks[w] = WeightBlock(idx, d_in, d_out, rank_in, len(kept))
+        spans[w] = (idx, span, [slot for slot, _ in kept])
         rank_in_tot += rank_in
         rank_out_tot += rank_out
         dim_h_tot += len(kept)
         for _, vec in kept:
             reps_global.append({idx[i]: v for i, v in vec.items()})
             rep_weights.append(w)
-    return CohomologySlice(s, k, (basis_prev.dim, basis_cur.dim), rank_in_tot, rank_out_tot,
-                           dim_h_tot, valid, reps_global, rep_weights, basis_cur, blocks, weights)
+    sl = CohomologySlice(s, k, (basis_prev.dim, basis_cur.dim), rank_in_tot, rank_out_tot,
+                         dim_h_tot, valid, basis_cur, blocks, weights)
+    return sl, Representatives(basis_cur, reps_global, rep_weights, spans)
+
+
+# -- the decomposition by representatives on one-step weight blocks ---------
+
+
+@dataclass(frozen=True)
+class OneStepWeights:
+    """The extremal weights of ``flt`` and their images under one actor step
+    (+alpha_j for Highest, -alpha_j for Lowest, j unselected)."""
+
+    flt: ExtremalWeights
+
+    def __call__(self, w) -> bool:
+        if self.flt(w):
+            return True
+        a = self.flt.rs.cartan_matrix
+        sign = 1 if self.flt.kind == HIGHEST else -1
+        return any(self.flt(tuple(x - sign * a[i][j - 1] for i, x in enumerate(w)))
+                   for j in self.flt.unselected)
+
+
+def reference_decompose(mod: GradedModule, s: int, flt: ExtremalWeights,
+                        ks=None) -> list[IrreducibleSummand]:
+    """The summands of H^s the long way: the actors act on representatives.
+
+    Each slice is built on the one-step blocks, H is stored as
+    representatives, an actor image is reduced modulo coboundaries in the
+    target block, and the extremal vectors are the joint kernel of the
+    lowering (Lowest) or raising (Highest) actors on the extremal weights.
+    """
+    gm = mod.gminus
+    weights = OneStepWeights(flt)
+    out = []
+    for k in full_window(gm, mod, s) if ks is None else ks:
+        basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
+        basis_cur = cochain_basis(gm, mod, s, k, weights)
+        pos = dict(basis_cur.pos)
+        cols_in = differential_columns(gm, mod, basis_prev, pos)
+        cols_out = differential_columns(gm, mod, basis_cur, {})
+        sl, reps = _by_representatives(gm, mod, s, k, weights, basis_prev, basis_cur,
+                                       cols_in, cols_out)
+        if sl.dim_h:
+            counts = Counter(w for w, _vec in extremal_vectors(reps, mod, flt))
+            out += [flt.summand(w, s, k, counts[w]) for w in sorted(counts)]
+    return out
+
+
+def actor_matrix_on_reps(reps: Representatives, mod: GradedModule, actor: Actor, rows):
+    """{src rep: {dst rep: coeff}}: one actor on the representatives listed in
+    ``rows``, its images reduced modulo coboundaries in the target block."""
+    out = {}
+    first = {}  # weight -> index of its block's first representative
+    for r, w in enumerate(reps.weights):
+        first.setdefault(w, r)
+    for r in rows:
+        vec, w = reps.vectors[r], reps.weights[r]
+        img = {}
+        for g, c in vec.items():
+            mono, m = reps.basis.elts[g]
+            for tgt, v in _act_on_cochain(mod, reps.basis, actor, mono, m).items():
+                acc(img, tgt, c * v)
+        if not img:
+            continue
+        wt = tuple(a + b for a, b in zip(w, actor.weight))
+        idx, span, rep_slots = reps.blocks[wt]
+        local_of = {g: i for i, g in enumerate(idx)}
+        assert local_of.keys() >= img.keys(), "actor image left the weight block"
+        coords = span.express({local_of[g]: v for g, v in img.items()})
+        assert coords is not None, f"actor {actor.name} image is not a cocycle mod coboundaries"
+        col = {first[wt] + t: coords[slot] for t, slot in enumerate(rep_slots) if slot in coords}
+        if col:
+            out[r] = col
+    return out
+
+
+def _act_on_cochain(mod: GradedModule, basis, actor: Actor, mono, m) -> dict:
+    """(xi . (e_I (x) m)) in cochain coordinates."""
+    out = {}
+    iset = set(mono)
+    for m2, v in actor.on_module.get(m, {}).items():
+        acc(out, basis.pos[(mono, m2)], v)
+    pos_in = {i: t for t, i in enumerate(mono)}
+    for j in range(mod.gminus.dim):
+        for i, c in actor.on_gminus.get(j, {}).items():
+            if i not in iset or (j != i and j in iset):
+                continue
+            new_mono = tuple(sorted((iset - {i}) | {j}))
+            sign = (-1) ** (new_mono.index(j) + pos_in[i])
+            acc(out, basis.pos[(new_mono, m)], -sign * c)
+    return out
+
+
+def extremal_vectors(reps: Representatives, mod: GradedModule, flt: ExtremalWeights):
+    """(weight, vector over representative indices): a basis of the joint kernel of
+    the lowering (Lowest) or raising (Highest) actors on each extremal weight."""
+    want = "lower" if flt.kind == LOWEST else "raise"
+    ops = [a for a in mod.actors if a.kind == want]
+    bywt = {}
+    for r, w in enumerate(reps.weights):
+        if flt(w):
+            bywt.setdefault(w, []).append(r)
+    rows = [r for idx in bywt.values() for r in idx]
+    mats = [actor_matrix_on_reps(reps, mod, a, rows) for a in ops]
+    out = []
+    for w in sorted(bywt):
+        idx = bywt[w]
+        cols = [{(a, t): v for a, mat in enumerate(mats) for t, v in mat.get(r, {}).items()}
+                for r in idx]
+        for vec in nullspace(cols):
+            out.append((w, {idx[i]: v for i, v in vec.items()}))
+    return out

@@ -9,11 +9,14 @@ import pytest
 import nhsf
 import nhsf.decomp
 from nhsf import InvariantError
-from nhsf.cohom import cohomology, full_window
-from nhsf.decomp import (HIGHEST, LOWEST, ExtremalWeights, decompose, extremal_vectors,
+from nhsf.cohom import CochainBasis, cochain_basis, cohomology, differential_columns, full_window
+from nhsf.decomp import (HIGHEST, LOWEST, ExtremalWeights, actor_columns, decompose,
                          levi_irrep_dim)
-from nhsf.gmod import FlagCase
-from nhsf.rootsys import COROOT, SIMPLEROOT, Weight, build_root_system, convert_weight
+from nhsf.gmod import FlagCase, abelian_negative, build_irreducible
+from nhsf.liealg import build_chevalley
+from nhsf.linalg import acc
+from nhsf.rootsys import COROOT, Weight, build_root_system
+from models import reference_decompose
 
 
 def slices_of(fc, mod, s):
@@ -41,10 +44,8 @@ def test_g2_node1_h1_weights():
     cor = fc.coriemann_module()
     slices = slices_of(fc, cor, 1)
     lows = Counter()
-    for sl in slices:
-        for w, _ in extremal_vectors(sl, cor, extremal(fc, LOWEST)):
-            fw = convert_weight(Weight(w, COROOT), SIMPLEROOT, fc.rs)
-            lows[tuple(int(c) for c in fw.coords)] += 1
+    for sm in decompose(slices, cor, extremal(fc, LOWEST)):
+        lows[tuple(int(c) for c in sm.weight_fw)] += sm.multiplicity
     # the H1 column value and the always-present footnote component
     assert lows == Counter({(4, 2): 1, (2, 0): 1})
 
@@ -69,17 +70,19 @@ def test_cartan_acts_with_integer_eigenvalues():
     fc = FlagCase("G", 2, (2,))
     adj = fc.adjoint_module()
     for sl in slices_of(fc, adj, 2):
-        for w in sl.rep_weights:
-            assert all(isinstance(c, int) for c in w)
+        for w, block in sl.blocks.items():
+            if block.dim_h:
+                assert all(isinstance(c, int) for c in w)
 
 
 def test_one_dim_slice_extremal_kinds_coincide():
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
     sl = [s for s in slices_of(fc, adj, 2)][0]
-    lo = extremal_vectors(sl, adj, extremal(fc, LOWEST))
-    hi = extremal_vectors(sl, adj, extremal(fc, HIGHEST))
-    assert len(lo) == len(hi) == 1
+    lo, = decompose([sl], adj, extremal(fc, LOWEST))
+    hi, = decompose([sl], adj, extremal(fc, HIGHEST))
+    assert lo.multiplicity == hi.multiplicity == 1
+    assert extremal(fc, LOWEST).relabel([hi]) == [lo]
 
 
 def test_lowest_weights_nonpositive_at_unselected():
@@ -131,10 +134,11 @@ def test_filtered_slice_builds_only_the_read_blocks():
     part, = filtered_slices(fc, adj, 2, LOWEST)
     assert part.k == full.k and set(part.blocks) < set(full.blocks)
     flt = part.weights
-    # every antidominant block of the complete slice is built, with the same H
+    # only antidominant blocks are built, each of them with the same H
+    assert all(flt(w) for w in part.blocks)
     for w, block in full.blocks.items():
-        if flt.extremal(w):
-            assert len(part.blocks[w].rep_slots) == len(block.rep_slots)
+        if flt(w):
+            assert part.blocks[w].dim_h == block.dim_h
     assert decompose([part], adj, flt) == decompose([full], adj, flt)
 
 
@@ -195,3 +199,72 @@ def test_tampered_multiplicity_fails_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+# -- the kernel counts against the route by representatives ------------------
+
+REFERENCE_CASES = [("G", 2, (1,)), ("G", 2, (2,)), ("C", 3, (1,)), ("B", 3, (2,)),
+                   ("F", 4, (1,)), ("F", 4, (3,)), ("F", 4, (4,)), ("E", 6, (2,)),
+                   ("E", 6, (5,)), ("A", 3, (1, 3)), ("C", 2, (1, 2))]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES,
+                         ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
+def test_decompose_matches_the_reference(case):
+    """Adjoint H^2, co-Riemann H^1 and Riemann H^2, as ``verify`` splits them."""
+    fc = FlagCase(*case)
+    for mod, s, kind in ((fc.adjoint_module(), 2, LOWEST), (fc.coriemann_module(), 1, HIGHEST),
+                         (fc.riemann_module(), 2, LOWEST)):
+        flt = extremal(fc, kind)
+        got = decompose(filtered_slices(fc, mod, s, kind), mod, flt)
+        assert got and got == reference_decompose(mod, s, flt)
+
+
+def test_g2_structure_decomposition_matches_the_reference():
+    """The Sec. 7.1 module: abelian g_- = L(1, 0) of G(2), all of g as actors."""
+    alg = build_chevalley("G", 2)
+    irr = build_irreducible(alg.rs, Weight((1, 0), COROOT))
+    flt = ExtremalWeights(alg.rs, (1, 2), HIGHEST)
+    for include_center in (False, True):
+        nil, mod = abelian_negative(irr, include_center, alg)
+        got = decompose([sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h], mod, flt)
+        assert got and got == reference_decompose(mod, 2, flt, [1, 2])
+
+
+def _d(gm, mod, elts):
+    """d on the cochains ``elts``: one column per cochain, rows keyed (mono, m)."""
+    rows = {}
+    cols = differential_columns(gm, mod, CochainBasis(list(elts), [None] * len(elts)), rows)
+    keys = list(rows)
+    return [{keys[r]: v for r, v in col.items()} for col in cols]
+
+
+@pytest.mark.parametrize("case", [("G", 2, (1,)), ("C", 3, (1,)), ("B", 3, (2,))],
+                         ids=lambda c: f"{c[0]}{c[1]}-{c[2][0]}")
+def test_actors_commute_with_d(case):
+    """F o d = d o F on all of C^1 and C^2, every actor, three modules."""
+    fc = FlagCase(*case)
+    gm = fc.gminus
+    for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module()):
+        actors = list(range(len(mod.actors)))
+        nonzero = 0
+        for s in (1, 2):
+            for k in full_window(gm, mod, s):
+                elts = cochain_basis(gm, mod, s, k).elts
+                d_cols = _d(gm, mod, elts)
+                f_cols = actor_columns(mod, actors, elts)
+                targets = sorted({c for col in d_cols for c in col})
+                f_of = dict(zip(targets, actor_columns(mod, actors, targets)))
+                images = sorted({key[1:] for col in f_cols for key in col})
+                d_of = dict(zip(images, _d(gm, mod, images)))
+                for d_col, f_col in zip(d_cols, f_cols):
+                    fd, df = {}, {}
+                    for c, v in d_col.items():
+                        for key, u in f_of[c].items():
+                            acc(fd, key, v * u)
+                    for (t, *c), v in f_col.items():
+                        for c2, u in d_of[tuple(c)].items():
+                            acc(df, (t,) + c2, v * u)
+                    assert fd == df
+                    nonzero += bool(fd)
+        assert nonzero

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -188,5 +189,70 @@ def test_non_additive_module_is_rejected_under_python_O(tamper):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+# -- the actor check a module runs when it is built -------------------------
+
+
+def _tamper_actor(field):
+    """The G2 node-1 adjoint module with one entry of its first actor's ``field`` doubled."""
+    adj = FlagCase("G", 2, (1,)).adjoint_module()
+    xi = adj.actors[0]
+    mat = {col: dict(img) for col, img in getattr(xi, field).items()}
+    col = min(mat)
+    row = min(mat[col])
+    mat[col][row] *= 2
+    return GradedModule(adj.gminus, adj.basis, adj.act, None,
+                        [replace(xi, **{field: mat})] + adj.actors[1:])
+
+
+def tamper_derivation():
+    """x2 changed on g_- only: no longer a derivation of the g_- bracket."""
+    return _tamper_actor("on_gminus")
+
+
+def tamper_compatibility():
+    """x2 changed on the module only: no longer compatible with the action."""
+    return _tamper_actor("on_module")
+
+
+ACTOR_TAMPERS = {"tamper_derivation": "not a derivation of the g_- bracket",
+                 "tamper_compatibility": "not compatible with the module action"}
+
+
+def test_every_flag_module_passes_the_actor_check():
+    for t, n, nodes in [("G", 2, (1,)), ("C", 3, (1, 3)), ("F", 4, (3,))]:
+        fc = _case(t, n, nodes)
+        for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module(),
+                    fc.trivial_module()):
+            assert mod.actors
+            mod.verify_actors()
+
+
+@pytest.mark.parametrize("tamper", sorted(ACTOR_TAMPERS))
+def test_tampered_actor_is_rejected_when_built(tamper):
+    with pytest.raises(InvariantError, match=ACTOR_TAMPERS[tamper]):
+        globals()[tamper]()
+
+
+@pytest.mark.parametrize("tamper", sorted(ACTOR_TAMPERS))
+def test_tampered_actor_is_rejected_under_python_O(tamper):
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from test_gmod import " + tamper + "\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    " + tamper + "()\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if sys.argv[2] in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent),
+                          ACTOR_TAMPERS[tamper]],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

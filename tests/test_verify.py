@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import nhsf
+import nhsf.expected
 import nhsf.verify
 from nhsf.gmod import FlagCase
 from nhsf.rootsys import COROOT, Weight, build_root_system
@@ -166,3 +167,47 @@ def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
     assert rec["status"] == MATCH and rec["checks"]["comparison"]["h1"]["status"] == MATCH
     assert len(built) == 1
     assert [s for mod, s in calls if mod is built[0]] == [1]
+
+
+def _suite_h1_cases():
+    from nhsf.cli import _suite_table1, _suite_tables234
+
+    for name, spec in _suite_table1() + _suite_tables234():
+        exp = nhsf.verify.expectation_for(spec)
+        if exp is not None and exp.h1 is not None:
+            yield name, spec, exp
+
+
+def test_every_suite_h1_row_is_levi_antidominant():
+    """The transcription guard of ``_compare_h1_table`` passes on every suite case."""
+    cases = list(_suite_h1_cases())
+    assert sum(name.startswith("table1") for name, _, _ in cases) == 27
+    for name, spec, exp in cases:
+        rs = build_root_system(spec.type_letter, spec.rank)
+        assert nhsf.verify.h1_not_antidominant(rs, spec.nodes, exp) == [], name
+
+
+def test_h1_guard_flags_the_printed_e8_node3_cells(monkeypatch):
+    """Without its ERRATA keys, E8 node 3's printed H^1 cells fail the guard."""
+    rs = build_root_system("E", 8)
+    monkeypatch.setattr(nhsf.expected, "ERRATA", {k: v for k, v in nhsf.expected.ERRATA.items()
+                                                  if k[:4] != ("E", 8, (3,), "h1")})
+    exp = nhsf.verify.expectation_for(CaseSpec("E", 8, (3,)))
+    assert sorted(nhsf.verify.h1_not_antidominant(rs, (3,), exp)) == [
+        (0, 2, 2, 2, 2, 1, 0, 1), (1, 2, 1, 0, 0, 0, 0, 0)]
+
+
+def test_h1_guard_makes_a_mismatch_with_a_note(monkeypatch):
+    """A printed H^1 row that is not Levi-antidominant fails the comparison."""
+    real = nhsf.verify.expectation_for
+
+    def misprinted(spec):
+        exp = real(spec)
+        exp.h1 = [nhsf.expected.H1Row((1, 0), "misprint")]  # alpha_1, node 1 unselected
+        return exp
+
+    monkeypatch.setattr(nhsf.verify, "expectation_for", misprinted)
+    rec = run_case(CaseSpec("G", 2, (2,)))
+    h1 = rec["checks"]["comparison"]["h1"]
+    assert rec["status"] != MATCH and h1["status"] != MATCH
+    assert "not Levi-antidominant" in h1["note"]
