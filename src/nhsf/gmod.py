@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import add
 
 from . import InvariantError
-from .linalg import IntSpan, Q, SparseMat, acc, apply, commutator
+from .linalg import Q, SparseMat, acc, apply, commutator, nullspace, solve
 from .liealg import (
     Element,
     GradedNilpotent,
@@ -226,32 +226,26 @@ class FlagCase:
                   for i in pos_idx]
         pos_of = {amb: len(zbasis) + k for k, amb in enumerate(pos_idx)}
 
-        # Cartan splits as l1-Cartan (unselected coroots) + z; span both once.
-        unsel0 = [j - 1 for j in self.unselected]
-        cart = IntSpan()
-        for j in unsel0:
-            cart.add({j: 1})
-        for zel in zbasis:
-            cart.add(zel)
+        # Cartan splits as l1-Cartan (unselected coroots) + z: h_i -> its z part
+        unsel = [{j - 1: 1} for j in self.unselected]
+        sols = solve(unsel + zbasis, [{i: 1} for i in range(self.rank)])
+        if None in sols:
+            raise InvariantError("Cartan element outside l1-Cartan + z")
+        to_z: SparseMat = {i: {t - len(unsel): c for t, c in sol.items() if t >= len(unsel)}
+                           for i, sol in enumerate(sols)}
 
         def project(vec: Element) -> dict[int, Fraction]:
             """Image of an ambient element in the quotient basis."""
             out: dict[int, Fraction] = {}
-            cart_rhs: dict[int, Fraction] = {}
+            cart: dict[int, Fraction] = {}
             for amb, c in vec.items():
                 lab = alg.basis[amb]
                 if lab.kind == "h":
-                    acc(cart_rhs, lab.index, c)
+                    acc(cart, lab.index, c)
                 elif lab.degree > 0:
                     acc(out, pos_of[amb], c)
                 # negative-degree and degree-0 root vectors die in the quotient
-            if cart_rhs:
-                sol = cart.express(cart_rhs)
-                if sol is None:
-                    raise InvariantError("Cartan element outside l1-Cartan + z")
-                for slot, c in sol.items():
-                    if slot >= len(unsel0):
-                        acc(out, slot - len(unsel0), c)
+            out.update(sorted(apply(to_z, cart).items()))
             return out
 
         reps = zbasis + [{amb: 1} for amb in pos_idx]  # ambient lift of each basis vector
@@ -348,8 +342,9 @@ class IrreducibleModule:
                 pairs = sorted(cand[nu])
                 gram = [{c: g for c, (j2, b2) in enumerate(pairs)
                          if (g := self._form_ff(j, b, j2, b2))} for (j, b) in pairs]
-                span = IntSpan()
-                chosen = [r for r, row in enumerate(gram) if span.add(row)]
+                # the rows independent of the rows before them: the pivots of nullspace(gram)
+                free = {max(vec) for vec in nullspace(gram)}
+                chosen = [r for r in range(len(gram)) if r not in free]
                 if not chosen:
                     continue
                 ids = []
@@ -363,11 +358,9 @@ class IrreducibleModule:
                 self._grams[nu] = [on_chosen[r] for r in chosen]
                 # f-action: each candidate (j, b) expressed in the chosen basis,
                 # solving against the columns of the chosen Gram block
-                sub_cols = IntSpan()
-                for t in range(len(chosen)):
-                    sub_cols.add({u: row[t] for u, row in enumerate(self._grams[nu]) if t in row})
-                for r, (j, b) in enumerate(pairs):
-                    coords = sub_cols.express(on_chosen[r])
+                sub_cols = [{u: row[t] for u, row in enumerate(self._grams[nu]) if t in row}
+                            for t in range(len(chosen))]
+                for (j, b), coords in zip(pairs, solve(sub_cols, on_chosen)):
                     if coords is None:
                         raise InvariantError("candidate outside the chosen weight basis")
                     col = {ids[t]: c for t, c in coords.items()}

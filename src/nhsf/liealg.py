@@ -368,10 +368,6 @@ class LeviPieces:
     l1: list[int]
     z: list[Element]  # center of l, as Cartan combinations
 
-    @property
-    def dim_z(self) -> int:
-        return len(self.z)
-
 
 def levi_pieces(alg: ZGradedLieAlgebra) -> LeviPieces:
     if alg.grading is None:

@@ -1,26 +1,26 @@
-"""Exact linear algebra shared by the whole package: one sparse format, one integer kernel.
+"""Exact linear algebra shared by the whole package: one sparse format, one kernel.
 
 Every vector is sparse: a dict {index: coeff} with ``int`` or
 ``fractions.Fraction`` coefficients and its zeros absent (an explicit zero
 is read as absent).  A matrix is a sequence of such columns; its row keys
-may be any hashable.  ``rank``, ``nullspace``, ``IntSpan`` and ``solve``
-take these vectors as their callers hold them, and ``nullspace``,
-``IntSpan.express`` and ``solve`` return them, with ``Fraction`` values and
-keys in ascending order.  Module actions are ``SparseMat`` (column -> {row:
-coeff}); ``apply`` and ``commutator`` are their whole algebra.
+may be any hashable.  ``rank``, ``nullspace`` and ``solve`` take these
+vectors as their callers hold them, and ``nullspace`` and ``solve`` return
+them, with ``Fraction`` values and keys in ascending order.  Module actions
+are ``SparseMat`` (column -> {row: coeff}); ``apply`` and ``commutator`` are
+their whole algebra.
 
-The kernel is fraction-free forward elimination over the integers on sparse
-rows (``echelon_int``): each step replaces a row r by ``e[c] * r - r[c] * e``
-and divides the result by its content (Bareiss, Math. Comp. 22 (1968), with
-content division in place of the Bareiss quotient).  ``_scaled`` brings a
-vector to that form: it clears the denominators of its nonzero values and
-divides out their content.
+``nullspace`` is the one elimination: every solve, independence test and
+change of basis in the package is read off its canonical basis, the one
+given by the reduced row echelon form (RREF): a 1 at each free column, minus
+that column of the RREF at the pivot columns.  The pivots are the columns
+independent of the columns before them, and the free ones are the rest.
+``solve`` is one ``nullspace`` of the columns followed by the right-hand
+sides: the canonical vector of a right-hand side's column, negated and
+without its 1, is the solution whose dependent columns are 0.
 
-Pivots are the leftmost nonzero column, chosen on the first row that has
-one, so any two runs produce identical echelon forms.  ``nullspace`` returns
-the canonical basis read off the reduced row echelon form: a 1 at each free
-column, minus that column of the RREF at the pivot columns.  It transposes
-its columns once to sparse integer rows, computes that basis from their
+``nullspace`` transposes its columns once to sparse integer rows (``_scaled``
+clears the denominators of a row that holds a ``Fraction``; scaling a row
+changes neither the kernel nor the RREF), computes the basis from their
 sparse RREF mod the prime P = 2^61 - 1, lifts each entry to a fraction n/d
 with |n|, d < 2^30 (Wang's rational reconstruction) and certifies the lift
 exactly: every lifted vector, denominators cleared, must satisfy M u = 0
@@ -30,13 +30,18 @@ rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at the
 other free columns and support in {c <= f}, so every free column mod P is
 free over Q, the free sets agree, and u_f is the canonical vector of f, bit
 for bit.  If any entry fails to lift or any vector fails the certificate,
-the whole call falls back to ``echelon_int`` on the same rows.  ``rank``,
-``IntSpan`` and ``solve`` stay exact over Z throughout.
+the whole call falls back to ``echelon_int`` on the same rows.
+
+``echelon_int`` is fraction-free forward elimination over the integers on
+sparse rows, the fallback above and the whole of ``rank``: each step replaces
+a row r by ``e[c] * r - r[c] * e`` and divides the result by its content
+(Bareiss, Math. Comp. 22 (1968), with content division in place of the
+Bareiss quotient).  Pivots are the leftmost nonzero column, chosen on the
+first row that has one, so any two runs produce identical echelon forms.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -135,8 +140,11 @@ def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
     rows: dict = {}
     for j, col in enumerate(cols):
         for t, v in col.items():
-            rows.setdefault(t, {})[j] = v
-    ints = [_scaled(r)[0] for r in rows.values()]
+            if v:
+                rows.setdefault(t, {})[j] = v
+    # scaling a row changes neither the kernel nor the RREF, so integer rows go as they are
+    ints = [_scaled(r)[0] if any(type(v) is Fraction for v in r.values()) else r
+            for r in rows.values()]
     basis = _modular_nullspace(ints, len(cols))
     return _exact_nullspace(ints, len(cols)) if basis is None else basis
 
@@ -270,67 +278,17 @@ def _modular_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int,
     return basis
 
 
-class IntSpan:
-    """Incremental integer span of sparse vectors with deterministic membership tests.
+def solve(cols: Sequence[dict], rhss: Sequence[dict]) -> list[dict[int, Fraction] | None]:
+    """For each rhs, the solution of sum_j x_j cols[j] = rhs with the dependent columns 0.
 
-    Vectors are keyed by nonnegative integers.  A stored row also says, at
-    negative keys, which combination of the independent added vectors it
-    is: slot k, at key -1 - k, belongs to the k-th independent one.
-    ``express`` carries the scale of the vector it reduces in the first free
-    slot.
+    One ``nullspace`` of [*cols, *rhss]: rhs i is column n + i, and its
+    canonical vector, negated and without its 1, is the solution.  The
+    answer is None when n + i is a pivot or its vector reads another rhs.
     """
-
-    def __init__(self):
-        self.rows: list[dict[int, int]] = []
-        self.pivots: list[int] = []
-        self._sources: list[tuple[int, Fraction]] = []  # (add index, scale) per slot
-        self._added = 0
-
-    def _reduce(self, r: dict[int, int]) -> dict[int, int]:
-        for e, p in zip(self.rows, self.pivots):
-            if p in r:
-                r = _eliminate(r, e, p)
-        return r
-
-    def add(self, vec: dict) -> bool:
-        """Add a vector; True when it is independent of the vectors added before."""
-        ints, scale = _scaled(vec)
-        ints[-1 - len(self._sources)] = 1
-        self._added += 1
-        r = self._reduce(ints)
-        piv = min((c for c in r if c >= 0), default=None)
-        if piv is None:
-            return False
-        self._sources.append((self._added - 1, scale))
-        ins = bisect_left(self.pivots, piv)
-        self.rows.insert(ins, r)
-        self.pivots.insert(ins, piv)
-        return True
-
-    def express(self, vec: dict) -> dict[int, Fraction] | None:
-        """Coordinates of vec over every vector added so far, or None outside the span.
-
-        Vectors that ``add`` found dependent get coordinate 0, so the answer
-        is unique whenever vec is in the span.
-        """
-        ints, scale = _scaled(vec)
-        free = -1 - len(self._sources)
-        ints[free] = 1
-        r = self._reduce(ints)
-        if any(c >= 0 for c in r):
-            return None
-        den = -r[free] * scale
-        return {i: r[-1 - k] * src_scale / den
-                for k, (i, src_scale) in enumerate(self._sources) if -1 - k in r}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def solve(cols: Sequence[dict], rhs: dict) -> dict[int, Fraction] | None:
-    """One solution of sum_j x_j cols[j] = rhs with the free variables 0, or None."""
-    span = IntSpan()
-    for col in cols:
-        span.add(col)
-    return span.express(rhs)
+    n = len(cols)
+    out: list[dict[int, Fraction] | None] = [None] * len(rhss)
+    for vec in nullspace([*cols, *rhss]):
+        f = max(vec)
+        if f >= n and all(k < n for k in vec if k != f):
+            out[f - n] = {k: -v for k, v in vec.items() if k != f}
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import InputError, InvariantError
-from .linalg import IntSpan, Q, SparseMat, acc, commutator, nullspace, solve
+from .linalg import Q, SparseMat, acc, commutator, nullspace, solve
 from .liealg import GradedNilpotent
 from .gmod import GradedModule, ModuleElt
 
@@ -188,22 +188,18 @@ def der0(gminus: GradedNilpotent) -> G0:
 
 def _matrix_bracket_table(n: int, act: list[SparseMat]):
     """Commutators of action matrices, expressed in the given basis."""
-    span = IntSpan()
 
     def flat(mat: SparseMat) -> dict:
         return {row * n + col: v for col, rowd in mat.items() for row, v in rowd.items()}
 
-    for mat in act:
-        span.add(flat(mat))
+    pairs = [(i, j) for i in range(len(act)) for j in range(i + 1, len(act))]
+    comms = [flat({col: commutator(act[i], act[j], col) for col in range(n)}) for i, j in pairs]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(len(act)):
-        for j in range(i + 1, len(act)):
-            comm = {col: commutator(act[i], act[j], col) for col in range(n)}
-            coords = span.express(flat(comm))
-            if coords is None:
-                raise InvariantError("derivation algebra not closed under commutator")
-            if coords:
-                table[(i, j)] = coords
+    for ij, coords in zip(pairs, solve([flat(mat) for mat in act], comms)):
+        if coords is None:
+            raise InvariantError("derivation algebra not closed under commutator")
+        if coords:
+            table[ij] = coords
     return table
 
 
@@ -337,7 +333,7 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
             if lvl != tgt:
                 raise InvariantError(f"bracket value at level {lvl}, expected {tgt}")
             rhs[coords_idx[(u, coord)]] = v
-    sol = solve(cols, rhs)
+    sol = solve(cols, [rhs])[0]
     if sol is None:
         raise InvariantError("bracket image is not in the prolong layer")
     return {(s, t): c for t, c in sol.items()}

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from . import InputError, InvariantError
-from .linalg import IntSpan, Q
+from .linalg import Q, solve
 
 COROOT = "coroot"
 SIMPLEROOT = "root"
@@ -148,10 +149,6 @@ class WeylWord:
 
     reflections: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.reflections)
-
 
 class RootSystem:
     def __init__(self, spec: CartanMatrixSpec):
@@ -175,13 +172,14 @@ class RootSystem:
             raise InvariantError(f"{spec.name}: maximal root fails to dominate")
 
     @cached_property
-    def cartan_columns(self) -> IntSpan:
-        """The span of the Cartan matrix's columns: ``convert_weight`` solves A x = w on it."""
-        a = self.cartan_matrix
-        span = IntSpan()
-        for j in range(self.rank):
-            span.add({i: a[i][j] for i in range(self.rank) if a[i][j]})
-        return span
+    def cartan_inverse(self) -> tuple[list[list[int]], int]:
+        """(B, q), integers with A^-1 = B / q: ``convert_weight`` solves A x = w by it."""
+        a, n = self.cartan_matrix, range(self.rank)
+        cols = solve([{i: a[i][j] for i in n if a[i][j]} for j in n], [{i: 1} for i in n])
+        if None in cols:
+            raise InvariantError(f"Cartan matrix of {self.spec.name} is singular")
+        q = lcm(*(v.denominator for col in cols for v in col.values()))
+        return [[int(cols[j].get(i, 0) * q) for j in n] for i in n], q
 
     # -- construction ---------------------------------------------------
 
@@ -294,10 +292,10 @@ def convert_weight(w: Weight, target: str, rs: RootSystem) -> Weight:
     if target == COROOT:
         coords = tuple(sum(Q(a[i][j]) * w.coords[j] for j in range(n)) for i in range(n))
         return Weight(coords, COROOT)
-    sol = rs.cartan_columns.express({i: c for i, c in enumerate(w.coords) if c})
-    if sol is None:
-        raise InvariantError(f"Cartan matrix of {rs.spec.name} is singular")
-    return Weight(tuple(sol.get(j, Q(0)) for j in range(n)), SIMPLEROOT)
+    b, q = rs.cartan_inverse
+    den = lcm(*(c.denominator for c in w.coords))
+    x = [c.numerator * (den // c.denominator) for c in w.coords]
+    return Weight(tuple(Q(sum(map(mul, row, x)), q * den) for row in b), SIMPLEROOT)
 
 
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:

@@ -16,10 +16,17 @@ the long way: it builds the one-step weight blocks as well, stores H as
 representatives and reduces the actors' images on them modulo coboundaries,
 as ``decomp`` did before it read multiplicities from kernel counts.  The
 tests hold ``cohom.cohomology`` and ``decomp.decompose`` to them.
+
+``IntSpan`` is an incremental fraction-free reducer: vectors are added one
+at a time and later ones are tested against, or expressed over, those before
+them.  The package solves every system by one ``linalg.nullspace`` instead,
+so the reducer lives here, where the references above use it and the tests
+of ``linalg.solve`` have a second solver to agree with.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +35,67 @@ from nhsf import InvariantError
 from nhsf.cohom import (CochainBasis, CohomologySlice, WeightBlock, _reverse_bracket,
                         cochain_basis, differential_columns, full_window, slice_valid)
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand
-from nhsf.linalg import IntSpan, Q, SparseMat, acc, apply, nullspace
+from nhsf.linalg import Q, SparseMat, _eliminate, _scaled, acc, apply, nullspace
 from nhsf.liealg import GradedNilpotent, abelian_nilpotent, heisenberg
 from nhsf.gmod import Actor, GradedModule, ModuleElt
+
+
+class IntSpan:
+    """Incremental integer span of sparse vectors with deterministic membership tests.
+
+    Vectors are keyed by nonnegative integers.  A stored row also says, at
+    negative keys, which combination of the independent added vectors it
+    is: slot k, at key -1 - k, belongs to the k-th independent one.
+    ``express`` carries the scale of the vector it reduces in the first free
+    slot.
+    """
+
+    def __init__(self):
+        self.rows: list[dict[int, int]] = []
+        self.pivots: list[int] = []
+        self._sources: list[tuple[int, Fraction]] = []  # (add index, scale) per slot
+        self._added = 0
+
+    def _reduce(self, r: dict[int, int]) -> dict[int, int]:
+        for e, p in zip(self.rows, self.pivots):
+            if p in r:
+                r = _eliminate(r, e, p)
+        return r
+
+    def add(self, vec: dict) -> bool:
+        """Add a vector; True when it is independent of the vectors added before."""
+        ints, scale = _scaled(vec)
+        ints[-1 - len(self._sources)] = 1
+        self._added += 1
+        r = self._reduce(ints)
+        piv = min((c for c in r if c >= 0), default=None)
+        if piv is None:
+            return False
+        self._sources.append((self._added - 1, scale))
+        ins = bisect_left(self.pivots, piv)
+        self.rows.insert(ins, r)
+        self.pivots.insert(ins, piv)
+        return True
+
+    def express(self, vec: dict) -> dict[int, Fraction] | None:
+        """Coordinates of vec over every vector added so far, or None outside the span.
+
+        Vectors that ``add`` found dependent get coordinate 0, so the answer
+        is unique whenever vec is in the span.
+        """
+        ints, scale = _scaled(vec)
+        free = -1 - len(self._sources)
+        ints[free] = 1
+        r = self._reduce(ints)
+        if any(c >= 0 for c in r):
+            return None
+        den = -r[free] * scale
+        return {i: r[-1 - k] * src_scale / den
+                for k, (i, src_scale) in enumerate(self._sources) if -1 - k in r}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:

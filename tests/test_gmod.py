@@ -93,6 +93,13 @@ def test_coriemann_dims_equal_gminus_plus_z():
         cor.verify_additivity()
 
 
+def test_cartan_outside_l1_cartan_plus_z_is_rejected():
+    fc = FlagCase("G", 2, (1,))
+    fc.levi = replace(fc.levi, z=[{1: 1}])  # h2, already the unselected coroot
+    with pytest.raises(InvariantError, match="outside l1-Cartan"):
+        fc.coriemann_module()
+
+
 def test_coriemann_weights_mirror_positive_part():
     fc = _case("G", 2, (1,))
     cor = fc.coriemann_module()

@@ -125,9 +125,9 @@ def test_dim_gminus_counts_roots_with_selected_coefficient():
 
 def test_levi_pieces_examples():
     lp = levi_pieces(graded_algebra("G", 2, (1,)))
-    assert (len(lp.l), len(lp.l1), lp.dim_z) == (4, 3, 1)
+    assert (len(lp.l), len(lp.l1), len(lp.z)) == (4, 3, 1)
     lp = levi_pieces(graded_algebra("A", 2, (1, 2)))
-    assert (len(lp.l), len(lp.l1), lp.dim_z) == (2, 0, 2)
+    assert (len(lp.l), len(lp.l1), len(lp.z)) == (2, 0, 2)
     lp = levi_pieces(graded_algebra("C", 3, (1,)))
     assert len(lp.l1) == 10  # sp(4)
 

@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import nhsf
 import nhsf.linalg as linalg
-from nhsf.linalg import IntSpan, _scaled, apply, commutator, nullspace, rank, solve
+from nhsf.linalg import _scaled, apply, commutator, nullspace, rank, solve
 from nhsf.verify import MATCH, CaseSpec, run_case
+
+from models import IntSpan
 
 
 def oracle_rref(rows, ncols):
@@ -176,8 +178,14 @@ def test_f4_node1_full_never_falls_back(monkeypatch):
 
 
 def test_solve_inconsistent():
-    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2}) is None
-    assert solve([{0: 1, 1: 1}, {0: 1, 1: -1}], {0: 2}) == {0: Q(1), 1: Q(1)}
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], [{0: 1, 1: 2}]) == [None]
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: -1}], [{0: 2}]) == [{0: Q(1), 1: Q(1)}]
+    cols = [{0: 1}, {0: 2}, {1: 1}]  # column 1 is dependent; key 2 is outside the span
+    rhss = [{2: 1},  # outside the span
+            {0: 3, 2: 5},  # 3 cols[0] + 5 rhss[0]: reads another rhs
+            {0: 4, 1: -1},  # in the span, after two that are not
+            {}]
+    assert solve(cols, rhss) == [None, None, {0: Q(4), 2: Q(-1)}, {}]
 
 
 def test_scaled():
@@ -243,21 +251,45 @@ def test_nullspace_frees_empty_columns(m, data):
     assert nullspace(cols) == canonical_kernel(padded, n)
 
 
+def oracle_solve(rows, ncols, rhs):
+    """The solution read off the RREF of [rows | rhs] with the free variables 0, or None."""
+    red, pivots = oracle_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    want = [Q(0)] * ncols
+    for r, p in zip(red, pivots):
+        want[p] = r[ncols]
+    return sparse(want)
+
+
 @given(matrices(min_rows=1), st.data())
 @settings(max_examples=80, deadline=None)
 def test_solve_matches_rref(m, data):
     rows, ncols = m
     rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    x = solve(columns(rows, ncols), sparse(rhs))
-    red, pivots = oracle_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    if ncols in pivots:
-        assert x is None
-        return
-    assert times(rows, dense(x, ncols)) == [Q(b) for b in rhs]
-    want = [Q(0)] * ncols  # free variables 0
-    for r, p in zip(red, pivots):
-        want[p] = r[ncols]
-    assert x == sparse(want)
+    [x] = solve(columns(rows, ncols), [sparse(rhs)])
+    assert x == oracle_solve(rows, ncols, rhs)
+    if x is not None:
+        assert times(rows, dense(x, ncols)) == [Q(b) for b in rhs]
+
+
+@given(matrices(min_rows=1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_solve_answers_each_rhs_alone(m, data):
+    """Several rhss in one call: drawn ones (often outside the span), one leaning on
+    an earlier rhs (None whenever that one is outside), then rhss in the span."""
+    rows, ncols = m
+    vectors = st.lists(entries, min_size=len(rows), max_size=len(rows))
+
+    def in_span():
+        return times(rows, data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+
+    rhss = data.draw(st.lists(vectors, min_size=1, max_size=3))
+    c = data.draw(st.fractions(min_value=1, max_value=6, max_denominator=6))
+    rhss.append([c * Q(b) + x for b, x in zip(data.draw(st.sampled_from(rhss)), in_span())])
+    rhss += [in_span() for _ in range(data.draw(st.integers(min_value=1, max_value=2)))]
+    got = solve(columns(rows, ncols), [sparse(b) for b in rhss])
+    assert got == [oracle_solve(rows, ncols, b) for b in rhss]
 
 
 @given(matrices())

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from nhsf import InvariantError
 from nhsf.gmod import FlagCase, build_irreducible, abelian_negative
 from nhsf.liealg import abelian_nilpotent, build_chevalley, heisenberg, graded_algebra
 from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL,
@@ -28,6 +29,14 @@ def co_pair(n):
     weights.append(None)
     act.append({i: {i: Q(1)} for i in range(n)})
     return nil, G0(labels, weights, act, _matrix_bracket_table(n, act))
+
+
+def test_matrix_bracket_table_of_gl2():
+    e12, e21, h = {1: {0: 1}}, {0: {1: 1}}, {0: {0: 1}, 1: {1: -1}}  # column -> {row: coeff}
+    assert _matrix_bracket_table(2, [e12, e21, h]) == {
+        (0, 1): {2: Q(1)}, (0, 2): {0: Q(-2)}, (1, 2): {1: Q(2)}}
+    with pytest.raises(InvariantError, match="not closed"):
+        _matrix_bracket_table(2, [e12, e21])
 
 
 def test_der0_abelian_is_gl():

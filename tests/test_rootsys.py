@@ -1,13 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collections import Counter
 
+import nhsf
+from nhsf import InvariantError
 from nhsf.gmod import build_irreducible
 from nhsf.rootsys import (COROOT, SIMPLEROOT, CartanMatrixSpec, InvalidCartanType,
-                          Weight, WeylWord, _weyl_product, build_root_system,
+                          RootSystem, Weight, WeylWord, _weyl_product, build_root_system,
                           convert_weight, dominant_multiplicities, dynkin_split,
                           enumerate_w_i, reflect, weyl_dim)
 
@@ -79,13 +85,62 @@ def test_convert_weight_zero():
     assert convert_weight(z, SIMPLEROOT, rs).coords == (0,) * 4
 
 
-@given(st.tuples(*[st.integers(-9, 9)] * 4))
+@given(st.tuples(*[st.integers(-9, 9)] * 8))
 @settings(max_examples=50, deadline=None)
 def test_convert_roundtrip_f4(coords):
-    rs = build_root_system("F", 4)
-    w = Weight(coords, COROOT)
-    back = convert_weight(convert_weight(w, SIMPLEROOT, rs), COROOT, rs)
-    assert back.coords == w.coords
+    """coroot -> root -> coroot is the identity on F4, and on E8 and G2 as well."""
+    for t, n in (("F", 4), ("E", 8), ("G", 2)):
+        rs = build_root_system(t, n)
+        w = Weight(coords[:n], COROOT)
+        back = convert_weight(convert_weight(w, SIMPLEROOT, rs), COROOT, rs)
+        assert back.coords == w.coords
+
+
+BUILT_TYPES = ([("A", n) for n in range(1, 9)] + [(t, n) for t in "BC" for n in range(2, 9)]
+               + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4),
+                                                    ("G", 2)])
+
+
+@pytest.mark.parametrize("t,n", BUILT_TYPES)
+def test_cartan_inverse_is_integral(t, n):
+    """A . B = q I for the integer inverse (B, q) that ``convert_weight`` reads."""
+    rs = build_root_system(t, n)
+    a = rs.cartan_matrix
+    b, q = rs.cartan_inverse
+    assert q > 0 and all(type(x) is int for row in b for x in row)
+    assert [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)] \
+        == [[q if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def singular_cartan():
+    """A2 with its Cartan matrix replaced by a singular one, converted to root coordinates."""
+    rs = RootSystem(CartanMatrixSpec("A", 2))
+    rs.cartan_matrix = [[2, -2], [-1, 1]]
+    return convert_weight(Weight((1, 0), COROOT), SIMPLEROOT, rs)
+
+
+def test_singular_cartan_matrix_is_rejected():
+    with pytest.raises(InvariantError, match="singular"):
+        singular_cartan()
+
+
+def test_singular_cartan_matrix_is_rejected_under_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from test_rootsys import singular_cartan\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    singular_cartan()\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if 'singular' in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_reflect_examples():
