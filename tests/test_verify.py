@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -31,6 +32,72 @@ def test_bwb_g2_and_e6_rows():
     e6 = build_root_system("E", 6)
     rows = bwb_adjoint(e6, (5,), 2)
     assert [tuple(int(c) for c in e["weight_cm"]) for e in rows] == [(0, 0, -1, 0, 3, -1)]
+
+
+# -- the BWB route, pinned ------------------------------------------------------
+
+# sha256 of bwb_h_i's rows (see ``bwb_sha256``) at every node, s = 0, 1, 2,
+# for lambda = the adjoint highest weight and lambda = 0.  Recorded from the
+# Fraction-coordinate weights that preceded the integer ones.
+BWB_SHA256 = {
+    "A1": "cccedd26872f830fcd3e2cf004f8789b54b41b0a53f9ff883fdbe5a3084d3881",
+    "A2": "a2b6073e084d62451d43183ad64090cf261b95dfff6a09e6c728b1985877a693",
+    "A3": "8c20f694d30553e3e456445dcdf6dd40f73b47b388293409010bf0883607485b",
+    "A4": "95f848de7b27e0dfdd6d4c89566b6a58e42db46c7fe09a4afa2b8cf4a05f99a1",
+    "A5": "ab368bc6e1828899d39d7984ba62e30aff69622ffea72441f55f3819fb08ed4c",
+    "A6": "a4d69fefa89716874cdee736a3e66210f2ea36ce20b04e512c87e17e9429fdce",
+    "A7": "cd8e940eeee4f0a10dfc91be8b22fe92e94c17d83ad2040beca1eda281ffdb4f",
+    "A8": "425e0bd7911ed9f9dc37a704bc8e5ecc0d65a71eb515e74a6d5d8ac6f343734c",
+    "B2": "47a477815bc8a5227cfcb60916821b78a3495bcf21a7464b0705a30abf2aa7d1",
+    "B3": "fcba23b551c3328fba862e3957b503f9f7fe81c5c6c0866fcd6fbbede9ef74ca",
+    "B4": "704606af0de960ac1169fe73e8088d62921b0212cd403dc89321fec11774b2b4",
+    "B5": "7933cdb7679d44a57e3a1e4e0d66b8b03d8150265eb572dabcd9d36a42052f4d",
+    "B6": "32a90d616080e1f7f11cefb875adb9e335af10f8ba13c41bf2e07d45e0e306a8",
+    "B7": "cb2de1411a3f696312e1d13e23476f8a50edabb622b258991fb31e2f374d4a51",
+    "B8": "0a4217eff0ea676acfb45015eeda439e2e6f663a9081d45c7cf11237a1a97646",
+    "C2": "5063b06aac671e246967ebd7b235cf8317f4ca80a4aa3381db1d0f7435f86179",
+    "C3": "e8ee07c8dc71540159260f56eee1ac5e955dc3b57755bad9e83d53f4bb9d104e",
+    "C4": "4aadd4602cdcf633f672a7430be820b930172271692701a45d3806939e2e02fe",
+    "C5": "aa3c6e474b01d1fbef53317373f572187c3c555b5986c2cd4d449e88872be72f",
+    "C6": "f413ac217afc8401005ddb11e64c8cda1756600137734ed765e990e0ddfb3e3c",
+    "C7": "f217d1039b5cbf5b411abd28b2754bf817b8cbe7b9863b57df2c50afb04dde6d",
+    "C8": "4ff12f040589f52303d7e39c3e73c147fd0e8126462c445459e556ddd50dc04e",
+    "D3": "3d93fffa8db7369c2a03c6227347a88a7e9a0c48f1d879b1b01f1804125ca0f8",
+    "D4": "ca329d87cd4a347b965d4642f649306e4769416ecc6a5f3d35f52a50826d614d",
+    "D5": "ea49aa6c2c737aac540b9a5d69b10acfed70e8690e00e7ca267e465ede4630a5",
+    "D6": "db18bb7fc0c2bf1b37163c5e0e52f37573c449489c2755f83b6fadeb91fde088",
+    "D7": "2f32a7732cbb9bd690ab49f9a000ad3c62d8f634ec48dd18dc3ba9af5577df74",
+    "D8": "fd4391aacd9eb32e6b11f36b18ffe1a7e19c762384a9261872d49b1edcae8eec",
+    "E6": "bb783449c601bac2e310876878cd2d5b1cbc92db73dc6adb3db1840121c84034",
+    "E7": "462890f83212bcce3af2c6f32f043f9c7a971751e69b68415b031a0d5990a1e8",
+    "E8": "96e33b520c833e806459e28425f17f867533aee4381b83981d9a979e26ef18c5",
+    "F4": "5f23f8ce0f43975398b89d59dd456217c49faeca71f44476e791dc7a6c9cfaaa",
+    "G2": "23ab4aca6812b6a5c32cdefc098be874b9608bee92b55b9b8167c1a5eb8ae37c",
+}
+
+
+def bwb_sha256(rs) -> str:
+    """sha256 over repr((node, s, lam, [(weight_cm, degree, word)])) of every row."""
+    h = hashlib.sha256()
+    zero = Weight((0,) * rs.rank, COROOT)
+    for node in range(1, rs.rank + 1):
+        for s in (0, 1, 2):
+            for lam, rows in (("adjoint", bwb_adjoint(rs, (node,), s)),
+                              ("trivial", bwb_h_i(rs, (node,), zero, s))):
+                rows = [(tuple(e["weight_cm"]), e["degree"], tuple(e["word"])) for e in rows]
+                h.update(repr((node, s, lam, rows)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(BWB_SHA256))
+def test_bwb_rows_are_pinned(name):
+    assert bwb_sha256(build_root_system(name[0], int(name[1:]))) == BWB_SHA256[name]
+
+
+def test_bwb_degree_is_none_off_the_root_lattice():
+    """(1, 0) of A2 is not in the root lattice, so no degree is reported."""
+    rows = bwb_h_i(build_root_system("A", 2), (1,), Weight((1, 0), COROOT), 1)
+    assert rows == [{"weight_cm": (3, -2), "degree": None, "word": [1]}]
 
 
 def test_ir_count_examples():
