@@ -144,7 +144,7 @@ def cmd_bwb(args) -> int:
     rows = bwb_adjoint(rs, _nodes(args), args.s)
     obj = {
         "case": {"type": rs.spec.name, "nodes": list(_nodes(args)), "s": args.s},
-        "weights": [{"weight_cm": [int(c) for c in e["weight_cm"]],
+        "weights": [{"weight_cm": list(e["weight_cm"]),
                      "degree": e["degree"]} for e in rows],
     }
     _emit(args, obj, lambda o: "\n".join(str(w["weight_cm"]) for w in o["weights"]))

@@ -43,8 +43,7 @@ from . import InvariantError
 from .linalg import acc, nullspace
 from .gmod import GradedModule
 from .cohom import CohomologySlice, WeightBlock
-from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, _weyl_product, convert_weight,
-                      dominant_multiplicities)
+from .rootsys import RootSystem, _weyl_product, dominant_multiplicities, to_root
 
 LOWEST = "Lowest"
 HIGHEST = "Highest"
@@ -106,9 +105,7 @@ class ExtremalWeights:
 
     def summand(self, w, s: int, degree: int, multiplicity: int) -> IrreducibleSummand:
         """The summand of this kind with extremal weight w (coroot coordinates)."""
-        fw = convert_weight(Weight(w, COROOT), SIMPLEROOT, self.rs).coords
-        return IrreducibleSummand(tuple(int(c) for c in w), fw, self.kind, s, degree,
-                                  multiplicity)
+        return IrreducibleSummand(w, to_root(self.rs, w), self.kind, s, degree, multiplicity)
 
     def relabel(self, summands: list[IrreducibleSummand]) -> list[IrreducibleSummand]:
         """The same summands, each named by its extremal weight of this kind.

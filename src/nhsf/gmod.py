@@ -40,7 +40,7 @@ from .liealg import (
     graded_algebra,
     levi_pieces,
 )
-from .rootsys import COROOT, RootSystem, Weight, weyl_dim
+from .rootsys import RootSystem, weyl_dim
 
 
 @dataclass
@@ -292,10 +292,13 @@ def _amb_label(alg: ZGradedLieAlgebra, i: int) -> str:
 # -- irreducible highest weight modules -----------------------------------
 
 
+DIM_BOUND = 1000  # the largest Weyl dimension IrreducibleModule builds
+
+
 class IrreducibleModule:
     """L(lambda) built by lowering with contravariant-form pruning."""
 
-    def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...], dim_bound: int = 1000):
+    def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...]):
         self.rs = rs
         self.hw = tuple(int(c) for c in hw_coroot)
         if any(c < 0 for c in self.hw):
@@ -304,9 +307,9 @@ class IrreducibleModule:
         if pred.denominator != 1:
             raise InvariantError("Weyl dimension is not an integer")
         self.predicted_dim = int(pred)
-        if self.predicted_dim > dim_bound:
+        if self.predicted_dim > DIM_BOUND:
             raise ValueError(
-                f"predicted dimension {self.predicted_dim} exceeds bound {dim_bound}")
+                f"predicted dimension {self.predicted_dim} exceeds bound {DIM_BOUND}")
         self.weights: list[tuple[int, ...]] = []
         self.e_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
         self.f_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
@@ -397,12 +400,6 @@ class IrreducibleModule:
                 raise InvariantError("contravariant form pairing across weights")
             total += v * gram[lb].get(self._local[m], 0)
         return total
-
-
-def build_irreducible(rs: RootSystem, lam: Weight, dim_bound: int = 1000) -> IrreducibleModule:
-    if lam.basis_tag != COROOT:
-        raise ValueError("highest weight must be in coroot coordinates")
-    return IrreducibleModule(rs, lam.ints(), dim_bound)
 
 
 def abelian_negative(irr: IrreducibleModule, include_center: bool,

@@ -9,9 +9,13 @@ Numbering follows the classical (Onishchik-Vinberg style) vertex order:
 * F4: chain 1-2-3-4 with nodes 1,2 short; G2: node 1 short.
 
 The Cartan matrix convention is a[i][j] = <alpha_j, alpha_i^vee>, so the
-coroot coordinates of alpha_j form the j-th column of A.  Weights are stored
-either in coroot coordinates ("coroot": pairings with simple coroots, the
-fundamental-weight coefficients) or in simple-root coordinates ("root").
+coroot coordinates of alpha_j form the j-th column of A.  A weight is a tuple
+of ints in coroot coordinates (pairings with the simple coroots, the
+fundamental-weight coefficients); a root is a tuple of ints in simple-root
+coordinates.  ``root_coroot_coords`` maps simple-root to coroot coordinates
+(x -> A x) and ``to_root`` maps back (w -> A^-1 w, in Fractions).  A Weyl
+word is a tuple of 0-based nodes (i1, i2, ...) for s_{i1} s_{i2} ..., applied
+right to left.
 
 Irreducible modules of a Levi subalgebra (the Cartan subalgebra plus the
 root vectors on a node set) are described by Weyl's dimension product
@@ -29,9 +33,6 @@ from operator import mul
 
 from . import InputError, InvariantError
 from .linalg import Q, solve
-
-COROOT = "coroot"
-SIMPLEROOT = "root"
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -127,29 +128,6 @@ def _symmetrizer(a: list[list[int]]) -> list[int]:
     return [x // g for x in vals]
 
 
-@dataclass(frozen=True)
-class Weight:
-    coords: tuple[Fraction, ...]
-    basis_tag: str  # COROOT | SIMPLEROOT
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Q(c) for c in self.coords))
-        if self.basis_tag not in (COROOT, SIMPLEROOT):
-            raise ValueError(f"unknown basis tag {self.basis_tag!r}")
-
-    def ints(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.coords):
-            raise ValueError(f"non-integral coordinates {self.coords}")
-        return tuple(int(c) for c in self.coords)
-
-
-@dataclass(frozen=True)
-class WeylWord:
-    """Reduced word s_{i1} o s_{i2} o ... (applied right to left)."""
-
-    reflections: tuple[int, ...]
-
-
 class RootSystem:
     def __init__(self, spec: CartanMatrixSpec):
         self.spec = spec
@@ -161,7 +139,6 @@ class RootSystem:
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._norm2: dict[tuple[int, ...], int] = {}  # filled by norm2, once per root
         self.maximal_root = self.positive_roots[-1]
-        self.rho = Weight((Q(1),) * self.rank, COROOT)
         n_expected = _POSITIVE_ROOT_COUNT[spec.type_letter](spec.rank)
         if len(self.positive_roots) != n_expected:
             raise InvariantError(
@@ -173,7 +150,7 @@ class RootSystem:
 
     @cached_property
     def cartan_inverse(self) -> tuple[list[list[int]], int]:
-        """(B, q), integers with A^-1 = B / q: ``convert_weight`` solves A x = w by it."""
+        """(B, q), integers with A^-1 = B / q: ``to_root`` solves A x = w by it."""
         a, n = self.cartan_matrix, range(self.rank)
         cols = solve([{i: a[i][j] for i in n if a[i][j]} for j in n], [{i: 1} for i in n])
         if None in cols:
@@ -243,31 +220,35 @@ class RootSystem:
         out[i] -= c
         return tuple(out)
 
-    def apply_word_to_root(self, word: WeylWord, beta) -> tuple[int, ...]:
+    def apply_word_to_root(self, word: tuple[int, ...], beta) -> tuple[int, ...]:
         out = tuple(beta)
-        for i in reversed(word.reflections):
+        for i in reversed(word):
             out = self.reflect_root(i, out)
         return out
 
-    def apply_word_to_weight(self, word: WeylWord, w: Weight) -> Weight:
-        out = w if w.basis_tag == COROOT else convert_weight(w, COROOT, self)
-        for i in reversed(word.reflections):
-            out = reflect(self, i, out)
-        return out
+    def apply_word_to_weight(self, word: tuple[int, ...], mu):
+        """(w mu, mu - w mu): the first in coroot, the second in simple-root coordinates.
 
-    def inversions_of_inverse(self, word: WeylWord) -> list[tuple[int, ...]]:
+        Each s_i subtracts mu_i alpha_i, whose coroot coordinates are column i of A.
+        """
+        a, n = self.cartan_matrix, range(self.rank)
+        out, diff = list(mu), [0] * self.rank
+        for i in reversed(word):
+            c = out[i]
+            diff[i] += c
+            for j in n:
+                out[j] -= c * a[j][i]
+        return tuple(out), tuple(diff)
+
+    def inversions_of_inverse(self, word: tuple[int, ...]) -> list[tuple[int, ...]]:
         """{beta > 0 : w^{-1}(beta) < 0}, the paper's R_W^- for w."""
-        inv = self.word_inverse(word)
+        inv = word[::-1]
         out = []
         for beta in self.positive_roots:
             img = self.apply_word_to_root(inv, beta)
             if all(c <= 0 for c in img):
                 out.append(beta)
         return out
-
-    @staticmethod
-    def word_inverse(word: WeylWord) -> WeylWord:
-        return WeylWord(tuple(reversed(word.reflections)))
 
 
 def _add(a, b):
@@ -283,32 +264,14 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     return RootSystem(CartanMatrixSpec(type_letter, rank))
 
 
-def convert_weight(w: Weight, target: str, rs: RootSystem) -> Weight:
-    """Change of basis via the Cartan matrix: coroot = A . simple-root."""
-    if target == w.basis_tag:
-        return w
-    a = rs.cartan_matrix
-    n = rs.rank
-    if target == COROOT:
-        coords = tuple(sum(Q(a[i][j]) * w.coords[j] for j in range(n)) for i in range(n))
-        return Weight(coords, COROOT)
+def to_root(rs: RootSystem, w) -> tuple[Fraction, ...]:
+    """The simple-root coordinates A^-1 w of a weight w in coroot coordinates."""
     b, q = rs.cartan_inverse
-    den = lcm(*(c.denominator for c in w.coords))
-    x = [c.numerator * (den // c.denominator) for c in w.coords]
-    return Weight(tuple(Q(sum(map(mul, row, x)), q * den) for row in b), SIMPLEROOT)
+    return tuple(Q(sum(map(mul, row, w)), q) for row in b)
 
 
-def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
-    """Simple reflection s_i on a weight in coroot coordinates (0-based i)."""
-    if w.basis_tag != COROOT:
-        raise ValueError("reflect expects coroot coordinates")
-    a = rs.cartan_matrix
-    wi = w.coords[i]
-    coords = tuple(w.coords[j] - wi * a[j][i] for j in range(rs.rank))
-    return Weight(coords, COROOT)
-
-
-def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int], length: int) -> list[WeylWord]:
+def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int],
+                  length: int) -> list[tuple[int, ...]]:
     """W(I)_length: reduced words w with w^{-1} positive on unselected simples.
 
     ``selected`` holds 1-based node indices.  Only lengths 0..2 are needed
@@ -326,10 +289,10 @@ def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int], length: i
         raise ValueError(f"selected nodes {sorted(selected)} out of range 1..{rs.rank}")
     unselected = [j for j in range(rs.rank) if j not in sel0]
     if length == 0:
-        return [WeylWord(())]
+        return [()]
 
-    def admissible(word: WeylWord) -> bool:
-        inv = RootSystem.word_inverse(word)
+    def admissible(word: tuple[int, ...]) -> bool:
+        inv = word[::-1]
         for j in unselected:
             img = tuple(1 if t == j else 0 for t in range(rs.rank))
             img = rs.apply_word_to_root(inv, img)
@@ -339,9 +302,9 @@ def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int], length: i
 
     a = rs.cartan_matrix
     if length == 1:
-        candidates = [WeylWord((i,)) for i in range(rs.rank)]
+        candidates = [(i,) for i in range(rs.rank)]
     else:
-        candidates = [WeylWord((i, j)) for i in range(rs.rank) for j in range(rs.rank)
+        candidates = [(i, j) for i in range(rs.rank) for j in range(rs.rank)
                       if i != j and (i < j or a[i][j] != 0)]
     return [w for w in candidates if admissible(w)]
 
@@ -444,8 +407,8 @@ def dominant_multiplicities(rs: RootSystem, hw, nodes) -> dict[tuple[int, ...], 
         raise ValueError(f"{tuple(hw)} is not dominant at nodes {[t + 1 for t in nodes]}")
     a = rs.cartan_matrix
     out = {}
-    for beta, m in _freudenthal(rs, tuple(int(hw[t]) for t in nodes), nodes).items():
-        out[tuple(int(hw[i]) - sum(a[i][t] * b for t, b in zip(nodes, beta))
+    for beta, m in _freudenthal(rs, tuple(hw[t] for t in nodes), nodes).items():
+        out[tuple(hw[i] - sum(a[i][t] * b for t, b in zip(nodes, beta))
                   for i in range(rs.rank))] = m
     return out
 

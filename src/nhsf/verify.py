@@ -23,14 +23,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ENGINE_VERSION, InputError, InvariantError
-from .linalg import Q
-from .rootsys import (COROOT, SIMPLEROOT, RootSystem, Weight, build_root_system,
-                      convert_weight, dynkin_split, enumerate_w_i)
+from .rootsys import RootSystem, build_root_system, dynkin_split, enumerate_w_i, to_root
 from .liealg import build_chevalley
-from .gmod import FlagCase, GradedModule, build_irreducible, abelian_negative
+from .gmod import FlagCase, GradedModule, IrreducibleModule, abelian_negative
 from .cohom import cohomology, full_window
 from .decomp import (HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand, decompose,
                      levi_irrep_dim)
@@ -66,43 +63,30 @@ class CaseSpec:
 # -- BWB ---------------------------------------------------------------------
 
 
-def _degree_functional(rs: RootSystem, nodes) -> list[int]:
-    return [1 if i + 1 in set(nodes) else 0 for i in range(rs.rank)]
-
-
-def _weight_degree(rs: RootSystem, nodes, w: Weight) -> Fraction:
-    root = convert_weight(w, SIMPLEROOT, rs)
-    f = _degree_functional(rs, nodes)
-    return sum(Q(fi) * c for fi, c in zip(f, root.coords))
-
-
-def bwb_h_i(rs: RootSystem, nodes, lam: Weight, i: int):
+def bwb_h_i(rs: RootSystem, nodes, lam: tuple[int, ...], i: int):
     """Lowest weights -w(lam+rho)+rho over W(I)_i, with internal degrees.
 
-    Degrees are reported when lam lies in the root lattice (adjoint, trivial);
-    they equal deg(rho - w rho) - deg(w lam).
+    lam is in coroot coordinates and rho = (1, ..., 1).  The degree of the
+    row of w is deg((lam+rho) - w(lam+rho)) - deg(lam) = deg(rho - w rho) -
+    deg(w lam), where deg sums the simple-root coordinates at ``nodes``; it
+    is reported when lam lies in the root lattice (adjoint, trivial) and is
+    None otherwise.
     """
-    if lam.basis_tag != COROOT:
-        raise ValueError("lam must be in coroot coordinates")
+    lam_deg = sum(to_root(rs, lam)[j - 1] for j in nodes)
+    lam_rho = tuple(c + 1 for c in lam)
     out = []
-    lam_rho = Weight(tuple(a + b for a, b in zip(lam.coords, rs.rho.coords)), COROOT)
     for w in enumerate_w_i(rs, set(nodes), i):
-        img = rs.apply_word_to_weight(w, lam_rho)
-        low = Weight(tuple(-c + r for c, r in zip(img.coords, rs.rho.coords)), COROOT)
-        wrho = rs.apply_word_to_weight(w, rs.rho)
-        rho_m_wrho = Weight(tuple(r - c for r, c in zip(rs.rho.coords, wrho.coords)), COROOT)
-        wlam = rs.apply_word_to_weight(w, lam)
-        deg = _weight_degree(rs, nodes, rho_m_wrho) - _weight_degree(rs, nodes, wlam)
-        deg_val = int(deg) if Q(deg).denominator == 1 else None
-        out.append({"weight_cm": low.ints(), "degree": deg_val,
-                    "word": [i + 1 for i in w.reflections]})
+        img, diff = rs.apply_word_to_weight(w, lam_rho)
+        deg = sum(diff[j - 1] for j in nodes) - lam_deg
+        out.append({"weight_cm": tuple(1 - c for c in img),
+                    "degree": int(deg) if deg.denominator == 1 else None,
+                    "word": [j + 1 for j in w]})
     out.sort(key=lambda e: (e["degree"] if e["degree"] is not None else 0, e["weight_cm"]))
     return out
 
 
 def bwb_adjoint(rs: RootSystem, nodes, i: int = 2):
-    lam = Weight(rs.root_coroot_coords(rs.maximal_root), COROOT)
-    return bwb_h_i(rs, nodes, lam, i)
+    return bwb_h_i(rs, nodes, rs.root_coroot_coords(rs.maximal_root), i)
 
 
 # -- counting and graph checks -------------------------------------------------
@@ -252,11 +236,6 @@ def expectation_for(spec: CaseSpec) -> CaseExpectation | None:
     return sec6_case(t, r, nodes)
 
 
-def _cm_of_fw(rs: RootSystem, fw) -> tuple[int, ...]:
-    w = convert_weight(Weight(tuple(fw), SIMPLEROOT), COROOT, rs)
-    return tuple(int(c) for c in w.coords)
-
-
 def _compare_h2(fc: FlagCase, exp: CaseExpectation, computed: list[IrreducibleSummand]) -> dict:
     got = Counter()
     for sm in computed:
@@ -270,10 +249,10 @@ def _compare_h2(fc: FlagCase, exp: CaseExpectation, computed: list[IrreducibleSu
     else:
         sel = fc.nodes[0]
         for row in exp.h2:
-            cm = row.cm if row.cm is not None else _cm_of_fw(fc.rs, row.fw)
+            cm = row.cm if row.cm is not None else fc.rs.root_coroot_coords(row.fw)
             if row.fw is not None:
                 deg = row.fw[sel - 1]
-                if row.cm is not None and _cm_of_fw(fc.rs, row.fw) != tuple(row.cm):
+                if row.cm is not None and fc.rs.root_coroot_coords(row.fw) != tuple(row.cm):
                     return {"status": MISMATCH,
                             "note": f"expected row inconsistent: A.fw != cm ({row.provenance})"}
             else:
@@ -297,7 +276,7 @@ def h1_not_antidominant(rs: RootSystem, nodes, exp: CaseExpectation) -> list[tup
     unselected node: none of them can be a Levi lowest weight."""
     unselected = [j for j in range(1, rs.rank + 1) if j not in nodes]
     return [row.low_fw for row in exp.h1
-            if any(_cm_of_fw(rs, row.low_fw)[j - 1] > 0 for j in unselected)]
+            if any(rs.root_coroot_coords(row.low_fw)[j - 1] > 0 for j in unselected)]
 
 
 def _compare_h1_table(fc: FlagCase, exp: CaseExpectation, low_fws: Counter) -> dict:
@@ -374,7 +353,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
         got: Counter = Counter()
         for sm in h2_summands:
             got[(sm.weight_cm, sm.degree)] += sm.multiplicity
-        frombwb = Counter((tuple(int(c) for c in e["weight_cm"]), e["degree"]) for e in bwb)
+        frombwb = Counter((e["weight_cm"], e["degree"]) for e in bwb)
         checks["bwb"]["matches_direct"] = got == frombwb
         if tag == TAG_EQUALS_S:
             checks["ir_count"]["direct_equals_summands"] = (
@@ -414,11 +393,11 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
             want = Counter()
             fw_consistent = True
             for row in exp.h2:
-                cm = row.cm if row.cm is not None else _cm_of_fw(rs, row.fw)
+                cm = row.cm if row.cm is not None else rs.root_coroot_coords(row.fw)
                 if row.cm is not None and row.fw is not None:
-                    fw_consistent = fw_consistent and _cm_of_fw(rs, row.fw) == tuple(row.cm)
+                    fw_consistent &= rs.root_coroot_coords(row.fw) == tuple(row.cm)
                 want[tuple(cm)] += 1
-            got = Counter(tuple(int(c) for c in e["weight_cm"]) for e in bwb)
+            got = Counter(e["weight_cm"] for e in bwb)
             comparison["h2_bwb_only"] = {
                 "status": MATCH if got == want else MISMATCH,
                 "fw_column_consistent": fw_consistent,
@@ -449,7 +428,7 @@ def run_g2_structure(variant: str = "auto") -> dict:
     """
     alg = build_chevalley("G", 2)
     rs = alg.rs
-    irr = build_irreducible(rs, Weight((1, 0), COROOT))
+    irr = IrreducibleModule(rs, (1, 0))
     out: dict = {"variants": {}}
     for name, include_center in (("g2", False), ("cg2", True)):
         if variant not in ("auto", name):

@@ -12,10 +12,10 @@ from nhsf import InvariantError
 from nhsf.cohom import CochainBasis, cochain_basis, cohomology, differential_columns, full_window
 from nhsf.decomp import (HIGHEST, LOWEST, ExtremalWeights, actor_columns, decompose,
                          levi_irrep_dim)
-from nhsf.gmod import FlagCase, abelian_negative, build_irreducible
+from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
 from nhsf.liealg import build_chevalley
 from nhsf.linalg import acc
-from nhsf.rootsys import COROOT, Weight, build_root_system
+from nhsf.rootsys import build_root_system
 from models import reference_decompose
 
 
@@ -223,7 +223,7 @@ def test_decompose_matches_the_reference(case):
 def test_g2_structure_decomposition_matches_the_reference():
     """The Sec. 7.1 module: abelian g_- = L(1, 0) of G(2), all of g as actors."""
     alg = build_chevalley("G", 2)
-    irr = build_irreducible(alg.rs, Weight((1, 0), COROOT))
+    irr = IrreducibleModule(alg.rs, (1, 0))
     flt = ExtremalWeights(alg.rs, (1, 2), HIGHEST)
     for include_center in (False, True):
         nil, mod = abelian_negative(irr, include_center, alg)

@@ -2,15 +2,17 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nhsf
+import nhsf.gmod
 from nhsf import InvariantError
-from nhsf.gmod import FlagCase, GradedModule, ModuleElt, abelian_negative, build_irreducible
+from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt, abelian_negative
 from nhsf.liealg import GradedNilpotent, build_chevalley
-from nhsf.rootsys import COROOT, Weight, build_root_system, weyl_dim
+from nhsf.rootsys import build_root_system, weyl_dim
 
 
 @pytest.mark.parametrize("t,n,hw,dim", [
@@ -21,22 +23,33 @@ from nhsf.rootsys import COROOT, Weight, build_root_system, weyl_dim
 def test_irreducible_dims_match_weyl_formula(t, n, hw, dim):
     rs = build_root_system(t, n)
     assert int(weyl_dim(rs, hw)) == dim  # independent oracle
-    mod = build_irreducible(rs, Weight(hw, COROOT))
+    mod = IrreducibleModule(rs, hw)
     assert mod.dim == dim
 
 
 def test_irreducible_rejections():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
-        build_irreducible(rs, Weight((-1, 0), COROOT))
+        IrreducibleModule(rs, (-1, 0))
     with pytest.raises(ValueError) as exc:
-        build_irreducible(rs, Weight((9, 9), COROOT), dim_bound=100)
-    assert "exceeds" in str(exc.value)
+        IrreducibleModule(rs, (10, 10))  # Weyl dimension 1331
+    assert "exceeds bound 1000" in str(exc.value)
+
+
+def test_irreducible_weyl_dimension_checks(monkeypatch):
+    """A Weyl dimension that is not an integer, or not the built one, fails an invariant."""
+    rs = build_root_system("A", 2)
+    monkeypatch.setattr(nhsf.gmod, "weyl_dim", lambda rs, hw: Fraction(7, 2))
+    with pytest.raises(InvariantError, match="not an integer"):
+        IrreducibleModule(rs, (1, 0))
+    monkeypatch.setattr(nhsf.gmod, "weyl_dim", lambda rs, hw: Fraction(8))
+    with pytest.raises(InvariantError, match="built dim 3 != Weyl dim 8"):
+        IrreducibleModule(rs, (1, 0))
 
 
 def test_irreducible_weight_multiset_adjoint():
     rs = build_root_system("A", 2)
-    mod = build_irreducible(rs, Weight((1, 1), COROOT))
+    mod = IrreducibleModule(rs, (1, 1))
     zero = sum(1 for w in mod.weights if w == (0, 0))
     assert zero == 2  # Cartan multiplicity of sl3 adjoint
 
@@ -110,7 +123,7 @@ def test_coriemann_weights_mirror_positive_part():
 
 def test_abelian_negative_packaging():
     alg = build_chevalley("G", 2)
-    irr = build_irreducible(alg.rs, Weight((1, 0), COROOT))
+    irr = IrreducibleModule(alg.rs, (1, 0))
     nil, mod = abelian_negative(irr, False, alg)
     assert nil.dim == 7 and mod.dim == 21
     mod.verify_representation()

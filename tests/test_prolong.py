@@ -4,12 +4,11 @@ from math import comb
 import pytest
 
 from nhsf import InvariantError
-from nhsf.gmod import FlagCase, build_irreducible, abelian_negative
+from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
 from nhsf.liealg import abelian_nilpotent, build_chevalley, heisenberg, graded_algebra
 from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL,
                           _matrix_bracket_table, der0, full_prolong, prolong_step,
                           verify_prolong_jacobi, yamaguchi_classify)
-from nhsf.rootsys import COROOT, Weight
 
 
 def gl_pair(n):
@@ -82,7 +81,7 @@ def test_conformal_prolong_is_o_n_plus_2(n):
 
 def test_g2_structure_prolong_trivial():
     alg = build_chevalley("G", 2)
-    irr = build_irreducible(alg.rs, Weight((1, 0), COROOT))
+    irr = IrreducibleModule(alg.rs, (1, 0))
     nil, mod = abelian_negative(irr, False, alg)
     nV = irr.dim
     act = []

@@ -11,11 +11,10 @@ from collections import Counter
 
 import nhsf
 from nhsf import InvariantError
-from nhsf.gmod import build_irreducible
-from nhsf.rootsys import (COROOT, SIMPLEROOT, CartanMatrixSpec, InvalidCartanType,
-                          RootSystem, Weight, WeylWord, _weyl_product, build_root_system,
-                          convert_weight, dominant_multiplicities, dynkin_split,
-                          enumerate_w_i, reflect, weyl_dim)
+from nhsf.gmod import IrreducibleModule
+from nhsf.rootsys import (CartanMatrixSpec, InvalidCartanType, RootSystem, _weyl_product,
+                          build_root_system, dominant_multiplicities, dynkin_split,
+                          enumerate_w_i, to_root, weyl_dim)
 
 ALL_TYPES = [("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4),
              ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -71,29 +70,26 @@ def test_reflections_permute_roots(t, n):
             assert rs.reflect_root(i, beta) in roots
 
 
-def test_convert_weight_g2_table_rows():
+def test_to_root_g2_table_rows():
     rs = build_root_system("G", 2)
-    w = convert_weight(Weight((8, -4), COROOT), SIMPLEROOT, rs)
-    assert w.coords == (4, 0)
-    w = convert_weight(Weight((-7, 4), COROOT), SIMPLEROOT, rs)
-    assert w.coords == (-2, 1)
+    assert to_root(rs, (8, -4)) == (4, 0)
+    assert to_root(rs, (-7, 4)) == (-2, 1)
 
 
-def test_convert_weight_zero():
+def test_to_root_zero():
     rs = build_root_system("D", 4)
-    z = Weight((0,) * 4, COROOT)
-    assert convert_weight(z, SIMPLEROOT, rs).coords == (0,) * 4
+    assert to_root(rs, (0,) * 4) == (0,) * 4
 
 
 @given(st.tuples(*[st.integers(-9, 9)] * 8))
 @settings(max_examples=50, deadline=None)
-def test_convert_roundtrip_f4(coords):
-    """coroot -> root -> coroot is the identity on F4, and on E8 and G2 as well."""
-    for t, n in (("F", 4), ("E", 8), ("G", 2)):
+def test_to_root_roundtrip(coords):
+    """``to_root`` and ``root_coroot_coords`` are inverse to each other on every type."""
+    for t, n in ALL_TYPES:
         rs = build_root_system(t, n)
-        w = Weight(coords[:n], COROOT)
-        back = convert_weight(convert_weight(w, SIMPLEROOT, rs), COROOT, rs)
-        assert back.coords == w.coords
+        w = coords[:n]
+        assert rs.root_coroot_coords(to_root(rs, w)) == w
+        assert to_root(rs, rs.root_coroot_coords(w)) == w
 
 
 BUILT_TYPES = ([("A", n) for n in range(1, 9)] + [(t, n) for t in "BC" for n in range(2, 9)]
@@ -103,7 +99,7 @@ BUILT_TYPES = ([("A", n) for n in range(1, 9)] + [(t, n) for t in "BC" for n in 
 
 @pytest.mark.parametrize("t,n", BUILT_TYPES)
 def test_cartan_inverse_is_integral(t, n):
-    """A . B = q I for the integer inverse (B, q) that ``convert_weight`` reads."""
+    """A . B = q I for the integer inverse (B, q) that ``to_root`` reads."""
     rs = build_root_system(t, n)
     a = rs.cartan_matrix
     b, q = rs.cartan_inverse
@@ -116,7 +112,7 @@ def singular_cartan():
     """A2 with its Cartan matrix replaced by a singular one, converted to root coordinates."""
     rs = RootSystem(CartanMatrixSpec("A", 2))
     rs.cartan_matrix = [[2, -2], [-1, 1]]
-    return convert_weight(Weight((1, 0), COROOT), SIMPLEROOT, rs)
+    return to_root(rs, (1, 0))
 
 
 def test_singular_cartan_matrix_is_rejected():
@@ -144,18 +140,19 @@ def test_singular_cartan_matrix_is_rejected_under_python_O():
 
 
 def test_reflect_examples():
+    """One-letter words: s_i mu in coroot coordinates, and mu - s_i mu = mu_i alpha_i."""
     a1 = build_root_system("A", 1)
-    assert reflect(a1, 0, Weight((1,), COROOT)).coords == (-1,)
+    assert a1.apply_word_to_weight((0,), (1,)) == ((-1,), (1,))
     a2 = build_root_system("A", 2)
-    assert reflect(a2, 0, Weight((1, 0), COROOT)).coords == (-1, 1)
+    assert a2.apply_word_to_weight((0,), (1, 0)) == ((-1, 1), (1, 0))
     # reflection fixes its wall
-    assert reflect(a2, 0, Weight((0, 5), COROOT)).coords == (0, 5)
+    assert a2.apply_word_to_weight((0,), (0, 5)) == ((0, 5), (0, 0))
 
 
 def test_enumerate_w_i_counts():
     g2 = build_root_system("G", 2)
     assert len(enumerate_w_i(g2, {1}, 0)) == 1
-    assert enumerate_w_i(g2, {1}, 0)[0].reflections == ()
+    assert enumerate_w_i(g2, {1}, 0)[0] == ()
     assert len(enumerate_w_i(g2, {1}, 2)) == 1
     f4 = build_root_system("F", 4)
     assert len(enumerate_w_i(f4, {2}, 2)) == 2
@@ -163,6 +160,8 @@ def test_enumerate_w_i_counts():
         enumerate_w_i(g2, {1}, 3)
     with pytest.raises(ValueError):
         enumerate_w_i(g2, set(), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        enumerate_w_i(g2, {3}, 1)
 
 
 def test_w_i_brute_force_oracle_g2():
@@ -173,8 +172,8 @@ def test_w_i_brute_force_oracle_g2():
     for a, b in itertools.product(range(2), repeat=2):
         if a == b:
             continue
-        w = WeylWord((a, b))
-        inv = rs.word_inverse(w)
+        w = (a, b)
+        inv = (b, a)
         good = True
         for j in unselected:
             img = rs.apply_word_to_root(inv, tuple(1 if t == j else 0 for t in range(2)))
@@ -193,15 +192,16 @@ def _brute_force_w_i(rs):
     equal, by its action on rho, to a word kept before.  Inversion sets and
     rho images are computed once per word.
     """
-    words = {length: [(WeylWord(word), set(rs.inversions_of_inverse(WeylWord(word))),
-                       rs.apply_word_to_weight(WeylWord(word), rs.rho))
+    rho = (1,) * rs.rank
+    words = {length: [(word, set(rs.inversions_of_inverse(word)),
+                       rs.apply_word_to_weight(word, rho)[0])
                       for word in itertools.product(range(rs.rank), repeat=length)]
              for length in (1, 2)}
     simple = [tuple(1 if t == j else 0 for t in range(rs.rank)) for j in range(rs.rank)]
 
     def w_i(selected, length):
         if length == 0:
-            return [WeylWord(())]
+            return [()]
         unselected = {simple[j] for j in range(rs.rank) if j + 1 not in selected}
         out, images = [], []
         for w, inv, image in words[length]:
@@ -241,9 +241,9 @@ def test_length2_inversion_count_and_rho_identity(t, n, node):
         total = [0] * rs.rank
         for beta in inv:
             total = [a + b for a, b in zip(total, beta)]
-        wrho = rs.apply_word_to_weight(w, rs.rho)
-        diff = Weight(tuple(r - c for r, c in zip(rs.rho.coords, wrho.coords)), COROOT)
-        assert convert_weight(diff, SIMPLEROOT, rs).coords == tuple(total)
+        wrho, diff = rs.apply_word_to_weight(w, (1,) * rs.rank)
+        assert diff == tuple(total)
+        assert to_root(rs, tuple(1 - c for c in wrho)) == tuple(total)
 
 
 def test_dynkin_split_examples():
@@ -296,7 +296,7 @@ def all_weight_multiplicities(rs, hw, nodes):
 def test_freudenthal_matches_the_built_irreducible(t, n, hw):
     """All nodes unselected: Freudenthal gives the weights of L(hw) as built by gmod."""
     rs = build_root_system(t, n)
-    irr = build_irreducible(rs, Weight(hw, COROOT))
+    irr = IrreducibleModule(rs, hw)
     assert all_weight_multiplicities(rs, hw, range(n)) == dict(Counter(irr.weights))
 
 

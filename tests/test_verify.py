@@ -10,7 +10,7 @@ import nhsf
 import nhsf.expected
 import nhsf.verify
 from nhsf.gmod import FlagCase
-from nhsf.rootsys import COROOT, Weight, build_root_system
+from nhsf.rootsys import build_root_system
 from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
                          premet_split_check, run_case, run_g2_structure,
                          statement41_check)
@@ -18,7 +18,7 @@ from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
 
 def test_bwb_identity_word_gives_minus_lambda():
     rs = build_root_system("A", 3)
-    lam = Weight((1, 0, 1), COROOT)
+    lam = (1, 0, 1)
     rows = bwb_h_i(rs, (2,), lam, 0)
     assert len(rows) == 1
     assert tuple(int(c) for c in rows[0]["weight_cm"]) == (-1, 0, -1)
@@ -79,7 +79,7 @@ BWB_SHA256 = {
 def bwb_sha256(rs) -> str:
     """sha256 over repr((node, s, lam, [(weight_cm, degree, word)])) of every row."""
     h = hashlib.sha256()
-    zero = Weight((0,) * rs.rank, COROOT)
+    zero = (0,) * rs.rank
     for node in range(1, rs.rank + 1):
         for s in (0, 1, 2):
             for lam, rows in (("adjoint", bwb_adjoint(rs, (node,), s)),
@@ -96,7 +96,7 @@ def test_bwb_rows_are_pinned(name):
 
 def test_bwb_degree_is_none_off_the_root_lattice():
     """(1, 0) of A2 is not in the root lattice, so no degree is reported."""
-    rows = bwb_h_i(build_root_system("A", 2), (1,), Weight((1, 0), COROOT), 1)
+    rows = bwb_h_i(build_root_system("A", 2), (1,), (1, 0), 1)
     assert rows == [{"weight_cm": (3, -2), "degree": None, "word": [1]}]
 
 
