@@ -97,8 +97,20 @@ def cmd_prolong(args) -> int:
             p.dims().get(k, 0) == fc.alg.dims_by_degree.get(k, 0)
             for k in range(1, fc.alg.depth + 1)) and p.stabilized,
     }
-    _emit(args, obj)
+    _emit(args, obj, lambda o: "\n".join(
+        [f"{o['classification']} computed_to={o['computed_to']} "
+         f"stabilized={o['stabilized']} equals_ambient={o['equals_ambient']}"]
+        + [f"degree {k}: dim {v}" for k, v in o["dims"].items()]))
     return 0
+
+
+def _cohomology_text(o) -> str:
+    """One line per slice, then one per summand."""
+    lines = [f"H^{sl['s']}_{sl['k']}: dim {sl['dim_h']}" + ("" if sl["valid"] else " (invalid)")
+             for sl in o["slices"]]
+    lines += [f"{sm['kind']} {sm['weight_cm']} degree {sm['degree']} "
+              f"multiplicity {sm['multiplicity']}" for sm in o.get("summands", [])]
+    return "\n".join(lines) if lines else f"H^{o['case']['s']} = 0 in the window"
 
 
 def cmd_cohomology(args) -> int:
@@ -135,7 +147,7 @@ def cmd_cohomology(args) -> int:
             "weight_fw": [str(c) for c in sm.weight_fw],
             "degree": sm.degree, "multiplicity": sm.multiplicity,
         } for sm in sums]
-    _emit(args, obj)
+    _emit(args, obj, _cohomology_text)
     return 0
 
 

@@ -23,12 +23,26 @@ the internal degree k and the weight: every target of d lies in the window
 of its source, filtered or not.  ``nullspace`` returns the canonical RREF
 kernel whatever the row labels and order, and the d o d check only asks for
 an empty result, so each slice equals the one on an enumerated C^{s+1}_k.
+
+A submodule N spanned by module basis elements (``cohomology(..., sub=...)``
+with the indices ``GradedModule.submodule`` checks the action and the actors
+map into themselves) gives the subcomplex of N-valued cochains: by the
+additivity above, d and every actor map an N-valued cochain to N-valued
+ones.  So N's block at (k, mu) is the N-valued part of the module's, and
+each of the module's blocks lists its N-valued cochains first, and its
+nonzero d_in columns from N-valued cochains first: N's d_out and d_in are
+the leading columns of the module's.  The canonical kernel gives the rank
+of any leading columns (``linalg``), so the block's ``nullspace`` of d_out
+and of d_in give both modules' ranks, bit for bit.  The module's d o d check
+covers N's columns; dim H >= 0 is checked on N's blocks too.  N's blocks
+keep their leading columns where its H is nonzero and index the module's
+cochain basis, so ``decomp`` reads them with the module's actors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -184,6 +198,8 @@ class CohomologySlice:
     blocks: dict = field(default_factory=dict)
     # the weight filter the slice was computed on; None: every weight block
     weights: object = None
+    # with ``cohomology(..., sub=...)``: the submodule's slice, its blocks on this basis
+    sub: CohomologySlice | None = None
 
 
 def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
@@ -203,7 +219,7 @@ def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
 
 
 def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
-               k_range, weights=None) -> list[CohomologySlice]:
+               k_range, weights=None, sub=None) -> list[CohomologySlice]:
     """Exact H^s_k slices, blockwise per weight.
 
     Only C^{s-1}_k and C^s_k are enumerated (see the module docstring).
@@ -211,17 +227,28 @@ def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
     tuples (g_- and the module must carry weights): then both are
     enumerated, and their differentials built and reduced, only on the
     weights it accepts.  d preserves weights, so each block built is exact;
-    ``dim_h`` then sums the built blocks only.
+    ``dim_h`` then sums the built blocks only.  ``sub`` is None or a set of
+    module indices from ``GradedModule.submodule``: each slice then also
+    carries, as ``.sub``, the same slice of the submodule they span, read
+    off the module's blocks (module docstring).
     """
     ks = [k_range] if isinstance(k_range, int) else k_range
-    return [_slice(gm, mod, s, k, weights) for k in ks]
+    return [_slice(gm, mod, s, k, weights, sub) for k in ks]
 
 
-def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
+def _prefix_rank(kernel: list[dict], p: int) -> int:
+    """The rank of the first p columns of a matrix whose ``nullspace`` is ``kernel``."""
+    return p - sum(1 for vec in kernel if max(vec) < p)
+
+
+def _slice(gm, mod, s, k, weights=None, sub=None) -> CohomologySlice:
     valid = slice_valid(gm, mod, s, k)
     basis_cur = cochain_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
-        return CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, basis_cur, {}, weights)
+        sl = CohomologySlice(s, k, (0, 0), 0, 0, 0, valid, basis_cur, {}, weights)
+        if sub is not None:
+            sl.sub = replace(sl, blocks={})
+        return sl
     basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
     pos = dict(basis_cur.pos)
     cols_in = differential_columns(gm, mod, basis_prev, pos)
@@ -229,16 +256,24 @@ def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
         raise InvariantError(f"d left C^{s}_{k}: an action or bracket is not additive")
     cols_out = differential_columns(gm, mod, basis_cur, {})
 
-    blocks: dict = {}
-    rank_in_tot = rank_out_tot = dim_h_tot = 0
+    # each block lists its sub-valued cochains first, and its nonzero d_in
+    # columns from sub-valued cochains first; without ``sub`` there are none
+    in_sub = frozenset() if sub is None else sub
     in_by_weight: dict = {}
     for j, col in enumerate(cols_in):
         if col:
-            in_by_weight.setdefault(basis_prev.weights[j], []).append(col)
+            from_sub, rest = in_by_weight.setdefault(basis_prev.weights[j], ([], []))
+            (from_sub if basis_prev.elts[j][1] in in_sub else rest).append(col)
+    blocks: tuple[dict, dict] = ({}, {})  # the module's, the submodule's
+    rank_out = [0, 0]
     for w in sorted(basis_cur.by_weight, key=lambda x: (x is None, x)):
         idx = basis_cur.by_weight[w]
+        head = [g for g in idx if basis_cur.elts[g][1] in in_sub] if in_sub else []
+        if head:
+            idx = head + [g for g in idx if basis_cur.elts[g][1] not in in_sub]
         local = {g: i for i, g in enumerate(idx)}
-        d_in = [{local[g]: v for g, v in col.items()} for col in in_by_weight.get(w, [])]
+        from_sub, rest = in_by_weight.get(w, ((), ()))
+        d_in = [{local[g]: v for g, v in col.items()} for col in (*from_sub, *rest)]
         d_out = [cols_out[g] for g in idx]
         for col in d_in:
             dd: dict = {}
@@ -247,20 +282,30 @@ def _slice(gm, mod, s, k, weights=None) -> CohomologySlice:
                     acc(dd, tgt, c * v)
             if dd:
                 raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
-        rank_out = len(idx) - len(nullspace(d_out))
-        rank_in = len(d_in) - len(nullspace(d_in))
-        # B <= Z: d o d = 0 makes rank_in <= dim ker d_out
-        dim_h = len(idx) - rank_out - rank_in
-        if dim_h < 0:
-            raise InvariantError("cohomology dimension bookkeeping failed")
-        if not dim_h:  # no multiplicity is read here; a complete slice keeps less
-            d_in = d_out = []
-        blocks[w] = WeightBlock(idx, d_in, d_out, rank_in, dim_h)
-        rank_in_tot += rank_in
-        rank_out_tot += rank_out
-        dim_h_tot += dim_h
-    return CohomologySlice(s, k, (basis_prev.dim, basis_cur.dim), rank_in_tot, rank_out_tot,
-                           dim_h_tot, valid, basis_cur, blocks, weights)
+        ker_out, ker_in = nullspace(d_out), nullspace(d_in)
+        for t, n, m in ((0, len(idx), len(d_in)), (1, len(head), len(from_sub))):
+            if not n:
+                continue
+            r_out, r_in = _prefix_rank(ker_out, n), _prefix_rank(ker_in, m)
+            # B <= Z: d o d = 0 makes r_in <= dim ker d_out
+            dim_h = n - r_out - r_in
+            if dim_h < 0:
+                raise InvariantError("cohomology dimension bookkeeping failed")
+            # no multiplicity is read where dim H = 0, so no columns are kept
+            blocks[t][w] = WeightBlock(idx[:n], d_in[:m] if dim_h else [],
+                                       d_out[:n] if dim_h else [], r_in, dim_h)
+            rank_out[t] += r_out
+
+    def assembled(t, dims):
+        return CohomologySlice(s, k, dims, sum(b.rank_in for b in blocks[t].values()),
+                               rank_out[t], sum(b.dim_h for b in blocks[t].values()), valid,
+                               basis_cur, blocks[t], weights)
+
+    sl = assembled(0, (basis_prev.dim, basis_cur.dim))
+    if sub is not None:
+        count = lambda basis: sum(1 for _, m in basis.elts if m in sub)
+        sl.sub = assembled(1, (count(basis_prev), count(basis_cur)))
+    return sl
 
 
 def full_window(gm: GradedNilpotent, mod: GradedModule, s: int) -> list[int]:

@@ -121,6 +121,18 @@ class GradedModule:
                             f"representation property fails on pair ({i},{j}), column {col}"
                         )
 
+    def submodule(self, idx) -> frozenset[int]:
+        """The basis indices ``idx`` as a set, checked to span a submodule: the action
+        and every actor map it into itself.  By additivity (module docstring), d and
+        each actor then map cochains with values in it to such cochains (``cohom``)."""
+        sub = frozenset(idx)
+        for mat in (*self.act, *(xi.on_module for xi in self.actors)):
+            for m in sub:
+                if not mat.get(m, {}).keys() <= sub:
+                    raise InvariantError(f"span of {len(sub)} module basis elements is "
+                                         f"not closed under the action and the actors")
+        return sub
+
     def verify_additivity(self) -> None:
         """Every action entry a . m -> m2 and g_- bracket entry [a, b] -> c adds
         degrees, and weights where both summands carry one (module docstring)."""
@@ -198,10 +210,14 @@ class FlagCase:
 
     # -- modules -------------------------------------------------------------
 
+    def _by_degree(self, sub) -> list[int]:
+        """Ambient indices ordered by degree, the basis order of ``_sub_adjoint``."""
+        return sorted(sub, key=lambda i: (self.alg.basis[i].degree, i))
+
     def _sub_adjoint(self, sub) -> GradedModule:
         """span(sub), an ad(g_- + l)-stable subspace of g, ordered by degree."""
         alg = self.alg
-        sub = sorted(sub, key=lambda i: (alg.basis[i].degree, i))
+        sub = self._by_degree(sub)
         basis = [ModuleElt(_amb_label(alg, i), alg.basis[i].degree, alg.basis[i].weight)
                  for i in sub]
         mat_of = lambda amb: alg.restricted_ad(amb, sub)
@@ -214,6 +230,13 @@ class FlagCase:
     def riemann_module(self) -> GradedModule:
         """g_- (+) l1 with the induced action (a p-submodule of the adjoint)."""
         return self._sub_adjoint(self.levi.g_minus + self.levi.l1)
+
+    def riemann_in(self, adj: GradedModule) -> frozenset[int]:
+        """The indices of g_- (+) l1 in the basis of ``adj``, this case's
+        ``adjoint_module()``, checked to span a submodule of it."""
+        riem = set(self.levi.g_minus + self.levi.l1)
+        return adj.submodule(m for m, amb in enumerate(self._by_degree(range(self.alg.dim)))
+                             if amb in riem)
 
     def coriemann_module(self) -> GradedModule:
         """g/(g_- (+) l1), the quotient realization of (g_- (+) z)^*."""

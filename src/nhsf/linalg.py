@@ -16,7 +16,9 @@ that column of the RREF at the pivot columns.  The pivots are the columns
 independent of the columns before them, and the free ones are the rest.
 ``solve`` is one ``nullspace`` of the columns followed by the right-hand
 sides: the canonical vector of a right-hand side's column, negated and
-without its 1, is the solution whose dependent columns are 0.
+without its 1, is the solution whose dependent columns are 0.  Each
+canonical vector's largest key is its free column, so the rank of the first
+p columns is p less the number of vectors whose largest key is below p.
 
 ``nullspace`` transposes its columns once to sparse integer rows (``_scaled``
 clears the denominators of a row that holds a ``Fraction``; scaling a row

@@ -1,21 +1,24 @@
 """Theorem-level cross-checks and case verification against the tables.
 
-run_case drives the full pipeline (build -> grade -> modules -> cohomology ->
-decompose -> cross-check) and compares the result with the embedded table
-transcriptions.  The adjoint H^2, the co-Riemann H^1 and the Riemann H^2 of
-the Premet split are each computed once, only on the Levi-extremal weight
-blocks, where ``decomp`` reads each multiplicity as dim H of the subcomplex
-of n-invariants (Hochschild-Serre); every degreewise dimension a record
-reports is sum mult * dim over the summands.  The co-Riemann H^1 is
-decomposed by highest weight; its lowest weights, which the tables print,
-are their images under w0 of the Levi, and a printed one that is not
-Levi-antidominant makes the comparison a Mismatch.  The Premet census reads
-dim H of the co-Riemann blocks at Levi-dominant weights, the blocks that
-decomposition builds, so it does not depend on the summands.  On every
-direct-route case the Weyl-word enumeration (BWB route, Kostant's theorem
-for the parabolic grading) and the direct route are computed independently
-and compared (``checks.bwb.matches_direct``); a disagreement makes the case
-a Mismatch.
+run_case drives the full pipeline (build -> grade -> modules -> cohomology
+-> decompose -> cross-check) and compares the result with the embedded table
+transcriptions.  The adjoint H^2 and the co-Riemann H^1 are each computed
+once, only on the Levi-extremal weight blocks, where ``decomp`` reads each
+multiplicity as dim H of the subcomplex of n-invariants (Hochschild-Serre);
+every degreewise dimension a record reports is sum mult * dim over the
+summands.  The Riemann module g_- (+) l1 of the Premet split is spanned by
+adjoint basis elements and stable under g_- and the Levi actors
+(``FlagCase.riemann_in`` checks it), so on budget full its H^2 is read off
+the adjoint run's blocks (``cohom``): it enumerates, differentiates and
+eliminates nothing of its own.  The co-Riemann H^1 is decomposed by highest
+weight; its lowest weights, which the tables print, are their images under
+w0 of the Levi, and a printed one that is not Levi-antidominant makes the
+comparison a Mismatch.  The Premet census reads dim H of the co-Riemann
+blocks at Levi-dominant weights, the blocks that decomposition builds, so it
+does not depend on the summands.  On every direct-route case the Weyl-word
+enumeration (BWB route, Kostant's theorem for the parabolic grading) and the
+direct route are computed independently and compared
+(``checks.bwb.matches_direct``); a disagreement makes the case a Mismatch.
 """
 
 from __future__ import annotations
@@ -152,12 +155,18 @@ def statement41_check(rs: RootSystem, nodes) -> dict:
 # -- direct cohomology per case -------------------------------------------------
 
 
-def _decomposed(fc: FlagCase, mod: GradedModule, s: int, kind: str):
-    """The nonzero H^s slices on the weights ``decompose`` reads, and their summands."""
+def _decomposed(fc: FlagCase, mod: GradedModule, s: int, kind: str, sub=None):
+    """The nonzero H^s slices on the weights ``decompose`` reads, their summands and,
+    with ``sub`` (a ``GradedModule.submodule``), the summands of the submodule's H^s
+    read off the same blocks (``cohom``); else None."""
     flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
-    slices = [sl for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s),
-                                      weights=flt) if sl.dim_h]
-    return slices, decompose(slices, mod, flt)
+    slices = cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s), weights=flt,
+                        sub=sub)
+    nonzero = [sl for sl in slices if sl.dim_h]
+    sub_summands = None
+    if sub is not None:
+        sub_summands = decompose([sl.sub for sl in slices if sl.sub.dim_h], mod, flt)
+    return nonzero, decompose(nonzero, mod, flt), sub_summands
 
 
 def _dims(fc: FlagCase, summands: list[IrreducibleSummand]) -> dict[int, int]:
@@ -184,18 +193,19 @@ def _summand_rows(summands: list[IrreducibleSummand]) -> list[dict]:
 
 
 def premet_split_check(fc: FlagCase, d_adj: dict[int, int], d_cor: dict[int, int],
-                       cor_slices, tag: str) -> dict:
+                       riem_summands: list[IrreducibleSummand], cor_slices, tag: str) -> dict:
     """Degreewise dim H^2(riem) = dim H^2(g) + dim H^1((g- + z)*), + census.
 
     ``d_adj`` and ``d_cor`` are the degreewise dims of H^2(g_-; g) and of the
-    co-Riemann H^1; the Riemann H^2 dims come from its decomposition.  The
-    S^2(g_1) census compares weight multisets on Levi-dominant weights only:
-    both sides are Levi characters, so that loses nothing.  ``cor_slices``
+    co-Riemann H^1; the Riemann H^2 dims come from ``riem_summands``, its
+    Lowest decomposition.  The S^2(g_1) census compares weight multisets on
+    Levi-dominant weights only: both sides are Levi characters, so that loses
+    nothing.  ``cor_slices``
     must hold every Levi-dominant weight block of the co-Riemann H^1 (a
     complete slice, or one on the Highest ``ExtremalWeights``).  ``tag`` is
     the case's ``yamaguchi_classify`` tag.
     """
-    d_riem = _dims(fc, _decomposed(fc, fc.riemann_module(), 2, LOWEST)[1])
+    d_riem = _dims(fc, riem_summands)
     ks = sorted(set(d_riem) | set(d_adj) | set(d_cor))
     per_degree = {k: {"riemann": d_riem.get(k, 0), "adjoint": d_adj.get(k, 0),
                       "coriemann_h1": d_cor.get(k, 0)} for k in ks}
@@ -319,7 +329,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
         hit = cache.get("case", spec.key())
         if hit is not None:
             return hit
-    t0 = time.time()
+    t0 = time.perf_counter()
     rs = build_root_system(spec.type_letter, spec.rank)
     record: dict = {"case": spec.key(), "engine": ENGINE_VERSION}
     checks: dict = {}
@@ -340,7 +350,9 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
         tag = yamaguchi_classify(fc.alg)
         checks["yamaguchi"] = tag
         adj = fc.adjoint_module()
-        h2_summands = _decomposed(fc, adj, 2, LOWEST)[1]
+        # on budget full, the Premet split's Riemann H^2 is read off the adjoint's blocks
+        riem = fc.riemann_in(adj) if spec.budget == "full" else None
+        _, h2_summands, riem_summands = _decomposed(fc, adj, 2, LOWEST, riem)
         # H^0 transitivity smoke test: no invariants in positive degrees
         for sl in cohomology(fc.gminus, adj, 0, [k for k in range(1, fc.alg.depth + 1)]):
             if sl.dim_h:
@@ -361,13 +373,14 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
 
         if spec.budget == "full":
             cor = fc.coriemann_module()
-            cor_slices, h1_summands = _decomposed(fc, cor, 1, HIGHEST)
+            cor_slices, h1_summands, _ = _decomposed(fc, cor, 1, HIGHEST)
             d_cor = _dims(fc, h1_summands)
             for k, dim in sorted(d_cor.items()):
                 slices_out.append({"s": 1, "k": k, "dim_h": dim, "valid": True,
                                    "module": "coriemann"})
             summands += _summand_rows(h1_summands)
-            checks["premet_split"] = premet_split_check(fc, d_adj, d_cor, cor_slices, tag)
+            checks["premet_split"] = premet_split_check(fc, d_adj, d_cor, riem_summands,
+                                                        cor_slices, tag)
             h1_low = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST).relabel(h1_summands)
             low_fws: Counter = Counter()
             for sm in h1_low:
@@ -411,7 +424,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
     checks["comparison"] = comparison
     record["checks"] = checks
     record["status"] = status
-    record["timing"] = round(time.time() - t0, 3)
+    record["timing"] = round(time.perf_counter() - t0, 3)
     if cache is not None:
         cache.put("case", spec.key(), record)
     return record

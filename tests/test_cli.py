@@ -127,6 +127,54 @@ def test_cohomology_fully_selected_prints_summands(capsys):
         ([-1, 5], 4), ([5, -1], 4)]
 
 
+def _pinned(name):
+    """The JSON these commands printed before they had a text render."""
+    return {
+        "prolong": {"case": {"type": "G2", "nodes": [1]}, "classification": "EqualsS",
+                    "dims": {"-3": 2, "-2": 1, "-1": 2, "0": 4, "1": 2, "2": 1, "3": 2},
+                    "computed_to": 4, "stabilized": True, "equals_ambient": True},
+        "cohomology": {"case": {"type": "G2", "nodes": [1], "coeff": "coriemann", "s": 1},
+                       "slices": [{"s": 1, "k": 2, "dim_h": 3, "valid": True},
+                                  {"s": 1, "k": 4, "dim_h": 1, "valid": True}],
+                       "summands": [{"kind": "Highest", "weight_cm": [-2, 2],
+                                     "weight_fw": ["2", "2"], "degree": 2, "multiplicity": 1},
+                                    {"kind": "Highest", "weight_cm": [2, 0],
+                                     "weight_fw": ["4", "2"], "degree": 4,
+                                     "multiplicity": 1}]},
+    }[name]
+
+
+TEXT_COMMANDS = {
+    "prolong": (["prolong"], ["EqualsS computed_to=4 stabilized=True equals_ambient=True",
+                              "degree -3: dim 2", "degree -2: dim 1", "degree -1: dim 2",
+                              "degree 0: dim 4", "degree 1: dim 2", "degree 2: dim 1",
+                              "degree 3: dim 2"]),
+    "cohomology": (["cohomology", "--coeff", "coriemann", "--s", "1"],
+                   ["H^1_2: dim 3", "H^1_4: dim 1",
+                    "Highest [-2, 2] degree 2 multiplicity 1",
+                    "Highest [2, 0] degree 4 multiplicity 1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_COMMANDS))
+def test_text_format_is_text_and_json_is_unchanged(capsys, name):
+    argv, lines = TEXT_COMMANDS[name]
+    case = ["--type", "G", "--rank", "2", "--nodes", "1"]
+    code, out = run(capsys, *argv, *case, "--format", "text")
+    assert code == 0 and out.splitlines() == lines
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    for fmt in ([], ["--format", "json"]):
+        code, out = run(capsys, *argv, *case, *fmt)
+        assert code == 0 and json.loads(out) == _pinned(name)
+
+
+def test_cohomology_text_of_an_empty_window(capsys):
+    code, out = run(capsys, "cohomology", "--type", "G", "--rank", "2", "--nodes", "1",
+                    "--min-degree", "5", "--format", "text")
+    assert code == 0 and out == "H^2 = 0 in the window\n"
+
+
 def test_verify_table1_only_g2(capsys, monkeypatch):
     calls = []
 

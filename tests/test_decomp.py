@@ -220,6 +220,26 @@ def test_decompose_matches_the_reference(case):
         assert got and got == reference_decompose(mod, s, flt)
 
 
+@pytest.mark.parametrize("case", REFERENCE_CASES + [("C", 5, (3,)), ("D", 6, (3,))],
+                         ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
+def test_riemann_h2_off_the_adjoint_blocks_matches_the_riemann_module(case):
+    """H^2(g_- (+) l1) read off the adjoint's blocks equals the ``riemann_module()``
+    route: per slice, per (k, weight) block and per summand."""
+    fc = FlagCase(*case)
+    adj, riem = fc.adjoint_module(), fc.riemann_module()
+    flt = extremal(fc, LOWEST)
+    shared = cohomology(fc.gminus, adj, 2, full_window(fc.gminus, adj, 2), weights=flt,
+                        sub=fc.riemann_in(adj))
+    alone = cohomology(fc.gminus, riem, 2, full_window(fc.gminus, riem, 2), weights=flt)
+    summary = lambda sl: (sl.dim_cochains, sl.rank_in, sl.rank_out, sl.dim_h)
+    blocks = lambda sl: {w: (b.dim_h, b.rank_in) for w, b in sl.blocks.items()}
+    got = {sl.k: (summary(sl.sub), blocks(sl.sub)) for sl in shared if sl.sub.blocks}
+    want = {sl.k: (summary(sl), blocks(sl)) for sl in alone if sl.blocks}
+    assert got and got == want
+    summands = decompose([sl.sub for sl in shared if sl.sub.dim_h], adj, flt)
+    assert summands and summands == decompose([sl for sl in alone if sl.dim_h], riem, flt)
+
+
 def test_g2_structure_decomposition_matches_the_reference():
     """The Sec. 7.1 module: abelian g_- = L(1, 0) of G(2), all of g as actors."""
     alg = build_chevalley("G", 2)

@@ -276,3 +276,69 @@ def test_tampered_actor_is_rejected_under_python_O(tamper):
                           ACTOR_TAMPERS[tamper]],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+# -- the submodule check of the Riemann H^2 read off the adjoint -------------
+
+
+def _adjoint_and_riemann():
+    """The C3 nodes-1,3 adjoint module and the indices of g_- (+) l1 in its basis."""
+    fc = _case("C", 3, (1, 3))
+    adj = fc.adjoint_module()
+    return fc, adj, fc.riemann_in(adj)
+
+
+def tamper_riemann_minus_gminus():
+    """g_- (+) l1 less its first g_- element, which [g_-, g_-] reaches."""
+    _, adj, riem = _adjoint_and_riemann()
+    return adj.submodule(riem - {min(riem)})
+
+
+def tamper_riemann_plus_g1():
+    """g_- (+) l1 plus a g_1 element, which g_-1 brackets into the Cartan."""
+    _, adj, riem = _adjoint_and_riemann()
+    return adj.submodule(riem | {min(m for m, b in enumerate(adj.basis) if b.degree == 1)})
+
+
+SUBMODULE_TAMPERS = ("tamper_riemann_minus_gminus", "tamper_riemann_plus_g1")
+
+
+def test_riemann_indices_span_the_riemann_module():
+    fc, adj, riem = _adjoint_and_riemann()
+    assert adj.submodule(riem) == riem
+    assert [adj.basis[m] for m in sorted(riem)] == fc.riemann_module().basis
+
+
+def test_riemann_plus_a_selected_cartan_vector_is_a_submodule():
+    """[g_-, h] lies in g_- and [l1, h] in l1 for every Cartan h, so adding the coroot
+    of a selected node keeps a submodule and the check accepts it."""
+    fc, adj, riem = _adjoint_and_riemann()
+    for node in fc.nodes:
+        h = next(m for m, b in enumerate(adj.basis) if b.label == f"h{node}")
+        assert h not in riem and adj.submodule(riem | {h}) == riem | {h}
+
+
+@pytest.mark.parametrize("tamper", SUBMODULE_TAMPERS)
+def test_index_set_left_by_the_action_is_rejected(tamper):
+    with pytest.raises(InvariantError, match="not closed under the action"):
+        globals()[tamper]()
+
+
+@pytest.mark.parametrize("tamper", SUBMODULE_TAMPERS)
+def test_index_set_left_by_the_action_is_rejected_under_python_O(tamper):
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from test_gmod import " + tamper + "\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    " + tamper + "()\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if 'not closed under the action' in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -8,6 +8,7 @@ checked against dense Fraction products.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -104,6 +105,40 @@ def canonical_kernel(rows, ncols):
             v[p] = -r[f]
         want.append(sparse(v))
     return want
+
+
+def random_sparse_columns(rng, fractions):
+    """Up to 9 sparse columns over up to 8 rows, about a third of the entries nonzero;
+    a few columns repeat sums of earlier ones, so that some columns are dependent."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+
+    def entry():
+        if fractions and rng.random() < 0.5:
+            return Q(rng.randint(-6, 6), rng.randint(1, 6))
+        return rng.randint(-6, 6)
+
+    cols = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.3:
+            a, b = rng.choice(cols), rng.choice(cols)
+            col = dict(a)
+            for i, v in b.items():
+                linalg.acc(col, i, v)
+        else:
+            col = {i: v for i in range(nrows) if rng.random() < 0.35 and (v := entry())}
+        cols.append(col)
+    return cols
+
+
+def test_prefix_ranks_read_off_the_canonical_kernel():
+    """rank(cols[:p]) = p - #{v in nullspace(cols) : max(v) < p} for every p."""
+    rng = random.Random(20050919)
+    for fractions in (False, True):
+        for _ in range(150):
+            cols = random_sparse_columns(rng, fractions)
+            kernel = nullspace(cols)
+            for p in range(len(cols) + 1):
+                assert p - sum(1 for v in kernel if max(v) < p) == rank(cols[:p])
 
 
 def count_fallbacks(monkeypatch) -> list:

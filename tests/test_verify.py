@@ -124,21 +124,24 @@ def test_statement41():
 
 
 def test_premet_g2_node1():
+    """The split on complete slices, the Riemann H^2 from the standalone module."""
     from nhsf.cohom import cohomology, full_window
-    from nhsf.gmod import FlagCase
+    from nhsf.decomp import LOWEST, ExtremalWeights, decompose
     from nhsf.prolong import yamaguchi_classify
 
     fc = FlagCase("G", 2, (1,))
-    adj, cor = fc.adjoint_module(), fc.coriemann_module()
-    adj_slices = [s for s in cohomology(fc.gminus, adj, 2, full_window(fc.gminus, adj, 2))
-                  if s.dim_h]
-    cor_slices = [s for s in cohomology(fc.gminus, cor, 1, full_window(fc.gminus, cor, 1))
-                  if s.dim_h]
+    adj, cor, riem = fc.adjoint_module(), fc.coriemann_module(), fc.riemann_module()
+    slices = lambda mod, s: [sl for sl in cohomology(fc.gminus, mod, s,
+                                                     full_window(fc.gminus, mod, s)) if sl.dim_h]
+    adj_slices, cor_slices, riem_slices = slices(adj, 2), slices(cor, 1), slices(riem, 2)
+    riem_summands = decompose(riem_slices, riem,
+                              ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST))
     dims = lambda slices: {s.k: s.dim_h for s in slices}
-    rep = premet_split_check(fc, dims(adj_slices), dims(cor_slices), cor_slices,
-                             yamaguchi_classify(fc.alg))
+    rep = premet_split_check(fc, dims(adj_slices), dims(cor_slices), riem_summands,
+                             cor_slices, yamaguchi_classify(fc.alg))
     assert rep["holds_degreewise"]
     assert rep["rank2_boundary"]
+    assert {int(k): v["riemann"] for k, v in rep["per_degree"].items()} == dims(riem_slices)
 
 
 def test_run_case_g2_matches_table():
@@ -234,6 +237,25 @@ def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
     assert rec["status"] == MATCH and rec["checks"]["comparison"]["h1"]["status"] == MATCH
     assert len(built) == 1
     assert [s for mod, s in calls if mod is built[0]] == [1]
+
+
+def test_full_case_reads_the_riemann_h2_off_the_adjoint(monkeypatch):
+    """The Premet split builds no Riemann module and no Riemann cochains of its own."""
+    calls = []
+    real_cohomology = nhsf.verify.cohomology
+
+    def riemann_module(self):
+        raise AssertionError("run_case built the Riemann module")
+
+    def cohomology(gm, mod, s, *args, **kwargs):
+        calls.append((s, kwargs.get("sub") is not None))
+        return real_cohomology(gm, mod, s, *args, **kwargs)
+
+    monkeypatch.setattr(FlagCase, "riemann_module", riemann_module)
+    monkeypatch.setattr(nhsf.verify, "cohomology", cohomology)
+    rec = run_case(CaseSpec("C", 3, (3,)))
+    assert rec["status"] == MATCH and rec["checks"]["premet_split"]["holds_degreewise"]
+    assert sorted(calls) == [(0, False), (1, False), (2, True)]
 
 
 def _suite_h1_cases():
