@@ -7,12 +7,23 @@ element's.  The differential includes the Lie term f([v_i, v_j], ...), which
 vanishes in the abelian case and recovers the classical Spencer differential
 there.  Every slice is computed blockwise per weight (the Cartan action
 commutes with d), with an exact d o d = 0 check on each block.  A block
-keeps dim H = dim C^s_mu - rank d_out - rank d_in, each rank a column count
-less a ``nullspace`` count, and, where H is nonzero, its d columns.  By default
-every weight block is built; a weight filter (``cohomology(...,
-weights=...)``) builds only the blocks it accepts, ``decomp.ExtremalWeights``
-the Levi-extremal ones, on which ``decomp`` reads each multiplicity as dim H
-of the subcomplex of n-invariants (Hochschild-Serre; see its docstring).
+keeps dim H = dim C^s_mu - rank d_out - rank d_in and, where H is nonzero,
+its d columns.  By default every weight block is built; with ``weights``, a
+``decomp.ExtremalWeights``, only the Levi-extremal ones, on which ``decomp``
+reads each multiplicity as dim H of the subcomplex of n-invariants
+(Hochschild-Serre; see its docstring).
+
+The extremal cochains are picked by a mask join, not by a test per cochain.
+A weight w is extremal iff ``signed(w)`` is >= 0 at every Levi node, and
+``signed`` is linear, so the cochains of dual weight v and module weight u
+are kept iff signed(u)_i >= -signed(v)_i at each node i.  For each module
+degree, node i and value t that signed(u)_i takes there, one integer bitmask
+holds the degree's module weights with signed(u)_i >= t (bit b for its b-th
+weight).  Each distinct (dual degree, dual weight) ANDs one mask per node,
+and only the weights whose bits survive are summed, in ascending bit order,
+so the basis is the unfiltered one restricted to the extremal weights,
+element for element and in the same order.  Without ``weights`` the mask
+is all ones.
 
 Only C^{s-1}_k and C^s_k are enumerated: the rows of d: C^s -> C^{s+1} are
 its target cochains, numbered as d first reaches them.  None is lost.
@@ -20,9 +31,24 @@ its target cochains, numbered as d first reaches them.  None is lost.
 weights, so the action term (e_I, m) -> (e_I ^ a, a . m) and the Lie term,
 which trades a slot c for a, b with [a, b] in c's degree and weight, keep
 the internal degree k and the weight: every target of d lies in the window
-of its source, filtered or not.  ``nullspace`` returns the canonical RREF
-kernel whatever the row labels and order, and the d o d check only asks for
-an empty result, so each slice equals the one on an enumerated C^{s+1}_k.
+of its source, filtered or not.  The RREF mod P and the canonical kernel
+(``linalg``) do not depend on the row labels or order, and the d o d check
+only asks for an empty result, so each slice equals the one on an
+enumerated C^{s+1}_k.
+
+Ranks are certified only where H may be nonzero.  A block's d_out and d_in
+are each reduced once mod P (``linalg.reduce_mod_p``); the RREF's pivots
+below p count r_P(p), the rank mod P of the first p columns, and for an
+integer matrix rank_P <= rank_Q.  The d o d check gives rank_Q d_out +
+rank_Q d_in <= n = dim C^s_mu, so
+
+    n - r_P(d_out) - r_P(d_in) >= n - rank_Q d_out - rank_Q d_in = dim H >= 0,
+
+and where the left side is 0 both mod-P ranks are exact and H = 0.  Only a
+block where it is not 0, for the module or for the submodule below (whose
+complex is a subcomplex, so the same bound holds on its leading columns),
+lifts and certifies the kernels of its two reductions (``linalg.kernel``)
+and reads its ranks off them; every block with H != 0 is one of these.
 
 A submodule N spanned by module basis elements (``cohomology(..., sub=...)``
 with the indices ``GradedModule.submodule`` checks the action and the actors
@@ -31,12 +57,13 @@ additivity above, d and every actor map an N-valued cochain to N-valued
 ones.  So N's block at (k, mu) is the N-valued part of the module's, and
 each of the module's blocks lists its N-valued cochains first, and its
 nonzero d_in columns from N-valued cochains first: N's d_out and d_in are
-the leading columns of the module's.  The canonical kernel gives the rank
-of any leading columns (``linalg``), so the block's ``nullspace`` of d_out
-and of d_in give both modules' ranks, bit for bit.  The module's d o d check
-covers N's columns; dim H >= 0 is checked on N's blocks too.  N's blocks
-keep their leading columns where its H is nonzero and index the module's
-cochain basis, so ``decomp`` reads them with the module's actors.
+the leading columns of the module's.  The RREF's pivots, and the canonical
+kernel, give the rank of any leading columns (``linalg``), so one reduction
+of d_out and one of d_in give both modules' ranks, bit for bit.  The
+module's d o d check covers N's columns; dim H >= 0 is checked on N's
+blocks too.  N's blocks keep their leading columns where its H is nonzero
+and index the module's cochain basis, so ``decomp`` reads them with the
+module's actors.
 """
 
 from __future__ import annotations
@@ -46,11 +73,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import add
+from typing import TYPE_CHECKING
 
 from . import InvariantError
-from .linalg import acc, nullspace
+from .linalg import acc, kernel, reduce_mod_p
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
+
+if TYPE_CHECKING:
+    from .decomp import ExtremalWeights
 
 
 @dataclass
@@ -86,39 +117,64 @@ def _monomials(gm: GradedNilpotent, s: int):
 
 
 def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
-                  weights=None) -> CochainBasis:
+                  weights: ExtremalWeights | None = None) -> CochainBasis:
     """Ordered basis of C^s_k: degree-k maps Lambda^s g_- -> M.
 
-    With a weight filter, only the cochains whose weight it accepts.
+    With ``weights``, only the cochains on its extremal weights, picked by
+    the mask join of the module docstring.
     """
     if s < 0:
         return CochainBasis([], [])
     elts: list[tuple[tuple[int, ...], int]] = []
     wts: list = []
     # a cochain's weight is its module element's plus its monomial's dual
-    # weight, so the pairs are summed once per (monomial weight, module
-    # weight) and the filter, a function of the sum, is asked once per sum
+    # weight, so the module weights each (dual degree, dual weight) keeps are
+    # found once, as the bits of one mask
     kept: dict = {}
-    verdict: dict = {}
+    tables: dict = {}  # module degree -> its (weight, elements) pairs and their masks
     for mono, dual_deg, dual_w in _monomials(gm, s):
         hits = kept.get((dual_deg, dual_w))
         if hits is None:
+            q = k - dual_deg
+            if q not in tables:
+                tables[q] = _masks(mod.by_degree_weight.get(q, {}), weights)
+            items, masks = tables[q]
+            bits = (1 << len(items)) - 1
+            if weights is not None:
+                for (vals, at_least), t in zip(masks, weights.signed(dual_w)):
+                    bits &= at_least[bisect_left(vals, -t)]
             hits = []
-            for mod_w, ms in mod.by_degree_weight.get(k - dual_deg, {}).items():
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                mod_w, ms = items[low.bit_length() - 1]
                 w = None
                 if dual_w is not None and mod_w is not None:
                     w = tuple(map(add, mod_w, dual_w))
-                if weights is not None:
-                    if w not in verdict:
-                        verdict[w] = weights(w)
-                    if not verdict[w]:
-                        continue
                 hits.append((w, ms))
             kept[(dual_deg, dual_w)] = hits
         for w, ms in hits:
             elts += [(mono, m) for m in ms]
             wts += [w] * len(ms)
     return CochainBasis(elts, wts)
+
+
+def _masks(by_weight: dict, weights: ExtremalWeights | None):
+    """The (module weight, elements) pairs of one degree, bit b for pair b, and
+    per Levi position (the ascending values of ``weights.signed`` there, the
+    mask of the pairs at least each value, then 0 for any larger threshold)."""
+    items = list(by_weight.items())
+    masks = []
+    if weights is not None:
+        for col in zip(*(weights.signed(w) for w, _ in items)):
+            vals = sorted(set(col))
+            at_least = [0] * (len(vals) + 1)
+            for b, v in enumerate(col):
+                at_least[bisect_left(vals, v)] |= 1 << b
+            for j in range(len(vals) - 1, -1, -1):
+                at_least[j] |= at_least[j + 1]
+            masks.append((vals, at_least))
+    return items, masks
 
 
 def _reverse_bracket(gm: GradedNilpotent) -> dict[int, list[tuple[int, int, Fraction]]]:
@@ -196,8 +252,8 @@ class CohomologySlice:
     valid: bool
     basis: CochainBasis | None = None
     blocks: dict = field(default_factory=dict)
-    # the weight filter the slice was computed on; None: every weight block
-    weights: object = None
+    # the extremal weights the slice was computed on; None: every weight block
+    weights: ExtremalWeights | None = None
     # with ``cohomology(..., sub=...)``: the submodule's slice, its blocks on this basis
     sub: CohomologySlice | None = None
 
@@ -218,19 +274,19 @@ def slice_valid(gm: GradedNilpotent, mod: GradedModule, s: int, k: int) -> bool:
     return True
 
 
-def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
-               k_range, weights=None, sub=None) -> list[CohomologySlice]:
+def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int, k_range,
+               weights: ExtremalWeights | None = None, sub=None) -> list[CohomologySlice]:
     """Exact H^s_k slices, blockwise per weight.
 
     Only C^{s-1}_k and C^s_k are enumerated (see the module docstring).
-    ``weights`` is None (every weight block) or a predicate on weight
-    tuples (g_- and the module must carry weights): then both are
-    enumerated, and their differentials built and reduced, only on the
-    weights it accepts.  d preserves weights, so each block built is exact;
-    ``dim_h`` then sums the built blocks only.  ``sub`` is None or a set of
-    module indices from ``GradedModule.submodule``: each slice then also
-    carries, as ``.sub``, the same slice of the submodule they span, read
-    off the module's blocks (module docstring).
+    ``weights`` is None (every weight block) or an ``ExtremalWeights`` (g_-
+    and the module must carry weights): then both are enumerated, and their
+    differentials built and reduced, only on its extremal weights.  d
+    preserves weights, so each block built is exact; ``dim_h`` then sums the
+    built blocks only.  ``sub`` is None or a set of module indices from
+    ``GradedModule.submodule``: each slice then also carries, as ``.sub``,
+    the same slice of the submodule they span, read off the module's blocks
+    (module docstring).
     """
     ks = [k_range] if isinstance(k_range, int) else k_range
     return [_slice(gm, mod, s, k, weights, sub) for k in ks]
@@ -239,6 +295,19 @@ def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int,
 def _prefix_rank(kernel: list[dict], p: int) -> int:
     """The rank of the first p columns of a matrix whose ``nullspace`` is ``kernel``."""
     return p - sum(1 for vec in kernel if max(vec) < p)
+
+
+def _ranks(d_out: list[dict], d_in: list[dict], prefixes) -> list[tuple[int, int]]:
+    """(rank of the first n columns of d_out, of the first m of d_in) per (n, m) in
+    ``prefixes``, d o d = 0 checked.  Then n - r_P(out) - r_P(in) >= dim H >= 0,
+    so where it is 0 for every prefix the mod-P ranks are exact (module
+    docstring); elsewhere they are read off the certified kernels."""
+    red_out, red_in = reduce_mod_p(d_out), reduce_mod_p(d_in)
+    ranks = [(red_out.rank_below(n), red_in.rank_below(m)) for n, m in prefixes]
+    if any(n - r_out - r_in for (n, _), (r_out, r_in) in zip(prefixes, ranks)):
+        ker_out, ker_in = kernel(red_out), kernel(red_in)
+        ranks = [(_prefix_rank(ker_out, n), _prefix_rank(ker_in, m)) for n, m in prefixes]
+    return ranks
 
 
 def _slice(gm, mod, s, k, weights=None, sub=None) -> CohomologySlice:
@@ -282,11 +351,12 @@ def _slice(gm, mod, s, k, weights=None, sub=None) -> CohomologySlice:
                     acc(dd, tgt, c * v)
             if dd:
                 raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
-        ker_out, ker_in = nullspace(d_out), nullspace(d_in)
-        for t, n, m in ((0, len(idx), len(d_in)), (1, len(head), len(from_sub))):
-            if not n:
-                continue
-            r_out, r_in = _prefix_rank(ker_out, n), _prefix_rank(ker_in, m)
+        # (columns of d_out, of d_in) of the module, then of the submodule
+        prefixes = [(len(idx), len(d_in))]
+        if head:
+            prefixes.append((len(head), len(from_sub)))
+        ranks = _ranks(d_out, d_in, prefixes)
+        for t, ((n, m), (r_out, r_in)) in enumerate(zip(prefixes, ranks)):
             # B <= Z: d o d = 0 makes r_in <= dim ker d_out
             dim_h = n - r_out - r_in
             if dim_h < 0:

@@ -73,25 +73,25 @@ class ExtremalWeights:
     unselected: tuple[int, ...]  # 1-based Levi nodes
     kind: str
 
-    def _signed(self, w) -> list:
-        """w at the Levi nodes, negated for Lowest: extremal iff all >= 0."""
+    def signed(self, w) -> list:
+        """w at the Levi nodes, negated for Lowest: extremal iff all >= 0.  Linear in w."""
         if self.kind == HIGHEST:
             return [w[j - 1] for j in self.unselected]
         return [-w[j - 1] for j in self.unselected]
 
     def __call__(self, w) -> bool:
-        return min(self._signed(w), default=0) >= 0
+        return min(self.signed(w), default=0) >= 0
 
     def to_extremal(self, w) -> tuple:
         """The extremal weight in w's orbit under the Levi Weyl group."""
         a = self.rs.cartan_matrix
         w = list(w)
-        v = self._signed(w)
+        v = self.signed(w)
         while min(v, default=0) < 0:
             j = self.unselected[v.index(min(v))] - 1
             c = w[j]
             w = [x - c * a[i][j] for i, x in enumerate(w)]
-            v = self._signed(w)
+            v = self.signed(w)
         return tuple(w)
 
     def character(self, mu) -> dict[tuple, int]:

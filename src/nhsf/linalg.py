@@ -20,11 +20,17 @@ without its 1, is the solution whose dependent columns are 0.  Each
 canonical vector's largest key is its free column, so the rank of the first
 p columns is p less the number of vectors whose largest key is below p.
 
-``nullspace`` transposes its columns once to sparse integer rows (``_scaled``
-clears the denominators of a row that holds a ``Fraction``; scaling a row
-changes neither the kernel nor the RREF), computes the basis from their
-sparse RREF mod the prime P = 2^61 - 1, lifts each entry to a fraction n/d
-with |n|, d < 2^30 (Wang's rational reconstruction) and certifies the lift
+``nullspace`` is ``kernel(reduce_mod_p(cols))``: one elimination, then the
+certificate, deferred so that a caller can skip it where the RREF alone
+proves what it needs (``cohom``).  ``reduce_mod_p`` transposes the columns
+once to sparse integer rows (``_scaled`` clears the denominators of a row
+that holds a ``Fraction``; scaling a row changes neither the kernel nor the
+RREF) and computes their sparse RREF mod the prime P = 2^61 - 1.  Its
+pivots below p count the rank mod P of the first p columns, which for an
+integer matrix is at most the rank over Q (a minor that vanishes over Z
+vanishes mod P), and equal to it unless P divides some minor.  ``kernel``
+reads the basis off that RREF: it lifts each entry to a fraction n/d with
+|n|, d < 2^30 (Wang's rational reconstruction) and certifies the lift
 exactly: every lifted vector, denominators cleared, must satisfy M u = 0
 over Z.  The certificate suffices although a rank mod P can undercount:
 rank_P <= rank_Q, so n - rank_P independent exact kernel vectors force
@@ -32,7 +38,7 @@ rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at the
 other free columns and support in {c <= f}, so every free column mod P is
 free over Q, the free sets agree, and u_f is the canonical vector of f, bit
 for bit.  If any entry fails to lift or any vector fails the certificate,
-the whole call falls back to ``echelon_int`` on the same rows.
+``kernel`` falls back to ``echelon_int`` on the same rows.
 
 ``echelon_int`` is fraction-free forward elimination over the integers on
 sparse rows, the fallback above and the whole of ``rank``: each step replaces
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Q = Fraction
 SparseMat = dict[int, dict[int, "int | Fraction"]]  # column -> {row: coeff}
@@ -133,12 +139,20 @@ def rank(vecs: Sequence[dict]) -> int:
     return len(echelon_int([_scaled(v)[0] for v in vecs])[0])
 
 
-def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
-    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form).
+class Reduction(NamedTuple):
+    """A matrix's sparse integer rows and their RREF mod P, as {pivot column: row}."""
 
-    Computed mod P and lifted; a lift that fails its exact certificate
-    sends the whole call to the exact ``echelon_int`` route.
-    """
+    rows: list[dict[int, int]]
+    ncols: int
+    piv: dict[int, dict[int, int]]
+
+    def rank_below(self, p: int) -> int:
+        """rank_P of the first p columns: the RREF's pivots below p; at most rank_Q."""
+        return sum(1 for c in self.piv if c < p)
+
+
+def reduce_mod_p(cols: Sequence[dict]) -> Reduction:
+    """The one elimination of ``nullspace``: the columns transposed to integer rows, reduced mod P."""
     rows: dict = {}
     for j, col in enumerate(cols):
         for t, v in col.items():
@@ -147,8 +161,19 @@ def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
     # scaling a row changes neither the kernel nor the RREF, so integer rows go as they are
     ints = [_scaled(r)[0] if any(type(v) is Fraction for v in r.values()) else r
             for r in rows.values()]
-    basis = _modular_nullspace(ints, len(cols))
-    return _exact_nullspace(ints, len(cols)) if basis is None else basis
+    return Reduction(ints, len(cols), _rref_mod(ints, len(cols)))
+
+
+def kernel(red: Reduction) -> list[dict[int, Fraction]]:
+    """The canonical kernel basis of ``red``'s matrix, lifted from its RREF and certified;
+    a lift that fails its certificate sends the whole call to ``_exact_nullspace``."""
+    basis = _lifted_kernel(red)
+    return _exact_nullspace(red.rows, red.ncols) if basis is None else basis
+
+
+def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
+    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form)."""
+    return kernel(reduce_mod_p(cols))
 
 
 def _exact_nullspace(ints: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
@@ -240,13 +265,13 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]] | None:
-    """The canonical kernel basis from the RREF mod P, or None when a lift fails.
+def _lifted_kernel(red: Reduction) -> list[dict[int, Fraction]] | None:
+    """The canonical kernel basis read off ``red.piv``, or None when a lift fails.
 
     Every lifted vector, denominators cleared, is checked against M over Z,
     sparse by column; the module docstring says why that certifies the basis.
     """
-    piv = _rref_mod(rows, ncols)
+    rows, ncols, piv = red
     at: dict[int, list[tuple[int, int]]] = {}  # free column -> [(pivot, RREF entry)]
     for p, r in piv.items():
         for k, v in r.items():

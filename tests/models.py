@@ -14,8 +14,12 @@ and it counts H by reducing a cocycle basis modulo coboundaries through an
 ``IntSpan`` per block.  ``reference_decompose`` splits H into Levi summands
 the long way: it builds the one-step weight blocks as well, stores H as
 representatives and reduces the actors' images on them modulo coboundaries,
-as ``decomp`` did before it read multiplicities from kernel counts.  The
-tests hold ``cohom.cohomology`` and ``decomp.decompose`` to them.
+as ``decomp`` did before it read multiplicities from kernel counts.  Both
+build a filtered basis as the unfiltered ``cochain_basis`` restricted by the
+predicate (``filtered_basis``), not by ``cohom``'s mask join, and read
+each block's ranks off a certified ``nullspace`` and an ``IntSpan``, never
+off the mod-P pivots alone.  The tests hold
+``cohom.cohomology`` and ``decomp.decompose`` to them.
 
 ``IntSpan`` is an incremental fraction-free reducer: vectors are added one
 at a time and later ones are tested against, or expressed over, those before
@@ -400,14 +404,23 @@ def _reference_columns(gm, mod, src, dst):
     return cols
 
 
+def filtered_basis(gm, mod, s, k, weights=None) -> CochainBasis:
+    """C^s_k with every weight, then only the cochains whose weight ``weights`` accepts."""
+    full = cochain_basis(gm, mod, s, k)
+    if weights is None:
+        return full
+    keep = [i for i, w in enumerate(full.weights) if weights(w)]
+    return CochainBasis([full.elts[i] for i in keep], [full.weights[i] for i in keep])
+
+
 def reference_slice(gm, mod, s, k, weights=None) -> CohomologySlice:
     """H^s_k with C^{s-1}_k, C^s_k and C^{s+1}_k all enumerated (same filter)."""
-    basis_cur = cochain_basis(gm, mod, s, k, weights)
+    basis_cur = filtered_basis(gm, mod, s, k, weights)
     if basis_cur.dim == 0:
         return CohomologySlice(s, k, (0, 0), 0, 0, 0, slice_valid(gm, mod, s, k), basis_cur,
                                {}, weights)
-    basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
-    basis_next = cochain_basis(gm, mod, s + 1, k, weights)
+    basis_prev = filtered_basis(gm, mod, s - 1, k, weights)
+    basis_next = filtered_basis(gm, mod, s + 1, k, weights)
     cols_in = _reference_columns(gm, mod, basis_prev, basis_cur) if s >= 1 else []
     cols_out = _reference_columns(gm, mod, basis_cur, basis_next)
     return _by_representatives(gm, mod, s, k, weights, basis_prev, basis_cur, cols_in,
@@ -498,8 +511,8 @@ def reference_decompose(mod: GradedModule, s: int, flt: ExtremalWeights,
     weights = OneStepWeights(flt)
     out = []
     for k in full_window(gm, mod, s) if ks is None else ks:
-        basis_prev = cochain_basis(gm, mod, s - 1, k, weights)
-        basis_cur = cochain_basis(gm, mod, s, k, weights)
+        basis_prev = filtered_basis(gm, mod, s - 1, k, weights)
+        basis_cur = filtered_basis(gm, mod, s, k, weights)
         pos = dict(basis_cur.pos)
         cols_in = differential_columns(gm, mod, basis_prev, pos)
         cols_out = differential_columns(gm, mod, basis_cur, {})

@@ -1,18 +1,27 @@
 """Cohomology tests, anchored by an independent dense brute-force oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import nhsf
+import nhsf.cohom as cohom
+import nhsf.linalg as linalg
+import nhsf.verify as verify
+from nhsf import InvariantError
 from nhsf.cohom import cochain_basis, cohomology, differential_columns, full_window
-from nhsf.decomp import LOWEST, ExtremalWeights
+from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent, heisenberg
 from nhsf.linalg import rank
-from models import (contact_module, hamiltonian_module, poisson_module, reference_slice,
-                         svect_module, vect_module)
+from models import (contact_module, filtered_basis, hamiltonian_module, poisson_module,
+                    reference_slice, svect_module, vect_module)
 from nhsf.prolong import G0, der0, full_prolong, prolong_as_module
 
 
@@ -187,6 +196,161 @@ def test_slices_match_the_enumerated_reference(case):
                         if b.dim_h:
                             assert (b.d_in, len(b.d_out)) == \
                                 (want.blocks[w].d_in, len(want.blocks[w].d_out))
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES,
+                         ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
+def test_mask_join_is_the_plain_filter(case):
+    """The filtered basis is the unfiltered one restricted to the extremal weights,
+    element for element and in the same order."""
+    fc = FlagCase(*case)
+    dropped = kept = 0
+    for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module()):
+        for kind in (LOWEST, HIGHEST):
+            flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+            for s in (0, 1, 2):
+                for k in full_window(fc.gminus, mod, s):
+                    got = cochain_basis(fc.gminus, mod, s, k, flt)
+                    want = filtered_basis(fc.gminus, mod, s, k, flt)
+                    assert (got.elts, got.weights) == (want.elts, want.weights)
+                    kept += got.dim
+                    dropped += cochain_basis(fc.gminus, mod, s, k).dim - got.dim
+    assert kept and dropped
+
+
+def lifted_blocks(slices) -> list[bool]:
+    """Per block of each slice: is its dim H, or its submodule's, above 0?"""
+    out = []
+    for sl in slices:
+        for w, b in sl.blocks.items():
+            sub = sl.sub.blocks.get(w) if sl.sub is not None else None
+            out.append(b.dim_h > 0 or (sub is not None and sub.dim_h > 0))
+    return out
+
+
+def count_lifts(monkeypatch) -> list:
+    """Wrap the certified kernel ``cohom`` calls: the list grows by one Reduction per call."""
+    lifts = []
+    real = cohom.kernel
+
+    def counted(red):
+        lifts.append(red)
+        return real(red)
+
+    monkeypatch.setattr(cohom, "kernel", counted)
+    return lifts
+
+
+def test_kernels_are_lifted_only_where_h_is_nonzero(monkeypatch):
+    """F4 node 1 full: a block lifts its two kernels iff its H, or its submodule's, is
+    nonzero; every other block's ranks are the mod-P ones."""
+    lifts = count_lifts(monkeypatch)
+    slices = []
+    real = verify.cohomology
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        slices.extend(out)
+        return out
+
+    monkeypatch.setattr(verify, "cohomology", recorded)
+    assert verify.run_case(verify.CaseSpec("F", 4, (1,), "full"))["status"] == verify.MATCH
+    lifted = lifted_blocks(slices)
+    assert 0 < sum(lifted) < len(lifted)
+    assert len(lifts) == 2 * sum(lifted)
+
+
+def drop_one_pivot(real):
+    """``_rref_mod`` that forgets its last pivot row, as a prime dividing a pivot could."""
+    def dropped(rows, ncols):
+        piv = real(rows, ncols)
+        if piv:
+            del piv[max(piv)]
+        return piv
+    return dropped
+
+
+def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
+    """One pivot too few leaves the bound open on every block, and the certified
+    kernels (here the exact fallback) still give the exact slices."""
+    fc = FlagCase("G", 2, (1,))
+    adj, cor = fc.adjoint_module(), fc.coriemann_module()
+    riem = fc.riemann_in(adj)
+    lowest = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
+    highest = ExtremalWeights(fc.rs, tuple(fc.unselected), HIGHEST)
+    runs = [(adj, 2, lowest, riem), (adj, 2, None, riem), (cor, 1, highest, None)]
+
+    def summary(sl):
+        blocks = {w: (b.idx, b.rank_in, b.dim_h, b.d_in, len(b.d_out))
+                  for w, b in sl.blocks.items()}
+        return sl.rank_in, sl.rank_out, sl.dim_h, sl.dim_cochains, blocks
+
+    def computed():
+        out, blocks = [], 0
+        for mod, s, flt, sub in runs:
+            for sl in cohomology(fc.gminus, mod, s, full_window(fc.gminus, mod, s), flt, sub):
+                out.append((summary(sl), sl.sub and summary(sl.sub)))
+                blocks += len(sl.blocks)
+        return out, blocks
+
+    lifts = count_lifts(monkeypatch)
+    want, blocks = computed()
+    exact_lifts = len(lifts)
+    lifts.clear()
+    monkeypatch.setattr(linalg, "_rref_mod", drop_one_pivot(linalg._rref_mod))
+    assert computed() == (want, blocks)
+    assert exact_lifts < len(lifts) == 2 * blocks
+
+
+def tamper_one_column(real):
+    """``differential_columns`` with one d_out entry doubled, at a cochain a d_in column reaches."""
+    seen = {"in": [], "done": False}
+
+    def tampered(gm, mod, src, rows):
+        into_enumerated = bool(rows)  # d_in's rows are the enumerated C^s_k; d_out's start empty
+        cols = real(gm, mod, src, rows)
+        if into_enumerated:
+            seen["in"] = cols
+        elif not seen["done"]:
+            hit = sorted(g for col in seen["in"] for g in col if cols[g])
+            if hit:
+                col = cols[hit[0]]
+                col[min(col)] *= 2
+                seen["done"] = True
+        return cols
+    return tampered
+
+
+def test_tampered_differential_fails_d_squared(monkeypatch):
+    fc = FlagCase("G", 2, (1,))
+    adj = fc.adjoint_module()
+    monkeypatch.setattr(cohom, "differential_columns", tamper_one_column(differential_columns))
+    with pytest.raises(InvariantError, match="d o d"):
+        cohomology(fc.gminus, adj, 2, full_window(fc.gminus, adj, 2))
+
+
+def test_tampered_differential_fails_d_squared_under_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import nhsf.cohom as cohom\n"
+            "from nhsf import InvariantError\n"
+            "from nhsf.gmod import FlagCase\n"
+            "from test_cohom import tamper_one_column\n"
+            "assert False, 'asserts are enabled'\n"
+            "fc = FlagCase('G', 2, (1,))\n"
+            "adj = fc.adjoint_module()\n"
+            "cohom.differential_columns = tamper_one_column(cohom.differential_columns)\n"
+            "try:\n"
+            "    cohom.cohomology(fc.gminus, adj, 2, cohom.full_window(fc.gminus, adj, 2))\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if 'd o d' in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_gl_flatness():

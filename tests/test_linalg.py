@@ -3,7 +3,8 @@
 Each drawn dense matrix is handed to ``linalg`` as sparse columns (vectors
 as sparse dicts), the one format it takes and returns.  ``nullspace``'s
 modular path, its certificate and its fallback to the exact kernel are
-checked on inputs that force each branch.  The sparse-matrix helpers are
+checked on inputs that force each branch, and the mod-P pivot count against
+``rank``.  The sparse-matrix helpers are
 checked against dense Fraction products.
 """
 
@@ -131,14 +132,18 @@ def random_sparse_columns(rng, fractions):
 
 
 def test_prefix_ranks_read_off_the_canonical_kernel():
-    """rank(cols[:p]) = p - #{v in nullspace(cols) : max(v) < p} for every p."""
+    """rank(cols[:p]) = p - #{v in nullspace(cols) : max(v) < p} for every p, and the
+    number of mod-P RREF pivots below p."""
     rng = random.Random(20050919)
     for fractions in (False, True):
         for _ in range(150):
             cols = random_sparse_columns(rng, fractions)
             kernel = nullspace(cols)
+            red = linalg.reduce_mod_p(cols)
             for p in range(len(cols) + 1):
                 assert p - sum(1 for v in kernel if max(v) < p) == rank(cols[:p])
+                # no entry here is divisible by P, so the mod-P pivots count the rank too
+                assert red.rank_below(p) == rank(cols[:p])
 
 
 def count_fallbacks(monkeypatch) -> list:
@@ -172,19 +177,35 @@ def test_prime_dividing_a_pivot_falls_back(monkeypatch):
     # mod P the row is (0, 1): rank_P = rank_Q, but the free column differs
     fallbacks = count_fallbacks(monkeypatch)
     p = 2 ** 61 - 1
-    assert linalg._modular_nullspace([{0: p, 1: 1}], 2) is None
+    assert linalg._lifted_kernel(linalg.reduce_mod_p([{0: p}, {0: 1}])) is None
     assert nullspace([{0: p}, {0: 1}]) == [{0: Q(-1, p), 1: Q(1)}]
     assert fallbacks == [2]
+
+
+def test_an_entry_p_hides_a_pivot_but_not_the_kernel(monkeypatch):
+    """An entry P vanishes mod P, so the RREF has fewer pivots than ``rank``; the
+    certified kernel read off that RREF still equals ``_exact_nullspace``."""
+    exact_nullspace = linalg._exact_nullspace
+    fallbacks = count_fallbacks(monkeypatch)
+    p = linalg.P
+    for rows in ([[p, 1], [0, 1]], [[p, 0, 1], [0, 2, 0], [0, 0, 1]],
+                 [[p, 2 * p, 1], [0, 0, 1]]):
+        ncols = len(rows[0])
+        red = linalg.reduce_mod_p(columns(rows, ncols))
+        assert red.rank_below(ncols) < rank(columns(rows, ncols)) == oracle_rank(rows, ncols)
+        exact = exact_nullspace(red.rows, ncols)
+        assert linalg.kernel(red) == exact == canonical_kernel(rows, ncols)
+    assert fallbacks == [2, 3, 3]
 
 
 def test_tampered_lift_is_rejected(monkeypatch):
     rows = [[1, 2, 3], [0, 1, 1]]
     want = canonical_kernel(rows, 3)
-    ints = [sparse(r) for r in rows]
-    assert linalg._modular_nullspace(ints, 3) == want
+    red = linalg.reduce_mod_p(columns(rows, 3))
+    assert linalg._lifted_kernel(red) == want
     real = linalg._lift
     monkeypatch.setattr(linalg, "_lift", lambda a: (real(a)[0] + 1, real(a)[1]))
-    assert linalg._modular_nullspace(ints, 3) is None
+    assert linalg._lifted_kernel(red) is None
     fallbacks = count_fallbacks(monkeypatch)
     assert nullspace(columns(rows, 3)) == want
     assert fallbacks == [3]
@@ -196,8 +217,8 @@ def test_tampered_lift_is_rejected_under_python_O():
             "assert False, 'asserts are enabled'\n"
             "real = linalg._lift\n"
             "linalg._lift = lambda a: (real(a)[0] + 1, real(a)[1])\n"
-            "rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]\n"
-            "sys.exit(0 if linalg._modular_nullspace(rows, 3) is None else 3)\n")
+            "red = linalg.reduce_mod_p([{0: 1}, {0: 2, 1: 1}, {0: 3, 1: 1}])\n"
+            "sys.exit(0 if linalg._lifted_kernel(red) is None else 3)\n")
     src = str(Path(nhsf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
