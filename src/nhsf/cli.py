@@ -181,23 +181,17 @@ def _verify_suite(args) -> list[tuple[str, dict]]:
             for name, spec in cases]
 
 
+# Table-1 rows the suite checks by BWB alone, as (type, rank) -> nodes; the rest run full
+BWB_ONLY = {("E", 6): {2, 3, 4, 6}, ("E", 7): set(TABLE1[("E", 7)]),
+            ("E", 8): set(TABLE1[("E", 8)])}
+
+
 def _suite_table1():
     """(name, CaseSpec) for every Table-1 row."""
-    out = []
-    for t, r, budget_nodes in [("G", 2, {}), ("F", 4, {}),
-                               ("E", 6, {1: "full", 5: "full", 2: "bwb", 3: "bwb",
-                                         4: "bwb", 6: "bwb"}),
-                               ("E", 7, "bwb"), ("E", 8, "bwb")]:
-        for node in sorted(TABLE1[(t, r)]):
-            if budget_nodes == "bwb":
-                budget = "bwb"
-            elif isinstance(budget_nodes, dict) and budget_nodes:
-                budget = budget_nodes.get(node, "bwb")
-            else:
-                budget = "full"
-            out.append((f"table1 {t.lower()}{r} node {node}",
-                        CaseSpec(t, r, (node,), budget=budget)))
-    return out
+    return [(f"table1 {t.lower()}{r} node {node}",
+             CaseSpec(t, r, (node,), budget="bwb" if node in BWB_ONLY.get((t, r), ()) else "full"))
+            for t, r in [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+            for node in sorted(TABLE1[(t, r)])]
 
 
 def _suite_tables234():

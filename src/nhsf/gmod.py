@@ -105,22 +105,6 @@ class GradedModule:
             return True
         return degree <= self.truncation_bound
 
-    def verify_representation(self) -> None:
-        """act([u,v]) = [act(u), act(v)] on every g_- pair and basis column."""
-        gm = self.gminus
-        for i in range(gm.dim):
-            for j in range(i + 1, gm.dim):
-                br = gm.bracket(i, j)
-                for col in range(self.dim):
-                    lhs: dict[int, Fraction] = {}
-                    for k, c in br.items():
-                        for row, v in self.act[k].get(col, {}).items():
-                            acc(lhs, row, c * v)
-                    if lhs != commutator(self.act[i], self.act[j], col):
-                        raise InvariantError(
-                            f"representation property fails on pair ({i},{j}), column {col}"
-                        )
-
     def submodule(self, idx) -> frozenset[int]:
         """The basis indices ``idx`` as a set, checked to span a submodule: the action
         and every actor map it into itself.  By additivity (module docstring), d and

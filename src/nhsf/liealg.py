@@ -467,24 +467,3 @@ def abelian_nilpotent(n: int, weights=None, label="v") -> GradedNilpotent:
         [-1] * n,
         list(weights) if weights is not None else [None] * n,
     )
-
-
-def heisenberg(n_pairs: int) -> GradedNilpotent:
-    """hei(2n): [p_i, q_i] = z, graded with p,q at -1 and z at -2."""
-    labels = [f"p{i}" for i in range(n_pairs)] + [f"q{i}" for i in range(n_pairs)] + ["z"]
-    degrees = [-1] * (2 * n_pairs) + [-2]
-    weights: list = []
-    for i in range(n_pairs):
-        w = [0] * n_pairs
-        w[i] = 1
-        weights.append(tuple(w))
-    for i in range(n_pairs):
-        w = [0] * n_pairs
-        w[i] = -1
-        weights.append(tuple(w))
-    weights.append((0,) * n_pairs)
-    nil = GradedNilpotent(labels, degrees, weights)
-    z = 2 * n_pairs
-    for i in range(n_pairs):
-        nil.bracket_table[(i, n_pairs + i)] = {z: 1}
-    return nil

@@ -3,11 +3,10 @@
 Every vector is sparse: a dict {index: coeff} with ``int`` or
 ``fractions.Fraction`` coefficients and its zeros absent (an explicit zero
 is read as absent).  A matrix is a sequence of such columns; its row keys
-may be any hashable.  ``rank``, ``nullspace`` and ``solve`` take these
-vectors as their callers hold them, and ``nullspace`` and ``solve`` return
-them, with ``Fraction`` values and keys in ascending order.  Module actions
-are ``SparseMat`` (column -> {row: coeff}); ``apply`` and ``commutator`` are
-their whole algebra.
+may be any hashable.  ``nullspace`` and ``solve`` take these vectors as
+their callers hold them and return them, with ``Fraction`` values and keys
+in ascending order.  Module actions are ``SparseMat`` (column -> {row:
+coeff}); ``apply`` and ``commutator`` are their whole algebra.
 
 ``nullspace`` is the one elimination: every solve, independence test and
 change of basis in the package is read off its canonical basis, the one
@@ -37,22 +36,30 @@ rank_P <= rank_Q, so n - rank_P independent exact kernel vectors force
 rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at the
 other free columns and support in {c <= f}, so every free column mod P is
 free over Q, the free sets agree, and u_f is the canonical vector of f, bit
-for bit.  If any entry fails to lift or any vector fails the certificate,
-``kernel`` falls back to ``echelon_int`` on the same rows.
+for bit.  The same holds mod any prime.
 
-``echelon_int`` is fraction-free forward elimination over the integers on
-sparse rows, the fallback above and the whole of ``rank``: each step replaces
-a row r by ``e[c] * r - r[c] * e`` and divides the result by its content
-(Bareiss, Math. Comp. 22 (1968), with content division in place of the
-Bareiss quotient).  Pivots are the leftmost nonzero column, chosen on the
-first row that has one, so any two runs produce identical echelon forms.
+If any entry fails to lift or any vector fails the certificate, ``kernel``
+climbs a ladder of Mersenne primes p = 2^q - 1 (q = 127, 521, 607, 1279,
+...), one at a time: the same ``_rref_mod`` on the same rows mod p, lifted
+with |n|, d < 2^((q - 1) // 2) and certified as above, and the first basis
+that passes is the answer.  A failure can come from an entry past the lift
+bound or from a prime that divides a minor (Wang, SYMSAC 1981; von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5).  Neither survives a
+prime past 2 H^2, H = prod over the columns of (floor |col|_2 + 1), the
+Hadamard bound on every minor of the rows: such a prime divides no nonzero
+minor, so its pivots are the rational ones, and every RREF entry is a ratio
+of two minors (Cramer's rule), so |n|, d <= H < 2^((q - 1) // 2) and every
+entry lifts.  A failure there is a bug, and ``kernel`` raises
+``InvariantError``; it never returns a basis that failed its certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple, Sequence
+
+from . import InvariantError
 
 Q = Fraction
 SparseMat = dict[int, dict[int, "int | Fraction"]]  # column -> {row: coeff}
@@ -84,63 +91,18 @@ def commutator(a: SparseMat, b: SparseMat, col: int) -> dict:
     return out
 
 
-def _scaled(vec: dict) -> tuple[dict, Fraction]:
-    """(coprime integer vector, the positive factor it is ``vec`` times); zeros dropped."""
-    dens = [v.denominator for v in vec.values() if type(v) is Fraction]
-    if dens:
-        den = lcm(*dens)
-        ints = {k: v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
-                for k, v in vec.items() if v}
-    else:
-        den = 1
-        ints = {k: v for k, v in vec.items() if v}
+def _scaled(vec: dict) -> dict[int, int]:
+    """``vec`` times the positive rational that makes it coprime and integer; zeros dropped."""
+    den = lcm(*(v.denominator for v in vec.values() if type(v) is Fraction))
+    ints = {k: v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
+            for k, v in vec.items() if v}
     g = gcd(*ints.values())
-    if g > 1:
-        return {k: v // g for k, v in ints.items()}, Fraction(den, g)
-    return ints, Fraction(den)
-
-
-def _eliminate(r: dict, e: dict, c) -> dict:
-    """The kernel step: e[c] * r - r[c] * e, which clears column c, over its content."""
-    p, q = e[c], r[c]
-    out = {k: p * v for k, v in r.items()}
-    for k, v in e.items():
-        nv = out.get(k, 0) - q * v
-        if nv:
-            out[k] = nv
-        else:
-            del out[k]
-    g = gcd(*out.values())
-    return {k: v // g for k, v in out.items()} if g > 1 else out
-
-
-def echelon_int(rows: list[dict]) -> tuple[list[dict], list]:
-    """Integer forward elimination (fraction-free) on sparse rows; returns (rows, pivots)."""
-    work = [r for r in rows if r]
-    ech: list[dict] = []
-    pivots: list = []
-    while work:
-        c = min(min(r) for r in work)
-        sel = work.pop(next(i for i, r in enumerate(work) if c in r))
-        out = []
-        for r in work:
-            if c in r:
-                r = _eliminate(r, sel, c)
-                if not r:
-                    continue
-            out.append(r)
-        ech.append(sel)
-        pivots.append(c)
-        work = out
-    return ech, pivots
-
-
-def rank(vecs: Sequence[dict]) -> int:
-    return len(echelon_int([_scaled(v)[0] for v in vecs])[0])
+    return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
 class Reduction(NamedTuple):
-    """A matrix's sparse integer rows and their RREF mod P, as {pivot column: row}."""
+    """A matrix's sparse integer rows and their RREF mod P (mod a larger prime on the
+    ladder), as {pivot column: row}."""
 
     rows: list[dict[int, int]]
     ncols: int
@@ -159,16 +121,28 @@ def reduce_mod_p(cols: Sequence[dict]) -> Reduction:
             if v:
                 rows.setdefault(t, {})[j] = v
     # scaling a row changes neither the kernel nor the RREF, so integer rows go as they are
-    ints = [_scaled(r)[0] if any(type(v) is Fraction for v in r.values()) else r
+    ints = [_scaled(r) if any(type(v) is Fraction for v in r.values()) else r
             for r in rows.values()]
-    return Reduction(ints, len(cols), _rref_mod(ints, len(cols)))
+    return Reduction(ints, len(cols), _rref_mod(ints, len(cols), P))
 
 
 def kernel(red: Reduction) -> list[dict[int, Fraction]]:
     """The canonical kernel basis of ``red``'s matrix, lifted from its RREF and certified;
-    a lift that fails its certificate sends the whole call to ``_exact_nullspace``."""
-    basis = _lifted_kernel(red)
-    return _exact_nullspace(red.rows, red.ncols) if basis is None else basis
+    a lift that fails sends the rows up the prime ladder (module docstring)."""
+    basis = _lifted_kernel(red, P)
+    if basis is not None:
+        return basis
+    rows, ncols, _ = red
+    bound = 2 * _hadamard(rows, ncols) ** 2
+    for q in MERSENNE[1:]:
+        p = (1 << q) - 1
+        basis = _lifted_kernel(Reduction(rows, ncols, _rref_mod(rows, ncols, p)), p)
+        if basis is not None:
+            return basis
+        if p > bound:
+            break
+    raise InvariantError(f"the kernel of a {len(rows)} x {ncols} integer matrix fails its "
+                         f"certificate mod 2^{q} - 1; 2 H^2 < 2^{bound.bit_length()}")
 
 
 def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
@@ -176,33 +150,25 @@ def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
     return kernel(reduce_mod_p(cols))
 
 
-def _exact_nullspace(ints: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
-    """The canonical kernel basis by exact integer elimination."""
-    ech, pivots = echelon_int(ints)
-    for i in range(len(ech) - 1, 0, -1):
-        p = pivots[i]
-        for j in range(i):
-            if p in ech[j]:
-                ech[j] = _eliminate(ech[j], ech[i], p)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = {p: Q(-r[f], r[p]) for r, p in zip(ech, pivots) if f in r}
-        v[f] = Q(1)
-        basis.append(v)
-    return basis
+def _hadamard(rows: list[dict[int, int]], ncols: int) -> int:
+    """H = prod over the columns of (floor |col|_2 + 1), above |every minor| of the rows."""
+    sq = [0] * ncols
+    for row in rows:
+        for c, v in row.items():
+            sq[c] += v * v
+    return prod(isqrt(s) + 1 for s in sq)
 
 
-P = (1 << 61) - 1  # a Mersenne prime
-LIFT_BOUND = 1 << 30  # a lift n/d has |n| < LIFT_BOUND and 0 < d < LIFT_BOUND
+# exponents q of the Mersenne primes 2^q - 1 of the ladder; P = 2^61 - 1 comes first
+MERSENNE = (61, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
+            21701, 23209, 44497, 86243)
+P = (1 << MERSENNE[0]) - 1
 
 
-def _rref_mod(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
-    """The reduced row echelon form mod P of sparse rows, as {pivot column: row}.
+def _rref_mod(rows: list[dict[int, int]], ncols: int, p: int) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form mod the prime p of sparse rows, as {pivot column: row}.
 
-    An entry is any integer in (-P, P) of the right residue, reduced mod P
+    An entry is any integer in (-p, p) of the right residue, reduced mod p
     only when it leaves that range, so the small entries of the usual input
     stay small.  The pivot rows stay reduced throughout (a 1 at their pivot,
     0 at every other pivot), so a new row is reduced by one pass over the
@@ -217,12 +183,12 @@ def _rref_mod(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int
             break
         r = {}
         for c, v in row.items():
-            if not -P < v < P:
-                v %= P
+            if not -p < v < p:
+                v %= p
             if v:
                 r[c] = v
         for q in [q for q in r if q in piv]:
-            _axpy(r, -r.pop(q), piv[q], q)
+            _axpy(r, -r.pop(q), piv[q], q, p)
         if not r:
             continue
         lead = min(r)
@@ -230,53 +196,55 @@ def _rref_mod(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int
         if x == -1:
             r = {k: -v for k, v in r.items()}
         elif x != 1:
-            inv = pow(x, -1, P)
-            r = {k: v * inv % P for k, v in r.items()}
+            inv = pow(x, -1, p)
+            r = {k: v * inv % p for k, v in r.items()}
         for e in piv.values():
             if lead in e:
-                _axpy(e, -e.pop(lead), r, lead)
+                _axpy(e, -e.pop(lead), r, lead, p)
         piv[lead] = r
     return piv
 
 
-def _axpy(r: dict[int, int], x: int, e: dict[int, int], skip: int) -> None:
-    """r += x * e mod P, in place, leaving out column ``skip`` of e."""
+def _axpy(r: dict[int, int], x: int, e: dict[int, int], skip: int, p: int) -> None:
+    """r += x * e mod p, in place, leaving out column ``skip`` of e."""
     for k, v in e.items():
         if k != skip:
             nv = r.get(k, 0) + x * v
-            if not -P < nv < P:
-                nv %= P
+            if not -p < nv < p:
+                nv %= p
             if nv:
                 r[k] = nv
             else:
                 r.pop(k, None)
 
 
-def _lift(a: int) -> tuple[int, int] | None:
-    """Wang's rational reconstruction: (n, d) with n/d = a mod P and |n|, d < LIFT_BOUND,
-    or None when no such fraction exists."""
-    r0, r1, t0, t1 = P, a, 0, 1
-    while r1 >= LIFT_BOUND:
+def _lift(a: int, p: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction mod p = 2^q - 1: (n, d) with n/d = a mod p and
+    |n|, d < 2^((q - 1) // 2), or None when no such fraction exists."""
+    bound = 1 << ((p.bit_length() - 1) // 2)
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 >= bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if not -LIFT_BOUND < t1 < LIFT_BOUND or gcd(r1, t1) != 1:
+    if not -bound < t1 < bound or gcd(r1, t1) != 1:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lifted_kernel(red: Reduction) -> list[dict[int, Fraction]] | None:
-    """The canonical kernel basis read off ``red.piv``, or None when a lift fails.
+def _lifted_kernel(red: Reduction, p: int) -> list[dict[int, Fraction]] | None:
+    """The canonical kernel basis read off ``red.piv``, an RREF mod p, or None when a
+    lift fails.
 
     Every lifted vector, denominators cleared, is checked against M over Z,
     sparse by column; the module docstring says why that certifies the basis.
     """
     rows, ncols, piv = red
     at: dict[int, list[tuple[int, int]]] = {}  # free column -> [(pivot, RREF entry)]
-    for p, r in piv.items():
+    for c, r in piv.items():
         for k, v in r.items():
-            if k != p:
-                at.setdefault(k, []).append((p, v))
+            if k != c:
+                at.setdefault(k, []).append((c, v))
     cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
         for c, v in row.items():
@@ -286,21 +254,21 @@ def _lifted_kernel(red: Reduction) -> list[dict[int, Fraction]] | None:
         if f in piv:
             continue
         lifted = []  # (pivot, n, d)
-        for p, v in at.get(f, ()):
-            nd = _lift(-v % P)
+        for c, v in at.get(f, ()):
+            nd = _lift(-v % p, p)
             if nd is None:
                 return None
-            lifted.append((p, *nd))
+            lifted.append((c, *nd))
         den = lcm(*(d for _, _, d in lifted))
         total = {i: den * v for i, v in cols[f]}  # M u_f with the denominators cleared
-        for p, n, d in lifted:
+        for c, n, d in lifted:
             u = n * (den // d)
-            for i, v in cols[p]:
+            for i, v in cols[c]:
                 total[i] = total.get(i, 0) + u * v
         if any(total.values()):
             return None
-        vec = {p: Q(n, d) for p, n, d in sorted(lifted)}
-        vec[f] = Q(1)  # every pivot p with an entry at f is left of f
+        vec = {c: Q(n, d) for c, n, d in sorted(lifted)}
+        vec[f] = Q(1)  # every pivot c with an entry at f is left of f
         basis.append(vec)
     return basis
 

@@ -5,10 +5,10 @@ D of g_-, each stored by its values D(v) on the g_- basis, as coordinates in
 layer k + deg(v) (global g_- indices when that layer is negative).  Since
 g_- is generated by its degree -1 part, such a derivation is determined by
 its restriction to g_{-1}, which makes the realization equivalent to the
-symbolic intersection definition.  g_0 is supplied (a Levi part, gl(V), ...)
-or computed by ``der0``; the positive layers come from ``prolong_step``.
-Both solve D([u,v]) = [D(u),v] + [u,D(v)] with one solver, as exact kernels
-blocked by weight whenever weights are available.
+symbolic intersection definition.  g_0 is supplied (a Levi part, gl(V), ...);
+the positive layers come from ``prolong_step``, which solves
+D([u,v]) = [D(u),v] + [u,D(v)] as exact kernels blocked by weight whenever
+weights are available.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import InputError, InvariantError
-from .linalg import Q, SparseMat, acc, commutator, nullspace, solve
+from .linalg import Q, SparseMat, acc, nullspace, solve
 from .liealg import GradedNilpotent
 from .gmod import GradedModule, ModuleElt
 
 
 @dataclass
 class G0:
-    """One layer of degree k >= 0 acting on g_- (Levi part, der0, D_k, gl(V), ...).
+    """One layer of degree k >= 0 acting on g_- (Levi part, D_k, gl(V), ...).
 
     ``act[t][v]`` is [E_t, v] for the t-th basis element E_t and the g_-
     basis vector v, as coordinates in layer k + deg(v).  ``bracket`` is the
@@ -90,10 +90,10 @@ def prolong_step(p: ProlongedAlgebra, k: int) -> G0:
     """Solve for the degree-k component; requires components < k present."""
     if k <= 0:
         raise ValueError("prolong_step needs k >= 1")
-    return _derivations(p, k, f"D{k}")
+    return _derivations(p, k)
 
 
-def _derivations(p: ProlongedAlgebra, k: int, prefix: str) -> G0:
+def _derivations(p: ProlongedAlgebra, k: int) -> G0:
     """All degree-k derivations of g_- into the layers of p, as a layer (k >= 0).
 
     The unknowns are the coordinates (u, t) of D(u) in layer k + deg(u); they
@@ -122,7 +122,7 @@ def _derivations(p: ProlongedAlgebra, k: int, prefix: str) -> G0:
             for c, v in sol.items():
                 u, tgt = unk[c]
                 mat.setdefault(u, {})[tgt] = v
-            labels.append(f"{prefix}.{len(labels)}")
+            labels.append(f"D{k}.{len(labels)}")
             weights.append(bw)
             act.append(mat)
     return G0(labels, weights, act)
@@ -177,30 +177,6 @@ def full_prolong(gminus: GradedNilpotent, g0: G0, kmax: int) -> ProlongedAlgebra
         p.positive[k] = layer
         p.computed_to = k
     return p
-
-
-def der0(gminus: GradedNilpotent) -> G0:
-    """All degree-preserving derivations of g_-, closed under commutator."""
-    g0 = _derivations(ProlongedAlgebra(gminus, G0([], [], [])), 0, "der0")
-    g0.bracket = _matrix_bracket_table(gminus.dim, g0.act)
-    return g0
-
-
-def _matrix_bracket_table(n: int, act: list[SparseMat]):
-    """Commutators of action matrices, expressed in the given basis."""
-
-    def flat(mat: SparseMat) -> dict:
-        return {row * n + col: v for col, rowd in mat.items() for row, v in rowd.items()}
-
-    pairs = [(i, j) for i in range(len(act)) for j in range(i + 1, len(act))]
-    comms = [flat({col: commutator(act[i], act[j], col) for col in range(n)}) for i, j in pairs]
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ij, coords in zip(pairs, solve([flat(mat) for mat in act], comms)):
-        if coords is None:
-            raise InvariantError("derivation algebra not closed under commutator")
-        if coords:
-            table[ij] = coords
-    return table
 
 
 def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
@@ -337,34 +313,6 @@ def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
     if sol is None:
         raise InvariantError("bracket image is not in the prolong layer")
     return {(s, t): c for t, c in sol.items()}
-
-
-def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> None:
-    """Jacobi identity on all basis triples within the computed window."""
-    if max_total is None:
-        max_total = p.computed_to
-    gens = [(d, u) for u, d in enumerate(p.gminus.degrees)]
-    gens += [(k, t) for k in [0] + sorted(p.positive) for t in range(p.layer(k).dim)]
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            for c in range(b + 1, len(gens)):
-                la, lb, lc = gens[a][0], gens[b][0], gens[c][0]
-                if any(x + y > max_total for x, y in
-                       ((la, lb), (lb, lc), (la, lc))):
-                    continue
-                if la + lb + lc > max_total:
-                    continue
-                ea, eb, ec = (_as_elt(*gens[a]), _as_elt(*gens[b]), _as_elt(*gens[c]))
-                total: ProlongElt = {}
-                for term in (
-                    bracket_elements(p, bracket_elements(p, ea, eb), ec),
-                    bracket_elements(p, bracket_elements(p, eb, ec), ea),
-                    bracket_elements(p, bracket_elements(p, ec, ea), eb),
-                ):
-                    for k2, v in term.items():
-                        acc(total, k2, v)
-                if total:
-                    raise InvariantError(f"prolong Jacobi fails on {gens[a]},{gens[b]},{gens[c]}")
 
 
 TAG_EQUALS_S = "EqualsS"

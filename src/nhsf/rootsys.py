@@ -240,17 +240,6 @@ class RootSystem:
                 out[j] -= c * a[j][i]
         return tuple(out), tuple(diff)
 
-    def inversions_of_inverse(self, word: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """{beta > 0 : w^{-1}(beta) < 0}, the paper's R_W^- for w."""
-        inv = word[::-1]
-        out = []
-        for beta in self.positive_roots:
-            img = self.apply_word_to_root(inv, beta)
-            if all(c <= 0 for c in img):
-                out.append(beta)
-        return out
-
-
 def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 

@@ -211,7 +211,7 @@ def premet_split_check(fc: FlagCase, d_adj: dict[int, int], d_cor: dict[int, int
                       "coriemann_h1": d_cor.get(k, 0)} for k in ks}
     holds = all(d_riem.get(k, 0) == d_adj.get(k, 0) + d_cor.get(k, 0) for k in ks)
     out = {"holds_degreewise": holds, "per_degree": {str(k): v for k, v in per_degree.items()},
-           "rank2_boundary": fc.rank == 2}
+           "rank2_boundary": fc.rank <= 2}
     if tag == TAG_CONTACT or fc.alg.depth == 1:
         dominant = ExtremalWeights(fc.rs, tuple(fc.unselected), HIGHEST)
         census: Counter = Counter()

@@ -1,11 +1,11 @@
-"""Polynomial realizations of the classical infinite prolongs.
+"""Polynomial realizations of the classical infinite prolongs, and the tests' oracles.
 
 These provide degreewise-complete coefficient modules for vect(n), svect(n),
 h(2n), po(2n) and k(2n+1), each truncated at a chosen bound.  Monomial bases
 make the actions exact and the degree/weight labels immediate.  The tests
 use them as the oracle for the prolongation solver and as complete
 coefficient modules for the cohomology checks; the ``nhsf`` package does
-not import them.
+not import this module.
 
 ``reference_slice`` is the cohomology slice computed the long way: it
 enumerates C^{s+1}_k as well and finds every target of d by a lookup in the
@@ -21,11 +21,27 @@ each block's ranks off a certified ``nullspace`` and an ``IntSpan``, never
 off the mod-P pivots alone.  The tests hold
 ``cohom.cohomology`` and ``decomp.decompose`` to them.
 
-``IntSpan`` is an incremental fraction-free reducer: vectors are added one
-at a time and later ones are tested against, or expressed over, those before
-them.  The package solves every system by one ``linalg.nullspace`` instead,
-so the reducer lives here, where the references above use it and the tests
-of ``linalg.solve`` have a second solver to agree with.
+``echelon_int`` is the exact elimination the package's modular kernel is
+held to: fraction-free forward elimination over the integers on sparse
+rows, where each step replaces a row r by ``e[c] * r - r[c] * e`` and
+divides the result by its content (Bareiss, Math. Comp. 22 (1968), with
+content division in place of the Bareiss quotient).  Pivots are the leftmost
+nonzero column, chosen on the first row that has one, so any two runs
+produce identical echelon forms.  ``rank`` counts its pivots and
+``exact_nullspace`` back-substitutes them to the canonical kernel basis; no
+prime and no lift is involved.
+
+``IntSpan`` is an incremental fraction-free reducer on the same step:
+vectors are added one at a time and later ones are tested against, or
+expressed over, those before them.  The package solves every system by one
+``linalg.nullspace`` instead, so the reducer lives here, where the
+references above use it and the tests of ``linalg.solve`` have a second
+solver to agree with.
+
+The last group holds what only the tests call: the Heisenberg algebra and
+its full degree-0 derivations (``heisenberg``, ``der0``), the g_- and g_0
+of the contact prolongs; the representation property of a module and the
+Jacobi identity of a computed prolong; and R_W^- of a Weyl word.
 """
 
 from __future__ import annotations
@@ -34,14 +50,88 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 from nhsf import InvariantError
 from nhsf.cohom import (CochainBasis, CohomologySlice, WeightBlock, _reverse_bracket,
                         cochain_basis, differential_columns, full_window, slice_valid)
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand
-from nhsf.linalg import Q, SparseMat, _eliminate, _scaled, acc, apply, nullspace
-from nhsf.liealg import GradedNilpotent, abelian_nilpotent, heisenberg
+from nhsf.linalg import (Q, SparseMat, _scaled, acc, apply, commutator, nullspace,
+                         solve)
+from nhsf.liealg import GradedNilpotent, abelian_nilpotent
 from nhsf.gmod import Actor, GradedModule, ModuleElt
+from nhsf.prolong import (G0, ProlongedAlgebra, ProlongElt, _as_elt, _derivations,
+                          bracket_elements)
+from nhsf.rootsys import RootSystem
+
+
+# -- the exact oracle kernel -----------------------------------------------
+
+
+def _eliminate(r: dict, e: dict, c) -> dict:
+    """The elimination step: e[c] * r - r[c] * e, which clears column c, over its content."""
+    p, q = e[c], r[c]
+    out = {k: p * v for k, v in r.items()}
+    for k, v in e.items():
+        nv = out.get(k, 0) - q * v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
+
+
+def echelon_int(rows: list[dict]) -> tuple[list[dict], list]:
+    """Integer forward elimination (fraction-free) on sparse rows; returns (rows, pivots)."""
+    work = [r for r in rows if r]
+    ech: list[dict] = []
+    pivots: list = []
+    while work:
+        c = min(min(r) for r in work)
+        sel = work.pop(next(i for i, r in enumerate(work) if c in r))
+        out = []
+        for r in work:
+            if c in r:
+                r = _eliminate(r, sel, c)
+                if not r:
+                    continue
+            out.append(r)
+        ech.append(sel)
+        pivots.append(c)
+        work = out
+    return ech, pivots
+
+
+def rank(vecs: Sequence[dict]) -> int:
+    return len(echelon_int([_scaled(v) for v in vecs])[0])
+
+
+def exact_nullspace(ints: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
+    """The canonical kernel basis of sparse integer rows by exact integer elimination."""
+    ech, pivots = echelon_int(ints)
+    for i in range(len(ech) - 1, 0, -1):
+        p = pivots[i]
+        for j in range(i):
+            if p in ech[j]:
+                ech[j] = _eliminate(ech[j], ech[i], p)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = {p: Q(-r[f], r[p]) for r, p in zip(ech, pivots) if f in r}
+        v[f] = Q(1)
+        basis.append(v)
+    return basis
+
+
+def scaled_with_factor(vec: dict) -> tuple[dict[int, int], Fraction]:
+    """(``linalg._scaled(vec)``, the positive factor it is ``vec`` times)."""
+    ints = _scaled(vec)
+    k = next(iter(ints), None)
+    return ints, Q(1) if k is None else Q(ints[k]) / vec[k]
 
 
 class IntSpan:
@@ -68,7 +158,7 @@ class IntSpan:
 
     def add(self, vec: dict) -> bool:
         """Add a vector; True when it is independent of the vectors added before."""
-        ints, scale = _scaled(vec)
+        ints, scale = scaled_with_factor(vec)
         ints[-1 - len(self._sources)] = 1
         self._added += 1
         r = self._reduce(ints)
@@ -87,7 +177,7 @@ class IntSpan:
         Vectors that ``add`` found dependent get coordinate 0, so the answer
         is unique whenever vec is in the span.
         """
-        ints, scale = _scaled(vec)
+        ints, scale = scaled_with_factor(vec)
         free = -1 - len(self._sources)
         ints[free] = 1
         r = self._reduce(ints)
@@ -100,6 +190,113 @@ class IntSpan:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+
+# -- what only the tests call ------------------------------------------------
+
+
+def heisenberg(n_pairs: int) -> GradedNilpotent:
+    """hei(2n): [p_i, q_i] = z, graded with p,q at -1 and z at -2."""
+    labels = [f"p{i}" for i in range(n_pairs)] + [f"q{i}" for i in range(n_pairs)] + ["z"]
+    degrees = [-1] * (2 * n_pairs) + [-2]
+    weights: list = []
+    for i in range(n_pairs):
+        w = [0] * n_pairs
+        w[i] = 1
+        weights.append(tuple(w))
+    for i in range(n_pairs):
+        w = [0] * n_pairs
+        w[i] = -1
+        weights.append(tuple(w))
+    weights.append((0,) * n_pairs)
+    nil = GradedNilpotent(labels, degrees, weights)
+    z = 2 * n_pairs
+    for i in range(n_pairs):
+        nil.bracket_table[(i, n_pairs + i)] = {z: 1}
+    return nil
+
+
+def der0(gminus: GradedNilpotent) -> G0:
+    """All degree-preserving derivations of g_-, closed under commutator."""
+    g0 = _derivations(ProlongedAlgebra(gminus, G0([], [], [])), 0)
+    g0.bracket = _matrix_bracket_table(gminus.dim, g0.act)
+    return g0
+
+
+def _matrix_bracket_table(n: int, act: list[SparseMat]):
+    """Commutators of action matrices, expressed in the given basis."""
+
+    def flat(mat: SparseMat) -> dict:
+        return {row * n + col: v for col, rowd in mat.items() for row, v in rowd.items()}
+
+    pairs = [(i, j) for i in range(len(act)) for j in range(i + 1, len(act))]
+    comms = [flat({col: commutator(act[i], act[j], col) for col in range(n)}) for i, j in pairs]
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for ij, coords in zip(pairs, solve([flat(mat) for mat in act], comms)):
+        if coords is None:
+            raise InvariantError("derivation algebra not closed under commutator")
+        if coords:
+            table[ij] = coords
+    return table
+
+
+def verify_representation(mod: GradedModule) -> None:
+    """act([u,v]) = [act(u), act(v)] on every g_- pair and basis column."""
+    gm = mod.gminus
+    for i in range(gm.dim):
+        for j in range(i + 1, gm.dim):
+            br = gm.bracket(i, j)
+            for col in range(mod.dim):
+                lhs: dict[int, Fraction] = {}
+                for k, c in br.items():
+                    for row, v in mod.act[k].get(col, {}).items():
+                        acc(lhs, row, c * v)
+                if lhs != commutator(mod.act[i], mod.act[j], col):
+                    raise InvariantError(
+                        f"representation property fails on pair ({i},{j}), column {col}"
+                    )
+
+
+def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> None:
+    """Jacobi identity on all basis triples within the computed window."""
+    if max_total is None:
+        max_total = p.computed_to
+    gens = [(d, u) for u, d in enumerate(p.gminus.degrees)]
+    gens += [(k, t) for k in [0] + sorted(p.positive) for t in range(p.layer(k).dim)]
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            for c in range(b + 1, len(gens)):
+                la, lb, lc = gens[a][0], gens[b][0], gens[c][0]
+                if any(x + y > max_total for x, y in
+                       ((la, lb), (lb, lc), (la, lc))):
+                    continue
+                if la + lb + lc > max_total:
+                    continue
+                ea, eb, ec = (_as_elt(*gens[a]), _as_elt(*gens[b]), _as_elt(*gens[c]))
+                total: ProlongElt = {}
+                for term in (
+                    bracket_elements(p, bracket_elements(p, ea, eb), ec),
+                    bracket_elements(p, bracket_elements(p, eb, ec), ea),
+                    bracket_elements(p, bracket_elements(p, ec, ea), eb),
+                ):
+                    for k2, v in term.items():
+                        acc(total, k2, v)
+                if total:
+                    raise InvariantError(f"prolong Jacobi fails on {gens[a]},{gens[b]},{gens[c]}")
+
+
+def inversions_of_inverse(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """{beta > 0 : w^{-1}(beta) < 0}, the paper's R_W^- for w."""
+    inv = word[::-1]
+    out = []
+    for beta in rs.positive_roots:
+        img = rs.apply_word_to_root(inv, beta)
+        if all(c <= 0 for c in img):
+            out.append(beta)
+    return out
+
+
+# -- the polynomial prolongs ---------------------------------------------------
 
 
 def _monomials(nvars: int, total: int) -> list[tuple[int, ...]]:

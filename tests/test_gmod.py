@@ -14,6 +14,8 @@ from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt, abel
 from nhsf.liealg import GradedNilpotent, build_chevalley
 from nhsf.rootsys import build_root_system, weyl_dim
 
+from models import verify_representation
+
 
 @pytest.mark.parametrize("t,n,hw,dim", [
     ("A", 2, (1, 0), 3), ("A", 2, (0, 0), 1), ("A", 2, (1, 1), 8),
@@ -63,7 +65,7 @@ def test_adjoint_module_dims_g2():
     adj = fc.adjoint_module()
     dims = {d: len(v) for d, v in adj.by_degree.items()}
     assert dims == {-3: 2, -2: 1, -1: 2, 0: 4, 1: 2, 2: 1, 3: 2}
-    adj.verify_representation()
+    verify_representation(adj)
     adj.verify_additivity()
 
 
@@ -80,7 +82,7 @@ def test_riemann_module_dims():
     fc = _case("C", 3, (1,))
     riem = fc.riemann_module()
     assert {d: len(v) for d, v in riem.by_degree.items()} == {-2: 1, -1: 4, 0: 10}
-    riem.verify_representation()
+    verify_representation(riem)
 
 
 def test_restricted_ad_rejects_a_span_that_is_not_closed():
@@ -102,7 +104,7 @@ def test_coriemann_dims_equal_gminus_plus_z():
         fc = _case(t, n, nodes)
         cor = fc.coriemann_module()
         assert cor.dim == fc.gminus.dim + len(fc.levi.z)
-        cor.verify_representation()
+        verify_representation(cor)
         cor.verify_additivity()
 
 
@@ -126,10 +128,10 @@ def test_abelian_negative_packaging():
     irr = IrreducibleModule(alg.rs, (1, 0))
     nil, mod = abelian_negative(irr, False, alg)
     assert nil.dim == 7 and mod.dim == 21
-    mod.verify_representation()
+    verify_representation(mod)
     nil, mod = abelian_negative(irr, True, alg)
     assert mod.dim == 22
-    mod.verify_representation()
+    verify_representation(mod)
 
 
 # -- the additivity check a module runs when it is built -------------------

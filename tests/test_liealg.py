@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import nhsf
 from nhsf.liealg import (ChevalleyError, GradingSpec, ZGradedLieAlgebra, _constants,
-                         build_chevalley, gminus_of, graded_algebra, heisenberg, levi_pieces)
+                         build_chevalley, gminus_of, graded_algebra, levi_pieces)
 from nhsf.rootsys import build_root_system
+
+from models import heisenberg
 
 
 def test_sl2_relations():

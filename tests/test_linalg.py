@@ -1,11 +1,14 @@
-"""The integer kernel against an independent oracle: textbook Gauss-Jordan over Fraction.
+"""The modular kernel against independent oracles: textbook Gauss-Jordan over Fraction,
+and the fraction-free integer elimination of ``models`` (``rank``, ``exact_nullspace``).
 
 Each drawn dense matrix is handed to ``linalg`` as sparse columns (vectors
 as sparse dicts), the one format it takes and returns.  ``nullspace``'s
-modular path, its certificate and its fallback to the exact kernel are
-checked on inputs that force each branch, and the mod-P pivot count against
-``rank``.  The sparse-matrix helpers are
-checked against dense Fraction products.
+path mod P, its certificate and its retry up the prime ladder are checked
+on inputs that force each branch: an entry past the lift bound, a prime
+that divides a pivot, a lift tampered mod P (the retry returns the right
+kernel) and one tampered at every modulus (``InvariantError``, also under
+``python -O``).  The mod-P pivot count is checked against ``rank``, and the
+sparse-matrix helpers against dense Fraction products.
 """
 
 import os
@@ -15,14 +18,16 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import nhsf
 import nhsf.linalg as linalg
-from nhsf.linalg import _scaled, apply, commutator, nullspace, rank, solve
+from nhsf import InvariantError
+from nhsf.linalg import _scaled, apply, commutator, nullspace, solve
 from nhsf.verify import MATCH, CaseSpec, run_case
 
-from models import IntSpan
+from models import IntSpan, exact_nullspace, rank, scaled_with_factor
 
 
 def oracle_rref(rows, ncols):
@@ -59,7 +64,7 @@ def combination(coeffs, rows, ncols):
 
 entries = st.one_of(st.integers(min_value=-6, max_value=6),
                     st.fractions(min_value=-6, max_value=6, max_denominator=6))
-# past 2^31 a kernel entry can leave the lift's bound, so nullspace falls back
+# past 2^31 a kernel entry can leave the lift's bound mod P, so nullspace retries
 big_entries = st.one_of(st.integers(min_value=2 ** 31, max_value=2 ** 64),
                         st.integers(min_value=-2 ** 64, max_value=-2 ** 31))
 matrix_entries = st.one_of(entries, entries, entries, big_entries)
@@ -147,16 +152,31 @@ def test_prefix_ranks_read_off_the_canonical_kernel():
 
 
 def count_fallbacks(monkeypatch) -> list:
-    """Wrap the exact kernel: the returned list grows by one per fallback."""
+    """Wrap ``_rref_mod``: the returned list gets the column count of every reduction
+    modulo a prime other than P, that is one per step up the prime ladder."""
     calls = []
-    exact = linalg._exact_nullspace
+    rref_mod = linalg._rref_mod
 
-    def counted(ints, ncols):
-        calls.append(ncols)
-        return exact(ints, ncols)
+    def counted(rows, ncols, p):
+        if p != linalg.P:
+            calls.append(ncols)
+        return rref_mod(rows, ncols, p)
 
-    monkeypatch.setattr(linalg, "_exact_nullspace", counted)
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
     return calls
+
+
+def tamper_lift(only_mod_p: bool):
+    """A ``_lift`` whose numerators are off by one, mod P only or at every modulus."""
+    real = linalg._lift
+
+    def tampered(a, p):
+        nd = real(a, p)
+        if nd is None or (only_mod_p and p != linalg.P):
+            return nd
+        return nd[0] + 1, nd[1]
+
+    return tampered
 
 
 def test_small_entries_take_the_modular_path(monkeypatch):
@@ -177,15 +197,14 @@ def test_prime_dividing_a_pivot_falls_back(monkeypatch):
     # mod P the row is (0, 1): rank_P = rank_Q, but the free column differs
     fallbacks = count_fallbacks(monkeypatch)
     p = 2 ** 61 - 1
-    assert linalg._lifted_kernel(linalg.reduce_mod_p([{0: p}, {0: 1}])) is None
+    assert linalg._lifted_kernel(linalg.reduce_mod_p([{0: p}, {0: 1}]), p) is None
     assert nullspace([{0: p}, {0: 1}]) == [{0: Q(-1, p), 1: Q(1)}]
     assert fallbacks == [2]
 
 
 def test_an_entry_p_hides_a_pivot_but_not_the_kernel(monkeypatch):
     """An entry P vanishes mod P, so the RREF has fewer pivots than ``rank``; the
-    certified kernel read off that RREF still equals ``_exact_nullspace``."""
-    exact_nullspace = linalg._exact_nullspace
+    kernel ``nullspace`` certifies still equals ``exact_nullspace``."""
     fallbacks = count_fallbacks(monkeypatch)
     p = linalg.P
     for rows in ([[p, 1], [0, 1]], [[p, 0, 1], [0, 2, 0], [0, 0, 1]],
@@ -202,28 +221,56 @@ def test_tampered_lift_is_rejected(monkeypatch):
     rows = [[1, 2, 3], [0, 1, 1]]
     want = canonical_kernel(rows, 3)
     red = linalg.reduce_mod_p(columns(rows, 3))
-    assert linalg._lifted_kernel(red) == want
-    real = linalg._lift
-    monkeypatch.setattr(linalg, "_lift", lambda a: (real(a)[0] + 1, real(a)[1]))
-    assert linalg._lifted_kernel(red) is None
+    assert linalg._lifted_kernel(red, linalg.P) == want
+    monkeypatch.setattr(linalg, "_lift", tamper_lift(only_mod_p=True))
+    assert linalg._lifted_kernel(red, linalg.P) is None
     fallbacks = count_fallbacks(monkeypatch)
     assert nullspace(columns(rows, 3)) == want
     assert fallbacks == [3]
 
 
-def test_tampered_lift_is_rejected_under_python_O():
-    code = ("import sys\n"
-            "import nhsf.linalg as linalg\n"
-            "assert False, 'asserts are enabled'\n"
-            "real = linalg._lift\n"
-            "linalg._lift = lambda a: (real(a)[0] + 1, real(a)[1])\n"
-            "red = linalg.reduce_mod_p([{0: 1}, {0: 2, 1: 1}, {0: 3, 1: 1}])\n"
-            "sys.exit(0 if linalg._lifted_kernel(red) is None else 3)\n")
+def run_under_python_O(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``python -O`` and the package importable."""
     src = str(Path(nhsf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_tampered_lift_is_rejected_under_python_O():
+    res = run_under_python_O(
+        "import sys\n"
+        "import nhsf.linalg as linalg\n"
+        "assert False, 'asserts are enabled'\n"
+        "real = linalg._lift\n"
+        "linalg._lift = lambda a, p: (real(a, p)[0] + (p == linalg.P), real(a, p)[1])\n"
+        "red = linalg.reduce_mod_p([{0: 1}, {0: 2, 1: 1}, {0: 3, 1: 1}])\n"
+        "sys.exit(0 if linalg._lifted_kernel(red, linalg.P) is None else 3)\n")
+    assert res.returncode == 0, res.stderr
+
+
+def test_a_lift_tampered_at_every_modulus_raises(monkeypatch):
+    """No prime of the ladder certifies a wrong lift; past 2 H^2 (here H = 2 * 3 * 4,
+    so the first retry) the ladder stops with ``InvariantError``, also under -O."""
+    rows = [[1, 2, 3], [0, 1, 1]]
+    fallbacks = count_fallbacks(monkeypatch)
+    monkeypatch.setattr(linalg, "_lift", tamper_lift(only_mod_p=False))
+    with pytest.raises(InvariantError, match=r"fails its certificate mod 2\^127 - 1"):
+        nullspace(columns(rows, 3))
+    assert fallbacks == [3]
+    res = run_under_python_O(
+        "import sys\n"
+        "import nhsf.linalg as linalg\n"
+        "from nhsf import InvariantError\n"
+        "assert False, 'asserts are enabled'\n"
+        "real = linalg._lift\n"
+        "linalg._lift = lambda a, p: (real(a, p)[0] + 1, real(a, p)[1])\n"
+        "try:\n"
+        "    linalg.nullspace([{0: 1}, {0: 2, 1: 1}, {0: 3, 1: 1}])\n"
+        "except InvariantError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n")
     assert res.returncode == 0, res.stderr
 
 
@@ -245,9 +292,12 @@ def test_solve_inconsistent():
 
 
 def test_scaled():
-    assert _scaled({0: Q(1, 2), 3: Q(1, 3)}) == ({0: 3, 3: 2}, Q(6))
-    assert _scaled({1: 2, 2: 4}) == ({1: 1, 2: 2}, Q(1, 2))
-    assert _scaled({0: 0, 1: Q(0)}) == ({}, Q(1))
+    assert _scaled({0: Q(1, 2), 3: Q(1, 3)}) == {0: 3, 3: 2}
+    assert _scaled({1: 2, 2: 4}) == {1: 1, 2: 2}
+    assert _scaled({0: 0, 1: Q(0)}) == {}
+    assert scaled_with_factor({0: Q(1, 2), 3: Q(1, 3)}) == ({0: 3, 3: 2}, Q(6))
+    assert scaled_with_factor({1: 2, 2: 4}) == ({1: 1, 2: 2}, Q(1, 2))
+    assert scaled_with_factor({0: 0, 1: Q(0)}) == ({}, Q(1))
 
 
 def test_reducer_express():

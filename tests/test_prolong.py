@@ -5,10 +5,12 @@ import pytest
 
 from nhsf import InvariantError
 from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
-from nhsf.liealg import abelian_nilpotent, build_chevalley, heisenberg, graded_algebra
-from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL,
-                          _matrix_bracket_table, der0, full_prolong, prolong_step,
-                          verify_prolong_jacobi, yamaguchi_classify)
+from nhsf.liealg import abelian_nilpotent, build_chevalley, graded_algebra
+from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL, full_prolong,
+                          prolong_step, yamaguchi_classify)
+
+from models import (_matrix_bracket_table, der0, heisenberg, verify_prolong_jacobi,
+                    verify_representation)
 
 
 def gl_pair(n):
@@ -172,5 +174,5 @@ def test_prolong_module_rep_property():
     nil = heisenberg(1)
     p = full_prolong(nil, der0(nil), 4)
     mod = prolong_as_module(p)
-    mod.verify_representation()
+    verify_representation(mod)
     assert mod.truncation_bound == 4

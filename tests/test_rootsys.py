@@ -16,6 +16,8 @@ from nhsf.rootsys import (CartanMatrixSpec, InvalidCartanType, RootSystem, _weyl
                           build_root_system, dominant_multiplicities, dynkin_split,
                           enumerate_w_i, to_root, weyl_dim)
 
+from models import inversions_of_inverse
+
 ALL_TYPES = [("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4),
              ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
@@ -193,7 +195,7 @@ def _brute_force_w_i(rs):
     rho images are computed once per word.
     """
     rho = (1,) * rs.rank
-    words = {length: [(word, set(rs.inversions_of_inverse(word)),
+    words = {length: [(word, set(inversions_of_inverse(rs, word)),
                        rs.apply_word_to_weight(word, rho)[0])
                       for word in itertools.product(range(rs.rank), repeat=length)]
              for length in (1, 2)}
@@ -236,7 +238,7 @@ def test_w_i_built_equals_brute_force():
 def test_length2_inversion_count_and_rho_identity(t, n, node):
     rs = build_root_system(t, n)
     for w in enumerate_w_i(rs, {node}, 2):
-        inv = rs.inversions_of_inverse(w)
+        inv = inversions_of_inverse(rs, w)
         assert len(inv) == 2  # card R_W^- = 2
         total = [0] * rs.rank
         for beta in inv:

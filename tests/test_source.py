@@ -39,18 +39,6 @@ def test_invariants_raise_invariant_error():
     assert SOURCES and not found
 
 
-# Definitions the package keeps for its tests: checks a test runs, and the
-# inputs those checks are run on.
-TEST_FACING = {
-    "verify_representation",  # gmod: the action matrices form a representation
-    "verify_prolong_jacobi",  # prolong: the Jacobi identity on a computed prolong
-    "heisenberg",  # liealg: the g_- of the contact prolongs
-    "der0",  # prolong: the full degree-0 derivations, g_0 of those prolongs
-    "inversions_of_inverse",  # rootsys: R_W^- of a Weyl word
-    "rank",  # linalg: an exact rank, independent of nullspace
-}
-
-
 def _names(node, kind) -> Counter:
     """How often a tree loads each name (kind ast.Name) or reads each attribute (ast.Attribute)."""
     return Counter(n.id if kind is ast.Name else n.attr for n in ast.walk(node)
@@ -77,7 +65,7 @@ def unreferenced(sources) -> list[str]:
         for d in ast.walk(tree):
             if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if d.name.startswith("__") or d.name in TEST_FACING:
+            if d.name.startswith("__"):
                 continue
             if id(d) in methods:
                 used = attrs[d.name] > _names(d, ast.Attribute)[d.name]

@@ -199,6 +199,13 @@ def test_sp4_node2_rank2_boundary_premet():
     assert rec["status"] == MATCH  # table row still matches
 
 
+def test_a1_premet_split_fails_and_is_flagged():
+    """Below rank 2 the split fails too (A1 node 1 full), and the flag says so."""
+    rec = run_case(CaseSpec("A", 1, (1,), "full"))
+    split = rec["checks"]["premet_split"]
+    assert not split["holds_degreewise"] and split["rank2_boundary"]
+
+
 def test_invariant_raises_under_python_O():
     """A former bare assert (expected._pad) still raises with asserts stripped."""
     code = ("import sys\n"
