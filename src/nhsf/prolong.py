@@ -8,7 +8,9 @@ its restriction to g_{-1}, which makes the realization equivalent to the
 symbolic intersection definition.  g_0 is supplied (a Levi part, gl(V), ...);
 the positive layers come from ``prolong_step``, which solves
 D([u,v]) = [D(u),v] + [u,D(v)] as exact kernels blocked by weight whenever
-weights are available.
+weights are available.  The constraints of a degree are built once, for every
+unknown, and then split by weight block; weight additivity keeps each
+constraint inside one block, and ``_derivations`` checks that it does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import InputError, InvariantError
-from .linalg import Q, SparseMat, acc, nullspace, solve
+from .linalg import SparseMat, acc, nullspace
 from .liealg import GradedNilpotent
 from .gmod import GradedModule, ModuleElt
 
@@ -96,28 +98,36 @@ def prolong_step(p: ProlongedAlgebra, k: int) -> G0:
 def _derivations(p: ProlongedAlgebra, k: int) -> G0:
     """All degree-k derivations of g_- into the layers of p, as a layer (k >= 0).
 
-    The unknowns are the coordinates (u, t) of D(u) in layer k + deg(u); they
-    are solved per block weight wt(t) - wt(u) when every weight is known.
+    The unknowns are the coordinates (u, t) of D(u) in layer k + deg(u).  The
+    constraints are built once for every unknown, then solved per block weight
+    wt(t) - wt(u) when every weight is known.  Weight additivity keeps each
+    constraint row inside one block; that is checked by an ``if``, since a row
+    spanning two blocks would lose the terms outside each block's system.
     """
     gm = p.gminus
     unknowns = [(u, t) for u in range(gm.dim) for t in p.layer_indices(k + gm.degrees[u])]
     weighted = all(w is not None for w in gm.weights) and all(
         p.layer_weight(k + gm.degrees[u], t) is not None for u, t in unknowns)
+    cols = _derivation_cols(p, k, unknowns)
     blocks: dict = {}
+    row_block: dict = {}
     for u, t in unknowns:
         bw = None
         if weighted:
             wt = p.layer_weight(k + gm.degrees[u], t)
             bw = tuple(a - b for a, b in zip(wt, gm.weights[u]))
         blocks.setdefault(bw, []).append((u, t))
+        for row in cols[u, t]:
+            if row_block.setdefault(row, bw) != bw:
+                raise InvariantError(f"degree-{k} derivation constraint {row} spans "
+                                     f"weight blocks {row_block[row]} and {bw}")
 
     labels: list[str] = []
     weights: list = []
     act: list[SparseMat] = []
     for bw in sorted(blocks):
         unk = blocks[bw]
-        pos_of = {ut: c for c, ut in enumerate(unk)}
-        for sol in nullspace(_derivation_cols(p, k, pos_of)):
+        for sol in nullspace([cols[ut] for ut in unk]):
             mat: SparseMat = {}
             for c, v in sol.items():
                 u, tgt = unk[c]
@@ -128,37 +138,34 @@ def _derivations(p: ProlongedAlgebra, k: int) -> G0:
     return G0(labels, weights, act)
 
 
-def _derivation_cols(p, k, pos_of):
+def _derivation_cols(p, k, unknowns) -> dict:
     """Linear constraints D([u,v]) = [D(u),v] + [u,D(v)], one sparse column per unknown.
 
-    A constraint (row) is keyed (u, v, coordinate).
+    A constraint (row) is keyed (u, v, coordinate); the columns are keyed by
+    unknown (u, t).
     """
     gm = p.gminus
-    cols: list[dict] = [{} for _ in pos_of]
+    cols: dict = {ut: {} for ut in unknowns}
+    indices = {m: p.layer_indices(m) for m in {k + d for d in gm.degrees}}
     for u in range(gm.dim):
+        mu = k + gm.degrees[u]
         for v in range(u + 1, gm.dim):
-
-            def add(coord, unknown_key, val):
-                # weight additivity keeps each constraint row inside one
-                # weight block, so unknowns outside this block never mix
-                # with in-block ones on the same row
-                if unknown_key in pos_of:
-                    acc(cols[pos_of[unknown_key]], (u, v, coord), val)
-
+            pair = (u, v)
             # LHS: D([u, v])
             for w, c in gm.bracket(u, v).items():
-                for t in p.layer_indices(k + gm.degrees[w]):
-                    add(t, (w, t), c)
+                for t in indices[k + gm.degrees[w]]:
+                    acc(cols[w, t], pair + (t,), c)
             # RHS: [D(u), v]
-            mu = k + gm.degrees[u]
-            for t in p.layer_indices(mu):
+            for t in indices[mu]:
+                col = cols[u, t]
                 for coord, val in p.apply(mu, t, v).items():
-                    add(coord, (u, t), -val)
+                    acc(col, pair + (coord,), -val)
             # RHS: + [u, D(v)] = -[D(v), u]
             mv = k + gm.degrees[v]
-            for t in p.layer_indices(mv):
+            for t in indices[mv]:
+                col = cols[v, t]
                 for coord, val in p.apply(mv, t, u).items():
-                    add(coord, (v, t), val)
+                    acc(col, pair + (coord,), val)
     return cols
 
 
@@ -214,105 +221,6 @@ def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
         act.append(mat)
     bound = None if p.stabilized else p.computed_to
     return GradedModule(gm, basis, act, bound)
-
-
-ProlongElt = dict[tuple[int, int], Fraction]  # (level, index) -> coefficient
-# negative levels index the global gminus basis; levels >= 0 index the
-# basis of p.layer(level)
-
-
-def _as_elt(level: int, idx: int) -> ProlongElt:
-    return {(level, idx): Q(1)}
-
-
-def bracket_elements(p: ProlongedAlgebra, e1: ProlongElt, e2: ProlongElt) -> ProlongElt:
-    """Bracket in the prolonged algebra, defined within the computed window."""
-    out: ProlongElt = {}
-    for (l1, i1), c1 in e1.items():
-        for (l2, i2), c2 in e2.items():
-            for key, v in _pbracket_basis(p, l1, i1, l2, i2).items():
-                acc(out, key, c1 * c2 * v)
-    return out
-
-
-def _pbracket_basis(p: ProlongedAlgebra, l1: int, i1: int, l2: int, i2: int) -> ProlongElt:
-    memo = getattr(p, "_pbr_memo", None)
-    if memo is None:
-        memo = {}
-        p._pbr_memo = memo
-    key = (l1, i1, l2, i2)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _pbracket_raw(p, l1, i1, l2, i2)
-    memo[key] = out
-    return out
-
-
-def _pbracket_raw(p, l1, i1, l2, i2) -> ProlongElt:
-    gm = p.gminus
-    if (l1, i1) == (l2, i2):
-        return {}
-    if l1 > l2:
-        return {k: -v for k, v in _pbracket_basis(p, l2, i2, l1, i1).items()}
-    if l2 < 0:
-        return {(gm.degrees[w], w): c for w, c in gm.bracket(i1, i2).items()}
-    if l1 < 0:
-        # [u, E] = -E(u); coords live in layer l2 + deg(u)
-        tgt = l2 + gm.degrees[i1]
-        out: ProlongElt = {}
-        for coord, v in p.apply(l2, i2, i1).items():
-            acc(out, (tgt, coord), -v)
-        return out
-    if l1 == 0 and l2 == 0:
-        if p.g0.bracket is None:
-            raise ValueError("g0 bracket table unavailable")
-        if i1 > i2:
-            return {(0, t): -v for t, v in p.g0.bracket.get((i2, i1), {}).items()}
-        return {(0, t): v for t, v in p.g0.bracket.get((i1, i2), {}).items()}
-    s = l1 + l2
-    if s > p.computed_to and not p.stabilized:
-        raise ValueError("bracket leaves the computed window")
-    # when stabilized, layers above the last nonzero one are genuinely zero
-    # and the zero-layer path below verifies the bracket vanishes
-    # transitivity: the result is determined by its values on g_{-1}
-    top = [u for u in range(gm.dim) if gm.degrees[u] == -1]
-    vals = {}
-    e1, e2 = _as_elt(l1, i1), _as_elt(l2, i2)
-    for u in top:
-        ue = _as_elt(gm.degrees[u], u)
-        t1 = bracket_elements(p, e1, bracket_elements(p, e2, ue))
-        t2 = bracket_elements(p, e2, bracket_elements(p, e1, ue))
-        vals[u] = {k: t1.get(k, Q(0)) - t2.get(k, Q(0))
-                   for k in set(t1) | set(t2)}
-        vals[u] = {k: v for k, v in vals[u].items() if v != 0}
-    return _solve_by_top_values(p, s, vals, top)
-
-
-def _solve_by_top_values(p, s, vals, top) -> ProlongElt:
-    """Express a degree-s derivation by matching its g_{-1} values."""
-    tgt = s - 1
-    coords_idx = {}
-    for u in top:
-        for coord in p.layer_indices(tgt):
-            coords_idx.setdefault((u, coord), len(coords_idx))
-    n = p.layer(s).dim
-    if n == 0:
-        if any(vals[u] for u in top):
-            raise InvariantError("nonzero bracket lands in an empty layer")
-        return {}
-    cols = [{coords_idx[(u, coord)]: v for u in top for coord, v in p.apply(s, t, u).items()}
-            for t in range(n)]
-    rhs = {}
-    for u in top:
-        for (lvl, coord), v in vals[u].items():
-            if lvl != tgt:
-                raise InvariantError(f"bracket value at level {lvl}, expected {tgt}")
-            rhs[coords_idx[(u, coord)]] = v
-    sol = solve(cols, [rhs])[0]
-    if sol is None:
-        raise InvariantError("bracket image is not in the prolong layer")
-    return {(s, t): c for t, c in sol.items()}
 
 
 TAG_EQUALS_S = "EqualsS"

@@ -108,6 +108,15 @@ def test_prolong_command(capsys):
     assert data["classification"] == "EqualsS" and data["equals_ambient"]
 
 
+def test_prolong_command_e6_node2(capsys):
+    code, out = run(capsys, "prolong", "--type", "E", "--rank", "6", "--nodes", "2",
+                    "--kmax", "3")
+    data = json.loads(out)
+    assert code == 0
+    assert data["dims"] == {"-2": 5, "-1": 20, "0": 28, "1": 20, "2": 5}
+    assert data["computed_to"] == 3 and data["stabilized"] and data["equals_ambient"]
+
+
 def test_cohomology_command(capsys):
     code, out = run(capsys, "cohomology", "--type", "G", "--rank", "2",
                     "--nodes", "1", "--coeff", "adjoint", "--s", "2")

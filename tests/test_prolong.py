@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import nhsf
 from nhsf import InvariantError
 from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
 from nhsf.liealg import abelian_nilpotent, build_chevalley, graded_algebra
-from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL, full_prolong,
-                          prolong_step, yamaguchi_classify)
+from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL,
+                          ProlongedAlgebra, _derivations, full_prolong, prolong_step,
+                          yamaguchi_classify)
 
-from models import (_matrix_bracket_table, der0, heisenberg, verify_prolong_jacobi,
-                    verify_representation)
+from models import (_matrix_bracket_table, der0, heisenberg, reference_derivations,
+                    verify_prolong_jacobi, verify_representation)
 
 
 def gl_pair(n):
@@ -66,8 +72,6 @@ def test_prolong_step_gl():
 
 def test_prolong_step_rejects_nonpositive():
     nil, g0 = gl_pair(2)
-    from nhsf.prolong import ProlongedAlgebra
-
     p = ProlongedAlgebra(nil, g0)
     with pytest.raises(ValueError):
         prolong_step(p, 0)
@@ -81,7 +85,8 @@ def test_conformal_prolong_is_o_n_plus_2(n):
     assert p.stabilized
 
 
-def test_g2_structure_prolong_trivial():
+def g2_structure_pair():
+    """g_- = V the 7-dim G2 module, with g_0 = g2 acting on it (the G(2)-structure)."""
     alg = build_chevalley("G", 2)
     irr = IrreducibleModule(alg.rs, (1, 0))
     nil, mod = abelian_negative(irr, False, alg)
@@ -93,8 +98,12 @@ def test_g2_structure_prolong_trivial():
             for r, v in mod.act[k].get(nV + col, {}).items():
                 mat.setdefault(k, {})[r] = -v
         act.append(mat)
-    g0 = G0([f"g{c}" for c in range(mod.dim - nV)],
-            [mod.basis[nV + c].weight for c in range(mod.dim - nV)], act)
+    return nil, G0([f"g{c}" for c in range(mod.dim - nV)],
+                   [mod.basis[nV + c].weight for c in range(mod.dim - nV)], act)
+
+
+def test_g2_structure_prolong_trivial():
+    nil, g0 = g2_structure_pair()
     p = full_prolong(nil, g0, 2)
     assert p.positive == {} and p.stabilized
 
@@ -130,6 +139,29 @@ def test_hei_prolong_matches_contact_algebra():
     for k in (1, 2, 3):
         assert p.positive[k].dim == contact_dim_oracle(2, k)
     assert not p.stabilized
+
+
+# Yamaguchi: prolong(g_-, g_0) = g on every grading tagged EqualsS.  These are
+# the EqualsS maximal gradings of B2-B5, C2-C5, D4-D5, F4, E6 and G2.
+YAMAGUCHI_TYPES = [("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 2), ("C", 3), ("C", 4),
+                   ("C", 5), ("D", 4), ("D", 5), ("F", 4), ("E", 6), ("G", 2)]
+EQUALS_S_MAXIMAL = [("B", 3, 3), ("B", 4, 3), ("B", 4, 4), ("B", 5, 3), ("B", 5, 4),
+                    ("B", 5, 5), ("C", 3, 2), ("C", 4, 2), ("C", 4, 3), ("C", 5, 2),
+                    ("C", 5, 3), ("C", 5, 4), ("D", 5, 3), ("F", 4, 1), ("F", 4, 2),
+                    ("F", 4, 3), ("E", 6, 2), ("E", 6, 3), ("E", 6, 4), ("G", 2, 1)]
+
+
+def test_equals_s_maximal_gradings():
+    assert [(t, r, n) for t, r in YAMAGUCHI_TYPES for n in range(1, r + 1)
+            if yamaguchi_classify(graded_algebra(t, r, (n,))) == TAG_EQUALS_S] == EQUALS_S_MAXIMAL
+
+
+@pytest.mark.parametrize("t, r, node", EQUALS_S_MAXIMAL)
+def test_equals_s_prolong_is_the_ambient_algebra(t, r, node):
+    fc = FlagCase(t, r, (node,))
+    p = full_prolong(fc.gminus, fc.levi_g0(), fc.alg.depth + 1)
+    assert p.stabilized and p.computed_to == fc.alg.depth + 1
+    assert p.dims() == fc.alg.dims_by_degree
 
 
 def test_equals_s_prolong_g2_node1():
@@ -176,3 +208,61 @@ def test_prolong_module_rep_property():
     mod = prolong_as_module(p)
     verify_representation(mod)
     assert mod.truncation_bound == 4
+
+
+# -- the constraints are built once per degree and split by weight block ------
+
+
+def flag_pair(t, r, nodes):
+    fc = FlagCase(t, r, nodes)
+    return fc.gminus, fc.levi_g0()
+
+
+# (g_-, g_0) pairs, weighted and unweighted, for the one-pass split
+SPLIT_CASES = {"g2-structure": g2_structure_pair, "co4": lambda: co_pair(4),
+               "C4-3": lambda: flag_pair("C", 4, (3,)), "A3-1,2": lambda: flag_pair("A", 3, (1, 2))}
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_one_pass_layers_equal_the_per_block_reference(name):
+    nil, g0 = SPLIT_CASES[name]()
+    p = full_prolong(nil, g0, 4)
+    empty = ProlongedAlgebra(nil, G0([], [], []))
+    assert repr(_derivations(empty, 0)) == repr(reference_derivations(empty, 0))
+    for k in range(1, p.computed_to + 1):
+        layer = _derivations(p, k)
+        assert repr(layer) == repr(reference_derivations(p, k))
+        assert layer == p.positive.get(k, G0([], [], []))
+
+
+def tampered_g2_node1():
+    """G2 node 1's (g_-, g_0) with the weight of g_0's first element shifted."""
+    fc = FlagCase("G", 2, (1,))
+    g0 = fc.levi_g0()
+    g0.weights[0] = (g0.weights[0][0] + 1, g0.weights[0][1])
+    return ProlongedAlgebra(fc.gminus, g0)
+
+
+def test_a_row_spanning_two_weight_blocks_raises():
+    with pytest.raises(InvariantError, match="spans weight blocks"):
+        prolong_step(tampered_g2_node1(), 1)
+
+
+def test_a_row_spanning_two_weight_blocks_raises_under_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from nhsf.prolong import prolong_step\n"
+            "from test_prolong import tampered_g2_node1\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    prolong_step(tampered_g2_node1(), 1)\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if 'spans weight blocks' in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
