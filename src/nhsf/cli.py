@@ -114,24 +114,32 @@ def _cohomology_text(o) -> str:
 
 
 def cmd_cohomology(args) -> int:
+    """H^s in the degree window and, but for ``--coeff prolong``, its Levi summands.
+
+    Every flag coefficient module is the adjoint module or cut from it: the
+    Riemann slices are read off the adjoint's blocks (``cohom``), and the
+    co-Riemann module is the quotient ``FlagCase.coriemann_module``.
+    """
     fc = FlagCase(args.type_letter, args.rank, _nodes(args))
-    mod = {
-        "adjoint": fc.adjoint_module,
-        "riemann": fc.riemann_module,
-        "coriemann": fc.coriemann_module,
-        "trivial": fc.trivial_module,
-    }.get(args.coeff)
-    if mod is None:
-        fcp = full_prolong(fc.gminus, fc.levi_g0(), args.kmax)
-        module = prolong_as_module(fcp)
+    sub = None
+    if args.coeff == "prolong":
+        module = prolong_as_module(full_prolong(fc.gminus, fc.levi_g0(), args.kmax))
+    elif args.coeff == "trivial":
+        module = fc.trivial_module()
     else:
-        module = mod()
+        module = fc.adjoint_module()
+        if args.coeff == "riemann":
+            sub = fc.riemann_in(module)
+        elif args.coeff == "coriemann":
+            module = fc.coriemann_module(module)
     window = full_window(fc.gminus, module, args.s)
     if args.min_degree is not None:
         window = [k for k in window if k >= args.min_degree]
     if args.max_degree is not None:
         window = [k for k in window if k <= args.max_degree]
-    slices = cohomology(fc.gminus, module, args.s, window)
+    slices = cohomology(fc.gminus, module, args.s, window, sub=sub)
+    if sub is not None:
+        slices = [sl.sub for sl in slices]
     obj = {
         "case": {"type": fc.rs.spec.name, "nodes": list(fc.nodes), "coeff": args.coeff,
                  "s": args.s},

@@ -1,13 +1,17 @@
-"""Coefficient modules: adjoint, Riemannian, co-Riemannian, irreducibles.
+"""Coefficient modules: the adjoint module and the pieces cut from it, irreducibles.
 
 A ``GradedModule`` is a g_- module given degreewise by exact sparse action
 matrices (``linalg.SparseMat``), plus optional "actors": the raising and
 lowering Levi generators, each acting on both g_- and the module, which
-``decomp`` uses to split cohomology into irreducibles.  Every module that is
-a subspace of the flag algebra takes its action from
-``ZGradedLieAlgebra.restricted_ad``.  Weights are coroot-coordinate tuples;
-modules without a torus carry ``None`` weights and are only used where no
-decomposition is required.
+``decomp`` uses to split cohomology into irreducibles.  A flag case's
+adjoint module takes its action from ``ZGradedLieAlgebra.restricted_ad``,
+with integer entries.  Its other coefficient modules are cut from it by an
+index set that ``GradedModule.submodule`` checks: the Riemann module
+g_- (+) l1 is the submodule ``FlagCase.riemann_in`` names (``cohom`` reads
+its cohomology off the adjoint's), and the co-Riemann module (g_- (+) z)^*
+is the quotient g/(g_- (+) l1) (``GradedModule.quotient``).  Weights are
+coroot-coordinate tuples; modules without a torus carry ``None`` weights and
+are only used where no decomposition is required.
 
 Each module checks once, when built, that its action and the g_- bracket
 add degrees, and weights where both sides carry one (``cohom`` relies on
@@ -24,14 +28,13 @@ A violation raises ``InvariantError`` by an ``if``, so also under -O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 
 from . import InvariantError
 from .linalg import Q, SparseMat, acc, apply, commutator, nullspace, solve
 from .liealg import (
-    Element,
     GradedNilpotent,
     LeviPieces,
     ZGradedLieAlgebra,
@@ -117,6 +120,22 @@ class GradedModule:
                                          f"not closed under the action and the actors")
         return sub
 
+    def quotient(self, idx) -> GradedModule:
+        """The quotient by the span of the basis indices ``idx``, checked by
+        ``submodule``: the other basis elements in their order, with the action
+        and every actor's ``on_module`` cut to their rows and columns."""
+        sub = self.submodule(idx)
+        pos = {m: k for k, m in enumerate(m for m in range(self.dim) if m not in sub)}
+
+        def cut(mat: SparseMat) -> SparseMat:
+            out = {pos[m]: {pos[r]: v for r, v in outs.items() if r in pos}
+                   for m, outs in mat.items() if m in pos}
+            return {m: img for m, img in out.items() if img}
+
+        return GradedModule(self.gminus, [self.basis[m] for m in pos],
+                            [cut(mat) for mat in self.act], self.truncation_bound,
+                            [replace(xi, on_module=cut(xi.on_module)) for xi in self.actors])
+
     def verify_additivity(self) -> None:
         """Every action entry a . m -> m2 and g_- bracket entry [a, b] -> c adds
         degrees, and weights where both summands carry one (module docstring)."""
@@ -178,6 +197,9 @@ class FlagCase:
         self.rs = self.alg.rs
         self.levi: LeviPieces = levi_pieces(self.alg)
         self.gminus, self.ambient = gminus_of(self.alg)
+        # ambient indices ordered by degree: the basis order of ``adjoint_module``
+        self.adjoint_order = sorted(range(self.alg.dim),
+                                    key=lambda i: (self.alg.basis[i].degree, i))
         self.unselected = [j + 1 for j, d in enumerate(self.alg.grading.degrees) if d == 0]
 
     def _actors_for(self, on_module) -> list[Actor]:
@@ -194,79 +216,24 @@ class FlagCase:
 
     # -- modules -------------------------------------------------------------
 
-    def _by_degree(self, sub) -> list[int]:
-        """Ambient indices ordered by degree, the basis order of ``_sub_adjoint``."""
-        return sorted(sub, key=lambda i: (self.alg.basis[i].degree, i))
-
-    def _sub_adjoint(self, sub) -> GradedModule:
-        """span(sub), an ad(g_- + l)-stable subspace of g, ordered by degree."""
-        alg = self.alg
-        sub = self._by_degree(sub)
-        basis = [ModuleElt(_amb_label(alg, i), alg.basis[i].degree, alg.basis[i].weight)
-                 for i in sub]
-        mat_of = lambda amb: alg.restricted_ad(amb, sub)
+    def adjoint_module(self) -> GradedModule:
+        """g with the adjoint action, its basis the ambient one ordered by degree."""
+        alg, order = self.alg, self.adjoint_order
+        basis = [ModuleElt(alg.label(i), alg.basis[i].degree, alg.basis[i].weight)
+                 for i in order]
+        mat_of = lambda amb: alg.restricted_ad(amb, order)
         return GradedModule(self.gminus, basis, [mat_of(a) for a in self.ambient],
                             None, self._actors_for(mat_of))
-
-    def adjoint_module(self) -> GradedModule:
-        return self._sub_adjoint(range(self.alg.dim))
-
-    def riemann_module(self) -> GradedModule:
-        """g_- (+) l1 with the induced action (a p-submodule of the adjoint)."""
-        return self._sub_adjoint(self.levi.g_minus + self.levi.l1)
 
     def riemann_in(self, adj: GradedModule) -> frozenset[int]:
         """The indices of g_- (+) l1 in the basis of ``adj``, this case's
         ``adjoint_module()``, checked to span a submodule of it."""
         riem = set(self.levi.g_minus + self.levi.l1)
-        return adj.submodule(m for m, amb in enumerate(self._by_degree(range(self.alg.dim)))
-                             if amb in riem)
+        return adj.submodule(m for m, amb in enumerate(self.adjoint_order) if amb in riem)
 
-    def coriemann_module(self) -> GradedModule:
-        """g/(g_- (+) l1), the quotient realization of (g_- (+) z)^*."""
-        alg = self.alg
-        pos_idx = [i for i, lab in enumerate(alg.basis) if lab.degree > 0]
-        pos_idx.sort(key=lambda i: (alg.basis[i].degree, i))
-        zbasis = self.levi.z
-        basis = [ModuleElt(f"z{k}", 0, (0,) * self.rank) for k in range(len(zbasis))]
-        basis += [ModuleElt(_amb_label(alg, i), alg.basis[i].degree, alg.basis[i].weight)
-                  for i in pos_idx]
-        pos_of = {amb: len(zbasis) + k for k, amb in enumerate(pos_idx)}
-
-        # Cartan splits as l1-Cartan (unselected coroots) + z: h_i -> its z part
-        unsel = [{j - 1: 1} for j in self.unselected]
-        sols = solve(unsel + zbasis, [{i: 1} for i in range(self.rank)])
-        if None in sols:
-            raise InvariantError("Cartan element outside l1-Cartan + z")
-        to_z: SparseMat = {i: {t - len(unsel): c for t, c in sol.items() if t >= len(unsel)}
-                           for i, sol in enumerate(sols)}
-
-        def project(vec: Element) -> dict[int, Fraction]:
-            """Image of an ambient element in the quotient basis."""
-            out: dict[int, Fraction] = {}
-            cart: dict[int, Fraction] = {}
-            for amb, c in vec.items():
-                lab = alg.basis[amb]
-                if lab.kind == "h":
-                    acc(cart, lab.index, c)
-                elif lab.degree > 0:
-                    acc(out, pos_of[amb], c)
-                # negative-degree and degree-0 root vectors die in the quotient
-            out.update(sorted(apply(to_z, cart).items()))
-            return out
-
-        reps = zbasis + [{amb: 1} for amb in pos_idx]  # ambient lift of each basis vector
-
-        def mat_of(actor_amb: int) -> SparseMat:
-            out: SparseMat = {}
-            for col, vec in enumerate(reps):
-                proj = project(alg.bracket({actor_amb: 1}, vec))
-                if proj:
-                    out[col] = proj
-            return out
-
-        return GradedModule(self.gminus, basis, [mat_of(a) for a in self.ambient],
-                            None, self._actors_for(mat_of))
+    def coriemann_module(self, adj: GradedModule) -> GradedModule:
+        """g/(g_- (+) l1), the co-Riemann module (g_- (+) z)^*, cut from ``adj``."""
+        return adj.quotient(self.riemann_in(adj))
 
     def trivial_module(self) -> GradedModule:
         basis = [ModuleElt("1", 0, (0,) * self.rank)]
@@ -284,16 +251,8 @@ class FlagCase:
             for b, col in alg.restricted_ad(amb, lidx).items():
                 if b > a:
                     bracket[(a, b)] = col
-        return G0([_amb_label(alg, i) for i in lidx], [alg.basis[i].weight for i in lidx],
+        return G0([alg.label(i) for i in lidx], [alg.basis[i].weight for i in lidx],
                   [alg.restricted_ad(i, self.ambient) for i in lidx], bracket)
-
-
-def _amb_label(alg: ZGradedLieAlgebra, i: int) -> str:
-    lab = alg.basis[i]
-    if lab.kind == "h":
-        return f"h{lab.index + 1}"
-    root = ",".join(str(c) for c in alg.rs.positive_roots[lab.index])
-    return f"{lab.kind}[{root}]"
 
 
 # -- irreducible highest weight modules -----------------------------------
@@ -424,7 +383,7 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
     g_order = sorted(range(alg.dim), key=lambda i: (alg.basis[i].degree, i))
     nV = irr.dim
     basis = [ModuleElt(f"v{k}", -1, irr.weights[k]) for k in range(nV)]
-    basis += [ModuleElt(_amb_label(alg, i), 0, alg.basis[i].weight) for i in g_order]
+    basis += [ModuleElt(alg.label(i), 0, alg.basis[i].weight) for i in g_order]
     if include_center:
         basis.append(ModuleElt("z", 0, (0,) * n))
 

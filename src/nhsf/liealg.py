@@ -15,11 +15,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add, sub
 
 from . import InputError, InvariantError
-from .linalg import Q, SparseMat, acc, nullspace
+from .linalg import Q, SparseMat
 from .rootsys import RootSystem, build_root_system
 
 Element = dict[int, int | Fraction]  # basis index -> coefficient
@@ -111,6 +110,14 @@ class ZGradedLieAlgebra:
         beta = self.rs.positive_roots[lab.index]
         return beta if lab.kind == "x" else tuple(-c for c in beta)
 
+    def label(self, idx: int) -> str:
+        """h<node> (1-based) for a Cartan element, x[beta] or y[beta] for a root
+        vector, beta its positive root in simple-root coords."""
+        lab = self.basis[idx]
+        if lab.kind == "h":
+            return f"h{lab.index + 1}"
+        return f"{lab.kind}[{','.join(map(str, self.rs.positive_roots[lab.index]))}]"
+
     # -- bracket -----------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> Element:
@@ -181,14 +188,6 @@ class ZGradedLieAlgebra:
                     raise InvariantError(f"span of {len(sub)} basis elements is not "
                                          f"closed under ad of basis element {i}")
                 out[col] = {pos[m]: v for m, v in br.items()}
-        return out
-
-    def bracket(self, u: Element, v: Element) -> Element:
-        out: Element = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, ck in self.bracket_basis(i, j).items():
-                    acc(out, k, ci * cj * ck)
         return out
 
     # -- verification -------------------------------------------------------
@@ -366,7 +365,6 @@ class LeviPieces:
     g_minus: list[int]
     l: list[int]
     l1: list[int]
-    z: list[Element]  # center of l, as Cartan combinations
 
 
 def levi_pieces(alg: ZGradedLieAlgebra) -> LeviPieces:
@@ -377,19 +375,7 @@ def levi_pieces(alg: ZGradedLieAlgebra) -> LeviPieces:
     unselected = [j for j, d in enumerate(alg.grading.degrees) if d == 0]
     l1 = [i for i in l_part if alg.basis[i].kind != "h"]
     l1 += [alg.h_index(j) for j in unselected]
-    # z = {h in Cartan : alpha_j(h) = 0 for all unselected j}
-    a = alg.rs.cartan_matrix
-    cols = [{j: a[i][j] for j in unselected if a[i][j]} for i in range(alg.rank)]
-    z_basis = []
-    for vec in nullspace(cols):
-        den = lcm(*(c.denominator for c in vec.values()))
-        z_basis.append({i: int(c * den) for i, c in vec.items()})
-    pieces = LeviPieces(g_minus, l_part, sorted(l1), z_basis)
-    if len(pieces.z) != len(alg.grading.selected_nodes):
-        raise ChevalleyError("dim z != number of selected nodes")
-    if len(pieces.l) != len(pieces.l1) + len(pieces.z):
-        raise ChevalleyError("l != l1 (+) z dimension split")
-    return pieces
+    return LeviPieces(g_minus, l_part, sorted(l1))
 
 
 @dataclass
@@ -445,7 +431,7 @@ def gminus_of(alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, list[int]]:
     labels, degrees, weights = [], [], []
     for amb in idx:
         lab = alg.basis[amb]
-        labels.append(f"y[{self_root_name(alg, amb)}]")
+        labels.append(alg.label(amb))
         degrees.append(lab.degree)
         weights.append(lab.weight)
     nil = GradedNilpotent(labels, degrees, weights)
@@ -454,11 +440,6 @@ def gminus_of(alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, list[int]]:
             if b > a:
                 nil.bracket_table[(a, b)] = col
     return nil, idx
-
-
-def self_root_name(alg: ZGradedLieAlgebra, amb: int) -> str:
-    beta = alg.rs.positive_roots[alg.basis[amb].index]
-    return ",".join(str(c) for c in beta)
 
 
 def abelian_nilpotent(n: int, weights=None, label="v") -> GradedNilpotent:

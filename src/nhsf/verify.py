@@ -6,11 +6,13 @@ transcriptions.  The adjoint H^2 and the co-Riemann H^1 are each computed
 once, only on the Levi-extremal weight blocks, where ``decomp`` reads each
 multiplicity as dim H of the subcomplex of n-invariants (Hochschild-Serre);
 every degreewise dimension a record reports is sum mult * dim over the
-summands.  The Riemann module g_- (+) l1 of the Premet split is spanned by
-adjoint basis elements and stable under g_- and the Levi actors
-(``FlagCase.riemann_in`` checks it), so on budget full its H^2 is read off
-the adjoint run's blocks (``cohom``): it enumerates, differentiates and
-eliminates nothing of its own.  The co-Riemann H^1 is decomposed by highest
+summands.  Each case builds one adjoint module.  The Riemann module
+g_- (+) l1 of the Premet split is spanned by adjoint basis elements and
+stable under g_- and the Levi actors (``FlagCase.riemann_in`` checks it), so
+on budget full its H^2 is read off the adjoint run's blocks (``cohom``): it
+enumerates, differentiates and eliminates nothing of its own.  The
+co-Riemann module is the quotient of the adjoint by it
+(``FlagCase.coriemann_module``).  The co-Riemann H^1 is decomposed by highest
 weight; its lowest weights, which the tables print, are their images under
 w0 of the Levi, and a printed one that is not Levi-antidominant makes the
 comparison a Mismatch.  The Premet census reads dim H of the co-Riemann
@@ -29,13 +31,12 @@ from dataclasses import dataclass
 
 from . import ENGINE_VERSION, InputError, InvariantError
 from .rootsys import RootSystem, build_root_system, dynkin_split, enumerate_w_i, to_root
-from .liealg import build_chevalley
+from .liealg import GradedNilpotent, build_chevalley
 from .gmod import FlagCase, GradedModule, IrreducibleModule, abelian_negative
 from .cohom import cohomology, full_window
 from .decomp import (HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand, decompose,
                      levi_irrep_dim)
-from .prolong import (G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, prolong_as_module,
-                      yamaguchi_classify)
+from .prolong import G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, yamaguchi_classify
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
                        table1_case, TABLE1, SEC71)
 
@@ -372,7 +373,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
                 checks["ir_count"]["direct"] == sum(sm.multiplicity for sm in h2_summands))
 
         if spec.budget == "full":
-            cor = fc.coriemann_module()
+            cor = fc.coriemann_module(adj)
             cor_slices, h1_summands, _ = _decomposed(fc, cor, 1, HIGHEST)
             d_cor = _dims(fc, h1_summands)
             for k, dim in sorted(d_cor.items()):
@@ -433,54 +434,55 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
 # -- the G(2)-structure (Sec. 7.1) ----------------------------------------------
 
 
+def g2_structure(include_center: bool) -> tuple[GradedNilpotent, GradedModule, G0]:
+    """The G(2)-structure: g_- = V = L(1, 0) of G(2), abelian, its coefficients
+    V (+) g_0 (``abelian_negative``), and g_0 = g2, with the center when
+    ``include_center``, acting on V."""
+    alg = build_chevalley("G", 2)
+    irr = IrreducibleModule(alg.rs, (1, 0))
+    nil, mod = abelian_negative(irr, include_center, alg)
+    # the g_0 action on V, read back off the coefficients: mod.act[k][nV + col] = -X_col(v_k)
+    nV = irr.dim
+    g0_act: list[dict] = []
+    for col in range(mod.dim - nV):
+        mat: dict = {}
+        for k in range(nV):
+            for r, v in mod.act[k].get(nV + col, {}).items():
+                mat.setdefault(k, {})[r] = -v
+        g0_act.append(mat)
+    return nil, mod, G0([b.label for b in mod.basis[nV:]], [b.weight for b in mod.basis[nV:]],
+                        g0_act)
+
+
 def run_g2_structure(variant: str = "auto") -> dict:
     """H^2 of the G(2)-structure on the 7-dim fundamental module.
 
     variant: "g2", "cg2" or "auto" (= report both, pin whichever reproduces
-    the expected table).
+    the expected table).  Neither has a first prolongation (an ``if`` checks
+    it), so H^2 is taken in the coefficients V (+) g_0 and decomposed.
     """
-    alg = build_chevalley("G", 2)
-    rs = alg.rs
-    irr = IrreducibleModule(rs, (1, 0))
+    rs = build_chevalley("G", 2).rs
     out: dict = {"variants": {}}
     for name, include_center in (("g2", False), ("cg2", True)):
         if variant not in ("auto", name):
             continue
-        nil, mod = abelian_negative(irr, include_center, alg)
-        # recover the g_0 action on V: mod.act[k][nV+col] = -X_col(v_k)
-        nV = irr.dim
-        g0_act: list[dict] = []
-        for col in range(mod.dim - nV):
-            mat: dict = {}
-            for k in range(nV):
-                for r, v in mod.act[k].get(nV + col, {}).items():
-                    mat.setdefault(k, {})[r] = -v
-            g0_act.append(mat)
-        g0 = G0([mod.basis[nV + c].label for c in range(mod.dim - nV)],
-                [mod.basis[nV + c].weight for c in range(mod.dim - nV)], g0_act)
+        nil, mod, g0 = g2_structure(include_center)
         p = full_prolong(nil, g0, 2)
-        first = p.positive.get(1)
-        res: dict = {"prolong_dim_1": first.dim if first else 0,
-                     "prolong_stabilized": p.stabilized}
-        if first is not None and first.dim:
-            res["note"] = ("first prolong nonzero; H^2 dims computed with the "
-                           "degreewise-extended coefficients, no decomposition")
-            coeff = prolong_as_module(p)
-            slices = [sl for sl in cohomology(nil, coeff, 2, [1, 2]) if sl.dim_h]
-            res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}
-        else:
-            slices = [sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h]
-            res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}
-            summands = decompose(slices, mod, ExtremalWeights(rs, (1, 2), HIGHEST))
-            res["orders"] = {}
-            for sm in summands:
-                res["orders"].setdefault(str(sm.degree), []).append(list(sm.weight_cm))
-            for v in res["orders"].values():
-                v.sort()
+        if p.positive:
+            raise InvariantError(f"the {name} structure has a nonzero first prolongation")
+        res: dict = {"prolong_dim_1": 0, "prolong_stabilized": p.stabilized}
+        slices = [sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h]
+        res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}
+        summands = decompose(slices, mod, ExtremalWeights(rs, (1, 2), HIGHEST))
+        res["orders"] = {}
+        for sm in summands:
+            res["orders"].setdefault(str(sm.degree), []).append(list(sm.weight_cm))
+        for v in res["orders"].values():
+            v.sort()
         expected = {str(k): sorted([list(t) for t in v]) for k, v in SEC71["orders"].items()}
-        res["matches_statement"] = res.get("orders") == expected
+        res["matches_statement"] = res["orders"] == expected
         out["variants"][name] = res
-    matches = [n for n, r in out["variants"].items() if r.get("matches_statement")]
+    matches = [n for n, r in out["variants"].items() if r["matches_statement"]]
     out["matching_variant"] = matches[0] if matches else None
     out["status"] = MATCH if matches else MISMATCH
     return out

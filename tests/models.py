@@ -41,10 +41,15 @@ solver to agree with.
 The last group holds what only the tests call: the Heisenberg algebra and
 its full degree-0 derivations (``heisenberg``, ``der0``), the g_- and g_0
 of the contact prolongs; the representation property of a module; the
-Jacobi identity of a computed prolong, with the bracket of the prolonged
-algebra it needs (``bracket_elements``); ``reference_derivations``, the
-prolongation's derivation solve with its constraints rebuilt per weight
-block; and R_W^- of a Weyl word.
+bracket of two elements of a graded algebra (``lie_bracket``); the Riemann
+module g_- (+) l1 built on its own (``riemann_module``) and the co-Riemann
+module realized on z (+) g_+ (``coriemann_z_module``, with the center z of
+the Levi from ``z_basis``), the references for the index-set cuts of the
+adjoint that ``FlagCase`` makes; the Jacobi identity of a
+computed prolong, with the bracket of the prolonged algebra it needs
+(``bracket_elements``); ``reference_derivations``, the prolongation's
+derivation solve with its constraints rebuilt per weight block; and R_W^-
+of a Weyl word.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from nhsf import InvariantError
@@ -62,8 +67,8 @@ from nhsf.cohom import (CochainBasis, CohomologySlice, WeightBlock, _reverse_bra
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand
 from nhsf.linalg import (Q, SparseMat, _scaled, acc, apply, commutator, nullspace,
                          solve)
-from nhsf.liealg import GradedNilpotent, abelian_nilpotent
-from nhsf.gmod import Actor, GradedModule, ModuleElt
+from nhsf.liealg import GradedNilpotent, ZGradedLieAlgebra, abelian_nilpotent
+from nhsf.gmod import Actor, FlagCase, GradedModule, ModuleElt
 from nhsf.prolong import G0, ProlongedAlgebra, _derivations
 from nhsf.rootsys import RootSystem
 
@@ -257,6 +262,87 @@ def verify_representation(mod: GradedModule) -> None:
                     raise InvariantError(
                         f"representation property fails on pair ({i},{j}), column {col}"
                     )
+
+
+def lie_bracket(alg: ZGradedLieAlgebra, u: dict, v: dict) -> dict:
+    """[u, v] of two elements of ``alg`` given as basis index -> coefficient."""
+    out: dict = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            for k, ck in alg.bracket_basis(i, j).items():
+                acc(out, k, ci * cj * ck)
+    return out
+
+
+def riemann_module(fc: FlagCase) -> GradedModule:
+    """g_- (+) l1 built on its own, ordered by degree: the reference for the Riemann
+    slices that ``cohom`` reads off the adjoint's blocks."""
+    alg = fc.alg
+    sub = sorted(fc.levi.g_minus + fc.levi.l1, key=lambda i: (alg.basis[i].degree, i))
+    basis = [ModuleElt(alg.label(i), alg.basis[i].degree, alg.basis[i].weight) for i in sub]
+    mat_of = lambda amb: alg.restricted_ad(amb, sub)
+    return GradedModule(fc.gminus, basis, [mat_of(a) for a in fc.ambient], None,
+                        fc._actors_for(mat_of))
+
+
+def z_basis(alg: ZGradedLieAlgebra) -> list[dict[int, int]]:
+    """The center z of the Levi, {h in the Cartan : alpha_j(h) = 0 at every
+    unselected node j}, as primitive integer Cartan combinations."""
+    unselected = [j for j, d in enumerate(alg.grading.degrees) if d == 0]
+    a = alg.rs.cartan_matrix
+    cols = [{j: a[i][j] for j in unselected if a[i][j]} for i in range(alg.rank)]
+    out = []
+    for vec in nullspace(cols):
+        den = lcm(*(c.denominator for c in vec.values()))
+        out.append({i: int(c * den) for i, c in vec.items()})
+    return out
+
+
+def coriemann_z_module(fc: FlagCase, zbasis=None) -> GradedModule:
+    """(g_- (+) z)^* realized on z (+) g_+ (``zbasis``, by default ``z_basis``): the
+    reference for the quotient ``FlagCase.coriemann_module``.  The Cartan splits
+    as l1-Cartan (the unselected coroots) + z, and each bracket is projected onto
+    z and the positive root vectors, so the entries are fractions."""
+    alg = fc.alg
+    zbasis = z_basis(alg) if zbasis is None else zbasis
+    pos_idx = sorted((i for i, lab in enumerate(alg.basis) if lab.degree > 0),
+                     key=lambda i: (alg.basis[i].degree, i))
+    basis = [ModuleElt(f"z{k}", 0, (0,) * fc.rank) for k in range(len(zbasis))]
+    basis += [ModuleElt(alg.label(i), alg.basis[i].degree, alg.basis[i].weight)
+              for i in pos_idx]
+    pos_of = {amb: len(zbasis) + k for k, amb in enumerate(pos_idx)}
+    # h_i -> its z part
+    unsel = [{j - 1: 1} for j in fc.unselected]
+    sols = solve(unsel + zbasis, [{i: 1} for i in range(fc.rank)])
+    if None in sols:
+        raise InvariantError("Cartan element outside l1-Cartan + z")
+    to_z: SparseMat = {i: {t - len(unsel): c for t, c in sol.items() if t >= len(unsel)}
+                       for i, sol in enumerate(sols)}
+
+    def project(vec: dict) -> dict[int, Fraction]:
+        """Image of an ambient element in the basis; g_- and l1 die in the quotient."""
+        out: dict[int, Fraction] = {}
+        cart: dict[int, Fraction] = {}
+        for amb, c in vec.items():
+            lab = alg.basis[amb]
+            if lab.kind == "h":
+                acc(cart, lab.index, c)
+            elif lab.degree > 0:
+                acc(out, pos_of[amb], c)
+        out.update(sorted(apply(to_z, cart).items()))
+        return out
+
+    reps = zbasis + [{amb: 1} for amb in pos_idx]  # ambient lift of each basis vector
+
+    def mat_of(actor_amb: int) -> SparseMat:
+        out: SparseMat = {}
+        for col, vec in enumerate(reps):
+            if proj := project(lie_bracket(alg, {actor_amb: 1}, vec)):
+                out[col] = proj
+        return out
+
+    return GradedModule(fc.gminus, basis, [mat_of(a) for a in fc.ambient], None,
+                        fc._actors_for(mat_of))
 
 
 ProlongElt = dict[tuple[int, int], Fraction]  # (level, index) -> coefficient

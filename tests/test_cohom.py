@@ -20,7 +20,8 @@ from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent
 from models import (contact_module, der0, filtered_basis, hamiltonian_module, heisenberg,
-                    poisson_module, rank, reference_slice, svect_module, vect_module)
+                    poisson_module, rank, reference_slice, riemann_module, svect_module,
+                    vect_module)
 from nhsf.prolong import G0, full_prolong, prolong_as_module
 
 
@@ -130,7 +131,7 @@ def test_hei2_trivial_against_brute_force():
 
 def test_g2_node1_coriemann_against_brute_force():
     fc = FlagCase("G", 2, (1,))
-    cor = fc.coriemann_module()
+    cor = fc.coriemann_module(fc.adjoint_module())
     brute = brute_ce_dims(fc.gminus, cor, 2)
     for (s, k), v in brute.items():
         if s in (1, 2):
@@ -179,7 +180,8 @@ def test_slices_match_the_enumerated_reference(case):
     """Rows keyed as d reaches them give the slices of an enumerated C^{s+1}."""
     fc = FlagCase(*case)
     flt = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
-    for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module()):
+    adj = fc.adjoint_module()
+    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj)):
         for s in (1, 2):
             for weights in (None, flt):
                 for k in full_window(fc.gminus, mod, s):
@@ -204,7 +206,8 @@ def test_mask_join_is_the_plain_filter(case):
     element for element and in the same order."""
     fc = FlagCase(*case)
     dropped = kept = 0
-    for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module()):
+    adj = fc.adjoint_module()
+    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj)):
         for kind in (LOWEST, HIGHEST):
             flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
             for s in (0, 1, 2):
@@ -274,8 +277,8 @@ def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
     """One pivot too few leaves the bound open on every block, and the certified
     kernels (here from the retry mod the next prime) still give the exact slices."""
     fc = FlagCase("G", 2, (1,))
-    adj, cor = fc.adjoint_module(), fc.coriemann_module()
-    riem = fc.riemann_in(adj)
+    adj = fc.adjoint_module()
+    cor, riem = fc.coriemann_module(adj), fc.riemann_in(adj)
     lowest = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
     highest = ExtremalWeights(fc.rs, tuple(fc.unselected), HIGHEST)
     runs = [(adj, 2, lowest, riem), (adj, 2, None, riem), (cor, 1, highest, None)]

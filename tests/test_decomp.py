@@ -16,7 +16,7 @@ from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
 from nhsf.liealg import build_chevalley
 from nhsf.linalg import acc
 from nhsf.rootsys import build_root_system
-from models import reference_decompose
+from models import reference_decompose, riemann_module
 
 
 def slices_of(fc, mod, s):
@@ -41,7 +41,7 @@ def test_g2_node1_h2_lowest_weight():
 
 def test_g2_node1_h1_weights():
     fc = FlagCase("G", 2, (1,))
-    cor = fc.coriemann_module()
+    cor = fc.coriemann_module(fc.adjoint_module())
     slices = slices_of(fc, cor, 1)
     lows = Counter()
     for sm in decompose(slices, cor, extremal(fc, LOWEST)):
@@ -96,7 +96,7 @@ def test_lowest_weights_nonpositive_at_unselected():
 
 def test_bookkeeping_totals():
     fc = FlagCase("C", 3, (3,))
-    cor = fc.coriemann_module()
+    cor = fc.coriemann_module(fc.adjoint_module())
     slices = slices_of(fc, cor, 1)
     sums = decompose(slices, cor, extremal(fc, HIGHEST))
     total = sum(levi_irrep_dim(fc.rs, fc.unselected, sm.weight_cm, HIGHEST) * sm.multiplicity
@@ -213,8 +213,9 @@ REFERENCE_CASES = [("G", 2, (1,)), ("G", 2, (2,)), ("C", 3, (1,)), ("B", 3, (2,)
 def test_decompose_matches_the_reference(case):
     """Adjoint H^2, co-Riemann H^1 and Riemann H^2, as ``verify`` splits them."""
     fc = FlagCase(*case)
-    for mod, s, kind in ((fc.adjoint_module(), 2, LOWEST), (fc.coriemann_module(), 1, HIGHEST),
-                         (fc.riemann_module(), 2, LOWEST)):
+    adj = fc.adjoint_module()
+    for mod, s, kind in ((adj, 2, LOWEST), (fc.coriemann_module(adj), 1, HIGHEST),
+                         (riemann_module(fc), 2, LOWEST)):
         flt = extremal(fc, kind)
         got = decompose(filtered_slices(fc, mod, s, kind), mod, flt)
         assert got and got == reference_decompose(mod, s, flt)
@@ -223,10 +224,10 @@ def test_decompose_matches_the_reference(case):
 @pytest.mark.parametrize("case", REFERENCE_CASES + [("C", 5, (3,)), ("D", 6, (3,))],
                          ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
 def test_riemann_h2_off_the_adjoint_blocks_matches_the_riemann_module(case):
-    """H^2(g_- (+) l1) read off the adjoint's blocks equals the ``riemann_module()``
-    route: per slice, per (k, weight) block and per summand."""
+    """H^2(g_- (+) l1) read off the adjoint's blocks equals the standalone module's
+    (``models.riemann_module``): per slice, per (k, weight) block and per summand."""
     fc = FlagCase(*case)
-    adj, riem = fc.adjoint_module(), fc.riemann_module()
+    adj, riem = fc.adjoint_module(), riemann_module(fc)
     flt = extremal(fc, LOWEST)
     shared = cohomology(fc.gminus, adj, 2, full_window(fc.gminus, adj, 2), weights=flt,
                         sub=fc.riemann_in(adj))
@@ -265,7 +266,8 @@ def test_actors_commute_with_d(case):
     """F o d = d o F on all of C^1 and C^2, every actor, three modules."""
     fc = FlagCase(*case)
     gm = fc.gminus
-    for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module()):
+    adj = fc.adjoint_module()
+    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj)):
         actors = list(range(len(mod.actors)))
         nonzero = 0
         for s in (1, 2):

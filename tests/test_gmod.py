@@ -10,11 +10,13 @@ import pytest
 import nhsf
 import nhsf.gmod
 from nhsf import InvariantError
+from nhsf.cohom import cohomology, full_window
+from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
 from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt, abelian_negative
 from nhsf.liealg import GradedNilpotent, build_chevalley
 from nhsf.rootsys import build_root_system, weyl_dim
 
-from models import verify_representation
+from models import coriemann_z_module, riemann_module, verify_representation, z_basis
 
 
 @pytest.mark.parametrize("t,n,hw,dim", [
@@ -77,10 +79,9 @@ def test_adjoint_module_total_f4():
 
 
 def test_riemann_module_dims():
-    assert _case("G", 2, (1,)).riemann_module().dim == 8
-    assert _case("A", 2, (1, 2)).riemann_module().dim == 3  # Borel: l1 = 0
-    fc = _case("C", 3, (1,))
-    riem = fc.riemann_module()
+    assert riemann_module(_case("G", 2, (1,))).dim == 8
+    assert riemann_module(_case("A", 2, (1, 2))).dim == 3  # Borel: l1 = 0
+    riem = riemann_module(_case("C", 3, (1,)))
     assert {d: len(v) for d, v in riem.by_degree.items()} == {-2: 1, -1: 4, 0: 10}
     verify_representation(riem)
 
@@ -102,25 +103,62 @@ def test_coriemann_dims_equal_gminus_plus_z():
     for t, n, nodes in [("G", 2, (1,)), ("C", 2, (1, 2)), ("A", 3, (1, 3)),
                         ("D", 4, (2,))]:
         fc = _case(t, n, nodes)
-        cor = fc.coriemann_module()
-        assert cor.dim == fc.gminus.dim + len(fc.levi.z)
+        z = z_basis(fc.alg)
+        assert len(z) == len(nodes) and len(fc.levi.l) == len(fc.levi.l1) + len(z)
+        cor = fc.coriemann_module(fc.adjoint_module())
+        assert cor.dim == fc.gminus.dim + len(z)
         verify_representation(cor)
         cor.verify_additivity()
 
 
 def test_cartan_outside_l1_cartan_plus_z_is_rejected():
     fc = FlagCase("G", 2, (1,))
-    fc.levi = replace(fc.levi, z=[{1: 1}])  # h2, already the unselected coroot
     with pytest.raises(InvariantError, match="outside l1-Cartan"):
-        fc.coriemann_module()
+        coriemann_z_module(fc, [{1: 1}])  # h2, already the unselected coroot
 
 
 def test_coriemann_weights_mirror_positive_part():
     fc = _case("G", 2, (1,))
-    cor = fc.coriemann_module()
+    cor = fc.coriemann_module(fc.adjoint_module())
     pos_weights = sorted(lab.weight for lab in fc.alg.basis if lab.degree > 0)
     quot = sorted(b.weight for b in cor.basis if b.degree > 0)
     assert quot == pos_weights
+
+
+def test_coriemann_entries_are_integers():
+    """The quotient keeps the adjoint's integer constants; the z-realization solves the
+    Cartan split, and its entries are fractions."""
+    for t, n, nodes in [("G", 2, (1,)), ("C", 3, (1, 3)), ("F", 4, (3,)), ("E", 6, (2,))]:
+        fc = _case(t, n, nodes)
+        cor = fc.coriemann_module(fc.adjoint_module())
+        mats = [*cor.act, *(xi.on_module for xi in cor.actors)]
+        assert cor.actors and all(type(v) is int for mat in mats for outs in mat.values()
+                                  for v in outs.values())
+    z_mats = coriemann_z_module(_case("G", 2, (1,))).act
+    assert any(type(v) is Fraction for mat in z_mats for outs in mat.values()
+               for v in outs.values())
+
+
+def _h1_of(fc, mod):
+    """Degreewise dim H^1 and the Highest and Lowest summands, from complete slices."""
+    slices = [sl for sl in cohomology(fc.gminus, mod, 1, full_window(fc.gminus, mod, 1))
+              if sl.dim_h]
+    return ({sl.k: sl.dim_h for sl in slices},
+            *(decompose(slices, mod, ExtremalWeights(fc.rs, tuple(fc.unselected), kind))
+              for kind in (HIGHEST, LOWEST)))
+
+
+@pytest.mark.parametrize("case", [("G", 2, (1,)), ("G", 2, (2,)), ("F", 4, (1,)),
+                                  ("F", 4, (2,)), ("F", 4, (3,)), ("F", 4, (4,)),
+                                  ("C", 3, (3,)), ("B", 4, (2,)), ("D", 5, (3,)),
+                                  ("A", 3, (1, 3)), ("C", 3, (1, 3))],
+                         ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
+def test_quotient_h1_equals_the_z_realization(case):
+    """g/(g_- (+) l1) and (g_- (+) z)^* on z (+) g_+ are isomorphic modules: equal
+    degreewise H^1 and equal Highest and Lowest summands."""
+    fc = _case(*case)
+    got = _h1_of(fc, fc.coriemann_module(fc.adjoint_module()))
+    assert got[0] and got == _h1_of(fc, coriemann_z_module(fc))
 
 
 def test_abelian_negative_packaging():
@@ -247,8 +285,8 @@ ACTOR_TAMPERS = {"tamper_derivation": "not a derivation of the g_- bracket",
 def test_every_flag_module_passes_the_actor_check():
     for t, n, nodes in [("G", 2, (1,)), ("C", 3, (1, 3)), ("F", 4, (3,))]:
         fc = _case(t, n, nodes)
-        for mod in (fc.adjoint_module(), fc.riemann_module(), fc.coriemann_module(),
-                    fc.trivial_module()):
+        adj = fc.adjoint_module()
+        for mod in (adj, riemann_module(fc), fc.coriemann_module(adj), fc.trivial_module()):
             assert mod.actors
             mod.verify_actors()
 
@@ -296,19 +334,26 @@ def tamper_riemann_minus_gminus():
     return adj.submodule(riem - {min(riem)})
 
 
+def tamper_quotient_minus_gminus():
+    """The quotient by g_- (+) l1 less its first g_- element, not a submodule."""
+    _, adj, riem = _adjoint_and_riemann()
+    return adj.quotient(riem - {min(riem)})
+
+
 def tamper_riemann_plus_g1():
     """g_- (+) l1 plus a g_1 element, which g_-1 brackets into the Cartan."""
     _, adj, riem = _adjoint_and_riemann()
     return adj.submodule(riem | {min(m for m, b in enumerate(adj.basis) if b.degree == 1)})
 
 
-SUBMODULE_TAMPERS = ("tamper_riemann_minus_gminus", "tamper_riemann_plus_g1")
+SUBMODULE_TAMPERS = ("tamper_riemann_minus_gminus", "tamper_riemann_plus_g1",
+                     "tamper_quotient_minus_gminus")
 
 
 def test_riemann_indices_span_the_riemann_module():
     fc, adj, riem = _adjoint_and_riemann()
     assert adj.submodule(riem) == riem
-    assert [adj.basis[m] for m in sorted(riem)] == fc.riemann_module().basis
+    assert [adj.basis[m] for m in sorted(riem)] == riemann_module(fc).basis
 
 
 def test_riemann_plus_a_selected_cartan_vector_is_a_submodule():

@@ -14,7 +14,7 @@ from nhsf.liealg import (ChevalleyError, GradingSpec, ZGradedLieAlgebra, _consta
                          build_chevalley, gminus_of, graded_algebra, levi_pieces)
 from nhsf.rootsys import build_root_system
 
-from models import heisenberg
+from models import heisenberg, lie_bracket, z_basis
 
 
 def test_sl2_relations():
@@ -65,9 +65,9 @@ def test_jacobi_random_triples(spec, seed):
     i, j, k = (rng.randrange(alg.dim) for _ in range(3))
     acc = {}
     for term in (
-        alg.bracket(alg.bracket_basis(i, j), {k: Q(1)}),
-        alg.bracket(alg.bracket_basis(j, k), {i: Q(1)}),
-        alg.bracket(alg.bracket_basis(k, i), {j: Q(1)}),
+        lie_bracket(alg, alg.bracket_basis(i, j), {k: Q(1)}),
+        lie_bracket(alg, alg.bracket_basis(j, k), {i: Q(1)}),
+        lie_bracket(alg, alg.bracket_basis(k, i), {j: Q(1)}),
     ):
         for m, v in term.items():
             acc[m] = acc.get(m, Q(0)) + v
@@ -125,11 +125,24 @@ def test_dim_gminus_counts_roots_with_selected_coefficient():
         assert nil.generated_by_top()
 
 
+def test_basis_labels():
+    """h<node> for the Cartan, x[beta] / y[beta] for root vectors; g_- is all y[beta]."""
+    alg = graded_algebra("G", 2, (1,))
+    assert [alg.label(i) for i in range(alg.dim)] == [
+        "h1", "h2", "x[0,1]", "x[1,0]", "x[1,1]", "x[2,1]", "x[3,1]", "x[3,2]",
+        "y[0,1]", "y[1,0]", "y[1,1]", "y[2,1]", "y[3,1]", "y[3,2]"]
+    nil, idx = gminus_of(alg)
+    assert nil.labels == [alg.label(i) for i in idx] == [
+        "y[1,0]", "y[1,1]", "y[2,1]", "y[3,1]", "y[3,2]"]
+
+
 def test_levi_pieces_examples():
-    lp = levi_pieces(graded_algebra("G", 2, (1,)))
-    assert (len(lp.l), len(lp.l1), len(lp.z)) == (4, 3, 1)
-    lp = levi_pieces(graded_algebra("A", 2, (1, 2)))
-    assert (len(lp.l), len(lp.l1), len(lp.z)) == (2, 0, 2)
+    alg = graded_algebra("G", 2, (1,))
+    lp = levi_pieces(alg)
+    assert (len(lp.l), len(lp.l1), len(z_basis(alg))) == (4, 3, 1)
+    alg = graded_algebra("A", 2, (1, 2))
+    lp = levi_pieces(alg)
+    assert (len(lp.l), len(lp.l1), len(z_basis(alg))) == (2, 0, 2)
     lp = levi_pieces(graded_algebra("C", 3, (1,)))
     assert len(lp.l1) == 10  # sp(4)
 
@@ -148,8 +161,7 @@ def killing_on_cartan(alg, ti, tj) -> Q:
 def test_z_killing_orthogonality():
     """z is the Killing-orthogonal complement of the unselected coroots."""
     alg = graded_algebra("F", 4, (2,))
-    lp = levi_pieces(alg)
-    for zel in lp.z:
+    for zel in z_basis(alg):
         zv = [zel.get(i, Q(0)) for i in range(alg.rank)]
         for j in (0, 2, 3):  # unselected nodes, 0-based
             hj = [Q(1) if i == j else Q(0) for i in range(alg.rank)]
@@ -175,9 +187,9 @@ def jacobi_fails_somewhere(alg):
     """Oracle: the Jacobi sum over every basis triple i < j < k."""
     for i, j, k in itertools.combinations(range(alg.dim), 3):
         total = {}
-        for term in (alg.bracket(alg.bracket_basis(i, j), {k: 1}),
-                     alg.bracket(alg.bracket_basis(j, k), {i: 1}),
-                     alg.bracket(alg.bracket_basis(k, i), {j: 1})):
+        for term in (lie_bracket(alg, alg.bracket_basis(i, j), {k: 1}),
+                     lie_bracket(alg, alg.bracket_basis(j, k), {i: 1}),
+                     lie_bracket(alg, alg.bracket_basis(k, i), {j: 1})):
             for m, v in term.items():
                 total[m] = total.get(m, 0) + v
         if any(total.values()):

@@ -9,11 +9,12 @@ import pytest
 
 import nhsf
 from nhsf import InvariantError
-from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
-from nhsf.liealg import abelian_nilpotent, build_chevalley, graded_algebra
+from nhsf.gmod import FlagCase
+from nhsf.liealg import abelian_nilpotent, graded_algebra
 from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL,
                           ProlongedAlgebra, _derivations, full_prolong, prolong_step,
                           yamaguchi_classify)
+from nhsf.verify import g2_structure
 
 from models import (_matrix_bracket_table, der0, heisenberg, reference_derivations,
                     verify_prolong_jacobi, verify_representation)
@@ -87,19 +88,8 @@ def test_conformal_prolong_is_o_n_plus_2(n):
 
 def g2_structure_pair():
     """g_- = V the 7-dim G2 module, with g_0 = g2 acting on it (the G(2)-structure)."""
-    alg = build_chevalley("G", 2)
-    irr = IrreducibleModule(alg.rs, (1, 0))
-    nil, mod = abelian_negative(irr, False, alg)
-    nV = irr.dim
-    act = []
-    for col in range(mod.dim - nV):
-        mat = {}
-        for k in range(nV):
-            for r, v in mod.act[k].get(nV + col, {}).items():
-                mat.setdefault(k, {})[r] = -v
-        act.append(mat)
-    return nil, G0([f"g{c}" for c in range(mod.dim - nV)],
-                   [mod.basis[nV + c].weight for c in range(mod.dim - nV)], act)
+    nil, _, g0 = g2_structure(False)
+    return nil, g0
 
 
 def test_g2_structure_prolong_trivial():

@@ -12,6 +12,7 @@ from nhsf.cohom import cohomology, full_window
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
 from nhsf.gmod import FlagCase
 from nhsf.verify import MISMATCH, CaseSpec, _decomposed, _dims, run_case
+from models import riemann_module
 from test_cohom import euler_characteristic_check
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -38,7 +39,8 @@ def complete_decomposition(fc, mod, s, kind):
 @settings(max_examples=8, deadline=None)
 def test_filtered_slices_decompose_like_complete_ones(case):
     fc = FlagCase(*case)
-    adj, cor, riem = fc.adjoint_module(), fc.coriemann_module(), fc.riemann_module()
+    adj = fc.adjoint_module()
+    cor, riem = fc.coriemann_module(adj), riemann_module(fc)
     found = []
     for mod, s, kind in ((adj, 2, LOWEST), (cor, 1, HIGHEST), (cor, 1, LOWEST),
                          (riem, 2, LOWEST)):

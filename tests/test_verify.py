@@ -9,11 +9,13 @@ import pytest
 import nhsf
 import nhsf.expected
 import nhsf.verify
-from nhsf.gmod import FlagCase
+from nhsf.gmod import FlagCase, GradedModule
 from nhsf.rootsys import build_root_system
 from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
                          premet_split_check, run_case, run_g2_structure,
                          statement41_check)
+
+from models import riemann_module
 
 
 def test_bwb_identity_word_gives_minus_lambda():
@@ -130,7 +132,8 @@ def test_premet_g2_node1():
     from nhsf.prolong import yamaguchi_classify
 
     fc = FlagCase("G", 2, (1,))
-    adj, cor, riem = fc.adjoint_module(), fc.coriemann_module(), fc.riemann_module()
+    adj = fc.adjoint_module()
+    cor, riem = fc.coriemann_module(adj), riemann_module(fc)
     slices = lambda mod, s: [sl for sl in cohomology(fc.gminus, mod, s,
                                                      full_window(fc.gminus, mod, s)) if sl.dim_h]
     adj_slices, cor_slices, riem_slices = slices(adj, 2), slices(cor, 1), slices(riem, 2)
@@ -192,6 +195,20 @@ def test_g2_structure_statement():
     assert out["variants"]["cg2"]["matches_statement"] is False
 
 
+def test_g2_structure_with_a_first_prolongation_fails_an_invariant(monkeypatch):
+    """H^2 is taken in the coefficients V (+) g_0 only while the prolongation stops at g_0."""
+    real = nhsf.verify.full_prolong
+
+    def grown(nil, g0, kmax):
+        p = real(nil, g0, kmax)
+        p.positive[1] = g0
+        return p
+
+    monkeypatch.setattr(nhsf.verify, "full_prolong", grown)
+    with pytest.raises(nhsf.InvariantError, match="nonzero first prolongation"):
+        run_g2_structure()
+
+
 def test_sp4_node2_rank2_boundary_premet():
     """Rank-2 case at the Lemma boundary: the split is flagged, not assumed."""
     rec = run_case(CaseSpec("C", 2, (2,)))
@@ -230,8 +247,8 @@ def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
     built, calls = [], []
     real_module, real_cohomology = FlagCase.coriemann_module, nhsf.verify.cohomology
 
-    def coriemann_module(self):
-        built.append(real_module(self))
+    def coriemann_module(self, adj):
+        built.append(real_module(self, adj))
         return built[-1]
 
     def cohomology(gm, mod, s, *args, **kwargs):
@@ -247,22 +264,34 @@ def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
 
 
 def test_full_case_reads_the_riemann_h2_off_the_adjoint(monkeypatch):
-    """The Premet split builds no Riemann module and no Riemann cochains of its own."""
-    calls = []
+    """One ``adjoint_module()`` call per full case: the Premet split reads the Riemann
+    H^2 off its blocks, and the co-Riemann H^1 is computed once, on its quotient."""
+    adjoints, quotients, calls = [], [], []
+    real_adjoint, real_quotient = FlagCase.adjoint_module, GradedModule.quotient
     real_cohomology = nhsf.verify.cohomology
 
-    def riemann_module(self):
-        raise AssertionError("run_case built the Riemann module")
+    def adjoint_module(self):
+        adjoints.append(real_adjoint(self))
+        return adjoints[-1]
+
+    def quotient(self, idx):
+        quotients.append((self, real_quotient(self, idx)))
+        return quotients[-1][1]
 
     def cohomology(gm, mod, s, *args, **kwargs):
-        calls.append((s, kwargs.get("sub") is not None))
+        calls.append((mod, s, kwargs.get("sub") is not None))
         return real_cohomology(gm, mod, s, *args, **kwargs)
 
-    monkeypatch.setattr(FlagCase, "riemann_module", riemann_module)
+    monkeypatch.setattr(FlagCase, "adjoint_module", adjoint_module)
+    monkeypatch.setattr(GradedModule, "quotient", quotient)
     monkeypatch.setattr(nhsf.verify, "cohomology", cohomology)
     rec = run_case(CaseSpec("C", 3, (3,)))
     assert rec["status"] == MATCH and rec["checks"]["premet_split"]["holds_degreewise"]
-    assert sorted(calls) == [(0, False), (1, False), (2, True)]
+    (adj,), ((cut_from, cor),) = adjoints, quotients
+    assert cut_from is adj
+    assert sorted((s, sub) for mod, s, sub in calls if mod is adj) == [(0, False), (2, True)]
+    assert [(s, sub) for mod, s, sub in calls if mod is cor] == [(1, False)]
+    assert len(calls) == 3
 
 
 def _suite_h1_cases():
