@@ -11,7 +11,10 @@ g_- (+) l1 is the submodule ``FlagCase.riemann_in`` names (``cohom`` reads
 its cohomology off the adjoint's), and the co-Riemann module (g_- (+) z)^*
 is the quotient g/(g_- (+) l1) (``GradedModule.quotient``).  Weights are
 coroot-coordinate tuples; modules without a torus carry ``None`` weights and
-are only used where no decomposition is required.
+are only used where no decomposition is required.  ``simple_actors`` builds
+every module's actors.  ``IrreducibleModule`` is L(lambda) with the action
+of every basis element of g (``actions``), from which ``verify.g2_structure``
+builds the Sec. 7.1 G(2)-structure's g_- and g_0.
 
 Each module checks once, when built, that its action and the g_- bracket
 add degrees, and weights where both sides carry one (``cohom`` relies on
@@ -38,7 +41,6 @@ from .liealg import (
     GradedNilpotent,
     LeviPieces,
     ZGradedLieAlgebra,
-    abelian_nilpotent,
     gminus_of,
     graded_algebra,
     levi_pieces,
@@ -55,6 +57,25 @@ class Actor:
     weight: tuple[int, ...] | None
     on_gminus: SparseMat
     on_module: SparseMat
+
+
+def _simple_root(rs: RootSystem, j: int) -> int:
+    """The index of the simple root alpha_{j+1} among ``rs``'s positive roots."""
+    return rs.root_index[tuple(1 if t == j else 0 for t in range(rs.rank))]
+
+
+def simple_actors(alg: ZGradedLieAlgebra, nodes, on_gminus, on_module) -> list[Actor]:
+    """The actors x_j and y_j, the root vectors of the simple roots at ``nodes``
+    (1-based, in order); ``on_gminus`` and ``on_module`` map the ambient index of
+    a root vector to its action on g_- and on the module."""
+    actors = []
+    for j in nodes:
+        k = _simple_root(alg.rs, j - 1)
+        for kind, amb, name in (("raise", alg.x_index(k), f"x{j}"),
+                                ("lower", alg.y_index(k), f"y{j}")):
+            actors.append(Actor(name, kind, alg.basis[amb].weight, on_gminus(amb),
+                                on_module(amb)))
+    return actors
 
 
 @dataclass
@@ -204,15 +225,8 @@ class FlagCase:
 
     def _actors_for(self, on_module) -> list[Actor]:
         """Unselected raise/lower actors; on_module maps an ambient index."""
-        actors = []
-        for j in self.unselected:
-            k = self.rs.root_index[tuple(1 if t == j - 1 else 0 for t in range(self.rank))]
-            for kind, amb, name in (("raise", self.alg.x_index(k), f"x{j}"),
-                                    ("lower", self.alg.y_index(k), f"y{j}")):
-                actors.append(Actor(name, kind, self.alg.basis[amb].weight,
-                                    self.alg.restricted_ad(amb, self.ambient),
-                                    on_module(amb)))
-        return actors
+        return simple_actors(self.alg, self.unselected,
+                             lambda amb: self.alg.restricted_ad(amb, self.ambient), on_module)
 
     # -- modules -------------------------------------------------------------
 
@@ -244,15 +258,9 @@ class FlagCase:
         """The Levi l as a degree-0 acting algebra for prolongation."""
         from .prolong import G0
 
-        alg = self.alg
-        lidx = self.levi.l
-        bracket: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a, amb in enumerate(lidx):
-            for b, col in alg.restricted_ad(amb, lidx).items():
-                if b > a:
-                    bracket[(a, b)] = col
+        alg, lidx = self.alg, self.levi.l
         return G0([alg.label(i) for i in lidx], [alg.basis[i].weight for i in lidx],
-                  [alg.restricted_ad(i, self.ambient) for i in lidx], bracket)
+                  [alg.restricted_ad(i, self.ambient) for i in lidx])
 
 
 # -- irreducible highest weight modules -----------------------------------
@@ -262,7 +270,20 @@ DIM_BOUND = 1000  # the largest Weyl dimension IrreducibleModule builds
 
 
 class IrreducibleModule:
-    """L(lambda) built by lowering with contravariant-form pruning."""
+    """L(lambda) built by lowering with contravariant-form pruning.
+
+    The basis is the weight vectors f_{j1}...f_{jk} v_lambda that the pivots of
+    each weight space's Gram matrix pick, and the entries are ``Fraction``s.  No
+    integral basis is used.  This monomial basis is not Kostant's Z-form
+    (Humphreys, Introduction to Lie Algebras, Sec. 27), and ``actions`` divides
+    commutators by structure constants: on L(1, 0) of G(2), six of the 46
+    entries are halves, all from the N = +-2 of the lowering vector of
+    2 alpha_1 + alpha_2 and carried up to those of 3 alpha_1 + alpha_2 and
+    3 alpha_1 + 2 alpha_2.  An integral basis would need a lattice reduction per
+    weight space (a rescaling where it is a line, as on L(1, 0) of G(2)), while
+    ``linalg._scaled`` already clears such denominators in one place, as a
+    matrix enters the elimination.
+    """
 
     def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...]):
         self.rs = rs
@@ -349,6 +370,46 @@ class IrreducibleModule:
                 created.append(nu)
             frontier = created
 
+    def actions(self, alg: ZGradedLieAlgebra) -> list[SparseMat]:
+        """The action on V of every basis element of ``alg``, the Lie algebra of
+        ``self.rs``, in its basis order: h_i by the weights, a simple root vector by
+        e_i or f_i, any other root vector by the commutator of a simple root vector
+        with a lower one, divided by their structure constant."""
+        rs = self.rs
+
+        def irr_action(amb: int) -> SparseMat:
+            """Action of an ambient g-basis element on V, via Chevalley words."""
+            lab = alg.basis[amb]
+            if lab.kind == "h":
+                return {k: {k: Q(w[lab.index])} for k, w in enumerate(self.weights)
+                        if w[lab.index] != 0}
+            beta = rs.positive_roots[lab.index]
+            if sum(beta) == 1:
+                j = beta.index(1)
+                return self.e_mat[j] if lab.kind == "x" else self.f_mat[j]
+            # non-simple root vector: peel one simple root off
+            for j in range(rs.rank):
+                down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
+                if min(down) >= 0 and down in rs.root_index:
+                    break
+            index = alg.x_index if lab.kind == "x" else alg.y_index
+            simple_amb, rest_amb = index(_simple_root(rs, j)), index(rs.root_index[down])
+            coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
+            m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
+            out: SparseMat = {}
+            for col in range(self.dim):
+                res = commutator(m1, m2, col)
+                if res:
+                    out[col] = {r: v / coeff for r, v in res.items()}
+            return out
+
+        # the basis lists lower roots first, so the sub-root actions a
+        # non-simple root vector needs are already in irr_acts
+        irr_acts: list[SparseMat] = []
+        for amb in range(alg.dim):
+            irr_acts.append(irr_action(amb))
+        return irr_acts
+
     def _form_ff(self, j: int, b: int, j2: int, b2: int) -> Fraction:
         """<f_j v_b, f_{j2} v_{b2}> = <v_b, f_{j2}(e_j v_{b2}) + d_jj2 h_j v_{b2}>."""
         res = apply(self.f_mat[j2], self.e_mat[j].get(b2, {}))
@@ -366,85 +427,3 @@ class IrreducibleModule:
                 raise InvariantError("contravariant form pairing across weights")
             total += v * gram[lb].get(self._local[m], 0)
         return total
-
-
-def abelian_negative(irr: IrreducibleModule, include_center: bool,
-                     alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, GradedModule]:
-    """Package V = L(lambda) as abelian g_{-1} with g_0 = g (+ optional center).
-
-    Coefficients are V (degree -1) + g_0 (degree 0); the actors are the
-    Chevalley generators of g, so cohomology can be decomposed into
-    irreducible g_0-constituents.
-    """
-    rs = irr.rs
-    n = rs.rank
-    nil = abelian_nilpotent(irr.dim, weights=irr.weights)
-
-    g_order = sorted(range(alg.dim), key=lambda i: (alg.basis[i].degree, i))
-    nV = irr.dim
-    basis = [ModuleElt(f"v{k}", -1, irr.weights[k]) for k in range(nV)]
-    basis += [ModuleElt(alg.label(i), 0, alg.basis[i].weight) for i in g_order]
-    if include_center:
-        basis.append(ModuleElt("z", 0, (0,) * n))
-
-    def simple(j: int) -> int:
-        return rs.root_index[tuple(1 if t == j else 0 for t in range(n))]
-
-    def irr_action(amb: int) -> SparseMat:
-        """Action of an ambient g-basis element on V, via Chevalley words."""
-        lab = alg.basis[amb]
-        if lab.kind == "h":
-            return {k: {k: Q(w[lab.index])} for k, w in enumerate(irr.weights)
-                    if w[lab.index] != 0}
-        beta = rs.positive_roots[lab.index]
-        if sum(beta) == 1:
-            j = beta.index(1)
-            return irr.e_mat[j] if lab.kind == "x" else irr.f_mat[j]
-        # non-simple root vector: peel one simple root off
-        for j in range(n):
-            down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
-            if min(down) >= 0 and down in rs.root_index:
-                break
-        index = alg.x_index if lab.kind == "x" else alg.y_index
-        simple_amb, rest_amb = index(simple(j)), index(rs.root_index[down])
-        coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
-        m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
-        out: SparseMat = {}
-        for col in range(nV):
-            res = commutator(m1, m2, col)
-            if res:
-                out[col] = {r: v / coeff for r, v in res.items()}
-        return out
-
-    # the ambient order lists lower roots first, so the sub-root actions a
-    # non-simple root vector needs are already in irr_acts
-    irr_acts: dict[int, SparseMat] = {}
-    for amb in range(alg.dim):
-        irr_acts[amb] = irr_action(amb)
-
-    def module_action_of(amb: int) -> SparseMat:
-        """Action on V (+) g0 of one g-basis element."""
-        out = dict(irr_acts[amb])
-        for col, img in alg.restricted_ad(amb, g_order).items():
-            out[nV + col] = {nV + r: v for r, v in img.items()}
-        return out
-
-    # g_- action on the coefficients: v . (w (+) X (+) z) = -X(v) - z(v)
-    act: list[SparseMat] = []
-    for k in range(nV):
-        mat: SparseMat = {}
-        for col, gamb in enumerate(g_order):
-            res = {row: -v for row, v in irr_acts[gamb].get(k, {}).items()}
-            if res:
-                mat[nV + col] = res
-        if include_center:
-            mat[nV + len(g_order)] = {k: Q(-1)}
-        act.append(mat)
-
-    actors: list[Actor] = []
-    for j in range(n):
-        for kind, amb, name in (("raise", alg.x_index(simple(j)), f"x{j + 1}"),
-                                ("lower", alg.y_index(simple(j)), f"y{j + 1}")):
-            actors.append(Actor(name, kind, alg.basis[amb].weight, irr_acts[amb],
-                                module_action_of(amb)))
-    return nil, GradedModule(nil, basis, act, None, actors)

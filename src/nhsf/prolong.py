@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import InputError, InvariantError
 from .linalg import SparseMat, acc, nullspace
 from .liealg import GradedNilpotent
-from .gmod import GradedModule, ModuleElt
+from .gmod import Actor, GradedModule, ModuleElt
 
 
 @dataclass
@@ -29,14 +29,12 @@ class G0:
     """One layer of degree k >= 0 acting on g_- (Levi part, D_k, gl(V), ...).
 
     ``act[t][v]`` is [E_t, v] for the t-th basis element E_t and the g_-
-    basis vector v, as coordinates in layer k + deg(v).  ``bracket`` is the
-    bracket table of a degree-0 layer; positive layers leave it None.
+    basis vector v, as coordinates in layer k + deg(v).
     """
 
     labels: list[str]
     weights: list[tuple[int, ...] | None]
     act: list[SparseMat]
-    bracket: dict[tuple[int, int], dict[int, Fraction]] | None = None
 
     @property
     def dim(self) -> int:
@@ -186,12 +184,14 @@ def full_prolong(gminus: GradedNilpotent, g0: G0, kmax: int) -> ProlongedAlgebra
     return p
 
 
-def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
+def prolong_as_module(p: ProlongedAlgebra, actors: list[Actor] | None = None) -> GradedModule:
     """The prolong as a g_- module: g_- + g_0 + positive layers.
 
     Marked complete up to the last computed degree unless stabilized, in
     which case the module is complete everywhere above as well.  The g_-
-    basis comes first, so module index u is the g_- basis vector u.
+    basis comes first, so module index u is the g_- basis vector u; the
+    layers follow in degree order.  ``GradedModule`` checks the ``actors``
+    (the G(2)-structure passes the generators of g2) on that basis.
     """
     gm = p.gminus
     basis = [ModuleElt(gm.labels[u], gm.degrees[u], gm.weights[u]) for u in range(gm.dim)]
@@ -220,7 +220,7 @@ def prolong_as_module(p: ProlongedAlgebra) -> GradedModule:
                 mat[idx] = col
         act.append(mat)
     bound = None if p.stabilized else p.computed_to
-    return GradedModule(gm, basis, act, bound)
+    return GradedModule(gm, basis, act, bound, actors)
 
 
 TAG_EQUALS_S = "EqualsS"

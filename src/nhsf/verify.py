@@ -21,6 +21,10 @@ does not depend on the summands.  On every direct-route case the Weyl-word
 enumeration (BWB route, Kostant's theorem for the parabolic grading) and the
 direct route are computed independently and compared
 (``checks.bwb.matches_direct``); a disagreement makes the case a Mismatch.
+
+The Sec. 7.1 G(2)-structure builds g_0 = g2 straight from its action on
+V = L(1, 0) (``g2_structure``).  Its prolongation stops at g_0, so its
+coefficients V (+) g_0 are the prolongation as a module (``prolong_as_module``).
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from dataclasses import dataclass
 
 from . import ENGINE_VERSION, InputError, InvariantError
 from .rootsys import RootSystem, build_root_system, dynkin_split, enumerate_w_i, to_root
-from .liealg import GradedNilpotent, build_chevalley
-from .gmod import FlagCase, GradedModule, IrreducibleModule, abelian_negative
+from .linalg import SparseMat
+from .liealg import GradedNilpotent, abelian_nilpotent, build_chevalley
+from .gmod import Actor, FlagCase, GradedModule, IrreducibleModule, simple_actors
 from .cohom import cohomology, full_window
 from .decomp import (HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand, decompose,
                      levi_irrep_dim)
-from .prolong import G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, yamaguchi_classify
+from .prolong import (G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, prolong_as_module,
+                      yamaguchi_classify)
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
                        table1_case, TABLE1, SEC71)
 
@@ -96,14 +102,14 @@ def bwb_adjoint(rs: RootSystem, nodes, i: int = 2):
 # -- counting and graph checks -------------------------------------------------
 
 
-def ir_count(rs: RootSystem, nodes) -> dict:
-    """Direct card W(I)_2 (authoritative) plus both formula candidates.
+def ir_count(rs: RootSystem, nodes, direct: int) -> dict:
+    """``direct`` = card W(I)_2 (authoritative: the number of rows of
+    ``bwb_adjoint``, one per word) plus both formula candidates.
 
     The formula is evaluated with c = card B_I where B_I is read as the
     *selected* set (the reading under which the proof chain is consistent);
     both 1/2 c(c+1) and 1/2 c(c-1) variants are reported.
     """
-    direct = len(enumerate_w_i(rs, set(nodes), 2))
     unselected = set(range(1, rs.rank + 1)) - set(nodes)
     split_sel = dynkin_split(rs, unselected)  # splits the selected set
     c = split_sel.c
@@ -337,7 +343,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
     bwb = bwb_adjoint(rs, spec.nodes, 2)
     checks["bwb"] = {"h2_lowest": [{"weight_cm": list(e["weight_cm"]),
                                     "degree": e["degree"]} for e in bwb]}
-    checks["ir_count"] = ir_count(rs, spec.nodes)
+    checks["ir_count"] = ir_count(rs, spec.nodes, len(bwb))
     checks["statement41"] = statement41_check(rs, spec.nodes)
     exp = expectation_for(spec)
 
@@ -434,24 +440,30 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
 # -- the G(2)-structure (Sec. 7.1) ----------------------------------------------
 
 
-def g2_structure(include_center: bool) -> tuple[GradedNilpotent, GradedModule, G0]:
-    """The G(2)-structure: g_- = V = L(1, 0) of G(2), abelian, its coefficients
-    V (+) g_0 (``abelian_negative``), and g_0 = g2, with the center when
-    ``include_center``, acting on V."""
+def g2_structure(include_center: bool) -> tuple[GradedNilpotent, G0, list[Actor]]:
+    """The G(2)-structure: g_- = V = L(1, 0) of G(2), abelian; g_0 = g2 acting on V,
+    plus the center z acting as the identity when ``include_center``; and the
+    generators x_j, y_j of g2 as actors on g_- and on the coefficients V (+) g_0,
+    in the basis order of ``prolong_as_module``."""
     alg = build_chevalley("G", 2)
     irr = IrreducibleModule(alg.rs, (1, 0))
-    nil, mod = abelian_negative(irr, include_center, alg)
-    # the g_0 action on V, read back off the coefficients: mod.act[k][nV + col] = -X_col(v_k)
-    nV = irr.dim
-    g0_act: list[dict] = []
-    for col in range(mod.dim - nV):
-        mat: dict = {}
-        for k in range(nV):
-            for r, v in mod.act[k].get(nV + col, {}).items():
-                mat.setdefault(k, {})[r] = -v
-        g0_act.append(mat)
-    return nil, mod, G0([b.label for b in mod.basis[nV:]], [b.weight for b in mod.basis[nV:]],
-                        g0_act)
+    acts = irr.actions(alg)
+    g_all = list(range(alg.dim))
+    g0 = G0([alg.label(i) for i in g_all], [alg.basis[i].weight for i in g_all], list(acts))
+    if include_center:
+        g0.labels.append("z")
+        g0.weights.append((0,) * alg.rank)
+        g0.act.append({k: {k: 1} for k in range(irr.dim)})
+
+    def on_coefficients(amb: int) -> SparseMat:
+        """Action on V (+) g_0 of one g2 basis element; z is central."""
+        out = dict(acts[amb])
+        for col, img in alg.restricted_ad(amb, g_all).items():
+            out[irr.dim + col] = {irr.dim + r: v for r, v in img.items()}
+        return out
+
+    actors = simple_actors(alg, (1, 2), lambda amb: acts[amb], on_coefficients)
+    return abelian_nilpotent(irr.dim, weights=irr.weights), g0, actors
 
 
 def run_g2_structure(variant: str = "auto") -> dict:
@@ -459,17 +471,19 @@ def run_g2_structure(variant: str = "auto") -> dict:
 
     variant: "g2", "cg2" or "auto" (= report both, pin whichever reproduces
     the expected table).  Neither has a first prolongation (an ``if`` checks
-    it), so H^2 is taken in the coefficients V (+) g_0 and decomposed.
+    it), so H^2 is taken in the coefficients V (+) g_0, the prolongation as a
+    module, and decomposed.
     """
     rs = build_chevalley("G", 2).rs
     out: dict = {"variants": {}}
     for name, include_center in (("g2", False), ("cg2", True)):
         if variant not in ("auto", name):
             continue
-        nil, mod, g0 = g2_structure(include_center)
+        nil, g0, actors = g2_structure(include_center)
         p = full_prolong(nil, g0, 2)
         if p.positive:
             raise InvariantError(f"the {name} structure has a nonzero first prolongation")
+        mod = prolong_as_module(p, actors)
         res: dict = {"prolong_dim_1": 0, "prolong_stabilized": p.stabilized}
         slices = [sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h]
         res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}

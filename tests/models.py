@@ -45,11 +45,14 @@ bracket of two elements of a graded algebra (``lie_bracket``); the Riemann
 module g_- (+) l1 built on its own (``riemann_module``) and the co-Riemann
 module realized on z (+) g_+ (``coriemann_z_module``, with the center z of
 the Levi from ``z_basis``), the references for the index-set cuts of the
-adjoint that ``FlagCase`` makes; the Jacobi identity of a
-computed prolong, with the bracket of the prolonged algebra it needs
-(``bracket_elements``); ``reference_derivations``, the prolongation's
-derivation solve with its constraints rebuilt per weight block; and R_W^-
-of a Weyl word.
+adjoint that ``FlagCase`` makes; the G(2)-structure's coefficients V (+) g_0
+built by hand (``abelian_negative``), the reference for the prolongation
+module the package takes them as (``g2_structure_module``); the Jacobi
+identity of a computed prolong, with the bracket of the prolonged algebra it
+needs (``ProlongBracket``) and the bracket table of a Levi g_0 read off the
+structure constants (``levi_bracket``); ``reference_derivations``, the
+prolongation's derivation solve with its constraints rebuilt per weight
+block; and R_W^- of a Weyl word.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand
 from nhsf.linalg import (Q, SparseMat, _scaled, acc, apply, commutator, nullspace,
                          solve)
 from nhsf.liealg import GradedNilpotent, ZGradedLieAlgebra, abelian_nilpotent
-from nhsf.gmod import Actor, FlagCase, GradedModule, ModuleElt
-from nhsf.prolong import G0, ProlongedAlgebra, _derivations
+from nhsf.gmod import Actor, FlagCase, GradedModule, IrreducibleModule, ModuleElt
+from nhsf.prolong import G0, ProlongedAlgebra, _derivations, full_prolong, prolong_as_module
 from nhsf.rootsys import RootSystem
+from nhsf.verify import g2_structure
 
 
 # -- the exact oracle kernel -----------------------------------------------
@@ -224,9 +228,9 @@ def heisenberg(n_pairs: int) -> GradedNilpotent:
 
 
 def der0(gminus: GradedNilpotent) -> G0:
-    """All degree-preserving derivations of g_-, closed under commutator."""
+    """All degree-preserving derivations of g_-, checked closed under commutator."""
     g0 = _derivations(ProlongedAlgebra(gminus, G0([], [], [])), 0)
-    g0.bracket = _matrix_bracket_table(gminus.dim, g0.act)
+    _matrix_bracket_table(gminus.dim, g0.act)  # raises unless closed
     return g0
 
 
@@ -345,15 +349,120 @@ def coriemann_z_module(fc: FlagCase, zbasis=None) -> GradedModule:
                         fc._actors_for(mat_of))
 
 
+def g2_structure_module(include_center: bool) -> tuple[GradedNilpotent, GradedModule]:
+    """The G(2)-structure's g_- and its coefficients V (+) g_0, the prolongation as a
+    module with the generators of g2 as actors, as ``verify.run_g2_structure`` takes them."""
+    nil, g0, actors = g2_structure(include_center)
+    return nil, prolong_as_module(full_prolong(nil, g0, 2), actors)
+
+
+def abelian_negative(irr: IrreducibleModule, include_center: bool,
+                     alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, GradedModule]:
+    """Package V = L(lambda) as abelian g_{-1} with g_0 = g (+ optional center).
+
+    Coefficients are V (degree -1) + g_0 (degree 0); the actors are the
+    Chevalley generators of g, so cohomology can be decomposed into
+    irreducible g_0-constituents.  The G(2)-structure's coefficients built by
+    hand: the reference for ``prolong_as_module`` on ``verify.g2_structure``.
+    """
+    rs = irr.rs
+    n = rs.rank
+    nil = abelian_nilpotent(irr.dim, weights=irr.weights)
+
+    g_order = sorted(range(alg.dim), key=lambda i: (alg.basis[i].degree, i))
+    nV = irr.dim
+    basis = [ModuleElt(f"v{k}", -1, irr.weights[k]) for k in range(nV)]
+    basis += [ModuleElt(alg.label(i), 0, alg.basis[i].weight) for i in g_order]
+    if include_center:
+        basis.append(ModuleElt("z", 0, (0,) * n))
+
+    def simple(j: int) -> int:
+        return rs.root_index[tuple(1 if t == j else 0 for t in range(n))]
+
+    def irr_action(amb: int) -> SparseMat:
+        """Action of an ambient g-basis element on V, via Chevalley words."""
+        lab = alg.basis[amb]
+        if lab.kind == "h":
+            return {k: {k: Q(w[lab.index])} for k, w in enumerate(irr.weights)
+                    if w[lab.index] != 0}
+        beta = rs.positive_roots[lab.index]
+        if sum(beta) == 1:
+            j = beta.index(1)
+            return irr.e_mat[j] if lab.kind == "x" else irr.f_mat[j]
+        # non-simple root vector: peel one simple root off
+        for j in range(n):
+            down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
+            if min(down) >= 0 and down in rs.root_index:
+                break
+        index = alg.x_index if lab.kind == "x" else alg.y_index
+        simple_amb, rest_amb = index(simple(j)), index(rs.root_index[down])
+        coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
+        m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
+        out: SparseMat = {}
+        for col in range(nV):
+            res = commutator(m1, m2, col)
+            if res:
+                out[col] = {r: v / coeff for r, v in res.items()}
+        return out
+
+    # the ambient order lists lower roots first, so the sub-root actions a
+    # non-simple root vector needs are already in irr_acts
+    irr_acts: dict[int, SparseMat] = {}
+    for amb in range(alg.dim):
+        irr_acts[amb] = irr_action(amb)
+
+    def module_action_of(amb: int) -> SparseMat:
+        """Action on V (+) g0 of one g-basis element."""
+        out = dict(irr_acts[amb])
+        for col, img in alg.restricted_ad(amb, g_order).items():
+            out[nV + col] = {nV + r: v for r, v in img.items()}
+        return out
+
+    # g_- action on the coefficients: v . (w (+) X (+) z) = -X(v) - z(v)
+    act: list[SparseMat] = []
+    for k in range(nV):
+        mat: SparseMat = {}
+        for col, gamb in enumerate(g_order):
+            res = {row: -v for row, v in irr_acts[gamb].get(k, {}).items()}
+            if res:
+                mat[nV + col] = res
+        if include_center:
+            mat[nV + len(g_order)] = {k: Q(-1)}
+        act.append(mat)
+
+    actors: list[Actor] = []
+    for j in range(n):
+        for kind, amb, name in (("raise", alg.x_index(simple(j)), f"x{j + 1}"),
+                                ("lower", alg.y_index(simple(j)), f"y{j + 1}")):
+            actors.append(Actor(name, kind, alg.basis[amb].weight, irr_acts[amb],
+                                module_action_of(amb)))
+    return nil, GradedModule(nil, basis, act, None, actors)
+
+
+def levi_bracket(fc: FlagCase) -> dict:
+    """The bracket table {(a, b): [E_a, E_b]}, a < b, of ``fc.levi_g0()``'s basis,
+    read off the algebra's structure constants (``ProlongBracket``)."""
+    alg, lidx = fc.alg, fc.levi.l
+    table = {}
+    for a, amb in enumerate(lidx):
+        for b, col in alg.restricted_ad(amb, lidx).items():
+            if b > a:
+                table[(a, b)] = col
+    return table
+
+
 ProlongElt = dict[tuple[int, int], Fraction]  # (level, index) -> coefficient
 # negative levels index the global gminus basis; levels >= 0 index the
 # basis of p.layer(level)
 
 
-def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> None:
-    """Jacobi identity on all basis triples within the computed window."""
+def verify_prolong_jacobi(p: ProlongedAlgebra, g0_bracket: dict,
+                          max_total: int | None = None) -> None:
+    """Jacobi identity on all basis triples within the computed window; ``g0_bracket``
+    is the bracket table of p's degree-0 basis (``ProlongBracket``)."""
     if max_total is None:
         max_total = p.computed_to
+    br = ProlongBracket(p, g0_bracket)
     gens = [(d, u) for u, d in enumerate(p.gminus.degrees)]
     gens += [(k, t) for k in [0] + sorted(p.positive) for t in range(p.layer(k).dim)]
     for a in range(len(gens)):
@@ -367,11 +476,7 @@ def verify_prolong_jacobi(p: ProlongedAlgebra, max_total: int | None = None) -> 
                     continue
                 ea, eb, ec = (_as_elt(*gens[a]), _as_elt(*gens[b]), _as_elt(*gens[c]))
                 total: ProlongElt = {}
-                for term in (
-                    bracket_elements(p, bracket_elements(p, ea, eb), ec),
-                    bracket_elements(p, bracket_elements(p, eb, ec), ea),
-                    bracket_elements(p, bracket_elements(p, ec, ea), eb),
-                ):
+                for term in (br(br(ea, eb), ec), br(br(eb, ec), ea), br(br(ec, ea), eb)):
                     for k2, v in term.items():
                         acc(total, k2, v)
                 if total:
@@ -382,68 +487,69 @@ def _as_elt(level: int, idx: int) -> ProlongElt:
     return {(level, idx): Q(1)}
 
 
-def bracket_elements(p: ProlongedAlgebra, e1: ProlongElt, e2: ProlongElt) -> ProlongElt:
-    """Bracket in the prolonged algebra, defined within the computed window."""
-    out: ProlongElt = {}
-    for (l1, i1), c1 in e1.items():
-        for (l2, i2), c2 in e2.items():
-            for key, v in _pbracket_basis(p, l1, i1, l2, i2).items():
-                acc(out, key, c1 * c2 * v)
-    return out
+class ProlongBracket:
+    """The bracket of the prolonged algebra ``p``, defined within its computed window.
 
+    ``g0_bracket`` is the bracket table {(i, j): [E_i, E_j]} over i < j of p's
+    degree-0 basis, which a ``G0`` layer does not carry: ``levi_bracket`` for a
+    Levi g_0, ``_matrix_bracket_table`` for a g_0 given by matrices alone.
+    """
 
-def _pbracket_basis(p: ProlongedAlgebra, l1: int, i1: int, l2: int, i2: int) -> ProlongElt:
-    memo = getattr(p, "_pbr_memo", None)
-    if memo is None:
-        memo = {}
-        p._pbr_memo = memo
-    key = (l1, i1, l2, i2)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _pbracket_raw(p, l1, i1, l2, i2)
-    memo[key] = out
-    return out
+    def __init__(self, p: ProlongedAlgebra, g0_bracket: dict):
+        self.p, self.g0_bracket = p, g0_bracket
+        self.memo: dict = {}
 
-
-def _pbracket_raw(p, l1, i1, l2, i2) -> ProlongElt:
-    gm = p.gminus
-    if (l1, i1) == (l2, i2):
-        return {}
-    if l1 > l2:
-        return {k: -v for k, v in _pbracket_basis(p, l2, i2, l1, i1).items()}
-    if l2 < 0:
-        return {(gm.degrees[w], w): c for w, c in gm.bracket(i1, i2).items()}
-    if l1 < 0:
-        # [u, E] = -E(u); coords live in layer l2 + deg(u)
-        tgt = l2 + gm.degrees[i1]
+    def __call__(self, e1: ProlongElt, e2: ProlongElt) -> ProlongElt:
         out: ProlongElt = {}
-        for coord, v in p.apply(l2, i2, i1).items():
-            acc(out, (tgt, coord), -v)
+        for (l1, i1), c1 in e1.items():
+            for (l2, i2), c2 in e2.items():
+                for key, v in self.basis(l1, i1, l2, i2).items():
+                    acc(out, key, c1 * c2 * v)
         return out
-    if l1 == 0 and l2 == 0:
-        if p.g0.bracket is None:
-            raise ValueError("g0 bracket table unavailable")
-        if i1 > i2:
-            return {(0, t): -v for t, v in p.g0.bracket.get((i2, i1), {}).items()}
-        return {(0, t): v for t, v in p.g0.bracket.get((i1, i2), {}).items()}
-    s = l1 + l2
-    if s > p.computed_to and not p.stabilized:
-        raise ValueError("bracket leaves the computed window")
-    # when stabilized, layers above the last nonzero one are genuinely zero
-    # and the zero-layer path below verifies the bracket vanishes
-    # transitivity: the result is determined by its values on g_{-1}
-    top = [u for u in range(gm.dim) if gm.degrees[u] == -1]
-    vals = {}
-    e1, e2 = _as_elt(l1, i1), _as_elt(l2, i2)
-    for u in top:
-        ue = _as_elt(gm.degrees[u], u)
-        t1 = bracket_elements(p, e1, bracket_elements(p, e2, ue))
-        t2 = bracket_elements(p, e2, bracket_elements(p, e1, ue))
-        vals[u] = {k: t1.get(k, Q(0)) - t2.get(k, Q(0))
-                   for k in set(t1) | set(t2)}
-        vals[u] = {k: v for k, v in vals[u].items() if v != 0}
-    return _solve_by_top_values(p, s, vals, top)
+
+    def basis(self, l1: int, i1: int, l2: int, i2: int) -> ProlongElt:
+        key = (l1, i1, l2, i2)
+        if key not in self.memo:
+            self.memo[key] = self._raw(l1, i1, l2, i2)
+        return self.memo[key]
+
+    def _raw(self, l1, i1, l2, i2) -> ProlongElt:
+        p = self.p
+        gm = p.gminus
+        if (l1, i1) == (l2, i2):
+            return {}
+        if l1 > l2:
+            return {k: -v for k, v in self.basis(l2, i2, l1, i1).items()}
+        if l2 < 0:
+            return {(gm.degrees[w], w): c for w, c in gm.bracket(i1, i2).items()}
+        if l1 < 0:
+            # [u, E] = -E(u); coords live in layer l2 + deg(u)
+            tgt = l2 + gm.degrees[i1]
+            out: ProlongElt = {}
+            for coord, v in p.apply(l2, i2, i1).items():
+                acc(out, (tgt, coord), -v)
+            return out
+        if l1 == 0 and l2 == 0:
+            if i1 > i2:
+                return {(0, t): -v for t, v in self.g0_bracket.get((i2, i1), {}).items()}
+            return {(0, t): v for t, v in self.g0_bracket.get((i1, i2), {}).items()}
+        s = l1 + l2
+        if s > p.computed_to and not p.stabilized:
+            raise ValueError("bracket leaves the computed window")
+        # when stabilized, layers above the last nonzero one are genuinely zero
+        # and the zero-layer path below verifies the bracket vanishes
+        # transitivity: the result is determined by its values on g_{-1}
+        top = [u for u in range(gm.dim) if gm.degrees[u] == -1]
+        vals = {}
+        e1, e2 = _as_elt(l1, i1), _as_elt(l2, i2)
+        for u in top:
+            ue = _as_elt(gm.degrees[u], u)
+            t1 = self(e1, self(e2, ue))
+            t2 = self(e2, self(e1, ue))
+            vals[u] = {k: t1.get(k, Q(0)) - t2.get(k, Q(0))
+                       for k in set(t1) | set(t2)}
+            vals[u] = {k: v for k, v in vals[u].items() if v != 0}
+        return _solve_by_top_values(p, s, vals, top)
 
 
 def _solve_by_top_values(p, s, vals, top) -> ProlongElt:

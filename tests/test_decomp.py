@@ -12,11 +12,11 @@ from nhsf import InvariantError
 from nhsf.cohom import CochainBasis, cochain_basis, cohomology, differential_columns, full_window
 from nhsf.decomp import (HIGHEST, LOWEST, ExtremalWeights, actor_columns, decompose,
                          levi_irrep_dim)
-from nhsf.gmod import FlagCase, IrreducibleModule, abelian_negative
+from nhsf.gmod import FlagCase
 from nhsf.liealg import build_chevalley
 from nhsf.linalg import acc
 from nhsf.rootsys import build_root_system
-from models import reference_decompose, riemann_module
+from models import g2_structure_module, reference_decompose, riemann_module
 
 
 def slices_of(fc, mod, s):
@@ -243,11 +243,9 @@ def test_riemann_h2_off_the_adjoint_blocks_matches_the_riemann_module(case):
 
 def test_g2_structure_decomposition_matches_the_reference():
     """The Sec. 7.1 module: abelian g_- = L(1, 0) of G(2), all of g as actors."""
-    alg = build_chevalley("G", 2)
-    irr = IrreducibleModule(alg.rs, (1, 0))
-    flt = ExtremalWeights(alg.rs, (1, 2), HIGHEST)
+    flt = ExtremalWeights(build_chevalley("G", 2).rs, (1, 2), HIGHEST)
     for include_center in (False, True):
-        nil, mod = abelian_negative(irr, include_center, alg)
+        nil, mod = g2_structure_module(include_center)
         got = decompose([sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h], mod, flt)
         assert got and got == reference_decompose(mod, 2, flt, [1, 2])
 

@@ -12,11 +12,13 @@ import nhsf.gmod
 from nhsf import InvariantError
 from nhsf.cohom import cohomology, full_window
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
-from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt, abelian_negative
+from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt
 from nhsf.liealg import GradedNilpotent, build_chevalley
+from nhsf.linalg import acc, commutator
 from nhsf.rootsys import build_root_system, weyl_dim
 
-from models import coriemann_z_module, riemann_module, verify_representation, z_basis
+from models import (abelian_negative, coriemann_z_module, g2_structure_module, riemann_module,
+                    verify_representation, z_basis)
 
 
 @pytest.mark.parametrize("t,n,hw,dim", [
@@ -162,14 +164,47 @@ def test_quotient_h1_equals_the_z_realization(case):
 
 
 def test_abelian_negative_packaging():
+    """The G(2)-structure's coefficients V (+) g_0, 21-dimensional (22 with the
+    center), as the package takes them and as the reference builds them by hand."""
     alg = build_chevalley("G", 2)
     irr = IrreducibleModule(alg.rs, (1, 0))
-    nil, mod = abelian_negative(irr, False, alg)
-    assert nil.dim == 7 and mod.dim == 21
-    verify_representation(mod)
-    nil, mod = abelian_negative(irr, True, alg)
-    assert mod.dim == 22
-    verify_representation(mod)
+    for include_center, dim in ((False, 21), (True, 22)):
+        for nil, mod in (g2_structure_module(include_center),
+                         abelian_negative(irr, include_center, alg)):
+            assert nil.dim == 7 and mod.dim == dim
+            verify_representation(mod)
+
+
+@pytest.mark.parametrize("include_center", [False, True], ids=["g2", "cg2"])
+def test_g2_structure_prolong_module_equals_abelian_negative(include_center):
+    """``prolong_as_module`` on ``g2_structure`` is the hand-built module, entry for
+    entry: g_-, basis, action, truncation, and each actor's two actions."""
+    alg = build_chevalley("G", 2)
+    ref_nil, ref = abelian_negative(IrreducibleModule(alg.rs, (1, 0)), include_center, alg)
+    nil, mod = g2_structure_module(include_center)
+    assert nil == ref_nil and mod.gminus == ref.gminus
+    assert mod.basis == ref.basis
+    assert mod.act == ref.act
+    assert mod.truncation_bound is None and ref.truncation_bound is None
+    assert [xi.name for xi in mod.actors] == ["x1", "y1", "x2", "y2"]
+    assert mod.actors == ref.actors
+
+
+def test_irreducible_actions_represent_the_algebra():
+    """``IrreducibleModule.actions`` is a representation of g on L(1, 0) of G(2):
+    [X_i, X_j] acts as the commutator of their actions."""
+    alg = build_chevalley("G", 2)
+    irr = IrreducibleModule(alg.rs, (1, 0))
+    acts = irr.actions(alg)
+    assert len(acts) == alg.dim
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for col in range(irr.dim):
+                want: dict = {}
+                for k, c in alg.bracket_basis(i, j).items():
+                    for r, v in acts[k].get(col, {}).items():
+                        acc(want, r, c * v)
+                assert commutator(acts[i], acts[j], col) == want
 
 
 # -- the additivity check a module runs when it is built -------------------

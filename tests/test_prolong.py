@@ -16,8 +16,8 @@ from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL
                           yamaguchi_classify)
 from nhsf.verify import g2_structure
 
-from models import (_matrix_bracket_table, der0, heisenberg, reference_derivations,
-                    verify_prolong_jacobi, verify_representation)
+from models import (_matrix_bracket_table, der0, heisenberg, levi_bracket,
+                    reference_derivations, verify_prolong_jacobi, verify_representation)
 
 
 def gl_pair(n):
@@ -36,7 +36,7 @@ def co_pair(n):
     labels.append("Id")
     weights.append(None)
     act.append({i: {i: Q(1)} for i in range(n)})
-    return nil, G0(labels, weights, act, _matrix_bracket_table(n, act))
+    return nil, G0(labels, weights, act)
 
 
 def test_matrix_bracket_table_of_gl2():
@@ -88,7 +88,7 @@ def test_conformal_prolong_is_o_n_plus_2(n):
 
 def g2_structure_pair():
     """g_- = V the 7-dim G2 module, with g_0 = g2 acting on it (the G(2)-structure)."""
-    nil, _, g0 = g2_structure(False)
+    nil, g0, _ = g2_structure(False)
     return nil, g0
 
 
@@ -172,10 +172,10 @@ def test_stabilization_monotone():
 def test_prolong_jacobi_within_window():
     fc = FlagCase("G", 2, (1,))
     p = full_prolong(fc.gminus, fc.levi_g0(), 4)
-    verify_prolong_jacobi(p, 3)
+    verify_prolong_jacobi(p, levi_bracket(fc), 3)
     nil, g0 = co_pair(3)
     p = full_prolong(nil, g0, 3)
-    verify_prolong_jacobi(p)
+    verify_prolong_jacobi(p, _matrix_bracket_table(3, g0.act))
 
 
 def test_yamaguchi_tags():

@@ -10,7 +10,9 @@ import nhsf
 import nhsf.expected
 import nhsf.verify
 from nhsf.gmod import FlagCase, GradedModule
-from nhsf.rootsys import build_root_system
+from nhsf.expected import TABLE1, table1_case
+from nhsf.liealg import graded_algebra
+from nhsf.rootsys import build_root_system, enumerate_w_i
 from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
                          premet_split_check, run_case, run_g2_structure,
                          statement41_check)
@@ -103,14 +105,30 @@ def test_bwb_degree_is_none_off_the_root_lattice():
 
 
 def test_ir_count_examples():
+    """card W(I)_2 is the number of BWB rows, one per word, as ``run_case`` passes it."""
+    def count(rs, nodes):
+        direct = len(bwb_adjoint(rs, nodes))
+        assert direct == len(enumerate_w_i(rs, set(nodes), 2))
+        return ir_count(rs, nodes, direct)
+
     g2 = build_root_system("G", 2)
-    r = ir_count(g2, (1,))
+    r = count(g2, (1,))
     assert r["direct"] == 1 and r["formula_c_plus"] == 1
-    assert ir_count(g2, (2,))["direct"] == 1
+    assert count(g2, (2,))["direct"] == 1
     f4 = build_root_system("F", 4)
-    assert ir_count(f4, (2,))["direct"] == 2
+    assert count(f4, (2,))["direct"] == 2
     e6 = build_root_system("E", 6)
-    assert ir_count(e6, (3,))["direct"] == 3
+    assert count(e6, (3,))["direct"] == 3
+
+
+@pytest.mark.parametrize("t, r, node", [(t, r, n) for (t, r), rows in TABLE1.items()
+                                         for n in rows])
+def test_table1_ki_is_the_depth(t, r, node):
+    """Table 1's k_i column is the highest root's coefficient at the node, which is
+    the depth of the grading."""
+    ki = table1_case(t, r, node).ki
+    assert ki == build_root_system(t, r).maximal_root[node - 1]
+    assert ki == graded_algebra(t, r, (node,)).depth
 
 
 def test_statement41():
