@@ -22,9 +22,9 @@ enumeration (BWB route, Kostant's theorem for the parabolic grading) and the
 direct route are computed independently and compared
 (``checks.bwb.matches_direct``); a disagreement makes the case a Mismatch.
 
-The Sec. 7.1 G(2)-structure builds g_0 = g2 straight from its action on
-V = L(1, 0) (``g2_structure``).  Its prolongation stops at g_0, so its
-coefficients V (+) g_0 are the prolongation as a module (``prolong_as_module``).
+The Sec. 7.1 G(2)-structure builds g_0 = g2 from its action on V = L(1, 0)
+(``g2_structure``).  Its prolongation stops at g_0, so its coefficients
+V (+) g_0 are the prolongation as a module (``g2_structure_module``).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .gmod import Actor, FlagCase, GradedModule, IrreducibleModule, simple_actor
 from .cohom import cohomology, full_window
 from .decomp import (HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand, decompose,
                      levi_irrep_dim)
-from .prolong import (G0, TAG_CONTACT, TAG_EQUALS_S, full_prolong, prolong_as_module,
-                      yamaguchi_classify)
+from .prolong import (G0, TAG_CONTACT, TAG_EQUALS_S, ProlongedAlgebra, full_prolong,
+                      prolong_as_module, yamaguchi_classify)
 from .expected import (CaseExpectation, footnote_row, sec6_case, series_case,
                        table1_case, TABLE1, SEC71)
 
@@ -466,26 +466,32 @@ def g2_structure(include_center: bool) -> tuple[GradedNilpotent, G0, list[Actor]
     return abelian_nilpotent(irr.dim, weights=irr.weights), g0, actors
 
 
+def g2_structure_module(include_center: bool) -> tuple[ProlongedAlgebra, GradedModule]:
+    """The G(2)-structure's prolongation p and its coefficients V (+) g_0: p as a
+    module, with the generators of g2 as actors.  They act on V (+) g_0 only, so
+    a nonzero first prolongation raises."""
+    nil, g0, actors = g2_structure(include_center)
+    p = full_prolong(nil, g0, 2)
+    if p.positive:
+        name = "cg2" if include_center else "g2"
+        raise InvariantError(f"the {name} structure has a nonzero first prolongation")
+    return p, prolong_as_module(p, actors)
+
+
 def run_g2_structure(variant: str = "auto") -> dict:
     """H^2 of the G(2)-structure on the 7-dim fundamental module.
 
     variant: "g2", "cg2" or "auto" (= report both, pin whichever reproduces
-    the expected table).  Neither has a first prolongation (an ``if`` checks
-    it), so H^2 is taken in the coefficients V (+) g_0, the prolongation as a
-    module, and decomposed.
+    the expected table).  H^2 in ``g2_structure_module``'s coefficients, decomposed.
     """
     rs = build_chevalley("G", 2).rs
     out: dict = {"variants": {}}
     for name, include_center in (("g2", False), ("cg2", True)):
         if variant not in ("auto", name):
             continue
-        nil, g0, actors = g2_structure(include_center)
-        p = full_prolong(nil, g0, 2)
-        if p.positive:
-            raise InvariantError(f"the {name} structure has a nonzero first prolongation")
-        mod = prolong_as_module(p, actors)
+        p, mod = g2_structure_module(include_center)
         res: dict = {"prolong_dim_1": 0, "prolong_stabilized": p.stabilized}
-        slices = [sl for sl in cohomology(nil, mod, 2, [1, 2]) if sl.dim_h]
+        slices = [sl for sl in cohomology(p.gminus, mod, 2, [1, 2]) if sl.dim_h]
         res["h2_dims"] = {str(sl.k): sl.dim_h for sl in slices}
         summands = decompose(slices, mod, ExtremalWeights(rs, (1, 2), HIGHEST))
         res["orders"] = {}

@@ -47,7 +47,7 @@ module realized on z (+) g_+ (``coriemann_z_module``, with the center z of
 the Levi from ``z_basis``), the references for the index-set cuts of the
 adjoint that ``FlagCase`` makes; the G(2)-structure's coefficients V (+) g_0
 built by hand (``abelian_negative``), the reference for the prolongation
-module the package takes them as (``g2_structure_module``); the Jacobi
+module the package takes them as (``verify.g2_structure_module``); the Jacobi
 identity of a computed prolong, with the bracket of the prolonged algebra it
 needs (``ProlongBracket``) and the bracket table of a Levi g_0 read off the
 structure constants (``levi_bracket``); ``reference_derivations``, the
@@ -72,9 +72,8 @@ from nhsf.linalg import (Q, SparseMat, _scaled, acc, apply, commutator, nullspac
                          solve)
 from nhsf.liealg import GradedNilpotent, ZGradedLieAlgebra, abelian_nilpotent
 from nhsf.gmod import Actor, FlagCase, GradedModule, IrreducibleModule, ModuleElt
-from nhsf.prolong import G0, ProlongedAlgebra, _derivations, full_prolong, prolong_as_module
+from nhsf.prolong import G0, ProlongedAlgebra, _derivations
 from nhsf.rootsys import RootSystem
-from nhsf.verify import g2_structure
 
 
 # -- the exact oracle kernel -----------------------------------------------
@@ -349,13 +348,6 @@ def coriemann_z_module(fc: FlagCase, zbasis=None) -> GradedModule:
                         fc._actors_for(mat_of))
 
 
-def g2_structure_module(include_center: bool) -> tuple[GradedNilpotent, GradedModule]:
-    """The G(2)-structure's g_- and its coefficients V (+) g_0, the prolongation as a
-    module with the generators of g2 as actors, as ``verify.run_g2_structure`` takes them."""
-    nil, g0, actors = g2_structure(include_center)
-    return nil, prolong_as_module(full_prolong(nil, g0, 2), actors)
-
-
 def abelian_negative(irr: IrreducibleModule, include_center: bool,
                      alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, GradedModule]:
     """Package V = L(lambda) as abelian g_{-1} with g_0 = g (+ optional center).
@@ -363,7 +355,7 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
     Coefficients are V (degree -1) + g_0 (degree 0); the actors are the
     Chevalley generators of g, so cohomology can be decomposed into
     irreducible g_0-constituents.  The G(2)-structure's coefficients built by
-    hand: the reference for ``prolong_as_module`` on ``verify.g2_structure``.
+    hand: the reference for ``verify.g2_structure_module``.
     """
     rs = irr.rs
     n = rs.rank

@@ -16,8 +16,9 @@ from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt
 from nhsf.liealg import GradedNilpotent, build_chevalley
 from nhsf.linalg import acc, commutator
 from nhsf.rootsys import build_root_system, weyl_dim
+from nhsf.verify import g2_structure_module
 
-from models import (abelian_negative, coriemann_z_module, g2_structure_module, riemann_module,
+from models import (abelian_negative, coriemann_z_module, riemann_module,
                     verify_representation, z_basis)
 
 
@@ -169,20 +170,21 @@ def test_abelian_negative_packaging():
     alg = build_chevalley("G", 2)
     irr = IrreducibleModule(alg.rs, (1, 0))
     for include_center, dim in ((False, 21), (True, 22)):
-        for nil, mod in (g2_structure_module(include_center),
-                         abelian_negative(irr, include_center, alg)):
-            assert nil.dim == 7 and mod.dim == dim
+        for mod in (g2_structure_module(include_center)[1],
+                    abelian_negative(irr, include_center, alg)[1]):
+            assert mod.gminus.dim == 7 and mod.dim == dim
             verify_representation(mod)
 
 
 @pytest.mark.parametrize("include_center", [False, True], ids=["g2", "cg2"])
 def test_g2_structure_prolong_module_equals_abelian_negative(include_center):
-    """``prolong_as_module`` on ``g2_structure`` is the hand-built module, entry for
-    entry: g_-, basis, action, truncation, and each actor's two actions."""
+    """The module ``run_g2_structure`` takes, ``prolong_as_module`` on the prolongation
+    of ``g2_structure``, is the hand-built module, entry for entry: g_-, basis,
+    action, truncation, and each actor's two actions."""
     alg = build_chevalley("G", 2)
     ref_nil, ref = abelian_negative(IrreducibleModule(alg.rs, (1, 0)), include_center, alg)
-    nil, mod = g2_structure_module(include_center)
-    assert nil == ref_nil and mod.gminus == ref.gminus
+    p, mod = g2_structure_module(include_center)
+    assert p.gminus == ref_nil and mod.gminus == ref.gminus
     assert mod.basis == ref.basis
     assert mod.act == ref.act
     assert mod.truncation_bound is None and ref.truncation_bound is None

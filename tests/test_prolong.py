@@ -36,6 +36,7 @@ def co_pair(n):
     labels.append("Id")
     weights.append(None)
     act.append({i: {i: Q(1)} for i in range(n)})
+    _matrix_bracket_table(n, act)  # raises unless closed
     return nil, G0(labels, weights, act)
 
 
