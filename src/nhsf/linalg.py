@@ -51,6 +51,18 @@ minor, so its pivots are the rational ones, and every RREF entry is a ratio
 of two minors (Cramer's rule), so |n|, d <= H < 2^((q - 1) // 2) and every
 entry lifts.  A failure there is a bug, and ``kernel`` raises
 ``InvariantError``; it never returns a basis that failed its certificate.
+
+``pivots_mod_2`` is a rank lower bound, not a second kernel: the columns
+independent mod 2 of the columns before them.  A column becomes a Python
+int with bit b set where its b-th row key holds an odd entry, and it is
+reduced by XOR with the kept column of its lowest set bit, one C-level
+operation per step.  Its pivots below p count rank_2 of the first p
+columns, and for an integer matrix rank_2 <= rank_Q for the reason given
+for P above: a minor that vanishes over Z is even.  A column that holds a
+``Fraction`` is ``_scaled`` first; scaling a column by a nonzero rational
+changes the rank over Q of no prefix, so the bound holds for the columns as
+given.  ``cohom`` reads ranks off it only where they sum to a bound that
+forces them to be exact.
 """
 
 from __future__ import annotations
@@ -148,6 +160,34 @@ def kernel(red: Reduction) -> list[dict[int, Fraction]]:
 def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
     """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form)."""
     return kernel(reduce_mod_p(cols))
+
+
+def pivots_mod_2(cols: Sequence[dict]) -> list[int]:
+    """The columns independent mod 2 of the columns before them, ascending; those below p
+    count rank_2 of the first p columns, at most rank_Q (module docstring).
+
+    A column is an int with bit b set where its b-th distinct row key holds
+    an odd entry, XORed with the kept column of its lowest set bit until it
+    is 0 or that bit is new.
+    """
+    bits: dict = {}
+    low: dict[int, int] = {}  # lowest set bit -> kept column
+    piv = []
+    for j, col in enumerate(cols):
+        if Fraction in map(type, col.values()):
+            col = _scaled(col)
+        x = 0
+        for k, v in col.items():
+            if v & 1:
+                x |= 1 << bits.setdefault(k, len(bits))
+        while x:
+            b = x & -x
+            if b not in low:
+                low[b] = x
+                piv.append(j)
+                break
+            x ^= low[b]
+    return piv
 
 
 def _hadamard(rows: list[dict[int, int]], ncols: int) -> int:

@@ -29,7 +29,8 @@ content division in place of the Bareiss quotient).  Pivots are the leftmost
 nonzero column, chosen on the first row that has one, so any two runs
 produce identical echelon forms.  ``rank`` counts its pivots and
 ``exact_nullspace`` back-substitutes them to the canonical kernel basis; no
-prime and no lift is involved.
+prime and no lift is involved.  ``rank_mod_2`` is the rank over GF(2) of
+integer vectors, by Gauss elimination on the sets of their odd entries.
 
 ``IntSpan`` is an incremental fraction-free reducer on the same step:
 vectors are added one at a time and later ones are tested against, or
@@ -116,6 +117,20 @@ def echelon_int(rows: list[dict]) -> tuple[list[dict], list]:
 
 def rank(vecs: Sequence[dict]) -> int:
     return len(echelon_int([_scaled(v) for v in vecs])[0])
+
+
+def rank_mod_2(vecs: Sequence[dict[int, int]]) -> int:
+    """The rank over GF(2) of integer vectors: each kept set of odd keys holds no pivot of
+    the sets kept before it, so reducing by them in order clears every pivot."""
+    kept: list[tuple[object, frozenset]] = []
+    for v in vecs:
+        odd = frozenset(k for k, x in v.items() if x % 2)
+        for piv, row in kept:
+            if piv in odd:
+                odd ^= row
+        if odd:
+            kept.append((next(iter(odd)), odd))
+    return len(kept)
 
 
 def exact_nullspace(ints: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:

@@ -20,8 +20,8 @@ from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent
 from models import (contact_module, der0, filtered_basis, hamiltonian_module, heisenberg,
-                    poisson_module, rank, reference_slice, riemann_module, svect_module,
-                    vect_module)
+                    poisson_module, rank, rank_mod_2, reference_slice, riemann_module,
+                    svect_module, vect_module)
 from nhsf.prolong import G0, full_prolong, prolong_as_module
 
 
@@ -273,9 +273,17 @@ def drop_one_pivot(real):
     return dropped
 
 
+def drop_one_pivot_mod_2(real):
+    """``pivots_mod_2`` that forgets its last pivot."""
+    def dropped(cols):
+        return real(cols)[:-1]
+    return dropped
+
+
 def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
-    """One pivot too few leaves the bound open on every block, and the certified
-    kernels (here from the retry mod the next prime) still give the exact slices."""
+    """One pivot too few, mod 2 and mod P, leaves the bound open on every block, and
+    the certified kernels (here from the retry mod the next prime) still give the
+    exact slices."""
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
     cor, riem = fc.coriemann_module(adj), fc.riemann_in(adj)
@@ -301,8 +309,52 @@ def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
     exact_lifts = len(lifts)
     lifts.clear()
     monkeypatch.setattr(linalg, "_rref_mod", drop_one_pivot(linalg._rref_mod))
+    monkeypatch.setattr(cohom, "pivots_mod_2", drop_one_pivot_mod_2(cohom.pivots_mod_2))
     assert computed() == (want, blocks)
     assert exact_lifts < len(lifts) == 2 * blocks
+
+
+def test_a_block_even_mod_2_closes_mod_p(monkeypatch):
+    """d_out = (2): rank 0 mod 2 leaves the bound open, rank 1 mod P closes it, and no
+    kernel is lifted."""
+    lifts = count_lifts(monkeypatch)
+    assert linalg.pivots_mod_2([{0: 2}]) == []
+    assert cohom._ranks([{0: 2}], [], [(1, 0)]) == [(1, 0)]
+    assert lifts == []
+
+
+def test_the_mod_2_screen_leaves_only_open_blocks_to_mod_p(monkeypatch):
+    """E6 node 2, H^2: ``reduce_mod_p`` runs on d_out and d_in of exactly the blocks
+    whose bound is open mod 2 (by an independent GF(2) rank), and those are the
+    blocks with H != 0."""
+    calls, reductions = [], []
+    real_ranks, real_reduce = cohom._ranks, cohom.reduce_mod_p
+
+    def recorded(d_out, d_in, prefixes):
+        calls.append((d_out, d_in, prefixes))
+        return real_ranks(d_out, d_in, prefixes)
+
+    def counted(cols):
+        reductions.append(len(cols))
+        return real_reduce(cols)
+
+    monkeypatch.setattr(cohom, "_ranks", recorded)
+    monkeypatch.setattr(cohom, "reduce_mod_p", counted)
+    slices = []
+    real = verify.cohomology
+
+    def collected(*args, **kwargs):
+        out = real(*args, **kwargs)
+        slices.extend(out)
+        return out
+
+    monkeypatch.setattr(verify, "cohomology", collected)
+    assert verify.run_case(verify.CaseSpec("E", 6, (2,), "h2"))["status"] == verify.MATCH
+    opened = sum(1 for d_out, d_in, prefixes in calls
+                 if any(n - rank_mod_2(d_out[:n]) - rank_mod_2(d_in[:m]) for n, m in prefixes))
+    assert 0 < opened < len(calls)
+    assert len(reductions) == 2 * opened
+    assert opened == sum(lifted_blocks(slices))
 
 
 def tamper_one_column(real):

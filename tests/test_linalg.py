@@ -7,14 +7,17 @@ path mod P, its certificate and its retry up the prime ladder are checked
 on inputs that force each branch: an entry past the lift bound, a prime
 that divides a pivot, a lift tampered mod P (the retry returns the right
 kernel) and one tampered at every modulus (``InvariantError``, also under
-``python -O``).  The mod-P pivot count is checked against ``rank``, and the
-sparse-matrix helpers against dense Fraction products.
+``python -O``).  The mod-P pivot count is checked against ``rank``, the
+mod-2 screen's prefix ranks against ``rank`` (never above it) and
+``rank_mod_2``, and the sparse-matrix helpers against dense Fraction
+products.
 """
 
 import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from nhsf import InvariantError
 from nhsf.linalg import _scaled, apply, commutator, nullspace, solve
 from nhsf.verify import MATCH, CaseSpec, run_case
 
-from models import IntSpan, exact_nullspace, rank, scaled_with_factor
+from models import IntSpan, exact_nullspace, rank, rank_mod_2, scaled_with_factor
 
 
 def oracle_rref(rows, ncols):
@@ -396,6 +399,35 @@ def test_batched_solve_answers_each_rhs_alone(m, data):
     rhss += [in_span() for _ in range(data.draw(st.integers(min_value=1, max_value=2)))]
     got = solve(columns(rows, ncols), [sparse(b) for b in rhss])
     assert got == [oracle_solve(rows, ncols, b) for b in rhss]
+
+
+@st.composite
+def small_columns(draw):
+    """Up to 7 sparse columns over 5 rows, entries in -3..3: all integers or all Fractions."""
+    entry = draw(st.sampled_from([st.integers(min_value=-3, max_value=3),
+                                  st.fractions(min_value=-3, max_value=3, max_denominator=6)]))
+    return draw(st.lists(st.dictionaries(st.integers(min_value=0, max_value=4), entry,
+                                         max_size=5), max_size=7))
+
+
+@given(small_columns())
+@settings(max_examples=150, deadline=None)
+def test_mod_2_prefix_ranks_never_exceed_the_rank(cols):
+    """The mod-2 pivots below p count rank_2 of the first p columns, at most rank_Q;
+    on integer columns they count exactly rank_2."""
+    piv = linalg.pivots_mod_2(cols)
+    assert piv == sorted(set(piv))
+    integer = all(type(v) is int for col in cols for v in col.values())
+    for p in range(len(cols) + 1):
+        assert bisect_left(piv, p) <= rank(cols[:p])
+        if integer:
+            assert bisect_left(piv, p) == rank_mod_2(cols[:p])
+
+
+def test_mod_2_pivots_scale_fraction_columns():
+    # {0: 1/2} scales to {0: 1}; {0: 2} stays even, so only column 0 is a pivot
+    assert linalg.pivots_mod_2([{0: Q(1, 2)}, {0: 2}, {0: Q(3, 2), 1: Q(1, 2)}]) == [0, 2]
+    assert linalg.pivots_mod_2([{"a": 3, "b": 1}, {"b": -1}, {"a": 5}]) == [0, 1]
 
 
 @given(matrices())

@@ -194,6 +194,14 @@ def test_run_case_e7_node1_full_matches_both_routes():
     assert rec["checks"]["bwb"]["matches_direct"] is True
 
 
+def test_run_case_e8_node1_full_matches_both_routes():
+    """The smallest E8 Table-1 row by the direct route: BWB and the Premet split agree."""
+    rec = run_case(CaseSpec("E", 8, (1,), budget="full"))
+    assert rec["status"] == MATCH
+    assert rec["checks"]["bwb"]["matches_direct"] is True
+    assert rec["checks"]["premet_split"]["holds_degreewise"] is True
+
+
 @pytest.mark.parametrize("node", [2, 3, 4, 6])
 def test_run_case_e6_bwb_only_rows_full_match_both_routes(node):
     """The E6 Table-1 rows the suite checks by BWB alone, by the direct route too."""
