@@ -281,8 +281,9 @@ class IrreducibleModule:
     2 alpha_1 + alpha_2 and carried up to those of 3 alpha_1 + alpha_2 and
     3 alpha_1 + 2 alpha_2.  An integral basis would need a lattice reduction per
     weight space (a rescaling where it is a line, as on L(1, 0) of G(2)), while
-    ``linalg._scaled`` already clears such denominators in one place, as a
-    matrix enters the elimination.
+    ``linalg._scaled`` already clears such denominators where a matrix enters
+    ``linalg``: in ``nullspace``, row by row, and in ``pivots_mod_2``, column by
+    column.
     """
 
     def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...]):

@@ -19,26 +19,22 @@ without its 1, is the solution whose dependent columns are 0.  Each
 canonical vector's largest key is its free column, so the rank of the first
 p columns is p less the number of vectors whose largest key is below p.
 
-``nullspace`` is ``kernel(reduce_mod_p(cols))``: one elimination, then the
-certificate, deferred so that a caller can skip it where the RREF alone
-proves what it needs (``cohom``).  ``reduce_mod_p`` transposes the columns
-once to sparse integer rows (``_scaled`` clears the denominators of a row
-that holds a ``Fraction``; scaling a row changes neither the kernel nor the
-RREF) and computes their sparse RREF mod the prime P = 2^61 - 1.  Its
-pivots below p count the rank mod P of the first p columns, which for an
-integer matrix is at most the rank over Q (a minor that vanishes over Z
-vanishes mod P), and equal to it unless P divides some minor.  ``kernel``
-reads the basis off that RREF: it lifts each entry to a fraction n/d with
-|n|, d < 2^30 (Wang's rational reconstruction) and certifies the lift
-exactly: every lifted vector, denominators cleared, must satisfy M u = 0
-over Z.  The certificate suffices although a rank mod P can undercount:
-rank_P <= rank_Q, so n - rank_P independent exact kernel vectors force
-rank_Q = rank_P; each vector u_f has a 1 at its free column f, 0 at the
-other free columns and support in {c <= f}, so every free column mod P is
-free over Q, the free sets agree, and u_f is the canonical vector of f, bit
-for bit.  The same holds mod any prime.
+``nullspace`` transposes the columns once to sparse integer rows
+(``_scaled`` clears the denominators of a row that holds a ``Fraction``;
+scaling a row changes neither the kernel nor the RREF), computes their
+sparse RREF mod the prime P = 2^61 - 1 and reads the basis off it: it lifts
+each entry to a fraction n/d with |n|, d < 2^30 (Wang's rational
+reconstruction) and certifies the lift exactly: every lifted vector,
+denominators cleared, must satisfy M u = 0 over Z.  The certificate
+suffices although the RREF can have fewer pivots than the rank: for an
+integer matrix rank_P <= rank_Q (a minor that vanishes over Z vanishes mod
+P), so n - rank_P independent exact kernel vectors force rank_Q = rank_P;
+each vector u_f has a 1 at its free column f, 0 at the other free columns
+and support in {c <= f}, so every free column mod P is free over Q, the
+free sets agree, and u_f is the canonical vector of f, bit for bit.  The
+same holds mod any prime.
 
-If any entry fails to lift or any vector fails the certificate, ``kernel``
+If any entry fails to lift or any vector fails the certificate, ``nullspace``
 climbs a ladder of Mersenne primes p = 2^q - 1 (q = 127, 521, 607, 1279,
 ...), one at a time: the same ``_rref_mod`` on the same rows mod p, lifted
 with |n|, d < 2^((q - 1) // 2) and certified as above, and the first basis
@@ -49,7 +45,7 @@ prime past 2 H^2, H = prod over the columns of (floor |col|_2 + 1), the
 Hadamard bound on every minor of the rows: such a prime divides no nonzero
 minor, so its pivots are the rational ones, and every RREF entry is a ratio
 of two minors (Cramer's rule), so |n|, d <= H < 2^((q - 1) // 2) and every
-entry lifts.  A failure there is a bug, and ``kernel`` raises
+entry lifts.  A failure there is a bug, and ``nullspace`` raises
 ``InvariantError``; it never returns a basis that failed its certificate.
 
 ``pivots_mod_2`` is a rank lower bound, not a second kernel: the columns
@@ -69,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import InvariantError
 
@@ -112,54 +108,32 @@ def _scaled(vec: dict) -> dict[int, int]:
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
-class Reduction(NamedTuple):
-    """A matrix's sparse integer rows and their RREF mod P (mod a larger prime on the
-    ladder), as {pivot column: row}."""
-
-    rows: list[dict[int, int]]
-    ncols: int
-    piv: dict[int, dict[int, int]]
-
-    def rank_below(self, p: int) -> int:
-        """rank_P of the first p columns: the RREF's pivots below p; at most rank_Q."""
-        return sum(1 for c in self.piv if c < p)
-
-
-def reduce_mod_p(cols: Sequence[dict]) -> Reduction:
-    """The one elimination of ``nullspace``: the columns transposed to integer rows, reduced mod P."""
-    rows: dict = {}
+def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
+    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form), lifted
+    from the RREF mod P and certified; a lift that fails sends the rows up the prime
+    ladder (module docstring)."""
+    by_row: dict = {}
     for j, col in enumerate(cols):
         for t, v in col.items():
             if v:
-                rows.setdefault(t, {})[j] = v
+                by_row.setdefault(t, {})[j] = v
     # scaling a row changes neither the kernel nor the RREF, so integer rows go as they are
-    ints = [_scaled(r) if any(type(v) is Fraction for v in r.values()) else r
-            for r in rows.values()]
-    return Reduction(ints, len(cols), _rref_mod(ints, len(cols), P))
-
-
-def kernel(red: Reduction) -> list[dict[int, Fraction]]:
-    """The canonical kernel basis of ``red``'s matrix, lifted from its RREF and certified;
-    a lift that fails sends the rows up the prime ladder (module docstring)."""
-    basis = _lifted_kernel(red, P)
+    rows = [_scaled(r) if any(type(v) is Fraction for v in r.values()) else r
+            for r in by_row.values()]
+    ncols = len(cols)
+    basis = _lifted_kernel(rows, ncols, _rref_mod(rows, ncols, P), P)
     if basis is not None:
         return basis
-    rows, ncols, _ = red
     bound = 2 * _hadamard(rows, ncols) ** 2
     for q in MERSENNE[1:]:
         p = (1 << q) - 1
-        basis = _lifted_kernel(Reduction(rows, ncols, _rref_mod(rows, ncols, p)), p)
+        basis = _lifted_kernel(rows, ncols, _rref_mod(rows, ncols, p), p)
         if basis is not None:
             return basis
         if p > bound:
             break
     raise InvariantError(f"the kernel of a {len(rows)} x {ncols} integer matrix fails its "
                          f"certificate mod 2^{q} - 1; 2 H^2 < 2^{bound.bit_length()}")
-
-
-def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
-    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form)."""
-    return kernel(reduce_mod_p(cols))
 
 
 def pivots_mod_2(cols: Sequence[dict]) -> list[int]:
@@ -272,14 +246,14 @@ def _lift(a: int, p: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lifted_kernel(red: Reduction, p: int) -> list[dict[int, Fraction]] | None:
-    """The canonical kernel basis read off ``red.piv``, an RREF mod p, or None when a
-    lift fails.
+def _lifted_kernel(rows: list[dict[int, int]], ncols: int, piv: dict[int, dict[int, int]],
+                   p: int) -> list[dict[int, Fraction]] | None:
+    """The canonical kernel basis of ``rows`` read off ``piv``, their RREF mod p, or None
+    when a lift fails.
 
     Every lifted vector, denominators cleared, is checked against M over Z,
     sparse by column; the module docstring says why that certifies the basis.
     """
-    rows, ncols, piv = red
     at: dict[int, list[tuple[int, int]]] = {}  # free column -> [(pivot, RREF entry)]
     for c, r in piv.items():
         for k, v in r.items():

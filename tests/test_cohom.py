@@ -9,6 +9,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nhsf
 import nhsf.cohom as cohom
@@ -19,9 +20,10 @@ from nhsf.cohom import cochain_basis, cohomology, differential_columns, full_win
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent
-from models import (contact_module, der0, filtered_basis, hamiltonian_module, heisenberg,
-                    poisson_module, rank, rank_mod_2, reference_slice, riemann_module,
-                    svect_module, vect_module)
+from nhsf.linalg import _scaled
+from models import (contact_module, der0, exact_nullspace, filtered_basis, hamiltonian_module,
+                    heisenberg, poisson_module, rank, rank_mod_2, reference_slice,
+                    riemann_module, svect_module, vect_module)
 from nhsf.prolong import G0, full_prolong, prolong_as_module
 
 
@@ -231,22 +233,44 @@ def lifted_blocks(slices) -> list[bool]:
 
 
 def count_lifts(monkeypatch) -> list:
-    """Wrap the certified kernel ``cohom`` calls: the list grows by one Reduction per call."""
+    """Wrap the certified kernel ``cohom`` calls: the list grows by the columns of each
+    matrix ``nullspace`` is called on."""
     lifts = []
-    real = cohom.kernel
+    real = cohom.nullspace
 
-    def counted(red):
-        lifts.append(red)
-        return real(red)
+    def counted(cols):
+        lifts.append(cols)
+        return real(cols)
 
-    monkeypatch.setattr(cohom, "kernel", counted)
+    monkeypatch.setattr(cohom, "nullspace", counted)
     return lifts
 
 
+def record_ranks(monkeypatch) -> list:
+    """Wrap ``cohom._ranks``: the list grows by its (d_out, d_in, prefixes) per call."""
+    calls = []
+    real = cohom._ranks
+
+    def recorded(d_out, d_in, prefixes):
+        calls.append((d_out, d_in, prefixes))
+        return real(d_out, d_in, prefixes)
+
+    monkeypatch.setattr(cohom, "_ranks", recorded)
+    return calls
+
+
+def open_mod_2(calls) -> list[bool]:
+    """Per ``_ranks`` call: does some prefix leave n - r_2(d_out) - r_2(d_in) above 0,
+    by the independent GF(2) rank of ``models``?"""
+    return [any(n - rank_mod_2(d_out[:n]) - rank_mod_2(d_in[:m]) for n, m in prefixes)
+            for d_out, d_in, prefixes in calls]
+
+
 def test_kernels_are_lifted_only_where_h_is_nonzero(monkeypatch):
-    """F4 node 1 full: a block lifts its two kernels iff its H, or its submodule's, is
-    nonzero; every other block's ranks are the mod-P ones."""
-    lifts = count_lifts(monkeypatch)
+    """F4 node 1 full: a block lifts its two kernels iff its bound is open mod 2; every
+    block whose H, or whose submodule's, is nonzero is one of them, and so are 7 with
+    H = 0 whose ranks are even."""
+    lifts, calls = count_lifts(monkeypatch), record_ranks(monkeypatch)
     slices = []
     real = verify.cohomology
 
@@ -257,9 +281,12 @@ def test_kernels_are_lifted_only_where_h_is_nonzero(monkeypatch):
 
     monkeypatch.setattr(verify, "cohomology", recorded)
     assert verify.run_case(verify.CaseSpec("F", 4, (1,), "full"))["status"] == verify.MATCH
-    lifted = lifted_blocks(slices)
-    assert 0 < sum(lifted) < len(lifted)
-    assert len(lifts) == 2 * sum(lifted)
+    opened, lifted = open_mod_2(calls), lifted_blocks(slices)
+    assert len(opened) == len(lifted)
+    assert all(o for o, h in zip(opened, lifted) if h)
+    assert 0 < sum(lifted) < sum(opened) < len(opened)
+    assert sum(opened) - sum(lifted) == 7
+    assert len(lifts) == 2 * sum(opened)
 
 
 def drop_one_pivot(real):
@@ -315,31 +342,54 @@ def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
 
 
 def test_a_block_even_mod_2_closes_mod_p(monkeypatch):
-    """d_out = (2): rank 0 mod 2 leaves the bound open, rank 1 mod P closes it, and no
-    kernel is lifted."""
+    """d_out = (2): rank 0 mod 2 leaves the bound open, so its rank, 1, is read off the
+    certified kernels of d_out and d_in."""
     lifts = count_lifts(monkeypatch)
     assert linalg.pivots_mod_2([{0: 2}]) == []
     assert cohom._ranks([{0: 2}], [], [(1, 0)]) == [(1, 0)]
-    assert lifts == []
+    assert lifts == [[{0: 2}], []]
+
+
+@st.composite
+def complexes(draw):
+    """(d_out, d_in): d_out up to 6 integer columns over up to 5 rows, entries in -2..2,
+    and each d_in column an integer multiple of a canonical kernel vector of d_out (as
+    it is, or scaled to integers), in the order of their free columns, so d o d = 0."""
+    nrows, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                            min_size=nrows, max_size=nrows))
+    d_out = [{i: row[j] for i, row in enumerate(entries) if row[j]} for j in range(n)]
+    kernel = exact_nullspace([{j: x for j, x in enumerate(row) if x} for row in entries], n)
+    d_in = []
+    if kernel:
+        for u, c, ints in draw(st.lists(st.tuples(st.sampled_from(kernel),
+                                                  st.sampled_from([-2, -1, 1, 2]),
+                                                  st.booleans()), max_size=5)):
+            d_in.append({k: c * x for k, x in (_scaled(u) if ints else u).items()})
+    d_in.sort(key=max)
+    return d_out, d_in
+
+
+@given(complexes())
+@settings(max_examples=150, deadline=None)
+def test_ranks_are_the_ranks_over_q(complex_):
+    """``_ranks`` gives the rank over Q of every prefix pair cohom can pass: the whole
+    of d_out and d_in, then the first n columns of d_out and the first m of d_in, the
+    d_in columns supported in the first n cochains (a canonical kernel vector's
+    largest key is its free column)."""
+    d_out, d_in = complex_
+    whole = (len(d_out), len(d_in))
+    for n in range(len(d_out) + 1):
+        prefixes = [whole, (n, sum(1 for col in d_in if max(col) < n))]
+        assert cohom._ranks(d_out, d_in, prefixes) == [
+            (rank(d_out[:a]), rank(d_in[:b])) for a, b in prefixes]
 
 
 def test_the_mod_2_screen_leaves_only_open_blocks_to_mod_p(monkeypatch):
-    """E6 node 2, H^2: ``reduce_mod_p`` runs on d_out and d_in of exactly the blocks
-    whose bound is open mod 2 (by an independent GF(2) rank), and those are the
-    blocks with H != 0."""
-    calls, reductions = [], []
-    real_ranks, real_reduce = cohom._ranks, cohom.reduce_mod_p
-
-    def recorded(d_out, d_in, prefixes):
-        calls.append((d_out, d_in, prefixes))
-        return real_ranks(d_out, d_in, prefixes)
-
-    def counted(cols):
-        reductions.append(len(cols))
-        return real_reduce(cols)
-
-    monkeypatch.setattr(cohom, "_ranks", recorded)
-    monkeypatch.setattr(cohom, "reduce_mod_p", counted)
+    """E6 node 2, H^2: ``nullspace`` runs on d_out and d_in of exactly the blocks whose
+    bound is open mod 2 (by an independent GF(2) rank), and those are the blocks
+    with H != 0."""
+    lifts, calls = count_lifts(monkeypatch), record_ranks(monkeypatch)
     slices = []
     real = verify.cohomology
 
@@ -350,10 +400,9 @@ def test_the_mod_2_screen_leaves_only_open_blocks_to_mod_p(monkeypatch):
 
     monkeypatch.setattr(verify, "cohomology", collected)
     assert verify.run_case(verify.CaseSpec("E", 6, (2,), "h2"))["status"] == verify.MATCH
-    opened = sum(1 for d_out, d_in, prefixes in calls
-                 if any(n - rank_mod_2(d_out[:n]) - rank_mod_2(d_in[:m]) for n, m in prefixes))
+    opened = sum(open_mod_2(calls))
     assert 0 < opened < len(calls)
-    assert len(reductions) == 2 * opened
+    assert len(lifts) == 2 * opened
     assert opened == sum(lifted_blocks(slices))
 
 

@@ -7,10 +7,9 @@ path mod P, its certificate and its retry up the prime ladder are checked
 on inputs that force each branch: an entry past the lift bound, a prime
 that divides a pivot, a lift tampered mod P (the retry returns the right
 kernel) and one tampered at every modulus (``InvariantError``, also under
-``python -O``).  The mod-P pivot count is checked against ``rank``, the
-mod-2 screen's prefix ranks against ``rank`` (never above it) and
-``rank_mod_2``, and the sparse-matrix helpers against dense Fraction
-products.
+``python -O``).  The kernel's prefix ranks are checked against ``rank``, the
+mod-2 screen's against ``rank`` (never above it) and ``rank_mod_2``, and
+the sparse-matrix helpers against dense Fraction products.
 """
 
 import os
@@ -140,18 +139,14 @@ def random_sparse_columns(rng, fractions):
 
 
 def test_prefix_ranks_read_off_the_canonical_kernel():
-    """rank(cols[:p]) = p - #{v in nullspace(cols) : max(v) < p} for every p, and the
-    number of mod-P RREF pivots below p."""
+    """rank(cols[:p]) = p - #{v in nullspace(cols) : max(v) < p} for every p."""
     rng = random.Random(20050919)
     for fractions in (False, True):
         for _ in range(150):
             cols = random_sparse_columns(rng, fractions)
             kernel = nullspace(cols)
-            red = linalg.reduce_mod_p(cols)
             for p in range(len(cols) + 1):
                 assert p - sum(1 for v in kernel if max(v) < p) == rank(cols[:p])
-                # no entry here is divisible by P, so the mod-P pivots count the rank too
-                assert red.rank_below(p) == rank(cols[:p])
 
 
 def count_fallbacks(monkeypatch) -> list:
@@ -200,7 +195,8 @@ def test_prime_dividing_a_pivot_falls_back(monkeypatch):
     # mod P the row is (0, 1): rank_P = rank_Q, but the free column differs
     fallbacks = count_fallbacks(monkeypatch)
     p = 2 ** 61 - 1
-    assert linalg._lifted_kernel(linalg.reduce_mod_p([{0: p}, {0: 1}]), p) is None
+    rows = [{0: p, 1: 1}]
+    assert linalg._lifted_kernel(rows, 2, linalg._rref_mod(rows, 2, p), p) is None
     assert nullspace([{0: p}, {0: 1}]) == [{0: Q(-1, p), 1: Q(1)}]
     assert fallbacks == [2]
 
@@ -213,20 +209,22 @@ def test_an_entry_p_hides_a_pivot_but_not_the_kernel(monkeypatch):
     for rows in ([[p, 1], [0, 1]], [[p, 0, 1], [0, 2, 0], [0, 0, 1]],
                  [[p, 2 * p, 1], [0, 0, 1]]):
         ncols = len(rows[0])
-        red = linalg.reduce_mod_p(columns(rows, ncols))
-        assert red.rank_below(ncols) < rank(columns(rows, ncols)) == oracle_rank(rows, ncols)
-        exact = exact_nullspace(red.rows, ncols)
-        assert linalg.kernel(red) == exact == canonical_kernel(rows, ncols)
+        ints = [sparse(row) for row in rows]
+        hidden = len(linalg._rref_mod(ints, ncols, p))
+        assert hidden < rank(columns(rows, ncols)) == oracle_rank(rows, ncols)
+        exact = exact_nullspace(ints, ncols)
+        assert nullspace(columns(rows, ncols)) == exact == canonical_kernel(rows, ncols)
     assert fallbacks == [2, 3, 3]
 
 
 def test_tampered_lift_is_rejected(monkeypatch):
     rows = [[1, 2, 3], [0, 1, 1]]
     want = canonical_kernel(rows, 3)
-    red = linalg.reduce_mod_p(columns(rows, 3))
-    assert linalg._lifted_kernel(red, linalg.P) == want
+    ints = [sparse(row) for row in rows]
+    piv = linalg._rref_mod(ints, 3, linalg.P)
+    assert linalg._lifted_kernel(ints, 3, piv, linalg.P) == want
     monkeypatch.setattr(linalg, "_lift", tamper_lift(only_mod_p=True))
-    assert linalg._lifted_kernel(red, linalg.P) is None
+    assert linalg._lifted_kernel(ints, 3, piv, linalg.P) is None
     fallbacks = count_fallbacks(monkeypatch)
     assert nullspace(columns(rows, 3)) == want
     assert fallbacks == [3]
@@ -248,8 +246,9 @@ def test_tampered_lift_is_rejected_under_python_O():
         "assert False, 'asserts are enabled'\n"
         "real = linalg._lift\n"
         "linalg._lift = lambda a, p: (real(a, p)[0] + (p == linalg.P), real(a, p)[1])\n"
-        "red = linalg.reduce_mod_p([{0: 1}, {0: 2, 1: 1}, {0: 3, 1: 1}])\n"
-        "sys.exit(0 if linalg._lifted_kernel(red, linalg.P) is None else 3)\n")
+        "rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]\n"
+        "piv = linalg._rref_mod(rows, 3, linalg.P)\n"
+        "sys.exit(0 if linalg._lifted_kernel(rows, 3, piv, linalg.P) is None else 3)\n")
     assert res.returncode == 0, res.stderr
 
 
