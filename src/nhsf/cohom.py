@@ -36,6 +36,15 @@ of its source, filtered or not.  The pivots mod 2 and the canonical kernel
 only asks for an empty result, so each slice equals the one on an
 enumerated C^{s+1}_k.
 
+Each entry of a column of d is assigned once, never summed.  On (mono, m)
+the action term reaches (mono with a inserted, m2) for each a with
+a . m != 0 and each m2 in a . m: distinct a give distinct monomials, so
+these targets are distinct.  The Lie terms are summed per monomial first
+and reach (mono', m), while deg m2 = deg a + deg m < deg m because
+``GradedModule`` checks that every g_- degree is negative: no action target
+is a Lie target.  It also rejects an action entry stored as 0, so no
+assigned entry is 0.
+
 Ranks are certified wherever the mod-2 bound is open.  A block's d_out and
 d_in are first screened mod 2 (``linalg.pivots_mod_2``): its pivots below p
 count r_2(p), the rank mod 2 of the first p columns.  For an integer matrix
@@ -134,18 +143,28 @@ def cochain_basis(gm: GradedNilpotent, mod: GradedModule, s: int, k: int,
     # weight, so the module weights each (dual degree, dual weight) keeps are
     # found once, as the bits of one mask
     kept: dict = {}
-    tables: dict = {}  # module degree -> its (weight, elements) pairs and their masks
+    # per module degree, its (weight, elements) pairs and their masks, built
+    # once per module and filter; ``weights.signed`` of each dual weight, once
+    # per g_- and filter
+    tables = mod.__dict__.setdefault("_mask_cache", {}).setdefault(weights, {})
+    signed = gm.__dict__.setdefault("_signed_cache", {}).setdefault(weights, {})
     for mono, dual_deg, dual_w in _monomials(gm, s):
+        q = k - dual_deg
+        if q not in mod.by_degree:
+            continue
         hits = kept.get((dual_deg, dual_w))
         if hits is None:
-            q = k - dual_deg
             if q not in tables:
-                tables[q] = _masks(mod.by_degree_weight.get(q, {}), weights)
+                tables[q] = _masks(mod.by_degree_weight[q], weights)
             items, masks = tables[q]
             bits = (1 << len(items)) - 1
             if weights is not None:
-                for (vals, at_least), t in zip(masks, weights.signed(dual_w)):
+                if dual_w not in signed:
+                    signed[dual_w] = weights.signed(dual_w)
+                for (vals, at_least), t in zip(masks, signed[dual_w]):
                     bits &= at_least[bisect_left(vals, -t)]
+                    if not bits:
+                        break
             hits = []
             while bits:
                 low = bits & -bits
@@ -198,7 +217,8 @@ def differential_columns(gm: GradedNilpotent, mod: GradedModule, src: CochainBas
     A target cochain (mono, m) is row ``rows[(mono, m)]``; a target not yet
     in ``rows`` is added to it as the next row, in the order d first reaches
     it.  Each monomial's insertions and Lie terms are computed once per call,
-    and the a acting on m are read from ``mod.acting``.
+    and the a acting on m are read from ``mod.acting``.  No two terms of one
+    column share a target (module docstring), so each entry is assigned.
     """
     rev = _reverse_bracket(gm)
     cols: list[dict] = []
@@ -227,10 +247,9 @@ def differential_columns(gm: GradedNilpotent, mod: GradedModule, src: CochainBas
                 hit = ins[a] = ((-1) ** t, mono[:t] + (a,) + mono[t:])
             sign, new_mono = hit
             for m2, v in outs.items():
-                r = rows.setdefault((new_mono, m2), len(rows))
-                acc(col, r, sign * v)
+                col[rows.setdefault((new_mono, m2), len(rows))] = sign * v
         for new_mono, coef in lie.items():
-            acc(col, rows.setdefault((new_mono, m), len(rows)), coef)
+            col[rows.setdefault((new_mono, m), len(rows))] = coef
         cols.append(col)
     return cols
 
@@ -352,8 +371,8 @@ def _slice(gm, mod, s, k, weights=None, sub=None) -> CohomologySlice:
             dd: dict = {}
             for i, c in col.items():
                 for tgt, v in d_out[i].items():
-                    acc(dd, tgt, c * v)
-            if dd:
+                    dd[tgt] = dd.get(tgt, 0) + c * v
+            if any(dd.values()):
                 raise InvariantError(f"d o d != 0 at (s={s}, k={k})")
         # (columns of d_out, of d_in) of the module, then of the submodule
         prefixes = [(len(idx), len(d_in))]

@@ -2,7 +2,9 @@
 
 The module's actors (the raising and lowering generators of the Levi
 semisimple part l1, or of any reductive g_0 packaged the same way) act on
-C^s = Hom(Lambda^s g_-, M) commuting with d (``gmod`` checks why).  Each
+C^s = Hom(Lambda^s g_-, M) commuting with d (``gmod`` says why).
+``decompose`` reads one kind and takes it from ``GradedModule.actors_of``,
+which checks that kind's identities before any multiplicity is read.  Each
 C^s_k is finite-dimensional, hence a semisimple l1-module (Weyl's theorem;
 Humphreys, Introduction to Lie Algebras, Sec. 6.3), so taking n-invariants
 of weight mu is exact: H^{n-}_mu = Z^{n-}_mu / B^{n-}_mu (Hochschild-Serre,
@@ -159,10 +161,10 @@ def decompose(slices: list[CohomologySlice], mod: GradedModule,
 
     A slice holds every weight block or was computed on ``flt``; either way
     each multiplicity is read on an extremal block and the local identity
-    is checked on every block the slice built.
+    is checked on every block the slice built.  The actors of the kind read
+    are checked first (``GradedModule.actors_of``).
     """
-    want = "lower" if flt.kind == LOWEST else "raise"
-    actors = [t for t, a in enumerate(mod.actors) if a.kind == want]
+    actors = mod.actors_of("lower" if flt.kind == LOWEST else "raise")
     out: list[IrreducibleSummand] = []
     for sl in slices:
         if not sl.valid:

@@ -16,16 +16,20 @@ every module's actors.  ``IrreducibleModule`` is L(lambda) with the action
 of every basis element of g (``actions``), from which ``verify.g2_structure``
 builds the Sec. 7.1 G(2)-structure's g_- and g_0.
 
-Each module checks once, when built, that its action and the g_- bracket
-add degrees, and weights where both sides carry one (``cohom`` relies on
-it), and that every actor xi (``on_gminus`` column j is xi e_j) is a
-derivation of the bracket, xi[a, b] = [xi a, b] + [a, xi b], compatible
-with the action, xi(a . m) = [xi, a] . m + a . (xi m).  Then xi commutes
-with d on every cochain (``decomp`` relies on it): let xi act on g_-^* by
-xi . e^i = -sum_j (xi e_j)_i e^j and on Lambda(g_-^*) (x) M as a
-derivation, and write d = d_L (x) 1 + sum_a e^a ^ rho(a).  [xi, d_L] is an
-odd derivation, zero on each e^c by the first identity; [xi, sum_a e^a ^
-rho(a)] = sum_a e^a ^ ([xi, rho(a)] - rho([xi, a])) is zero by the second.
+A module checks when it is built that every g_- degree is negative and
+that its action and the g_- bracket add degrees, and weights where both
+sides carry one (``cohom`` relies on both).  Its actors are checked per
+kind, once per module, the first time ``actors_of`` hands that kind out:
+``decompose`` asks for the kind it reads before it reads any multiplicity,
+and no output depends on an actor of a kind that is never read.  The check
+is that every actor xi (``on_gminus`` column j is xi e_j) is a derivation
+of the bracket, xi[a, b] = [xi a, b] + [a, xi b], compatible with the
+action, xi(a . m) = [xi, a] . m + a . (xi m).  Then xi commutes with d on
+every cochain (``decomp`` relies on it): let xi act on g_-^* by xi . e^i =
+-sum_j (xi e_j)_i e^j and on Lambda(g_-^*) (x) M as a derivation, and write
+d = d_L (x) 1 + sum_a e^a ^ rho(a).  [xi, d_L] is an odd derivation, zero
+on each e^c by the first identity; [xi, sum_a e^a ^ rho(a)] = sum_a e^a ^
+([xi, rho(a)] - rho([xi, a])) is zero by the second.
 A violation raises ``InvariantError`` by an ``if``, so also under -O.
 """
 
@@ -117,7 +121,16 @@ class GradedModule:
                     dual.setdefault(i, []).append((j, c))
             self.actor_duals.append(dual)
         self.verify_additivity()
-        self.verify_actors()
+        self._checked_kinds: set[str] = set()
+
+    def actors_of(self, kind: str) -> list[int]:
+        """The indices of the actors of ``kind`` ("raise" or "lower"), checked by
+        ``verify_actors`` the first time this module hands out that kind."""
+        idx = [t for t, xi in enumerate(self.actors) if xi.kind == kind]
+        if kind not in self._checked_kinds:
+            self.verify_actors(idx)
+            self._checked_kinds.add(kind)
+        return idx
 
     @property
     def dim(self) -> int:
@@ -158,9 +171,14 @@ class GradedModule:
                             [replace(xi, on_module=cut(xi.on_module)) for xi in self.actors])
 
     def verify_additivity(self) -> None:
-        """Every action entry a . m -> m2 and g_- bracket entry [a, b] -> c adds
-        degrees, and weights where both summands carry one (module docstring)."""
+        """Every g_- degree is negative, no action entry is stored as 0, and every
+        action entry a . m -> m2 and g_- bracket entry [a, b] -> c adds degrees, and
+        weights where both summands carry one (module docstring)."""
         gm = self.gminus
+        if any(d >= 0 for d in gm.degrees):
+            raise InvariantError("a g_- degree is not negative")
+        if any(0 in outs.values() for mat in self.act for outs in mat.values()):
+            raise InvariantError("an action entry is stored as 0")
         g = list(zip(gm.degrees, gm.weights))
         mo = [(b.degree, b.weight) for b in self.basis]
         sums = [(g[a], mo[m], mo[m2]) for a, mat in enumerate(self.act)
@@ -170,41 +188,69 @@ class GradedModule:
             if dz != dx + dy or not (wx is None or wy is None or wz == tuple(map(add, wx, wy))):
                 raise InvariantError("an action or g_- bracket entry is not additive")
 
-    def verify_actors(self) -> None:
+    def verify_actors(self, idx: list[int]) -> None:
         """xi[a, b] = [xi a, b] + [a, xi b] and xi(a . m) = [xi, a] . m + a . (xi m) for
-        every actor xi, g_- elements a, b and module element m (module docstring); the
-        second is summed over nonzero entries, [xi, a] . m through ``actor_duals``."""
-        gm = self.gminus
-        for xi, dual in zip(self.actors, self.actor_duals):
+        the actors xi at ``idx``, g_- elements a, b and module elements m (module
+        docstring); the second is summed over nonzero entries, [xi, a] . m through
+        ``actor_duals``."""
+        gm, g, n = self.gminus, self.gminus.dim, self.dim
+        br = _brackets(gm)
+        for t in idx:
+            xi, dual = self.actors[t], self.actor_duals[t]
             ad, on_mod = xi.on_gminus, xi.on_module
-            for a in range(gm.dim):
-                for b in range(a + 1, gm.dim):
-                    res = apply(ad, gm.bracket(a, b))
-                    for i, c in ad.get(a, {}).items():
-                        for e, v in gm.bracket(i, b).items():
-                            acc(res, e, -c * v)
-                    for i, c in ad.get(b, {}).items():
-                        for e, v in gm.bracket(a, i).items():
-                            acc(res, e, -c * v)
-                    if res:
-                        raise InvariantError(
-                            f"actor {xi.name} is not a derivation of the g_- bracket")
-            for m in range(self.dim):
-                res = {}  # (a, e) -> e-th entry of xi(a . m) - [xi, a] . m - a . (xi m)
+            for a in range(g):
+                res: dict = {}  # b * g + e -> e-th entry of xi[a, b] - [xi a, b] - [a, xi b]
+                br_a = br[a]
+                for b, ab in br_a.items():
+                    if b > a:
+                        for c, v in ab.items():
+                            for e, u in ad.get(c, _EMPTY).items():
+                                res[b * g + e] = res.get(b * g + e, 0) + v * u
+                for i, c in ad.get(a, _EMPTY).items():
+                    for b, ib in br[i].items():
+                        if b > a:
+                            for e, v in ib.items():
+                                res[b * g + e] = res.get(b * g + e, 0) - c * v
+                for b, xb in ad.items():
+                    if b > a:
+                        for i, c in xb.items():
+                            for e, v in br_a.get(i, _EMPTY).items():
+                                res[b * g + e] = res.get(b * g + e, 0) - c * v
+                if any(res.values()):
+                    raise InvariantError(
+                        f"actor {xi.name} is not a derivation of the g_- bracket")
+            for m in range(n):
+                res = {}  # a * n + e -> e-th entry of xi(a . m) - [xi, a] . m - a . (xi m)
                 for i, outs in self.acting[m]:
                     for m2, v in outs.items():
-                        for e, u in on_mod.get(m2, {}).items():
-                            acc(res, (i, e), v * u)
+                        for e, u in on_mod.get(m2, _EMPTY).items():
+                            res[i * n + e] = res.get(i * n + e, 0) + v * u
                     for a, c in dual.get(i, ()):
                         for e, v in outs.items():
-                            acc(res, (a, e), -c * v)
-                for m2, c in on_mod.get(m, {}).items():
+                            res[a * n + e] = res.get(a * n + e, 0) - c * v
+                for m2, c in on_mod.get(m, _EMPTY).items():
                     for a, outs in self.acting[m2]:
                         for e, v in outs.items():
-                            acc(res, (a, e), -c * v)
-                if res:
+                            res[a * n + e] = res.get(a * n + e, 0) - c * v
+                if any(res.values()):
                     raise InvariantError(
                         f"actor {xi.name} is not compatible with the module action")
+
+
+_EMPTY: dict = {}
+
+
+def _brackets(gm: GradedNilpotent) -> list[dict[int, dict]]:
+    """[a, b] of g_- as ``out[a][b]``, in both orders, for the pairs where it is
+    nonzero; built once per g_-."""
+    if "_brackets" not in gm.__dict__:
+        out: list[dict[int, dict]] = [{} for _ in range(gm.dim)]
+        for (a, b), res in gm.bracket_table.items():
+            if a < b and res:
+                out[a][b] = res
+                out[b][a] = {c: -v for c, v in res.items()}
+        gm._brackets = out
+    return gm._brackets
 
 
 class FlagCase:

@@ -190,8 +190,9 @@ def prolong_as_module(p: ProlongedAlgebra, actors: list[Actor] | None = None) ->
     Marked complete up to the last computed degree unless stabilized, in
     which case the module is complete everywhere above as well.  The g_-
     basis comes first, so module index u is the g_- basis vector u; the
-    layers follow in degree order.  ``GradedModule`` checks the ``actors``
-    (the G(2)-structure passes the generators of g2) on that basis.
+    layers follow in degree order.  ``GradedModule.actors_of`` checks the
+    ``actors`` (the G(2)-structure passes the generators of g2) on that basis,
+    each kind before ``decompose`` reads it.
     """
     gm = p.gminus
     basis = [ModuleElt(gm.labels[u], gm.degrees[u], gm.weights[u]) for u in range(gm.dim)]

@@ -21,9 +21,9 @@ from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
 from nhsf.liealg import abelian_nilpotent
 from nhsf.linalg import _scaled
-from models import (contact_module, der0, exact_nullspace, filtered_basis, hamiltonian_module,
-                    heisenberg, poisson_module, rank, rank_mod_2, reference_slice,
-                    riemann_module, svect_module, vect_module)
+from models import (_reference_columns, contact_module, der0, exact_nullspace,
+                    filtered_basis, hamiltonian_module, heisenberg, poisson_module, rank,
+                    rank_mod_2, reference_slice, riemann_module, svect_module, vect_module)
 from nhsf.prolong import G0, full_prolong, prolong_as_module
 
 
@@ -172,6 +172,52 @@ def test_differential_matrix_and_dd_zero():
             assert all(v == 0 for v in out.values())
 
 
+def _assert_reference_columns(gm, mod, s, k, weights=None):
+    """d_out with rows numbered as d reaches them (``rows={}``) equals, entry for
+    entry and type for type, d on the enumerated C^{s+1}_k, rows renumbered
+    through ``rows``."""
+    src = cochain_basis(gm, mod, s, k, weights)
+    rows = {}
+    got = differential_columns(gm, mod, src, rows)
+    dst = filtered_basis(gm, mod, s + 1, k, weights)
+    want = _reference_columns(gm, mod, src, dst)
+    label = {r: dst.pos[key] for key, r in rows.items()}
+    typed = lambda col: {r: (type(v), v) for r, v in col.items()}
+    assert [typed({label[r]: v for r, v in col.items()}) for col in got] == \
+        [typed(col) for col in want]
+    return sum(map(len, got))
+
+
+@pytest.mark.parametrize("case", [("G", 2, (1,)), ("E", 6, (2,))],
+                         ids=lambda c: f"{c[0]}{c[1]}-{','.join(map(str, c[2]))}")
+def test_assigned_columns_match_the_reference_sums(case):
+    """No two terms of a column of d share a target (``cohom`` docstring), so the
+    assigned entries are the summed ones."""
+    fc = FlagCase(*case)
+    adj = fc.adjoint_module()
+    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
+    entries = 0
+    for mod in (adj, fc.coriemann_module(adj)):
+        for s in (0, 1, 2):
+            for weights in (None, flt) if case[1] < 6 or s < 2 else (flt,):
+                for k in full_window(fc.gminus, mod, s):
+                    entries += _assert_reference_columns(fc.gminus, mod, s, k, weights)
+    assert entries
+
+
+def test_assigned_columns_match_the_reference_sums_with_fractions():
+    """The Sec. 7.1 module, whose action holds ``Fraction`` entries."""
+    for include_center in (False, True):
+        _, mod = verify.g2_structure_module(include_center)
+        assert any(type(v) is Q for mat in mod.act for outs in mat.values()
+                   for v in outs.values())
+        entries = 0
+        for s in (0, 1, 2):
+            for k in full_window(mod.gminus, mod, s):
+                entries += _assert_reference_columns(mod.gminus, mod, s, k)
+        assert entries
+
+
 EQUIVALENCE_CASES = [("G", 2, (1,)), ("C", 3, (1,)), ("B", 3, (2,)), ("F", 4, (1,)),
                      ("A", 3, (1, 3)), ("E", 6, (2,))]
 
@@ -266,7 +312,7 @@ def open_mod_2(calls) -> list[bool]:
             for d_out, d_in, prefixes in calls]
 
 
-def test_kernels_are_lifted_only_where_h_is_nonzero(monkeypatch):
+def test_kernels_are_lifted_exactly_where_the_mod_2_bound_is_open(monkeypatch):
     """F4 node 1 full: a block lifts its two kernels iff its bound is open mod 2; every
     block whose H, or whose submodule's, is nonzero is one of them, and so are 7 with
     H = 0 whose ranks are even."""
@@ -341,7 +387,7 @@ def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
     assert exact_lifts < len(lifts) == 2 * blocks
 
 
-def test_a_block_even_mod_2_closes_mod_p(monkeypatch):
+def test_a_block_even_mod_2_takes_the_certified_kernels(monkeypatch):
     """d_out = (2): rank 0 mod 2 leaves the bound open, so its rank, 1, is read off the
     certified kernels of d_out and d_in."""
     lifts = count_lifts(monkeypatch)
@@ -385,7 +431,7 @@ def test_ranks_are_the_ranks_over_q(complex_):
             (rank(d_out[:a]), rank(d_in[:b])) for a, b in prefixes]
 
 
-def test_the_mod_2_screen_leaves_only_open_blocks_to_mod_p(monkeypatch):
+def test_only_blocks_open_mod_2_reach_the_certified_kernels(monkeypatch):
     """E6 node 2, H^2: ``nullspace`` runs on d_out and d_in of exactly the blocks whose
     bound is open mod 2 (by an independent GF(2) rank), and those are the blocks
     with H != 0."""

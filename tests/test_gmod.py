@@ -290,33 +290,74 @@ def test_non_additive_module_is_rejected_under_python_O(tamper):
     assert res.returncode == 0, res.stderr
 
 
-# -- the actor check a module runs when it is built -------------------------
+def test_a_gminus_degree_that_is_not_negative_is_rejected():
+    """d's entries are assigned, not summed, only because every g_- degree is
+    negative (``cohom`` docstring); a degree-0 element of g_- is refused."""
+    gm = GradedNilpotent(["a", "b"], [-1, 0], [None, None], {})
+    with pytest.raises(InvariantError, match="g_- degree is not negative"):
+        GradedModule(gm, [ModuleElt("1", 0, None)], [{}, {}], None)
 
 
-def _tamper_actor(field):
-    """The G2 node-1 adjoint module with one entry of its first actor's ``field`` doubled."""
+def test_an_action_entry_stored_as_zero_is_rejected():
+    """An assigned entry of d is never 0 only because no action entry is 0."""
+    gm = GradedNilpotent(["a"], [-1], [None], {})
+    basis = [ModuleElt("m", 0, None), ModuleElt("n", -1, None)]
+    with pytest.raises(InvariantError, match="stored as 0"):
+        GradedModule(gm, basis, [{0: {1: 0}}], None)
+    GradedModule(gm, basis, [{0: {1: 1}}], None)
+
+
+# -- the actor check, run per kind before decompose reads that kind ------
+
+
+def _tamper_actor(kind, field):
+    """The G2 node-1 adjoint module with one entry of ``field`` doubled on its actor
+    of ``kind`` ("raise": x2, "lower": y2); built without complaint."""
     adj = FlagCase("G", 2, (1,)).adjoint_module()
-    xi = adj.actors[0]
+    t = next(t for t, xi in enumerate(adj.actors) if xi.kind == kind)
+    xi = adj.actors[t]
     mat = {col: dict(img) for col, img in getattr(xi, field).items()}
     col = min(mat)
     row = min(mat[col])
     mat[col][row] *= 2
-    return GradedModule(adj.gminus, adj.basis, adj.act, None,
-                        [replace(xi, **{field: mat})] + adj.actors[1:])
+    actors = list(adj.actors)
+    actors[t] = replace(xi, **{field: mat})
+    return GradedModule(adj.gminus, adj.basis, adj.act, None, actors)
+
+
+def _read_h2(mod, kind):
+    """The summands of the G2 node-1 module ``mod``'s H^2, decomposed by ``kind``
+    (Highest reads the raise actors, Lowest the lower ones)."""
+    fc = FlagCase("G", 2, (1,))
+    flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
+    slices = cohomology(mod.gminus, mod, 2, full_window(mod.gminus, mod, 2), weights=flt)
+    return decompose([sl for sl in slices if sl.dim_h], mod, flt)
 
 
 def tamper_derivation():
-    """x2 changed on g_- only: no longer a derivation of the g_- bracket."""
-    return _tamper_actor("on_gminus")
+    """x2 changed on g_- only, read by the Highest H^2: not a derivation of the bracket."""
+    return _read_h2(_tamper_actor("raise", "on_gminus"), HIGHEST)
 
 
 def tamper_compatibility():
-    """x2 changed on the module only: no longer compatible with the action."""
-    return _tamper_actor("on_module")
+    """x2 changed on the module only, read by the Highest H^2: not compatible."""
+    return _read_h2(_tamper_actor("raise", "on_module"), HIGHEST)
+
+
+def tamper_lower_derivation():
+    """y2 changed on g_- only, read by the Lowest H^2: not a derivation of the bracket."""
+    return _read_h2(_tamper_actor("lower", "on_gminus"), LOWEST)
+
+
+def tamper_lower_compatibility():
+    """y2 changed on the module only, read by the Lowest H^2: not compatible."""
+    return _read_h2(_tamper_actor("lower", "on_module"), LOWEST)
 
 
 ACTOR_TAMPERS = {"tamper_derivation": "not a derivation of the g_- bracket",
-                 "tamper_compatibility": "not compatible with the module action"}
+                 "tamper_compatibility": "not compatible with the module action",
+                 "tamper_lower_derivation": "not a derivation of the g_- bracket",
+                 "tamper_lower_compatibility": "not compatible with the module action"}
 
 
 def test_every_flag_module_passes_the_actor_check():
@@ -325,17 +366,24 @@ def test_every_flag_module_passes_the_actor_check():
         adj = fc.adjoint_module()
         for mod in (adj, riemann_module(fc), fc.coriemann_module(adj), fc.trivial_module()):
             assert mod.actors
-            mod.verify_actors()
+            assert sorted(mod.actors_of("raise") + mod.actors_of("lower")) == \
+                list(range(len(mod.actors)))
 
 
 @pytest.mark.parametrize("tamper", sorted(ACTOR_TAMPERS))
-def test_tampered_actor_is_rejected_when_built(tamper):
+def test_tampered_actor_is_rejected_before_a_multiplicity_is_read(tamper, monkeypatch):
+    """The module builds; ``decompose`` of the tampered kind raises before it reads
+    any multiplicity."""
+    read = []
+    real = nhsf.decomp._multiplicity
+    monkeypatch.setattr(nhsf.decomp, "_multiplicity", lambda *a: read.append(a) or real(*a))
     with pytest.raises(InvariantError, match=ACTOR_TAMPERS[tamper]):
         globals()[tamper]()
+    assert read == []
 
 
 @pytest.mark.parametrize("tamper", sorted(ACTOR_TAMPERS))
-def test_tampered_actor_is_rejected_under_python_O(tamper):
+def test_tampered_actor_is_rejected_before_a_multiplicity_is_read_under_python_O(tamper):
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from nhsf import InvariantError\n"
@@ -353,6 +401,17 @@ def test_tampered_actor_is_rejected_under_python_O(tamper):
                           ACTOR_TAMPERS[tamper]],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("kind,read", [("raise", LOWEST), ("lower", HIGHEST)])
+def test_an_actor_of_the_kind_not_read_changes_no_summand(kind, read):
+    """A tampered actor that ``decompose`` does not read is not checked, and the
+    summands read with the other kind are those of the untampered module."""
+    mod = _tamper_actor(kind, "on_module")
+    got = _read_h2(mod, read)
+    assert got and got == _read_h2(FlagCase("G", 2, (1,)).adjoint_module(), read)
+    with pytest.raises(InvariantError, match="not compatible with the module action"):
+        mod.actors_of(kind)
 
 
 # -- the submodule check of the Riemann H^2 read off the adjoint -------------
