@@ -383,7 +383,7 @@ def test_tampered_actor_is_rejected_before_a_multiplicity_is_read(tamper, monkey
 
 
 @pytest.mark.parametrize("tamper", sorted(ACTOR_TAMPERS))
-def test_tampered_actor_is_rejected_before_a_multiplicity_is_read_under_python_O(tamper):
+def test_tampered_actor_is_rejected_under_python_O(tamper):
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from nhsf import InvariantError\n"
