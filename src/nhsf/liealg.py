@@ -5,8 +5,20 @@ order of :mod:`nhsf.rootsys`; all remaining constants follow from the
 triple rule N(a,b)/(c,c) = N(b,c)/(a,a) (a+b+c=0) and one quadruple Jacobi
 relation.  Root norms are the integers of ``RootSystem.norm2``; every
 division by a norm is exact and checked, and a remainder raises
-ChevalleyError.  The full table is Jacobi-verified at build time: a
-violation is a sign bug in this module, never user error.
+ChevalleyError.
+
+The bracket is one table per (type, rank), built once: ``table[(i, j)]``,
+i < j, holds [e_i, e_j] when it is nonzero, and [e_j, e_i] is read as its
+negative, so the bracket is bilinear and antisymmetric by construction.
+[e_i, e_j] lies in the weight wt(i) + wt(j), so only the pairs whose weight
+sum is a weight of g (a root or 0) are evaluated.  Every other pair is
+absent and reads 0, which lies in every weight space.
+
+The table is Jacobi-verified at build time, and a violation is a sign bug
+in this module, never user error.  The check runs on the Chevalley
+generators only: S = {u : ad u is a derivation} is a subalgebra, since a
+commutator of derivations is one, and the generators reach every basis
+vector, so S = g (proof in ``verify_jacobi``).
 """
 
 from __future__ import annotations
@@ -14,8 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, sub
+from functools import cached_property, lru_cache
 
 from . import InputError, InvariantError
 from .linalg import Q, SparseMat
@@ -67,9 +78,10 @@ class BasisLabel:
 class ZGradedLieAlgebra:
     """A simple Lie algebra in a Chevalley basis, with a Z-grading."""
 
-    def __init__(self, rs: RootSystem, n_table, grading: GradingSpec | None = None):
+    def __init__(self, rs: RootSystem, n_table, grading: GradingSpec | None = None,
+                 table: dict[tuple[int, int], Element] | None = None):
+        """Takes the bracket ``table`` of an algebra on ``rs``, or builds it from ``n_table``."""
         self.rs = rs
-        self._n = n_table
         self.rank = rs.rank
         roots = rs.positive_roots
         self.dim = rs.rank + 2 * len(roots)
@@ -86,7 +98,7 @@ class ZGradedLieAlgebra:
         for lab in self.basis:
             self.dims_by_degree[lab.degree] = self.dims_by_degree.get(lab.degree, 0) + 1
         self.depth = max((-d for d in self.dims_by_degree if d < 0), default=0)
-        self._bracket_cache: dict[tuple[int, int], Element] = {}
+        self.table = self._bracket_table(n_table) if table is None else table
 
     # -- index helpers ----------------------------------------------------
 
@@ -121,46 +133,55 @@ class ZGradedLieAlgebra:
     # -- bracket -----------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> Element:
-        if i == j:
-            return {}
         if i > j:
-            return {k: -v for k, v in self.bracket_basis(j, i).items()}
-        key = (i, j)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._bracket_basis_raw(i, j)
-        self._bracket_cache[key] = out
-        return out
+            return {k: -v for k, v in self.table.get((j, i), {}).items()}
+        return self.table.get((i, j), {})
 
-    def _bracket_basis_raw(self, i: int, j: int) -> Element:
+    @cached_property
+    def _weight_index(self) -> tuple[list[int], dict[int, list[int]]]:
+        """(code, completing): code[k] packs wt(k) into one int, sum w_t * 64^t,
+        which is linear and, as every coordinate <beta, alpha_t^vee> of a
+        root lies in -3..3, injective on sums of up to three weights of g.
+        completing[s] lists the k, ascending, with s + wt(k) a weight of g."""
+        code = [sum(w * 64 ** t for t, w in enumerate(lab.weight)) for lab in self.basis]
+        by_code: dict[int, list[int]] = {}
+        for k, c in enumerate(code):
+            by_code.setdefault(c, []).append(k)
+        completing: dict[int, list[int]] = {}
+        for t in by_code:
+            for w, ks in by_code.items():
+                completing.setdefault(t - w, []).extend(ks)
+        for ks in completing.values():
+            ks.sort()
+        return code, completing
+
+    def _bracket_table(self, n_table) -> dict[tuple[int, int], Element]:
+        """Every nonzero [e_i, e_j], i < j, evaluated on the pairs whose weight
+        sum is a weight of g only."""
+        code, completing = self._weight_index
+        table = {}
+        for i in range(self.dim):
+            ks = completing[code[i]]
+            for j in ks[bisect_right(ks, i):]:
+                entry = self._entry(n_table, i, j)
+                if entry:
+                    table[(i, j)] = entry
+        return table
+
+    def _entry(self, n_table, i: int, j: int) -> Element:
+        """[e_i, e_j] for i < j, from the constants."""
         a, b = self.basis[i], self.basis[j]
-        rs = self.rs
-        if a.kind == "h" and b.kind == "h":
-            return {}
-        if a.kind == "h":
-            beta = self.root_of(j)
-            c = rs.pair_with_coroot(beta, a.index)
+        if a.kind == "h":  # [h_a, e_j] = <wt(j), alpha_a^vee> e_j
+            c = b.weight[a.index]
             return {j: c} if c else {}
-        if b.kind == "h":
-            return {k: -v for k, v in self._bracket_basis_raw(j, i).items()}
         alpha, beta = self.root_of(i), self.root_of(j)
         ssum = tuple(x + y for x, y in zip(alpha, beta))
-        if all(c == 0 for c in ssum):
-            # [x_beta, y_beta] = h_{beta^vee}
-            sign = 1 if a.kind == "x" else -1
-            pos = alpha if a.kind == "x" else beta
-            out: Element = {}
-            for node, c in enumerate(self._coroot_coeffs(pos)):
-                if c:
-                    out[self.h_index(node)] = sign * c
-            return out
-        n = self._n(alpha, beta)
-        if n == 0:
-            return {}
-        if min(ssum) >= 0:  # ssum != 0 here
-            return {self.x_index(rs.root_index[ssum]): n}
-        return {self.y_index(rs.root_index[_neg(ssum)]): n}
+        if not any(ssum):  # [x_beta, y_beta] = h_{beta^vee}
+            return {self.h_index(node): c for node, c in enumerate(self._coroot_coeffs(alpha)) if c}
+        n = n_table(alpha, beta)
+        if min(ssum) >= 0:
+            return {self.x_index(self.rs.root_index[ssum]): n} if n else {}
+        return {self.y_index(self.rs.root_index[_neg(ssum)]): n} if n else {}
 
     def _coroot_coeffs(self, beta) -> list[int]:
         """beta^vee = sum c_i alpha_i^vee, c_i = 2 beta_i d_i / (beta, beta), integers."""
@@ -193,54 +214,65 @@ class ZGradedLieAlgebra:
     # -- verification -------------------------------------------------------
 
     def verify_jacobi(self) -> None:
-        """Check the Jacobi identity exactly on every basis triple.
-
-        First, in O(n^2): every [e_i, e_j] lies in the weight wt(i) + wt(j).
-        Then every term of the Jacobi sum of (i, j, k) lies in the weight
-        wt(i) + wt(j) + wt(k), and g has no basis element there unless that
-        weight is a root or 0.  So only those triples i < j < k are summed,
-        with k read from a weight -> indices index; the others vanish by
-        construction.  Each [e_i, e_j] is read once through ``bracket_basis``
-        into a both-orders table.  Raises ChevalleyError on the first failure.
+        """Check the Jacobi identity exactly, by the generators e_a = x[alpha_a]
+        and f_a = y[alpha_a].  Each step raises ChevalleyError by an ``if``:
+        1. every stored [e_i, e_j] lies in the weight wt(i) + wt(j);
+        2. [e_a, f_a] is a nonzero multiple of h_a, for each node a;
+        3. for each positive root beta of height > 1, some [e_a, x_(beta -
+           alpha_a)] is a nonzero multiple of x_beta, and likewise for y_beta;
+        4. ad e_a and ad f_a are derivations on every pair x < y with
+           wt(u) + wt(x) + wt(y) a weight of g.
+        By step 1 every term of [u, [x, y]] - [[u, x], y] - [x, [u, y]] lies in
+        that weight, and a pair left out of the table is 0, which lies in every
+        weight space; so the other pairs give 0.  Pairs x > y follow by
+        antisymmetry.  S = {u : ad u is a derivation} is a subspace, and for
+        x, u in S, ad [x, u] = [ad x, ad u] (ad x is a derivation at u), a
+        derivation: S is a subalgebra.  It holds the e_a and f_a (step 4), so
+        h_a (step 2) and, by induction on the height, every x_beta and y_beta
+        (step 3).  So S = g, which with antisymmetry is Jacobi on every triple.
         """
-        n = self.dim
-        name = self.rs.spec.name
-        br: list[list[tuple]] = [[()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.bracket_basis(i, j)
-                br[i][j], br[j][i] = tuple(bij.items()), tuple((m, -v) for m, v in bij.items())
-        wt = [lab.weight for lab in self.basis]
-        by_weight: dict[tuple, list[int]] = {}
-        for k, w in enumerate(wt):
-            by_weight.setdefault(w, []).append(k)
-        # completing[s]: the k, ascending, with s + wt(k) a weight of g
-        completing: dict[tuple, list[int]] = {}
-        for t in by_weight:
-            for w, ks in by_weight.items():
-                completing.setdefault(tuple(map(sub, t, w)), []).extend(ks)
-        for ks in completing.values():
-            ks.sort()
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = tuple(map(add, wt[i], wt[j]))
-                if any(wt[m] != s for m, _ in br[i][j]):
-                    raise ChevalleyError(f"bracket of basis pair ({i},{j}) of {name} "
-                                         f"leaves the weight {s}")
-        for i in range(n):
-            bi = br[i]
-            for j in range(i + 1, n):
-                bij, bj = bi[j], br[j]
-                ks = completing.get(tuple(map(add, wt[i], wt[j])), [])
-                for k in ks[bisect_right(ks, j):]:
-                    # [[i,j],k] + [[j,k],i] + [[k,i],j]
+        n, name, rs = self.dim, self.rs.spec.name, self.rs
+        code, completing = self._weight_index
+        for (i, j), entry in self.table.items():
+            if any(code[m] != code[i] + code[j] for m in entry):
+                s = tuple(map(sum, zip(self.basis[i].weight, self.basis[j].weight)))
+                raise ChevalleyError(f"bracket of basis pair ({i},{j}) of {name} "
+                                     f"leaves the weight {s}")
+        simple = [rs.root_index[tuple(int(t == a) for t in range(rs.rank))]
+                  for a in range(rs.rank)]
+        for a, k in enumerate(simple):
+            hf = self.bracket_basis(self.x_index(k), self.y_index(k))
+            if hf.keys() != {self.h_index(a)} or not hf[self.h_index(a)]:
+                raise ChevalleyError(f"[x, y] of simple root {a + 1} of {name} is not "
+                                     f"a nonzero multiple of h{a + 1}")
+        for beta in rs.positive_roots[rs.rank:]:  # by height: the simple roots first
+            downs = [(k, rs.root_index[d]) for a, k in enumerate(simple)
+                     if (d := tuple(b - int(t == a) for t, b in enumerate(beta))) in rs.root_index]
+            for index in (self.x_index, self.y_index):
+                target = index(rs.root_index[beta])
+                if not any(self.bracket_basis(index(k), index(r)).get(target) for k, r in downs):
+                    raise ChevalleyError(f"cannot reach {self.label(target)} of {name} "
+                                         f"from the simple generators")
+        br: list[dict[int, tuple]] = [{} for _ in range(n)]
+        for (i, j), entry in self.table.items():
+            br[i][j] = tuple(entry.items())
+            br[j][i] = tuple((m, -v) for m, v in entry.items())
+        for u in [index(k) for k in simple for index in (self.x_index, self.y_index)]:
+            bu = br[u]
+            for x in range(n):
+                bx = br[x]
+                ys = completing.get(code[u] + code[x], [])
+                for y in ys[bisect_right(ys, x):]:
+                    # [u,[x,y]] + [x,[y,u]] + [y,[u,x]]
                     total: dict[int, int] = {}
-                    for first, last in ((bij, k), (bj[k], i), (br[k][i], j)):
+                    for outer, first in ((bu, bx.get(y, ())), (bx, br[y].get(u, ())),
+                                         (br[y], bu.get(x, ()))):
                         for m, c in first:
-                            for p, v in br[m][last]:
+                            for p, v in outer.get(m, ()):
                                 total[p] = total.get(p, 0) + c * v
                     if any(total.values()):
-                        raise ChevalleyError(f"Jacobi fails on basis triple ({i},{j},{k}) of {name}")
+                        raise ChevalleyError(f"ad of basis element {u} of {name} is not a "
+                                             f"derivation on ({x},{y}): Jacobi fails")
 
 
 def _root_string_p(rs: RootSystem, alpha, beta) -> int:
@@ -348,9 +380,7 @@ def build_chevalley(type_letter: str, rank: int) -> ZGradedLieAlgebra:
 def apply_grading(alg: ZGradedLieAlgebra, spec: GradingSpec) -> ZGradedLieAlgebra:
     if len(spec.degrees) != alg.rank:
         raise ValueError("grading rank mismatch")
-    out = ZGradedLieAlgebra(alg.rs, alg._n, grading=spec)
-    out._bracket_cache = alg._bracket_cache  # same constants, share cache
-    return out
+    return ZGradedLieAlgebra(alg.rs, None, grading=spec, table=alg.table)
 
 
 @lru_cache(maxsize=None)

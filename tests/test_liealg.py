@@ -179,7 +179,7 @@ def test_heisenberg_nilpotent():
 
 
 def fresh(type_letter, rank):
-    """An unverified algebra with its own bracket cache, safe to tamper with."""
+    """An unverified algebra with its own bracket table, safe to tamper with."""
     return ZGradedLieAlgebra(build_root_system(type_letter, rank), _constants(type_letter, rank))
 
 
@@ -200,12 +200,26 @@ def jacobi_fails_somewhere(alg):
 def tamper_constant(alg):
     """Double N on [x_a1, x_a2] = N x_{a1+a2}; its triple with y_{a1+a2} has weight 0."""
     i, j = alg.x_index(0), alg.x_index(1)
-    alg._bracket_cache[(i, j)] = {k: 2 * v for k, v in alg.bracket_basis(i, j).items()}
+    alg.table[(i, j)] = {k: 2 * v for k, v in alg.bracket_basis(i, j).items()}
 
 
 def tamper_weight(alg):
     """[x_a1, x_a2] := h_1, which lies in weight 0, not in a1 + a2."""
-    alg._bracket_cache[(alg.x_index(0), alg.x_index(1))] = {alg.h_index(0): 1}
+    alg.table[(alg.x_index(0), alg.x_index(1))] = {alg.h_index(0): 1}
+
+
+def tamper_generation(alg):
+    """Drop [x_a1, x_a2]: on A2 nothing else reaches x_{a1+a2}."""
+    del alg.table[(alg.x_index(0), alg.x_index(1))]
+
+
+def tamper_zero(alg):
+    """[x_a1, x_{a1+a2}] := x_{a1+a2}; the weight 2 a1 + a2 is not a weight of g,
+    so the table leaves this pair out and it must read 0."""
+    rs = alg.rs
+    i, j = (alg.x_index(rs.root_index[r]) for r in ((1, 0), (1, 1)))
+    assert (i, j) not in alg.table
+    alg.table[(i, j)] = {j: 1}
 
 
 def test_tampered_constant_fails_jacobi():
@@ -223,16 +237,32 @@ def test_bracket_leaving_its_weight_fails():
         alg.verify_jacobi()
 
 
-@pytest.mark.parametrize("spec", [("A", 1), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("tamper,message", [(tamper_zero, "leaves the weight"),
+                                            (tamper_generation, r"cannot reach x\[1,1\] of A2")])
+def test_a_table_zero_or_an_unreached_root_fails(tamper, message):
+    alg = fresh("A", 2)
+    tamper(alg)
+    with pytest.raises(ChevalleyError, match=message):
+        alg.verify_jacobi()
+
+
+def test_a_zero_coroot_bracket_fails_generation():
+    """With [x, y] := 0, sl(2)'s table still satisfies Jacobi (a solvable algebra),
+    but x and y no longer generate h."""
+    alg = fresh("A", 1)
+    del alg.table[(alg.x_index(0), alg.y_index(0))]
+    assert not jacobi_fails_somewhere(alg)
+    with pytest.raises(ChevalleyError, match="not a nonzero multiple of h1"):
+        alg.verify_jacobi()
+
+
+@pytest.mark.parametrize("spec", [("A", 1), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)])
 def test_restricted_jacobi_is_as_strong_as_all_triples(spec):
-    """Scaling any one structure constant fails the restricted check iff it fails
-    the all-triples sum.  sl(2)'s one triple (h, x, y) has weight sum 0."""
-    base = fresh(*spec)
-    pairs = [(i, j) for i in range(base.dim) for j in range(i + 1, base.dim)
-             if base.bracket_basis(i, j)]
-    for i, j in pairs:
+    """Scaling any one structure constant fails the generator check iff it fails
+    the all-triples sum.  Rank 3 has constants between two non-simple roots."""
+    for i, j in fresh(*spec).table:
         alg = fresh(*spec)
-        alg._bracket_cache[(i, j)] = {k: 3 * v for k, v in alg.bracket_basis(i, j).items()}
+        alg.table[(i, j)] = {k: 3 * v for k, v in alg.bracket_basis(i, j).items()}
         want = jacobi_fails_somewhere(alg)
         try:
             alg.verify_jacobi()
@@ -243,7 +273,8 @@ def test_restricted_jacobi_is_as_strong_as_all_triples(spec):
 
 
 @pytest.mark.parametrize("tamper,message", [("tamper_constant", "Jacobi fails"),
-                                            ("tamper_weight", "leaves the weight")])
+                                            ("tamper_weight", "leaves the weight"),
+                                            ("tamper_generation", "cannot reach x[1,1]")])
 def test_jacobi_failures_raise_under_python_O(tamper, message):
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -299,6 +330,22 @@ def bracket_table_sha256(alg) -> str:
 def test_structure_constants_are_pinned(name):
     alg = build_chevalley(name[0], int(name[1:]))
     assert bracket_table_sha256(alg) == BRACKET_TABLE_SHA256[name]
+
+
+def test_the_build_evaluates_only_weight_admissible_pairs(monkeypatch):
+    """E6's table evaluates [e_i, e_j] on the pairs i < j with wt(i) + wt(j) a root
+    or 0, not on all n(n - 1)/2 = 3003 pairs."""
+    calls = []
+    entry = ZGradedLieAlgebra._entry
+    monkeypatch.setattr(ZGradedLieAlgebra, "_entry",
+                        lambda self, *args: calls.append(args[1:]) or entry(self, *args))
+    alg = fresh("E", 6)
+    weights = {lab.weight for lab in alg.basis}
+    admissible = [(i, j) for i, j in itertools.combinations(range(alg.dim), 2)
+                  if tuple(map(sum, zip(alg.basis[i].weight, alg.basis[j].weight))) in weights]
+    assert sorted(calls) == admissible
+    assert len(admissible) < alg.dim * (alg.dim - 1) // 2 == 3003
+    assert alg.table.keys() <= set(admissible) and all(alg.table.values())
 
 
 @pytest.mark.parametrize("rank", [7, 8])
