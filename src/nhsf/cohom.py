@@ -31,8 +31,8 @@ its target cochains, numbered as d first reaches them.  None is lost.
 weights, so the action term (e_I, m) -> (e_I ^ a, a . m) and the Lie term,
 which trades a slot c for a, b with [a, b] in c's degree and weight, keep
 the internal degree k and the weight: every target of d lies in the window
-of its source, filtered or not.  The pivots mod 2 and the canonical kernel
-(``linalg``) do not depend on the row labels or order, and the d o d check
+of its source, filtered or not.  The pivots mod 2 and over Q (``linalg``)
+do not depend on the row labels or order, and the d o d check
 only asks for an empty result, so each slice equals the one on an
 enumerated C^{s+1}_k.
 
@@ -45,7 +45,7 @@ and reach (mono', m), while deg m2 = deg a + deg m < deg m because
 is a Lie target.  It also rejects an action entry stored as 0, so no
 assigned entry is 0.
 
-Ranks are certified wherever the mod-2 bound is open.  A block's d_out and
+Ranks are exact over Q wherever the mod-2 bound is open.  A block's d_out and
 d_in are first screened mod 2 (``linalg.pivots_mod_2``): its pivots below p
 count r_2(p), the rank mod 2 of the first p columns.  For an integer matrix
 rank_2 <= rank_Q: every minor is an integer, and one that is odd is
@@ -58,9 +58,10 @@ C^s_mu, so
 
 and where the left side is 0 both ranks are exact and H = 0.  A block where
 it is not 0, for the module or for the submodule below (whose complex is a
-subcomplex, so the same bound holds on its leading columns), takes the
-certified kernels of d_out and d_in (``linalg.nullspace``) and reads its
-ranks off them; every block with H != 0 is one of these.
+subcomplex, so the same bound holds on its leading columns), reads its
+ranks off the pivots over Q of d_out and d_in (``linalg.pivots``: the
+pivots mod P where Hadamard's bound closes, the certified kernel's
+otherwise); every block with H != 0 is one of these.
 
 A submodule N spanned by module basis elements (``cohomology(..., sub=...)``
 with the indices ``GradedModule.submodule`` checks the action and the actors
@@ -69,13 +70,13 @@ additivity above, d and every actor map an N-valued cochain to N-valued
 ones.  So N's block at (k, mu) is the N-valued part of the module's, and
 each of the module's blocks lists its N-valued cochains first, and its
 nonzero d_in columns from N-valued cochains first: N's d_out and d_in are
-the leading columns of the module's.  The pivots mod 2 and the canonical
-kernel each give the rank of any leading columns (``linalg``), so one
-screen, and one kernel, of d_out and of d_in give both modules' ranks, bit
-for bit.  The module's d o d check covers N's columns; dim H >= 0 is
-checked on N's blocks too.  N's blocks keep their leading columns where its
-H is nonzero and index the module's cochain basis, so ``decomp`` reads them
-with the module's actors.
+the leading columns of the module's.  The pivots mod 2 and over Q each
+give the rank of any leading columns (``linalg``), so one screen, and one
+``pivots``, of d_out and of d_in give both modules' ranks, bit for bit.
+The module's d o d check covers N's columns; dim H >= 0 is checked on N's
+blocks too.  N's blocks keep their leading columns where its H is nonzero
+and index the module's cochain basis, so ``decomp`` reads them with the
+module's actors.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from . import InvariantError
-from .linalg import acc, nullspace, pivots_mod_2
+from .linalg import acc, pivots, pivots_mod_2
 from .liealg import GradedNilpotent
 from .gmod import GradedModule
 
@@ -314,23 +315,17 @@ def cohomology(gm: GradedNilpotent, mod: GradedModule, s: int, k_range,
     return [_slice(gm, mod, s, k, weights, sub) for k in ks]
 
 
-def _prefix_rank(kernel: list[dict], p: int) -> int:
-    """The rank of the first p columns of a matrix whose ``nullspace`` is ``kernel``."""
-    return p - sum(1 for vec in kernel if max(vec) < p)
-
-
 def _ranks(d_out: list[dict], d_in: list[dict], prefixes) -> list[tuple[int, int]]:
     """(rank of the first n columns of d_out, of the first m of d_in) per (n, m) in
     ``prefixes``, d o d = 0 checked.  A rank mod 2 is at most rank_Q, so
     n - r_2(out) - r_2(in) >= dim H >= 0, and where it is 0 for every prefix those
-    ranks are exact (module docstring); elsewhere they are read off the certified
-    kernels."""
+    ranks are exact (module docstring); elsewhere they are read off the exact pivots."""
     piv_out, piv_in = pivots_mod_2(d_out), pivots_mod_2(d_in)
     ranks = [(bisect_left(piv_out, n), bisect_left(piv_in, m)) for n, m in prefixes]
     if not any(n - r_out - r_in for (n, _), (r_out, r_in) in zip(prefixes, ranks)):
         return ranks
-    ker_out, ker_in = nullspace(d_out), nullspace(d_in)
-    return [(_prefix_rank(ker_out, n), _prefix_rank(ker_in, m)) for n, m in prefixes]
+    piv_out, piv_in = pivots(d_out), pivots(d_in)
+    return [(bisect_left(piv_out, n), bisect_left(piv_in, m)) for n, m in prefixes]
 
 
 def _slice(gm, mod, s, k, weights=None, sub=None) -> CohomologySlice:

@@ -19,7 +19,7 @@ C^s_mu and d_in the coboundary columns into it.  Then
 
 the first term is dim Z^{n-}_mu, and B^{n-}_mu = B_mu cap ker F is the
 image under d_in of ker(F o d_in), which contains ker(d_in).  All three are
-``linalg.nullspace`` counts.
+counts: the columns less the ``linalg.pivots``.
 
 ``ExtremalWeights`` names the Levi and the extremal kind; as the weight
 filter of ``cohom.cohomology`` it keeps the Levi-antidominant (Lowest) or
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InvariantError
-from .linalg import acc, nullspace
+from .linalg import acc, pivots
 from .gmod import GradedModule
 from .cohom import CohomologySlice, WeightBlock
 from .rootsys import RootSystem, _weyl_product, dominant_multiplicities, to_root
@@ -144,7 +144,8 @@ def actor_columns(mod: GradedModule, actors: list[int], elts) -> list[dict]:
 def _multiplicity(block: WeightBlock, basis, mod: GradedModule, actors: list[int]) -> int:
     """m(mu) = dim ker[d_out ; F] - dim ker(F o d_in) + dim ker(d_in) (module docstring)."""
     f = actor_columns(mod, actors, [basis.elts[g] for g in block.idx])
-    z = len(nullspace([{**d, **fi} for d, fi in zip(block.d_out, f)]))
+    stacked = [{**d, **fi} for d, fi in zip(block.d_out, f)]
+    z = len(stacked) - len(pivots(stacked))
     f_in = []
     for col in block.d_in:
         img: dict = {}
@@ -152,7 +153,8 @@ def _multiplicity(block: WeightBlock, basis, mod: GradedModule, actors: list[int
             for key, v in f[i].items():
                 acc(img, key, c * v)
         f_in.append(img)
-    return z - len(nullspace(f_in)) + len(block.d_in) - block.rank_in
+    # dim ker(d_in) - dim ker(F o d_in) = rank(F o d_in) - rank(d_in): both have len(d_in) columns
+    return z + len(pivots(f_in)) - block.rank_in
 
 
 def decompose(slices: list[CohomologySlice], mod: GradedModule,

@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import add
 
 from . import InvariantError
-from .linalg import Q, SparseMat, acc, apply, commutator, nullspace, solve
+from .linalg import Q, SparseMat, acc, apply, commutator, pivots, solve
 from .liealg import (
     GradedNilpotent,
     LeviPieces,
@@ -328,8 +328,8 @@ class IrreducibleModule:
     3 alpha_1 + 2 alpha_2.  An integral basis would need a lattice reduction per
     weight space (a rescaling where it is a line, as on L(1, 0) of G(2)), while
     ``linalg._scaled`` already clears such denominators where a matrix enters
-    ``linalg``: in ``nullspace``, row by row, and in ``pivots_mod_2``, column by
-    column.
+    ``linalg``: in ``nullspace`` and ``pivots``, row by row, and in
+    ``pivots_mod_2``, column by column.
     """
 
     def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...]):
@@ -379,9 +379,8 @@ class IrreducibleModule:
                 pairs = sorted(cand[nu])
                 gram = [{c: g for c, (j2, b2) in enumerate(pairs)
                          if (g := self._form_ff(j, b, j2, b2))} for (j, b) in pairs]
-                # the rows independent of the rows before them: the pivots of nullspace(gram)
-                free = {max(vec) for vec in nullspace(gram)}
-                chosen = [r for r in range(len(gram)) if r not in free]
+                # the rows independent of the rows before them: the pivots of gram
+                chosen = pivots(gram)
                 if not chosen:
                     continue
                 ids = []

@@ -3,15 +3,17 @@
 Every vector is sparse: a dict {index: coeff} with ``int`` or
 ``fractions.Fraction`` coefficients and its zeros absent (an explicit zero
 is read as absent).  A matrix is a sequence of such columns; its row keys
-may be any hashable.  ``nullspace`` and ``solve`` take these vectors as
-their callers hold them and return them, with ``Fraction`` values and keys
-in ascending order.  Module actions are ``SparseMat`` (column -> {row:
-coeff}); ``apply`` and ``commutator`` are their whole algebra.
+may be any hashable.  ``nullspace``, ``solve`` and ``pivots`` take these
+vectors as their callers hold them; the first two return them, with
+``Fraction`` values and keys in ascending order.  Module actions are
+``SparseMat`` (column -> {row: coeff}); ``apply`` and ``commutator`` are
+their whole algebra.
 
-``nullspace`` is the one elimination: every solve, independence test and
-change of basis in the package is read off its canonical basis, the one
-given by the reduced row echelon form (RREF): a 1 at each free column, minus
-that column of the RREF at the pivot columns.  The pivots are the columns
+``_rref_mod`` is the one elimination: every solve and change of basis in
+the package is read off ``nullspace``'s canonical basis, and every exact
+rank and independence test off ``pivots``.  The canonical basis is the one
+given by the reduced row echelon form (RREF): a 1 at each free column,
+minus that column of the RREF at the pivot columns.  The pivots are the columns
 independent of the columns before them, and the free ones are the rest.
 ``solve`` is one ``nullspace`` of the columns followed by the right-hand
 sides: the canonical vector of a right-hand side's column, negated and
@@ -48,6 +50,29 @@ of two minors (Cramer's rule), so |n|, d <= H < 2^((q - 1) // 2) and every
 entry lifts.  A failure there is a bug, and ``nullspace`` raises
 ``InvariantError``; it never returns a basis that failed its certificate.
 
+``pivots`` returns the pivots themselves, with no lift and no certificate
+where Hadamard's inequality shows that P divides no minor that could hide
+one.  It runs the same ``_rref_mod`` mod P on the same rows; let r be the
+number of its pivots.  If r = ncols, every column is a pivot over Q too.
+Otherwise, rank_P <= rank_Q on every column prefix, and if the two
+differed on a prefix of rank r_j <= r mod P, some (r_j + 1)-minor of that
+prefix would be a nonzero integer divisible by P, so minor^2 >= P^2.  By
+Hadamard's inequality minor^2 is at most the product of the squared norms
+of the minor's columns, and of its rows, and so at most the product of
+those of the whole r_j + 1 columns, or rows, of the matrix.  These factors
+are integers >= 1, so that product is at most the product of the r + 1
+largest.  (Every row is nonzero.  A zero column is a pivot neither mod P
+nor over Q, and where fewer than r + 1 columns are nonzero, the r pivots
+mod P are every nonzero column, and so are the pivots over Q.)  So where
+the r + 1 largest squared column norms, or row norms, multiply to less than
+P^2 (integers: no square root), every prefix has the same rank mod P and
+over Q, and the pivots mod P are the pivots over Q.  Where that bound is
+open, ``pivots`` lifts and certifies the canonical kernel from the RREF it
+already has, up the same ladder as ``nullspace``, and returns the columns
+that are not free.  There is no shortcut at r = number of rows: the rank is
+then exact but the pivot set need not be.  The one row [P, 1] has the pivot
+{1} mod P and {0} over Q, and callers read prefix ranks off the pivot set.
+
 ``pivots_mod_2`` is a rank lower bound, not a second kernel: the columns
 independent mod 2 of the columns before them.  A column becomes a Python
 int with bit b set where its b-th row key holds an odd entry, and it is
@@ -65,6 +90,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from . import InvariantError
@@ -108,20 +134,53 @@ def _scaled(vec: dict) -> dict[int, int]:
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
-def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
-    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form), lifted
-    from the RREF mod P and certified; a lift that fails sends the rows up the prime
-    ladder (module docstring)."""
+def _int_rows(cols: Sequence[dict]) -> list[dict[int, int]]:
+    """The nonzero rows of ``cols`` as sparse integer rows {column: entry}, a row that
+    holds a ``Fraction`` ``_scaled``: scaling a row changes neither the kernel nor the RREF."""
     by_row: dict = {}
     for j, col in enumerate(cols):
         for t, v in col.items():
             if v:
                 by_row.setdefault(t, {})[j] = v
-    # scaling a row changes neither the kernel nor the RREF, so integer rows go as they are
-    rows = [_scaled(r) if any(type(v) is Fraction for v in r.values()) else r
-            for r in by_row.values()]
+    return [_scaled(r) if Fraction in map(type, r.values()) else r for r in by_row.values()]
+
+
+def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
+    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form), lifted
+    from the RREF mod P and certified; a lift that fails sends the rows up the prime
+    ladder (module docstring)."""
+    rows = _int_rows(cols)
+    return _certified_kernel(rows, len(cols), _rref_mod(rows, len(cols), P))
+
+
+def pivots(cols: Sequence[dict]) -> list[int]:
+    """The columns independent over Q of the columns before them, ascending: the pivots
+    mod P where Hadamard's bound shows that P divides no minor that matters, else the
+    complement of the certified kernel's free columns (module docstring)."""
+    rows = _int_rows(cols)
     ncols = len(cols)
-    basis = _lifted_kernel(rows, ncols, _rref_mod(rows, ncols, P), P)
+    piv = _rref_mod(rows, ncols, P)
+    if _exact_mod_p(rows, ncols, len(piv)):
+        return sorted(piv)
+    free = {max(vec) for vec in _certified_kernel(rows, ncols, piv)}
+    return [c for c in range(ncols) if c not in free]
+
+
+def _exact_mod_p(rows: list[dict[int, int]], ncols: int, r: int) -> bool:
+    """Whether the r pivots mod P of ``rows`` are their pivots over Q by Hadamard's bound:
+    r = ncols, or the r + 1 largest squared norms of the columns, or of the rows,
+    multiply to less than P^2 (module docstring)."""
+    if r == ncols:
+        return True
+    row_sq = (sum(map(mul, row.values(), row.values())) for row in rows)  # read if needed
+    return any(prod(sorted(sq)[-r - 1:]) < P * P for sq in (_col_sq(rows, ncols), row_sq))
+
+
+def _certified_kernel(rows: list[dict[int, int]], ncols: int,
+                      piv: dict[int, dict[int, int]]) -> list[dict[int, Fraction]]:
+    """The canonical kernel basis of ``rows``, lifted from ``piv`` (their RREF mod P) or,
+    where that fails its certificate, from the first prime up the ladder that passes."""
+    basis = _lifted_kernel(rows, ncols, piv, P)
     if basis is not None:
         return basis
     bound = 2 * _hadamard(rows, ncols) ** 2
@@ -164,13 +223,18 @@ def pivots_mod_2(cols: Sequence[dict]) -> list[int]:
     return piv
 
 
-def _hadamard(rows: list[dict[int, int]], ncols: int) -> int:
-    """H = prod over the columns of (floor |col|_2 + 1), above |every minor| of the rows."""
+def _col_sq(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """The squared Euclidean norm of each column of ``rows``."""
     sq = [0] * ncols
     for row in rows:
         for c, v in row.items():
             sq[c] += v * v
-    return prod(isqrt(s) + 1 for s in sq)
+    return sq
+
+
+def _hadamard(rows: list[dict[int, int]], ncols: int) -> int:
+    """H = prod over the columns of (floor |col|_2 + 1), above |every minor| of the rows."""
+    return prod(isqrt(s) + 1 for s in _col_sq(rows, ncols))
 
 
 # exponents q of the Mersenne primes 2^q - 1 of the ladder; P = 2^61 - 1 comes first

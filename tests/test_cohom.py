@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -278,18 +278,48 @@ def lifted_blocks(slices) -> list[bool]:
     return out
 
 
-def count_lifts(monkeypatch) -> list:
-    """Wrap the certified kernel ``cohom`` calls: the list grows by the columns of each
-    matrix ``nullspace`` is called on."""
-    lifts = []
-    real = cohom.nullspace
+def count_exact_pivots(monkeypatch) -> list:
+    """Wrap the exact pivots ``cohom`` calls: the list grows by the columns of each
+    matrix ``pivots`` is called on."""
+    calls = []
+    real = cohom.pivots
 
     def counted(cols):
-        lifts.append(cols)
+        calls.append(cols)
         return real(cols)
 
-    monkeypatch.setattr(cohom, "nullspace", counted)
-    return lifts
+    monkeypatch.setattr(cohom, "pivots", counted)
+    return calls
+
+
+def count_lifted_kernels(monkeypatch) -> list:
+    """Wrap ``linalg._lifted_kernel``: the list grows by one entry per lift and
+    certificate, at any prime."""
+    calls = []
+    real = linalg._lifted_kernel
+
+    def counted(rows, ncols, piv, p):
+        calls.append(ncols)
+        return real(rows, ncols, piv, p)
+
+    monkeypatch.setattr(linalg, "_lifted_kernel", counted)
+    return calls
+
+
+def hadamard_open(cols) -> bool:
+    """Is the bound of ``linalg.pivots`` open on ``cols``, recomputed here with r their
+    rank over Q (``models.rank``): r < ncols, and both the r + 1 largest squared norms
+    of the columns and those of the rows, scaled to integers, multiply to P^2 or more?"""
+    by_row: dict = {}
+    for j, col in enumerate(cols):
+        for t, v in col.items():
+            by_row.setdefault(t, {})[j] = v
+    rows = [_scaled(r) for r in by_row.values()]
+    r = rank(cols)
+    col_sq = [sum(row.get(j, 0) ** 2 for row in rows) for j in range(len(cols))]
+    row_sq = [sum(v * v for v in row.values()) for row in rows]
+    return r < len(cols) and all(prod(sorted(sq, reverse=True)[:r + 1]) >= linalg.P ** 2
+                                 for sq in (col_sq, row_sq))
 
 
 def record_ranks(monkeypatch) -> list:
@@ -313,10 +343,23 @@ def open_mod_2(calls) -> list[bool]:
 
 
 def test_kernels_are_lifted_exactly_where_the_mod_2_bound_is_open(monkeypatch):
-    """F4 node 1 full: a block lifts its two kernels iff its bound is open mod 2; every
+    """F4 node 1 full: a block takes its exact pivots iff its bound is open mod 2; every
     block whose H, or whose submodule's, is nonzero is one of them, and so are 7 with
-    H = 0 whose ranks are even."""
-    lifts, calls = count_lifts(monkeypatch), record_ranks(monkeypatch)
+    H = 0 whose ranks are even.  Of those matrices, exactly the ones whose Hadamard
+    bound is open (recomputed here with the rank over Q) reach the lift and
+    certificate, once each: F4 node 1 never climbs the prime ladder."""
+    exact, calls = count_exact_pivots(monkeypatch), record_ranks(monkeypatch)
+    lifted_kernels = count_lifted_kernels(monkeypatch)
+    lifts_per_call = []
+    real_pivots = cohom.pivots
+
+    def per_call(cols):
+        before = len(lifted_kernels)
+        out = real_pivots(cols)
+        lifts_per_call.append(len(lifted_kernels) - before)
+        return out
+
+    monkeypatch.setattr(cohom, "pivots", per_call)
     slices = []
     real = verify.cohomology
 
@@ -332,7 +375,10 @@ def test_kernels_are_lifted_exactly_where_the_mod_2_bound_is_open(monkeypatch):
     assert all(o for o, h in zip(opened, lifted) if h)
     assert 0 < sum(lifted) < sum(opened) < len(opened)
     assert sum(opened) - sum(lifted) == 7
-    assert len(lifts) == 2 * sum(opened)
+    assert len(exact) == len(lifts_per_call) == 2 * sum(opened)
+    bound_open = [hadamard_open(cols) for cols in exact]
+    assert lifts_per_call == [int(b) for b in bound_open]
+    assert 0 < sum(bound_open) < len(exact)
 
 
 def drop_one_pivot(real):
@@ -355,8 +401,10 @@ def drop_one_pivot_mod_2(real):
 
 def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
     """One pivot too few, mod 2 and mod P, leaves the bound open on every block, and
-    the certified kernels (here from the retry mod the next prime) still give the
-    exact slices."""
+    the exact pivots still give the exact slices.  A prime that drops a pivot divides
+    a minor, which Hadamard's bound rules out wherever it closes, so the bound is held
+    open here: the dropped pivot fails the certificate, and the retry mod the next
+    prime of the ladder gives the pivots."""
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
     cor, riem = fc.coriemann_module(adj), fc.riemann_in(adj)
@@ -377,23 +425,33 @@ def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
                 blocks += len(sl.blocks)
         return out, blocks
 
-    lifts = count_lifts(monkeypatch)
+    exact = count_exact_pivots(monkeypatch)
     want, blocks = computed()
-    exact_lifts = len(lifts)
-    lifts.clear()
-    monkeypatch.setattr(linalg, "_rref_mod", drop_one_pivot(linalg._rref_mod))
+    exact_calls = len(exact)
+    exact.clear()
+    retries = []
+    dropped = drop_one_pivot(linalg._rref_mod)
+
+    def counted(rows, ncols, p):
+        if p != linalg.P:
+            retries.append(ncols)
+        return dropped(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    monkeypatch.setattr(linalg, "_exact_mod_p", lambda rows, ncols, r: False)
     monkeypatch.setattr(cohom, "pivots_mod_2", drop_one_pivot_mod_2(cohom.pivots_mod_2))
     assert computed() == (want, blocks)
-    assert exact_lifts < len(lifts) == 2 * blocks
+    assert exact_calls < len(exact) == 2 * blocks
+    assert retries
 
 
 def test_a_block_even_mod_2_takes_the_certified_kernels(monkeypatch):
     """d_out = (2): rank 0 mod 2 leaves the bound open, so its rank, 1, is read off the
-    certified kernels of d_out and d_in."""
-    lifts = count_lifts(monkeypatch)
+    exact pivots of d_out and d_in."""
+    exact = count_exact_pivots(monkeypatch)
     assert linalg.pivots_mod_2([{0: 2}]) == []
     assert cohom._ranks([{0: 2}], [], [(1, 0)]) == [(1, 0)]
-    assert lifts == [[{0: 2}], []]
+    assert exact == [[{0: 2}], []]
 
 
 @st.composite
@@ -432,10 +490,10 @@ def test_ranks_are_the_ranks_over_q(complex_):
 
 
 def test_only_blocks_open_mod_2_reach_the_certified_kernels(monkeypatch):
-    """E6 node 2, H^2: ``nullspace`` runs on d_out and d_in of exactly the blocks whose
+    """E6 node 2, H^2: ``pivots`` runs on d_out and d_in of exactly the blocks whose
     bound is open mod 2 (by an independent GF(2) rank), and those are the blocks
     with H != 0."""
-    lifts, calls = count_lifts(monkeypatch), record_ranks(monkeypatch)
+    exact, calls = count_exact_pivots(monkeypatch), record_ranks(monkeypatch)
     slices = []
     real = verify.cohomology
 
@@ -448,7 +506,7 @@ def test_only_blocks_open_mod_2_reach_the_certified_kernels(monkeypatch):
     assert verify.run_case(verify.CaseSpec("E", 6, (2,), "h2"))["status"] == verify.MATCH
     opened = sum(open_mod_2(calls))
     assert 0 < opened < len(calls)
-    assert len(lifts) == 2 * opened
+    assert len(exact) == 2 * opened
     assert opened == sum(lifted_blocks(slices))
 
 

@@ -429,6 +429,63 @@ def test_mod_2_pivots_scale_fraction_columns():
     assert linalg.pivots_mod_2([{"a": 3, "b": 1}, {"b": -1}, {"a": 5}]) == [0, 1]
 
 
+P = linalg.P
+# entries near a multiple of P vanish or nearly vanish mod P, so the bound refuses some
+near_p = st.sampled_from([P, -P, P - 1, P + 1, -P - 1, 2 * P])
+pivot_entries = st.one_of(st.integers(min_value=-2, max_value=2),
+                          st.integers(min_value=-2, max_value=2), near_p)
+
+
+@st.composite
+def near_p_columns(draw):
+    """Up to 6 sparse integer columns over up to 4 rows, entries in -2..2 or near P."""
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    rows = [[draw(pivot_entries) for _ in range(ncols)] for _ in range(nrows)]
+    return columns(rows, ncols)
+
+
+@given(near_p_columns())
+@settings(max_examples=200, deadline=None)
+def test_pivots_give_the_prefix_ranks_over_q(cols):
+    """The pivots below p count the rank over Q of the first p columns (Bareiss in
+    ``models``, no prime), for every p, on the bound's path and on the certified one."""
+    piv = linalg.pivots(cols)
+    assert piv == sorted(set(piv))
+    for p in range(len(cols) + 1):
+        assert bisect_left(piv, p) == rank(cols[:p])
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_pivots_are_the_rref_pivots(m):
+    rows, ncols = m
+    assert linalg.pivots(columns(rows, ncols)) == oracle_rref(rows, ncols)[1]
+
+
+def test_pivots_lift_only_where_the_bound_is_open(monkeypatch):
+    """Small entries close the bound, so the pivots mod P are returned unlifted; the one
+    row [P, 1] (pivot {1} mod P, {0} over Q: no shortcut at rank = rows) and a
+    determinant P (rank 1 mod P, 2 over Q) leave it open, and the lift mod P fails
+    its certificate, so the next prime gives the pivots."""
+    lifts = []
+    real = linalg._lifted_kernel
+
+    def counted(rows, ncols, piv, p):
+        lifts.append(p)
+        return real(rows, ncols, piv, p)
+
+    monkeypatch.setattr(linalg, "_lifted_kernel", counted)
+    assert linalg.pivots([{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}, {}]) == [0, 2]
+    assert linalg.pivots([]) == [] and linalg.pivots([{}, {"r": 0}]) == []
+    assert lifts == []
+    p127 = (1 << 127) - 1
+    assert linalg.pivots([{0: P}, {0: 1}]) == [0]
+    assert lifts == [P, p127]
+    lifts.clear()
+    assert linalg.pivots([{0: 1, 1: 1}, {0: 1, 1: 1 + P}]) == [0, 1]
+    assert lifts == [P, p127]
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_int_span_rank(m):
