@@ -1,4 +1,4 @@
-"""Coefficient modules: the adjoint module and the pieces cut from it, irreducibles.
+"""Coefficient modules: the adjoint module and the pieces cut from it.
 
 A ``GradedModule`` is a g_- module given degreewise by exact sparse action
 matrices (``linalg.SparseMat``), plus optional "actors": the raising and
@@ -12,9 +12,10 @@ its cohomology off the adjoint's), and the co-Riemann module (g_- (+) z)^*
 is the quotient g/(g_- (+) l1) (``GradedModule.quotient``).  Weights are
 coroot-coordinate tuples; modules without a torus carry ``None`` weights and
 are only used where no decomposition is required.  ``simple_actors`` builds
-every module's actors.  ``IrreducibleModule`` is L(lambda) with the action
-of every basis element of g (``actions``), from which ``verify.g2_structure``
-builds the Sec. 7.1 G(2)-structure's g_- and g_0.
+every module's actors.  The Sec. 7.1 G(2)-structure needs no module of its
+own here: its V = L(1, 0) of G(2) is g_{-1} of B4 graded at node 1, and its
+g2 the part of that grading's so(7) which the triality folding fixes
+(``verify.g2_on_v``), all with integer entries.
 
 A module checks when it is built that every g_- degree is negative and
 that its action and the g_- bracket add degrees, and weights where both
@@ -36,11 +37,10 @@ A violation raises ``InvariantError`` by an ``if``, so also under -O.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from operator import add
 
 from . import InvariantError
-from .linalg import Q, SparseMat, acc, apply, commutator, pivots, solve
+from .linalg import SparseMat
 from .liealg import (
     GradedNilpotent,
     LeviPieces,
@@ -49,7 +49,7 @@ from .liealg import (
     graded_algebra,
     levi_pieces,
 )
-from .rootsys import RootSystem, weyl_dim
+from .rootsys import RootSystem
 
 
 @dataclass
@@ -307,169 +307,3 @@ class FlagCase:
         alg, lidx = self.alg, self.levi.l
         return G0([alg.label(i) for i in lidx], [alg.basis[i].weight for i in lidx],
                   [alg.restricted_ad(i, self.ambient) for i in lidx])
-
-
-# -- irreducible highest weight modules -----------------------------------
-
-
-DIM_BOUND = 1000  # the largest Weyl dimension IrreducibleModule builds
-
-
-class IrreducibleModule:
-    """L(lambda) built by lowering with contravariant-form pruning.
-
-    The basis is the weight vectors f_{j1}...f_{jk} v_lambda that the pivots of
-    each weight space's Gram matrix pick, and the entries are ``Fraction``s.  No
-    integral basis is used.  This monomial basis is not Kostant's Z-form
-    (Humphreys, Introduction to Lie Algebras, Sec. 27), and ``actions`` divides
-    commutators by structure constants: on L(1, 0) of G(2), six of the 46
-    entries are halves, all from the N = +-2 of the lowering vector of
-    2 alpha_1 + alpha_2 and carried up to those of 3 alpha_1 + alpha_2 and
-    3 alpha_1 + 2 alpha_2.  An integral basis would need a lattice reduction per
-    weight space (a rescaling where it is a line, as on L(1, 0) of G(2)), while
-    ``linalg._scaled`` already clears such denominators where a matrix enters
-    ``linalg``: in ``nullspace`` and ``pivots``, row by row, and in
-    ``pivots_mod_2``, column by column.
-    """
-
-    def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...]):
-        self.rs = rs
-        self.hw = tuple(int(c) for c in hw_coroot)
-        if any(c < 0 for c in self.hw):
-            raise ValueError(f"highest weight {self.hw} is not dominant")
-        pred = weyl_dim(rs, self.hw)
-        if pred.denominator != 1:
-            raise InvariantError("Weyl dimension is not an integer")
-        self.predicted_dim = int(pred)
-        if self.predicted_dim > DIM_BOUND:
-            raise ValueError(
-                f"predicted dimension {self.predicted_dim} exceeds bound {DIM_BOUND}")
-        self.weights: list[tuple[int, ...]] = []
-        self.e_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
-        self.f_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
-        self._build()
-        if len(self.weights) != self.predicted_dim:
-            raise InvariantError(
-                f"built dim {len(self.weights)} != Weyl dim {self.predicted_dim}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def _build(self):
-        rs = self.rs
-        n = rs.rank
-        alpha_cw = [tuple(rs.cartan_matrix[i][j] for i in range(n)) for j in range(n)]
-        self.weights = [self.hw]
-        self._levels: dict[tuple, list[int]] = {self.hw: [0]}
-        self._grams: dict[tuple, list[dict[int, Fraction]]] = {self.hw: [{0: Q(1)}]}
-        self._local: dict[int, int] = {0: 0}
-        frontier = [self.hw]
-        while frontier:
-            cand: dict[tuple, list[tuple[int, int]]] = {}
-            for mu in frontier:
-                for j in range(n):
-                    nu = tuple(m - a for m, a in zip(mu, alpha_cw[j]))
-                    for b in self._levels[mu]:
-                        cand.setdefault(nu, []).append((j, b))
-            created = []
-            for nu in sorted(cand):
-                if nu in self._levels:
-                    raise InvariantError("weight revisited; level order broken")
-                pairs = sorted(cand[nu])
-                gram = [{c: g for c, (j2, b2) in enumerate(pairs)
-                         if (g := self._form_ff(j, b, j2, b2))} for (j, b) in pairs]
-                # the rows independent of the rows before them: the pivots of gram
-                chosen = pivots(gram)
-                if not chosen:
-                    continue
-                ids = []
-                for t, r in enumerate(chosen):
-                    self._local[len(self.weights)] = t
-                    ids.append(len(self.weights))
-                    self.weights.append(nu)
-                self._levels[nu] = ids
-                pos = {c: t for t, c in enumerate(chosen)}
-                on_chosen = [{pos[c]: g for c, g in row.items() if c in pos} for row in gram]
-                self._grams[nu] = [on_chosen[r] for r in chosen]
-                # f-action: each candidate (j, b) expressed in the chosen basis,
-                # solving against the columns of the chosen Gram block
-                sub_cols = [{u: row[t] for u, row in enumerate(self._grams[nu]) if t in row}
-                            for t in range(len(chosen))]
-                for (j, b), coords in zip(pairs, solve(sub_cols, on_chosen)):
-                    if coords is None:
-                        raise InvariantError("candidate outside the chosen weight basis")
-                    col = {ids[t]: c for t, c in coords.items()}
-                    if col:
-                        self.f_mat[j][b] = col
-                # e-action on the new vectors: e_i(f_j v_b) = f_j(e_i v_b) + d_ij h_i v_b
-                for t, r in enumerate(chosen):
-                    j, b = pairs[r]
-                    for i in range(n):
-                        res = apply(self.f_mat[j], self.e_mat[i].get(b, {}))
-                        if i == j:
-                            hval = Q(self.weights[b][i])
-                            if hval != 0:
-                                acc(res, b, hval)
-                        if res:
-                            self.e_mat[i][ids[t]] = res
-                created.append(nu)
-            frontier = created
-
-    def actions(self, alg: ZGradedLieAlgebra) -> list[SparseMat]:
-        """The action on V of every basis element of ``alg``, the Lie algebra of
-        ``self.rs``, in its basis order: h_i by the weights, a simple root vector by
-        e_i or f_i, any other root vector by the commutator of a simple root vector
-        with a lower one, divided by their structure constant."""
-        rs = self.rs
-
-        def irr_action(amb: int) -> SparseMat:
-            """Action of an ambient g-basis element on V, via Chevalley words."""
-            lab = alg.basis[amb]
-            if lab.kind == "h":
-                return {k: {k: Q(w[lab.index])} for k, w in enumerate(self.weights)
-                        if w[lab.index] != 0}
-            beta = rs.positive_roots[lab.index]
-            if sum(beta) == 1:
-                j = beta.index(1)
-                return self.e_mat[j] if lab.kind == "x" else self.f_mat[j]
-            # non-simple root vector: peel one simple root off
-            for j in range(rs.rank):
-                down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
-                if min(down) >= 0 and down in rs.root_index:
-                    break
-            index = alg.x_index if lab.kind == "x" else alg.y_index
-            simple_amb, rest_amb = index(_simple_root(rs, j)), index(rs.root_index[down])
-            coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
-            m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
-            out: SparseMat = {}
-            for col in range(self.dim):
-                res = commutator(m1, m2, col)
-                if res:
-                    out[col] = {r: v / coeff for r, v in res.items()}
-            return out
-
-        # the basis lists lower roots first, so the sub-root actions a
-        # non-simple root vector needs are already in irr_acts
-        irr_acts: list[SparseMat] = []
-        for amb in range(alg.dim):
-            irr_acts.append(irr_action(amb))
-        return irr_acts
-
-    def _form_ff(self, j: int, b: int, j2: int, b2: int) -> Fraction:
-        """<f_j v_b, f_{j2} v_{b2}> = <v_b, f_{j2}(e_j v_{b2}) + d_jj2 h_j v_{b2}>."""
-        res = apply(self.f_mat[j2], self.e_mat[j].get(b2, {}))
-        if j == j2:
-            acc(res, b2, Q(self.weights[b2][j]))
-        if not res:
-            return Q(0)
-        # pair <v_b, res> through the Gram matrix of b's weight space
-        mu = self.weights[b]
-        gram = self._grams[mu]
-        lb = self._local[b]
-        total = Q(0)
-        for m, v in res.items():
-            if self.weights[m] != mu:
-                raise InvariantError("contravariant form pairing across weights")
-            total += v * gram[lb].get(self._local[m], 0)
-        return total

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import InputError, InvariantError
-from .linalg import Q, SparseMat
+from .linalg import SparseMat
 from .rootsys import RootSystem, build_root_system
 
 Element = dict[int, int | Fraction]  # basis index -> coefficient
@@ -313,20 +313,24 @@ class _ConstantTable:
                 self.pos[(alpha, beta)] = self._special(alpha, beta, a1, b1)
 
     def _special(self, alpha, beta, a1, b1) -> int:
-        """Non-extraspecial constant from the quadruple Jacobi relation."""
+        """Non-extraspecial constant from the quadruple Jacobi relation: the sum of
+        its two terms n / (diff, diff), over one integer denominator, times
+        (gamma, gamma) / N(a1, b1), divided exactly."""
         rs = self.rs
         gamma = tuple(a + b for a, b in zip(alpha, beta))
-        t = Q(0)
+        num, den = 0, 1
         diff1 = tuple(b - a for b, a in zip(beta, a1))
         if rs.is_root(diff1):
-            t += Q(self(beta, _neg(a1)) * self(alpha, _neg(b1)), rs.norm2(diff1))
+            n2 = rs.norm2(diff1)
+            num, den = num * n2 + self(beta, _neg(a1)) * self(alpha, _neg(b1)) * den, den * n2
         diff2 = tuple(b - a for b, a in zip(alpha, a1))
         if rs.is_root(diff2):
-            t += Q(self(_neg(a1), alpha) * self(beta, _neg(b1)), rs.norm2(diff2))
-        val = rs.norm2(gamma) * t / self.pos[(a1, b1)]
-        if val.denominator != 1:
+            n2 = rs.norm2(diff2)
+            num, den = num * n2 + self(_neg(a1), alpha) * self(beta, _neg(b1)) * den, den * n2
+        val, r = divmod(rs.norm2(gamma) * num, den * self.pos[(a1, b1)])
+        if r:
             raise ChevalleyError(f"non-integer constant for pair {alpha},{beta}")
-        return int(val)
+        return val
 
     def __call__(self, alpha, beta) -> int:
         """N(alpha, beta) for signed roots with alpha+beta a root."""

@@ -348,13 +348,6 @@ def dynkin_split(rs: RootSystem, selected: set[int] | frozenset[int]) -> DynkinS
     return DynkinSplit(tuple(comps), len(nodes), tuple(c_values), len(comps))
 
 
-def weyl_dim(rs: RootSystem, hw_coroot: tuple) -> Fraction:
-    """Weyl dimension formula for a dominant weight in coroot coordinates."""
-    if any(c < 0 for c in hw_coroot):
-        raise ValueError(f"{hw_coroot} is not dominant")
-    return _weyl_product(rs, hw_coroot, range(rs.rank))
-
-
 def _weyl_product(rs: RootSystem, lam, nodes) -> Fraction:
     """Weyl's product over the positive roots supported on ``nodes`` (0-based).
 

@@ -22,8 +22,14 @@ enumeration (BWB route, Kostant's theorem for the parabolic grading) and the
 direct route are computed independently and compared
 (``checks.bwb.matches_direct``); a disagreement makes the case a Mismatch.
 
-The Sec. 7.1 G(2)-structure builds g_0 = g2 from its action on V = L(1, 0)
-(``g2_structure``).  Its prolongation stops at g_0, so its coefficients
+The Sec. 7.1 G(2)-structure is a reduction of the conformal structure co(7),
+and B4 graded at node 1 holds that: g_{-1} = C^7 and g_0 = so(7) (+) C.  So
+V = L(1, 0) of G(2) is B4's g_{-1}, and g2 acts on it as the part of so(7)
+that the triality folding fixes, generated by x[a2] + x[a4], x[a3] and the
+matching y's (``g2_on_v``), with integer entries.  A check that the 14
+matrices satisfy g2's bracket on every pair is the guarantee that they
+represent g2.  g_0 = g2 (``g2_structure``) keeps G(2)'s own basis, labels,
+weights and actors.  Its prolongation stops at g_0, so its coefficients
 V (+) g_0 are the prolongation as a module (``g2_structure_module``).
 """
 
@@ -35,9 +41,9 @@ from dataclasses import dataclass
 
 from . import ENGINE_VERSION, InputError, InvariantError
 from .rootsys import RootSystem, build_root_system, dynkin_split, enumerate_w_i, to_root
-from .linalg import SparseMat
-from .liealg import GradedNilpotent, abelian_nilpotent, build_chevalley
-from .gmod import Actor, FlagCase, GradedModule, IrreducibleModule, simple_actors
+from .linalg import SparseMat, acc, commutator
+from .liealg import GradedNilpotent, abelian_nilpotent, build_chevalley, graded_algebra
+from .gmod import Actor, FlagCase, GradedModule, _simple_root, simple_actors
 from .cohom import cohomology, full_window
 from .decomp import (HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand, decompose,
                      levi_irrep_dim)
@@ -440,30 +446,101 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
 # -- the G(2)-structure (Sec. 7.1) ----------------------------------------------
 
 
+# the B4 nodes whose simple root vectors sum to those of G(2)'s nodes 1 and 2: the
+# triality folding's short x[a2] + x[a4] and long x[a3]
+G2_IN_B4 = ((2, 4), (3,))
+
+
+def g2_on_v() -> tuple[list[SparseMat], list[tuple[int, ...]]]:
+    """The action on V = g_{-1} of B4 graded at node 1 of every basis element of g2,
+    in its basis order, and V's weights in g2's coroot coordinates.
+
+    V = C^7 and g_0 = so(7) (+) C.  The simple root vectors of g2 act as the
+    folded root vectors ``G2_IN_B4`` of so(7) (Fulton and Harris, Representation
+    Theory, Sec. 22.3), h_i as [x_i, y_i], and any other root vector as the
+    commutator of a simple root vector with a lower one, divided by their
+    structure constant; a remainder raises.  Then the 14 matrices are checked to
+    satisfy g2's bracket on every pair, and h_1, h_2 to be diagonal, whose
+    diagonals are the weights.  A violation raises ``InvariantError`` by an ``if``.
+    """
+    g2, b4 = build_chevalley("G", 2), graded_algebra("B", 4, (1,))
+    rs = g2.rs
+    v = [i for i, lab in enumerate(b4.basis) if lab.degree == -1]
+
+    def folded(index, nodes) -> SparseMat:
+        """ad on V of the sum of B4's simple root vectors ``index`` at ``nodes``."""
+        out: SparseMat = {}
+        for j in nodes:
+            for col, img in b4.restricted_ad(index(_simple_root(b4.rs, j - 1)), v).items():
+                for r, c in img.items():
+                    acc(out.setdefault(col, {}), r, c)
+        return out
+
+    def bracket(a: SparseMat, b: SparseMat, n: int = 1) -> SparseMat:
+        """(ab - ba) / n, each entry divided exactly."""
+        out: SparseMat = {}
+        for col in range(len(v)):
+            for r, c in commutator(a, b, col).items():
+                q, rem = divmod(c, n)
+                if rem:
+                    raise InvariantError(f"g2 on V: an entry {c} is not divisible by {n}")
+                out.setdefault(col, {})[r] = q
+        return out
+
+    acts: list[SparseMat] = [{} for _ in range(g2.dim)]
+    for i, nodes in enumerate(G2_IN_B4):
+        k = _simple_root(rs, i)
+        e = acts[g2.x_index(k)] = folded(b4.x_index, nodes)
+        f = acts[g2.y_index(k)] = folded(b4.y_index, nodes)
+        acts[g2.h_index(i)] = bracket(e, f)
+    # the positive roots are listed by height, so a lower root's action is known
+    for beta in rs.positive_roots[rs.rank:]:
+        j, down = next((j, d) for j in range(rs.rank)
+                       if (d := tuple(b - (t == j) for t, b in enumerate(beta))) in rs.root_index)
+        for index in (g2.x_index, g2.y_index):
+            amb, s = index(rs.root_index[beta]), index(_simple_root(rs, j))
+            r = index(rs.root_index[down])
+            acts[amb] = bracket(acts[s], acts[r], g2.bracket_basis(s, r)[amb])
+    for a in range(g2.dim):
+        for b in range(a + 1, g2.dim):
+            want: SparseMat = {}
+            for k, c in g2.bracket_basis(a, b).items():
+                for col, img in acts[k].items():
+                    for r, x in img.items():
+                        acc(want.setdefault(col, {}), r, c * x)
+            if bracket(acts[a], acts[b]) != {col: img for col, img in want.items() if img}:
+                raise InvariantError(f"g2 on V: [{g2.label(a)}, {g2.label(b)}] does not "
+                                     f"act as the bracket of their actions")
+    hs = [acts[g2.h_index(i)] for i in range(rs.rank)]
+    if any(img.keys() != {col} for h in hs for col, img in h.items()):
+        raise InvariantError("g2 on V: a Cartan element is not diagonal")
+    return acts, [tuple(h.get(k, {}).get(k, 0) for h in hs) for k in range(len(v))]
+
+
 def g2_structure(include_center: bool) -> tuple[GradedNilpotent, G0, list[Actor]]:
-    """The G(2)-structure: g_- = V = L(1, 0) of G(2), abelian; g_0 = g2 acting on V,
-    plus the center z acting as the identity when ``include_center``; and the
-    generators x_j, y_j of g2 as actors on g_- and on the coefficients V (+) g_0,
-    in the basis order of ``prolong_as_module``."""
+    """The G(2)-structure: g_- = V = L(1, 0) of G(2), abelian; g_0 = g2 acting on V
+    (``g2_on_v``), plus the center z acting as the identity when ``include_center``;
+    and the generators x_j, y_j of g2 as actors on g_- and on the coefficients
+    V (+) g_0, in the basis order of ``prolong_as_module``."""
     alg = build_chevalley("G", 2)
-    irr = IrreducibleModule(alg.rs, (1, 0))
-    acts = irr.actions(alg)
+    acts, weights = g2_on_v()
+    n = len(weights)
     g_all = list(range(alg.dim))
     g0 = G0([alg.label(i) for i in g_all], [alg.basis[i].weight for i in g_all], list(acts))
     if include_center:
         g0.labels.append("z")
         g0.weights.append((0,) * alg.rank)
-        g0.act.append({k: {k: 1} for k in range(irr.dim)})
+        g0.act.append({k: {k: 1} for k in range(n)})
 
     def on_coefficients(amb: int) -> SparseMat:
         """Action on V (+) g_0 of one g2 basis element; z is central."""
         out = dict(acts[amb])
         for col, img in alg.restricted_ad(amb, g_all).items():
-            out[irr.dim + col] = {irr.dim + r: v for r, v in img.items()}
+            out[n + col] = {n + r: v for r, v in img.items()}
         return out
 
     actors = simple_actors(alg, (1, 2), lambda amb: acts[amb], on_coefficients)
-    return abelian_nilpotent(irr.dim, weights=irr.weights), g0, actors
+    return abelian_nilpotent(n, weights=weights), g0, actors
 
 
 def g2_structure_module(include_center: bool) -> tuple[ProlongedAlgebra, GradedModule]:

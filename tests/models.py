@@ -46,9 +46,11 @@ bracket of two elements of a graded algebra (``lie_bracket``); the Riemann
 module g_- (+) l1 built on its own (``riemann_module``) and the co-Riemann
 module realized on z (+) g_+ (``coriemann_z_module``, with the center z of
 the Levi from ``z_basis``), the references for the index-set cuts of the
-adjoint that ``FlagCase`` makes; the G(2)-structure's coefficients V (+) g_0
-built by hand (``abelian_negative``), the reference for the prolongation
-module the package takes them as (``verify.g2_structure_module``); the Jacobi
+adjoint that ``FlagCase`` makes; an irreducible L(lambda) built by lowering
+(``IrreducibleModule``), the oracle for the weights of an irreducible and for
+V = L(1, 0) of G(2); the G(2)-structure's coefficients V (+) g_0 built by
+hand on it (``abelian_negative``), the reference for the prolongation module
+the package takes them as (``verify.g2_structure_module``); the Jacobi
 identity of a computed prolong, with the bracket of the prolonged algebra it
 needs (``ProlongBracket``) and the bracket table of a Levi g_0 read off the
 structure constants (``levi_bracket``); ``reference_derivations``, the
@@ -70,9 +72,9 @@ from nhsf.cohom import (CochainBasis, CohomologySlice, WeightBlock, _reverse_bra
                         cochain_basis, differential_columns, full_window, slice_valid)
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, IrreducibleSummand
 from nhsf.linalg import (Q, SparseMat, _scaled, acc, apply, commutator, nullspace,
-                         solve)
+                         pivots, solve)
 from nhsf.liealg import GradedNilpotent, ZGradedLieAlgebra, abelian_nilpotent
-from nhsf.gmod import Actor, FlagCase, GradedModule, IrreducibleModule, ModuleElt
+from nhsf.gmod import Actor, FlagCase, GradedModule, ModuleElt, _simple_root
 from nhsf.prolong import G0, ProlongedAlgebra, _derivations
 from nhsf.rootsys import RootSystem
 
@@ -363,6 +365,150 @@ def coriemann_z_module(fc: FlagCase, zbasis=None) -> GradedModule:
                         fc._actors_for(mat_of))
 
 
+class IrreducibleModule:
+    """L(lambda) built by lowering with contravariant-form pruning, for a dominant
+    ``hw_coroot``: the oracle for V = L(1, 0) of G(2), which the package reads off
+    B4's grading instead (``verify.g2_on_v``), and for the weights of an irreducible.
+
+    The basis is the weight vectors f_{j1}...f_{jk} v_lambda that the pivots of
+    each weight space's Gram matrix pick, and the entries are ``Fraction``s.
+    This monomial basis is not Kostant's Z-form (Humphreys, Introduction to Lie
+    Algebras, Sec. 27), and ``actions`` divides commutators by structure
+    constants: on L(1, 0) of G(2), six of the 46 entries are halves.  Nothing
+    checks the dimension here; the tests hold it to Weyl's product.
+    """
+
+    def __init__(self, rs: RootSystem, hw_coroot: tuple[int, ...]):
+        self.rs = rs
+        self.hw = tuple(hw_coroot)
+        self.weights: list[tuple[int, ...]] = []
+        self.e_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
+        self.f_mat: list[SparseMat] = [{} for _ in range(rs.rank)]
+        self._build()
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    def _build(self):
+        rs = self.rs
+        n = rs.rank
+        alpha_cw = [tuple(rs.cartan_matrix[i][j] for i in range(n)) for j in range(n)]
+        self.weights = [self.hw]
+        self._levels: dict[tuple, list[int]] = {self.hw: [0]}
+        self._grams: dict[tuple, list[dict[int, Fraction]]] = {self.hw: [{0: Q(1)}]}
+        self._local: dict[int, int] = {0: 0}
+        frontier = [self.hw]
+        while frontier:
+            cand: dict[tuple, list[tuple[int, int]]] = {}
+            for mu in frontier:
+                for j in range(n):
+                    nu = tuple(m - a for m, a in zip(mu, alpha_cw[j]))
+                    for b in self._levels[mu]:
+                        cand.setdefault(nu, []).append((j, b))
+            created = []
+            for nu in sorted(cand):
+                if nu in self._levels:
+                    raise InvariantError("weight revisited; level order broken")
+                pairs = sorted(cand[nu])
+                gram = [{c: g for c, (j2, b2) in enumerate(pairs)
+                         if (g := self._form_ff(j, b, j2, b2))} for (j, b) in pairs]
+                # the rows independent of the rows before them: the pivots of gram
+                chosen = pivots(gram)
+                if not chosen:
+                    continue
+                ids = []
+                for t, r in enumerate(chosen):
+                    self._local[len(self.weights)] = t
+                    ids.append(len(self.weights))
+                    self.weights.append(nu)
+                self._levels[nu] = ids
+                pos = {c: t for t, c in enumerate(chosen)}
+                on_chosen = [{pos[c]: g for c, g in row.items() if c in pos} for row in gram]
+                self._grams[nu] = [on_chosen[r] for r in chosen]
+                # f-action: each candidate (j, b) expressed in the chosen basis,
+                # solving against the columns of the chosen Gram block
+                sub_cols = [{u: row[t] for u, row in enumerate(self._grams[nu]) if t in row}
+                            for t in range(len(chosen))]
+                for (j, b), coords in zip(pairs, solve(sub_cols, on_chosen)):
+                    if coords is None:
+                        raise InvariantError("candidate outside the chosen weight basis")
+                    col = {ids[t]: c for t, c in coords.items()}
+                    if col:
+                        self.f_mat[j][b] = col
+                # e-action on the new vectors: e_i(f_j v_b) = f_j(e_i v_b) + d_ij h_i v_b
+                for t, r in enumerate(chosen):
+                    j, b = pairs[r]
+                    for i in range(n):
+                        res = apply(self.f_mat[j], self.e_mat[i].get(b, {}))
+                        if i == j:
+                            hval = Q(self.weights[b][i])
+                            if hval != 0:
+                                acc(res, b, hval)
+                        if res:
+                            self.e_mat[i][ids[t]] = res
+                created.append(nu)
+            frontier = created
+
+    def actions(self, alg: ZGradedLieAlgebra) -> list[SparseMat]:
+        """The action on V of every basis element of ``alg``, the Lie algebra of
+        ``self.rs``, in its basis order: h_i by the weights, a simple root vector by
+        e_i or f_i, any other root vector by the commutator of a simple root vector
+        with a lower one, divided by their structure constant."""
+        rs = self.rs
+
+        def irr_action(amb: int) -> SparseMat:
+            """Action of an ambient g-basis element on V, via Chevalley words."""
+            lab = alg.basis[amb]
+            if lab.kind == "h":
+                return {k: {k: Q(w[lab.index])} for k, w in enumerate(self.weights)
+                        if w[lab.index] != 0}
+            beta = rs.positive_roots[lab.index]
+            if sum(beta) == 1:
+                j = beta.index(1)
+                return self.e_mat[j] if lab.kind == "x" else self.f_mat[j]
+            # non-simple root vector: peel one simple root off
+            for j in range(rs.rank):
+                down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
+                if min(down) >= 0 and down in rs.root_index:
+                    break
+            index = alg.x_index if lab.kind == "x" else alg.y_index
+            simple_amb, rest_amb = index(_simple_root(rs, j)), index(rs.root_index[down])
+            coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
+            m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
+            out: SparseMat = {}
+            for col in range(self.dim):
+                res = commutator(m1, m2, col)
+                if res:
+                    out[col] = {r: v / coeff for r, v in res.items()}
+            return out
+
+        # the basis lists lower roots first, so the sub-root actions a
+        # non-simple root vector needs are already in irr_acts
+        irr_acts: list[SparseMat] = []
+        for amb in range(alg.dim):
+            irr_acts.append(irr_action(amb))
+        return irr_acts
+
+    def _form_ff(self, j: int, b: int, j2: int, b2: int) -> Fraction:
+        """<f_j v_b, f_{j2} v_{b2}> = <v_b, f_{j2}(e_j v_{b2}) + d_jj2 h_j v_{b2}>."""
+        res = apply(self.f_mat[j2], self.e_mat[j].get(b2, {}))
+        if j == j2:
+            acc(res, b2, Q(self.weights[b2][j]))
+        if not res:
+            return Q(0)
+        # pair <v_b, res> through the Gram matrix of b's weight space
+        mu = self.weights[b]
+        gram = self._grams[mu]
+        lb = self._local[b]
+        total = Q(0)
+        for m, v in res.items():
+            if self.weights[m] != mu:
+                raise InvariantError("contravariant form pairing across weights")
+            total += v * gram[lb].get(self._local[m], 0)
+        return total
+
+
 def abelian_negative(irr: IrreducibleModule, include_center: bool,
                      alg: ZGradedLieAlgebra) -> tuple[GradedNilpotent, GradedModule]:
     """Package V = L(lambda) as abelian g_{-1} with g_0 = g (+ optional center).
@@ -370,10 +516,9 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
     Coefficients are V (degree -1) + g_0 (degree 0); the actors are the
     Chevalley generators of g, so cohomology can be decomposed into
     irreducible g_0-constituents.  The G(2)-structure's coefficients built by
-    hand: the reference for ``verify.g2_structure_module``.
+    hand on the oracle ``irr``: the reference for ``verify.g2_structure_module``.
     """
-    rs = irr.rs
-    n = rs.rank
+    n = irr.rs.rank
     nil = abelian_nilpotent(irr.dim, weights=irr.weights)
 
     g_order = sorted(range(alg.dim), key=lambda i: (alg.basis[i].degree, i))
@@ -382,41 +527,7 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
     basis += [ModuleElt(alg.label(i), 0, alg.basis[i].weight) for i in g_order]
     if include_center:
         basis.append(ModuleElt("z", 0, (0,) * n))
-
-    def simple(j: int) -> int:
-        return rs.root_index[tuple(1 if t == j else 0 for t in range(n))]
-
-    def irr_action(amb: int) -> SparseMat:
-        """Action of an ambient g-basis element on V, via Chevalley words."""
-        lab = alg.basis[amb]
-        if lab.kind == "h":
-            return {k: {k: Q(w[lab.index])} for k, w in enumerate(irr.weights)
-                    if w[lab.index] != 0}
-        beta = rs.positive_roots[lab.index]
-        if sum(beta) == 1:
-            j = beta.index(1)
-            return irr.e_mat[j] if lab.kind == "x" else irr.f_mat[j]
-        # non-simple root vector: peel one simple root off
-        for j in range(n):
-            down = tuple(b - (1 if t == j else 0) for t, b in enumerate(beta))
-            if min(down) >= 0 and down in rs.root_index:
-                break
-        index = alg.x_index if lab.kind == "x" else alg.y_index
-        simple_amb, rest_amb = index(simple(j)), index(rs.root_index[down])
-        coeff = alg.bracket_basis(simple_amb, rest_amb)[amb]
-        m1, m2 = irr_acts[simple_amb], irr_acts[rest_amb]
-        out: SparseMat = {}
-        for col in range(nV):
-            res = commutator(m1, m2, col)
-            if res:
-                out[col] = {r: v / coeff for r, v in res.items()}
-        return out
-
-    # the ambient order lists lower roots first, so the sub-root actions a
-    # non-simple root vector needs are already in irr_acts
-    irr_acts: dict[int, SparseMat] = {}
-    for amb in range(alg.dim):
-        irr_acts[amb] = irr_action(amb)
+    irr_acts = irr.actions(alg)
 
     def module_action_of(amb: int) -> SparseMat:
         """Action on V (+) g0 of one g-basis element."""
@@ -439,8 +550,8 @@ def abelian_negative(irr: IrreducibleModule, include_center: bool,
 
     actors: list[Actor] = []
     for j in range(n):
-        for kind, amb, name in (("raise", alg.x_index(simple(j)), f"x{j + 1}"),
-                                ("lower", alg.y_index(simple(j)), f"y{j + 1}")):
+        for kind, amb, name in (("raise", alg.x_index(_simple_root(irr.rs, j)), f"x{j + 1}"),
+                                ("lower", alg.y_index(_simple_root(irr.rs, j)), f"y{j + 1}")):
             actors.append(Actor(name, kind, alg.basis[amb].weight, irr_acts[amb],
                                 module_action_of(amb)))
     return nil, GradedModule(nil, basis, act, None, actors)

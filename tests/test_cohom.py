@@ -19,10 +19,11 @@ from nhsf import InvariantError
 from nhsf.cohom import cochain_basis, cohomology, differential_columns, full_window
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights
 from nhsf.gmod import FlagCase, GradedModule, ModuleElt
-from nhsf.liealg import abelian_nilpotent
+from nhsf.liealg import abelian_nilpotent, build_chevalley
 from nhsf.linalg import _scaled
-from models import (_reference_columns, contact_module, der0, exact_nullspace,
-                    filtered_basis, hamiltonian_module, heisenberg, poisson_module, rank,
+from models import (IrreducibleModule, _reference_columns, abelian_negative, contact_module,
+                    der0, exact_nullspace, filtered_basis, hamiltonian_module, heisenberg,
+                    poisson_module, rank,
                     rank_mod_2, reference_slice, riemann_module, svect_module, vect_module)
 from nhsf.prolong import G0, full_prolong, prolong_as_module
 
@@ -206,9 +207,11 @@ def test_assigned_columns_match_the_reference_sums(case):
 
 
 def test_assigned_columns_match_the_reference_sums_with_fractions():
-    """The Sec. 7.1 module, whose action holds ``Fraction`` entries."""
+    """The Sec. 7.1 module built by hand on the oracle V, whose action holds
+    ``Fraction`` entries (the package's own holds ``int``s only)."""
+    alg = build_chevalley("G", 2)
     for include_center in (False, True):
-        _, mod = verify.g2_structure_module(include_center)
+        _, mod = abelian_negative(IrreducibleModule(alg.rs, (1, 0)), include_center, alg)
         assert any(type(v) is Q for mat in mod.act for outs in mat.values()
                    for v in outs.values())
         entries = 0

@@ -8,17 +8,17 @@ from pathlib import Path
 import pytest
 
 import nhsf
-import nhsf.gmod
+import nhsf.verify
 from nhsf import InvariantError
 from nhsf.cohom import cohomology, full_window
 from nhsf.decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
-from nhsf.gmod import FlagCase, GradedModule, IrreducibleModule, ModuleElt
-from nhsf.liealg import GradedNilpotent, build_chevalley
-from nhsf.linalg import acc, commutator
-from nhsf.rootsys import build_root_system, weyl_dim
-from nhsf.verify import g2_structure_module
+from nhsf.gmod import FlagCase, GradedModule, ModuleElt, _simple_root
+from nhsf.liealg import GradedNilpotent, ZGradedLieAlgebra, build_chevalley, graded_algebra
+from nhsf.linalg import Q, acc, commutator
+from nhsf.rootsys import _weyl_product, build_root_system
+from nhsf.verify import g2_structure, g2_structure_module
 
-from models import (abelian_negative, coriemann_z_module, riemann_module,
+from models import (IrreducibleModule, abelian_negative, coriemann_z_module, riemann_module,
                     verify_representation, z_basis)
 
 
@@ -29,29 +29,9 @@ from models import (abelian_negative, coriemann_z_module, riemann_module,
 ])
 def test_irreducible_dims_match_weyl_formula(t, n, hw, dim):
     rs = build_root_system(t, n)
-    assert int(weyl_dim(rs, hw)) == dim  # independent oracle
+    assert _weyl_product(rs, hw, range(n)) == dim  # independent oracle
     mod = IrreducibleModule(rs, hw)
     assert mod.dim == dim
-
-
-def test_irreducible_rejections():
-    rs = build_root_system("A", 2)
-    with pytest.raises(ValueError):
-        IrreducibleModule(rs, (-1, 0))
-    with pytest.raises(ValueError) as exc:
-        IrreducibleModule(rs, (10, 10))  # Weyl dimension 1331
-    assert "exceeds bound 1000" in str(exc.value)
-
-
-def test_irreducible_weyl_dimension_checks(monkeypatch):
-    """A Weyl dimension that is not an integer, or not the built one, fails an invariant."""
-    rs = build_root_system("A", 2)
-    monkeypatch.setattr(nhsf.gmod, "weyl_dim", lambda rs, hw: Fraction(7, 2))
-    with pytest.raises(InvariantError, match="not an integer"):
-        IrreducibleModule(rs, (1, 0))
-    monkeypatch.setattr(nhsf.gmod, "weyl_dim", lambda rs, hw: Fraction(8))
-    with pytest.raises(InvariantError, match="built dim 3 != Weyl dim 8"):
-        IrreducibleModule(rs, (1, 0))
 
 
 def test_irreducible_weight_multiset_adjoint():
@@ -176,20 +156,148 @@ def test_abelian_negative_packaging():
             verify_representation(mod)
 
 
+def _carried(mat, phi):
+    """phi mat phi^-1 for the monomial map ``phi``, {index: (index in the other
+    basis, scale)}."""
+    return {phi[c][0]: {phi[r][0]: Q(v) * phi[r][1] / phi[c][1] for r, v in img.items()}
+            for c, img in mat.items()}
+
+
 @pytest.mark.parametrize("include_center", [False, True], ids=["g2", "cg2"])
-def test_g2_structure_prolong_module_equals_abelian_negative(include_center):
+def test_g2_structure_module_is_abelian_negative_up_to_a_diagonal_change_of_basis(
+        include_center):
     """The module ``run_g2_structure`` takes, ``prolong_as_module`` on the prolongation
-    of ``g2_structure``, is the hand-built module, entry for entry: g_-, basis,
-    action, truncation, and each actor's two actions."""
+    of ``g2_structure``, is the hand-built module on the oracle V = L(1, 0) of G(2).
+    Every weight space of V is a line, so the two V's differ by a diagonal matrix D
+    once their bases are matched by weight: D is solved for from the highest weight
+    vector, and then it, with the identity on g_0, carries all 14 actions of g2 on
+    V, the g_- action on V (+) g_0 and each actor's two actions to the hand-built
+    ones."""
     alg = build_chevalley("G", 2)
-    ref_nil, ref = abelian_negative(IrreducibleModule(alg.rs, (1, 0)), include_center, alg)
+    irr = IrreducibleModule(alg.rs, (1, 0))
+    ref_nil, ref = abelian_negative(irr, include_center, alg)
+    nil, g0, _ = g2_structure(include_center)
     p, mod = g2_structure_module(include_center)
-    assert p.gminus == ref_nil and mod.gminus == ref.gminus
-    assert mod.basis == ref.basis
-    assert mod.act == ref.act
+    n = nil.dim
+    assert p.gminus == nil == mod.gminus and n == irr.dim == 7
+    assert nil.labels == ref_nil.labels and nil.degrees == ref_nil.degrees
+    assert len(set(nil.weights)) == n and sorted(nil.weights) == sorted(ref_nil.weights)
+    pi = [ref_nil.weights.index(w) for w in nil.weights]
+    assert [b.weight for b in mod.basis[:n]] == nil.weights
+    assert [(b.label, b.degree) for b in mod.basis[:n]] == \
+        [(b.label, b.degree) for b in ref.basis[:n]]
+    assert mod.basis[n:] == ref.basis[n:]
     assert mod.truncation_bound is None and ref.truncation_bound is None
-    assert [xi.name for xi in mod.actors] == ["x1", "y1", "x2", "y2"]
-    assert mod.actors == ref.actors
+    assert [xi.name for xi in mod.actors] == ["x1", "y1", "x2", "y2"] == \
+        [xi.name for xi in ref.actors]
+    acts, ref_acts = g0.act[:alg.dim], irr.actions(alg)
+    d = {nil.weights.index(irr.hw): Q(1)}
+    while len(d) < n:
+        for mat, ref_mat in zip(acts, ref_acts):
+            for c in list(d):
+                for r, v in mat.get(c, {}).items():
+                    d.setdefault(r, d[c] * ref_mat[pi[c]][pi[r]] / v)
+    on_v = {k: (pi[k], d[k]) for k in range(n)}
+    on_mod = {**on_v, **{m: (m, 1) for m in range(n, mod.dim)}}
+    assert [_carried(mat, on_v) for mat in acts] == ref_acts
+    assert [_carried(mat, on_mod) for mat in mod.act] == \
+        [{c: {r: d[k] * v for r, v in img.items()} for c, img in ref.act[pi[k]].items()}
+         for k in range(n)]
+    for xi, ref_xi in zip(mod.actors, ref.actors):
+        assert (xi.kind, xi.weight) == (ref_xi.kind, ref_xi.weight)
+        assert _carried(xi.on_gminus, on_v) == ref_xi.on_gminus
+        assert _carried(xi.on_module, on_mod) == ref_xi.on_module
+
+
+@pytest.mark.parametrize("include_center", [False, True], ids=["g2", "cg2"])
+def test_g2_structure_module_holds_only_int_entries(include_center):
+    """V and g2 come from B4's integer constants, so no entry is a ``Fraction``."""
+    _, mod = g2_structure_module(include_center)
+    mats = [*mod.act, *(mat for xi in mod.actors for mat in (xi.on_gminus, xi.on_module))]
+    entries = [v for mat in mats for img in mat.values() for v in img.values()]
+    assert entries and all(type(v) is int for v in entries)
+
+
+def _g2_structure_over(name, alg):
+    """``verify.g2_structure(False)`` with ``verify``'s algebra builder ``name``
+    returning ``alg``; the builder is restored afterwards."""
+    real = getattr(nhsf.verify, name)
+    setattr(nhsf.verify, name, lambda *args: alg)
+    try:
+        return nhsf.verify.g2_structure(False)
+    finally:
+        setattr(nhsf.verify, name, real)
+
+
+def _changed(alg, a, b, f):
+    """``alg`` with the entry of [e_a, e_b] replaced by f of it."""
+    table = dict(alg.table)
+    key = (min(a, b), max(a, b))
+    table[key] = {k: f(v) for k, v in table[key].items()}
+    return ZGradedLieAlgebra(alg.rs, None, alg.grading, table)
+
+
+def _g2_labelled(a, b):
+    g2 = build_chevalley("G", 2)
+    index = {g2.label(i): i for i in range(g2.dim)}
+    return g2, index[a], index[b]
+
+
+def tamper_g2_constant():
+    """g2 with N in [y[1,0], x[1,1]] = N x[0,1] off by one; the peel-off never
+    divides by it."""
+    return _g2_structure_over("build_chevalley",
+                              _changed(*_g2_labelled("y[1,0]", "x[1,1]"), lambda v: v + 1))
+
+
+def tamper_g2_divisor():
+    """g2 with N in [x[1,0], x[1,1]] = N x[2,1], which the peel-off divides by, off
+    by one."""
+    return _g2_structure_over("build_chevalley",
+                              _changed(*_g2_labelled("x[1,0]", "x[1,1]"), lambda v: v + 1))
+
+
+def tamper_b4_entry():
+    """B4 graded at node 1 with one entry of x[a3] on g_{-1}, the long generator of
+    g2, doubled."""
+    b4 = graded_algebra("B", 4, (1,))
+    e2 = b4.x_index(_simple_root(b4.rs, 2))
+    v = next(i for i, lab in enumerate(b4.basis)
+             if lab.degree == -1 and b4.bracket_basis(e2, i))
+    return _g2_structure_over("graded_algebra", _changed(b4, e2, v, lambda c: 2 * c))
+
+
+G2_TAMPERS = {"tamper_g2_constant": "does not act as the bracket of their actions",
+              "tamper_g2_divisor": "is not divisible by",
+              "tamper_b4_entry": "does not act as the bracket of their actions"}
+
+
+@pytest.mark.parametrize("tamper", sorted(G2_TAMPERS))
+def test_tampered_g2_on_v_is_rejected(tamper):
+    with pytest.raises(InvariantError, match=G2_TAMPERS[tamper]):
+        globals()[tamper]()
+    assert nhsf.verify.g2_structure(False)  # the builders are restored
+
+
+@pytest.mark.parametrize("tamper", sorted(G2_TAMPERS))
+def test_tampered_g2_on_v_is_rejected_under_python_O(tamper):
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from test_gmod import " + tamper + "\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    " + tamper + "()\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if sys.argv[2] in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent),
+                          G2_TAMPERS[tamper]],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_irreducible_actions_represent_the_algebra():

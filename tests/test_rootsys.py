@@ -11,12 +11,11 @@ from collections import Counter
 
 import nhsf
 from nhsf import InvariantError
-from nhsf.gmod import IrreducibleModule
 from nhsf.rootsys import (CartanMatrixSpec, InvalidCartanType, RootSystem, _weyl_product,
                           build_root_system, dominant_multiplicities, dynkin_split,
-                          enumerate_w_i, to_root, weyl_dim)
+                          enumerate_w_i, to_root)
 
-from models import inversions_of_inverse
+from models import IrreducibleModule, inversions_of_inverse
 
 ALL_TYPES = [("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4),
              ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -263,13 +262,9 @@ def test_dynkin_split_examples():
 
 
 def test_weyl_dim():
-    g2 = build_root_system("G", 2)
-    assert weyl_dim(g2, (1, 0)) == 7
-    assert weyl_dim(g2, (0, 1)) == 14
-    a2 = build_root_system("A", 2)
-    assert weyl_dim(a2, (1, 1)) == 8
-    b3 = build_root_system("B", 3)
-    assert weyl_dim(b3, (0, 0, 1)) == 8
+    for t, n, hw, dim in [("G", 2, (1, 0), 7), ("G", 2, (0, 1), 14), ("A", 2, (1, 1), 8),
+                          ("B", 3, (0, 0, 1), 8)]:
+        assert _weyl_product(build_root_system(t, n), hw, range(n)) == dim
 
 
 def all_weight_multiplicities(rs, hw, nodes):
@@ -296,7 +291,8 @@ def all_weight_multiplicities(rs, hw, nodes):
                                     ("C", 3, (1, 1, 0)), ("D", 4, (1, 0, 0, 1)),
                                     ("G", 2, (1, 1)), ("F", 4, (0, 0, 0, 1))])
 def test_freudenthal_matches_the_built_irreducible(t, n, hw):
-    """All nodes unselected: Freudenthal gives the weights of L(hw) as built by gmod."""
+    """All nodes unselected: Freudenthal gives the weights of L(hw) as the oracle
+    ``models.IrreducibleModule`` builds it by lowering."""
     rs = build_root_system(t, n)
     irr = IrreducibleModule(rs, hw)
     assert all_weight_multiplicities(rs, hw, range(n)) == dict(Counter(irr.weights))

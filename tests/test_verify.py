@@ -214,11 +214,16 @@ def test_g2_structure_statement():
     out = run_g2_structure()
     assert out["status"] == MATCH
     assert out["matching_variant"] == "g2"
-    g2 = out["variants"]["g2"]
-    assert g2["orders"] == {"1": [[0, 0], [0, 1], [1, 0], [2, 0]], "2": [[0, 2]]}
-    assert g2["prolong_dim_1"] == 0
+    g2, cg2 = out["variants"]["g2"], out["variants"]["cg2"]
+    assert g2 == {"prolong_dim_1": 0, "prolong_stabilized": True,
+                  "h2_dims": {"1": 49, "2": 77},
+                  "orders": {"1": [[0, 0], [0, 1], [1, 0], [2, 0]], "2": [[0, 2]]},
+                  "matches_statement": True}
     # the central extension does not reproduce the table
-    assert out["variants"]["cg2"]["matches_statement"] is False
+    assert cg2 == {"prolong_dim_1": 0, "prolong_stabilized": True,
+                   "h2_dims": {"1": 42, "2": 77},
+                   "orders": {"1": [[0, 0], [0, 1], [2, 0]], "2": [[0, 2]]},
+                   "matches_statement": False}
 
 
 def test_g2_structure_with_a_first_prolongation_fails_an_invariant(monkeypatch):
