@@ -49,10 +49,10 @@ Ranks are exact over Q wherever the mod-2 bound is open.  A block's d_out and
 d_in are first screened mod 2 (``linalg.pivots_mod_2``): its pivots below p
 count r_2(p), the rank mod 2 of the first p columns.  For an integer matrix
 rank_2 <= rank_Q: every minor is an integer, and one that is odd is
-nonzero.  A column that holds a ``Fraction`` is scaled to integers first,
-and scaling a column by a nonzero rational changes the rank over Q of no
-prefix.  The d o d check gives rank_Q d_out + rank_Q d_in <= n = dim
-C^s_mu, so
+nonzero.  A column that holds a ``Fraction`` (only the tests' reference
+modules have one) is scaled to integers first, and scaling a column by a
+nonzero rational changes the rank over Q of no prefix.  The d o d check
+gives rank_Q d_out + rank_Q d_in <= n = dim C^s_mu, so
 
     n - r_2(d_out) - r_2(d_in) >= n - rank_Q d_out - rank_Q d_in = dim H >= 0,
 
@@ -83,7 +83,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 from typing import TYPE_CHECKING
@@ -200,9 +199,9 @@ def _masks(by_weight: dict, weights: ExtremalWeights | None):
     return items, masks
 
 
-def _reverse_bracket(gm: GradedNilpotent) -> dict[int, list[tuple[int, int, Fraction]]]:
+def _reverse_bracket(gm: GradedNilpotent) -> dict[int, list[tuple[int, int, int]]]:
     if "_rev_bracket" not in gm.__dict__:
-        out: dict[int, list[tuple[int, int, Fraction]]] = {}
+        out: dict[int, list[tuple[int, int, int]]] = {}
         for (a, b), res in sorted(gm.bracket_table.items()):
             for c, v in res.items():
                 if v != 0:

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import InputError, InvariantError
 from .linalg import SparseMat
 from .rootsys import RootSystem, build_root_system
 
-Element = dict[int, int | Fraction]  # basis index -> coefficient
+Element = dict[int, int]  # basis index -> coefficient
 
 
 class ChevalleyError(InvariantError):

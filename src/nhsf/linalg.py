@@ -4,8 +4,8 @@ Every vector is sparse: a dict {index: coeff} with ``int`` or
 ``fractions.Fraction`` coefficients and its zeros absent (an explicit zero
 is read as absent).  A matrix is a sequence of such columns; its row keys
 may be any hashable.  ``nullspace``, ``solve`` and ``pivots`` take these
-vectors as their callers hold them; the first two return them, with
-``Fraction`` values and keys in ascending order.  Module actions are
+vectors as their callers hold them; the first two return them with keys in
+ascending order, ``nullspace``'s with ``int`` values.  Module actions are
 ``SparseMat`` (column -> {row: coeff}); ``apply`` and ``commutator`` are
 their whole algebra.
 
@@ -13,13 +13,15 @@ their whole algebra.
 the package is read off ``nullspace``'s canonical basis, and every exact
 rank and independence test off ``pivots``.  The canonical basis is the one
 given by the reduced row echelon form (RREF): a 1 at each free column,
-minus that column of the RREF at the pivot columns.  The pivots are the columns
-independent of the columns before them, and the free ones are the rest.
-``solve`` is one ``nullspace`` of the columns followed by the right-hand
-sides: the canonical vector of a right-hand side's column, negated and
-without its 1, is the solution whose dependent columns are 0.  Each
-canonical vector's largest key is its free column, so the rank of the first
-p columns is p less the number of vectors whose largest key is below p.
+minus that column of the RREF at the pivot columns.  ``nullspace`` returns
+each canonical vector v as the primitive integer vector u, u[max u] > 0,
+with v = u / u[max u].  The pivots are the columns independent of the
+columns before them, and the free ones are the rest.  ``solve`` is one
+``nullspace`` of the columns followed by the right-hand sides: the
+canonical vector of a right-hand side's column, negated and without its 1,
+is the solution whose dependent columns are 0.  Each vector's largest key
+is its free column, so the rank of the first p columns is p less the
+number of vectors whose largest key is below p.
 
 ``nullspace`` transposes the columns once to sparse integer rows
 (``_scaled`` clears the denominators of a row that holds a ``Fraction``;
@@ -34,7 +36,8 @@ P), so n - rank_P independent exact kernel vectors force rank_Q = rank_P;
 each vector u_f has a 1 at its free column f, 0 at the other free columns
 and support in {c <= f}, so every free column mod P is free over Q, the
 free sets agree, and u_f is the canonical vector of f, bit for bit.  The
-same holds mod any prime.
+same holds mod any prime.  The vector certified and returned is den u_f,
+den the lcm of the lifted denominators: primitive, as each n/d is reduced.
 
 If any entry fails to lift or any vector fails the certificate, ``nullspace``
 climbs a ladder of Mersenne primes p = 2^q - 1 (q = 127, 521, 607, 1279,
@@ -145,10 +148,10 @@ def _int_rows(cols: Sequence[dict]) -> list[dict[int, int]]:
     return [_scaled(r) if Fraction in map(type, r.values()) else r for r in by_row.values()]
 
 
-def nullspace(cols: Sequence[dict]) -> list[dict[int, Fraction]]:
-    """Deterministic basis of {x : sum_j x_j cols[j] = 0} (the canonical RREF form), lifted
-    from the RREF mod P and certified; a lift that fails sends the rows up the prime
-    ladder (module docstring)."""
+def nullspace(cols: Sequence[dict]) -> list[dict[int, int]]:
+    """Deterministic basis of {x : sum_j x_j cols[j] = 0}: the canonical RREF vectors as
+    primitive integer vectors, positive at their free column, lifted from the RREF mod P
+    and certified; a lift that fails sends the rows up the prime ladder (module docstring)."""
     rows = _int_rows(cols)
     return _certified_kernel(rows, len(cols), _rref_mod(rows, len(cols), P))
 
@@ -177,8 +180,8 @@ def _exact_mod_p(rows: list[dict[int, int]], ncols: int, r: int) -> bool:
 
 
 def _certified_kernel(rows: list[dict[int, int]], ncols: int,
-                      piv: dict[int, dict[int, int]]) -> list[dict[int, Fraction]]:
-    """The canonical kernel basis of ``rows``, lifted from ``piv`` (their RREF mod P) or,
+                      piv: dict[int, dict[int, int]]) -> list[dict[int, int]]:
+    """The integer kernel basis of ``rows``, lifted from ``piv`` (their RREF mod P) or,
     where that fails its certificate, from the first prime up the ladder that passes."""
     basis = _lifted_kernel(rows, ncols, piv, P)
     if basis is not None:
@@ -311,12 +314,12 @@ def _lift(a: int, p: int) -> tuple[int, int] | None:
 
 
 def _lifted_kernel(rows: list[dict[int, int]], ncols: int, piv: dict[int, dict[int, int]],
-                   p: int) -> list[dict[int, Fraction]] | None:
-    """The canonical kernel basis of ``rows`` read off ``piv``, their RREF mod p, or None
+                   p: int) -> list[dict[int, int]] | None:
+    """The integer kernel basis of ``rows`` read off ``piv``, their RREF mod p, or None
     when a lift fails.
 
-    Every lifted vector, denominators cleared, is checked against M over Z,
-    sparse by column; the module docstring says why that certifies the basis.
+    Every vector is checked against M over Z, sparse by column; the module
+    docstring says why that certifies the basis.
     """
     at: dict[int, list[tuple[int, int]]] = {}  # free column -> [(pivot, RREF entry)]
     for c, r in piv.items():
@@ -338,15 +341,14 @@ def _lifted_kernel(rows: list[dict[int, int]], ncols: int, piv: dict[int, dict[i
                 return None
             lifted.append((c, *nd))
         den = lcm(*(d for _, _, d in lifted))
-        total = {i: den * v for i, v in cols[f]}  # M u_f with the denominators cleared
-        for c, n, d in lifted:
-            u = n * (den // d)
+        vec = {c: n * (den // d) for c, n, d in sorted(lifted)}
+        vec[f] = den  # every pivot c with an entry at f is left of f
+        total: dict = {}  # M vec
+        for c, u in vec.items():
             for i, v in cols[c]:
                 total[i] = total.get(i, 0) + u * v
         if any(total.values()):
             return None
-        vec = {c: Q(n, d) for c, n, d in sorted(lifted)}
-        vec[f] = Q(1)  # every pivot c with an entry at f is left of f
         basis.append(vec)
     return basis
 
@@ -354,14 +356,13 @@ def _lifted_kernel(rows: list[dict[int, int]], ncols: int, piv: dict[int, dict[i
 def solve(cols: Sequence[dict], rhss: Sequence[dict]) -> list[dict[int, Fraction] | None]:
     """For each rhs, the solution of sum_j x_j cols[j] = rhs with the dependent columns 0.
 
-    One ``nullspace`` of [*cols, *rhss]: rhs i is column n + i, and its
-    canonical vector, negated and without its 1, is the solution.  The
-    answer is None when n + i is a pivot or its vector reads another rhs.
+    One ``nullspace`` of [*cols, *rhss]: rhs i's answer is the vector u of column n + i
+    over -u[n + i], without that entry, or None if n + i is a pivot or u reads another rhs.
     """
     n = len(cols)
     out: list[dict[int, Fraction] | None] = [None] * len(rhss)
     for vec in nullspace([*cols, *rhss]):
         f = max(vec)
         if f >= n and all(k < n for k in vec if k != f):
-            out[f - n] = {k: -v for k, v in vec.items() if k != f}
+            out[f - n] = {k: Q(-v, vec[f]) for k, v in vec.items() if k != f}
     return out

@@ -10,13 +10,14 @@ the positive layers come from ``prolong_step``, which solves
 D([u,v]) = [D(u),v] + [u,D(v)] as exact kernels blocked by weight whenever
 weights are available.  The constraints of a degree are built once, for every
 unknown, and then split by weight block; weight additivity keeps each
-constraint inside one block, and ``_derivations`` checks that it does.
+constraint inside one block, and ``_derivations`` checks that it does.  Every
+layer is integral where g_0 and the g_- bracket are, by induction on the
+degree: its constraints are integer, and so are ``nullspace``'s kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import InputError, InvariantError
 from .linalg import SparseMat, acc, nullspace
@@ -75,7 +76,7 @@ class ProlongedAlgebra:
             return self.gminus.weights[t]
         return self.layer(m).weights[t]
 
-    def apply(self, m: int, t: int, v: int) -> dict[int, Fraction]:
+    def apply(self, m: int, t: int, v: int) -> dict[int, int]:
         """[E, v] for E the t-th basis element of layer m, v a gminus index.
 
         Result coordinates live in layer m + deg(v) (gminus indices if that
@@ -214,7 +215,7 @@ def prolong_as_module(p: ProlongedAlgebra, actors: list[Actor] | None = None) ->
         for idx, (lvl, t) in enumerate(coords, gm.dim):
             # [u, E] = -E(u), coords in layer lvl + deg(u)
             target_lvl = lvl + gm.degrees[u]
-            col: dict[int, Fraction] = {}
+            col: dict[int, int] = {}
             for coord, val in p.apply(lvl, t, u).items():
                 acc(col, coord if target_lvl < 0 else pos_of[(target_lvl, coord)], -val)
             if col:

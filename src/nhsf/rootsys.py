@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import InputError, InvariantError
-from .linalg import Q, solve
+from .linalg import solve
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -111,7 +111,7 @@ def _symmetrizer(a: list[list[int]]) -> list[int]:
     """Minimal positive integers d_i with d_i a_ij = d_j a_ji ((alpha_i,alpha_i)/2)."""
     n = len(a)
     d: list[Fraction | None] = [None] * n
-    d[0] = Q(1)
+    d[0] = Fraction(1)
     changed = True
     while changed:
         changed = False
@@ -256,7 +256,7 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
 def to_root(rs: RootSystem, w) -> tuple[Fraction, ...]:
     """The simple-root coordinates A^-1 w of a weight w in coroot coordinates."""
     b, q = rs.cartan_inverse
-    return tuple(Q(sum(map(mul, row, w)), q) for row in b)
+    return tuple(Fraction(sum(map(mul, row, w)), q) for row in b)
 
 
 def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int],
@@ -355,13 +355,13 @@ def _weyl_product(rs: RootSystem, lam, nodes) -> Fraction:
     (coroot coordinates; only the entries at ``nodes`` are read), of the
     semisimple subalgebra spanned by those nodes.
     """
-    num = Q(1)
-    den = Q(1)
+    num = Fraction(1)
+    den = Fraction(1)
     d = rs.symmetrizer
     for beta in _roots_on(rs, nodes):
         n2 = rs.norm2(beta)
-        lam_b = Q(2 * sum(lam[t] * beta[t] * d[t] for t in nodes), n2)
-        rho_b = Q(2 * sum(beta[t] * d[t] for t in nodes), n2)
+        lam_b = Fraction(2 * sum(lam[t] * beta[t] * d[t] for t in nodes), n2)
+        rho_b = Fraction(2 * sum(beta[t] * d[t] for t in nodes), n2)
         num *= lam_b + rho_b
         den *= rho_b
     return num / den

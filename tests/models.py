@@ -64,7 +64,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from nhsf import InvariantError
@@ -311,11 +311,7 @@ def z_basis(alg: ZGradedLieAlgebra) -> list[dict[int, int]]:
     unselected = [j for j, d in enumerate(alg.grading.degrees) if d == 0]
     a = alg.rs.cartan_matrix
     cols = [{j: a[i][j] for j in unselected if a[i][j]} for i in range(alg.rank)]
-    out = []
-    for vec in nullspace(cols):
-        den = lcm(*(c.denominator for c in vec.values()))
-        out.append({i: int(c * den) for i, c in vec.items()})
-    return out
+    return nullspace(cols)
 
 
 def coriemann_z_module(fc: FlagCase, zbasis=None) -> GradedModule:

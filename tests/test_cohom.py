@@ -564,6 +564,60 @@ def test_tampered_differential_fails_d_squared_under_python_O():
     assert res.returncode == 0, res.stderr
 
 
+def act_outside_the_window(mod: GradedModule) -> GradedModule:
+    """``mod`` with one more action target, added after it is built: g_- element 0 sends
+    the first degree-0 element to itself, not into degree deg(0) + 0, so d on C^0 of
+    degree 0 reaches a cochain outside C^1_0."""
+    m = mod.by_degree[0][0]
+    mod.acting[m].append((0, {m: 1}))
+    return mod
+
+
+def test_an_action_target_outside_the_window_fails_d_left():
+    fc = FlagCase("G", 2, (1,))
+    adj = fc.adjoint_module()
+    assert cohomology(fc.gminus, adj, 1, [0])[0].dim_cochains[1] > 0
+    act_outside_the_window(adj)
+    with pytest.raises(InvariantError, match=r"d left C\^1_0"):
+        cohomology(fc.gminus, adj, 1, [0])
+
+
+def test_an_action_target_outside_the_window_fails_d_left_under_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from nhsf.cohom import cohomology\n"
+            "from nhsf.gmod import FlagCase\n"
+            "from test_cohom import act_outside_the_window\n"
+            "assert False, 'asserts are enabled'\n"
+            "fc = FlagCase('G', 2, (1,))\n"
+            "adj = act_outside_the_window(fc.adjoint_module())\n"
+            "try:\n"
+            "    cohomology(fc.gminus, adj, 1, [0])\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if 'd left C^1_0' in str(e) else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_overcounted_ranks_fail_the_dimension_bookkeeping(monkeypatch):
+    """Pivots over Q that call every column independent make rank d_out + rank d_in
+    exceed dim C^s_mu on a block with a nonzero d_in; the mod-2 screen is held open
+    (no pivots) so that every block reads its ranks off ``pivots``."""
+    fc = FlagCase("G", 2, (1,))
+    adj = fc.adjoint_module()
+    monkeypatch.setattr(cohom, "pivots_mod_2", lambda cols: [])
+    assert cohomology(fc.gminus, adj, 1, [0])[0].rank_in > 0
+    monkeypatch.setattr(cohom, "pivots", lambda cols: list(range(len(cols))))
+    with pytest.raises(InvariantError, match="dimension bookkeeping failed"):
+        cohomology(fc.gminus, adj, 1, [0])
+
+
 def test_gl_flatness():
     for n in (2, 3):
         gm, mod = vect_module(n, 8)

@@ -2,7 +2,9 @@
 and the fraction-free integer elimination of ``models`` (``rank``, ``exact_nullspace``).
 
 Each drawn dense matrix is handed to ``linalg`` as sparse columns (vectors
-as sparse dicts), the one format it takes and returns.  ``nullspace``'s
+as sparse dicts), the one format it takes and returns.  ``nullspace``
+returns primitive integer vectors, positive at their free column, and each
+is held to the oracle's canonical vector as v / v[max v].  ``nullspace``'s
 path mod P, its certificate and its retry up the prime ladder are checked
 on inputs that force each branch: an entry past the lift bound, a prime
 that divides a pivot, a lift tampered mod P (the retry returns the right
@@ -18,6 +20,7 @@ import subprocess
 import sys
 from bisect import bisect_left
 from fractions import Fraction as Q
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,19 @@ def sparse(vec):
 
 def dense(vec, n):
     return [Q(vec.get(i, 0)) for i in range(n)]
+
+
+def canonical(v):
+    """The canonical vector v / v[max v] of a kernel vector ``nullspace`` returns, which
+    must have ascending keys, nonzero ``int`` entries, gcd 1 and v[max v] > 0."""
+    assert list(v) == sorted(v)
+    assert all(type(x) is int and x != 0 for x in v.values())
+    assert gcd(*v.values()) == 1 and v[max(v)] > 0
+    return {k: Q(x, v[max(v)]) for k, x in v.items()}
+
+
+def canonical_basis(basis):
+    return [canonical(v) for v in basis]
 
 
 def test_nullspace_simple():
@@ -180,7 +196,7 @@ def tamper_lift(only_mod_p: bool):
 def test_small_entries_take_the_modular_path(monkeypatch):
     fallbacks = count_fallbacks(monkeypatch)
     rows = [[1, 2, 3, 4], [Q(1, 2), 0, -1, Q(2, 3)], [2, 4, 6, 8]]
-    assert nullspace(columns(rows, 4)) == canonical_kernel(rows, 4)
+    assert canonical_basis(nullspace(columns(rows, 4))) == canonical_kernel(rows, 4)
     assert fallbacks == []
 
 
@@ -197,7 +213,9 @@ def test_prime_dividing_a_pivot_falls_back(monkeypatch):
     p = 2 ** 61 - 1
     rows = [{0: p, 1: 1}]
     assert linalg._lifted_kernel(rows, 2, linalg._rref_mod(rows, 2, p), p) is None
-    assert nullspace([{0: p}, {0: 1}]) == [{0: Q(-1, p), 1: Q(1)}]
+    [v] = nullspace([{0: p}, {0: 1}])
+    assert v == {0: -1, 1: p}
+    assert canonical(v) == {0: Q(-1, p), 1: Q(1)}
     assert fallbacks == [2]
 
 
@@ -324,11 +342,9 @@ def test_nullspace_annihilates(m):
     rows, ncols = m
     basis = nullspace(columns(rows, ncols))
     for v in basis:
-        assert list(v) == sorted(v)
-        assert all(type(x) is Q and x != 0 for x in v.values())
         assert times(rows, dense(v, ncols)) == [0] * len(rows)
     assert len(basis) == ncols - oracle_rank(rows, ncols)
-    assert basis == canonical_kernel(rows, ncols)
+    assert canonical_basis(basis) == canonical_kernel(rows, ncols)
 
 
 @given(matrices())
@@ -337,9 +353,9 @@ def test_nullspace_reads_any_row_keys_and_explicit_zeros(m):
     rows, ncols = m
     want = canonical_kernel(rows, ncols)
     keyed = [{(i % 2, "r", i): v for i, v in col.items()} for col in columns(rows, ncols)]
-    assert nullspace(keyed) == want
+    assert canonical_basis(nullspace(keyed)) == want
     with_zeros = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
-    assert nullspace(with_zeros) == want
+    assert canonical_basis(nullspace(with_zeros)) == want
 
 
 @given(matrices(), st.data())
@@ -356,7 +372,7 @@ def test_nullspace_frees_empty_columns(m, data):
             out[c] = x
     cols = columns(padded, n)
     assert all(cols[c] == {} for c in empty)
-    assert nullspace(cols) == canonical_kernel(padded, n)
+    assert canonical_basis(nullspace(cols)) == canonical_kernel(padded, n)
 
 
 def oracle_solve(rows, ncols, rhs):

@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import nhsf
+import nhsf.cohom as cohom
+import nhsf.prolong as prolong
 from nhsf import InvariantError
+from nhsf.cohom import cohomology, full_window
 from nhsf.gmod import FlagCase
 from nhsf.liealg import abelian_nilpotent, graded_algebra
 from nhsf.prolong import (G0, TAG_CONTACT, TAG_DEPTH1, TAG_EQUALS_S, TAG_SPECIAL,
-                          ProlongedAlgebra, _derivations, full_prolong, prolong_step,
-                          yamaguchi_classify)
+                          ProlongedAlgebra, _derivations, full_prolong, prolong_as_module,
+                          prolong_step, yamaguchi_classify)
 from nhsf.verify import g2_structure
 
 from models import (_matrix_bracket_table, der0, heisenberg, levi_bracket,
@@ -192,13 +195,43 @@ def test_yamaguchi_tags():
 
 
 def test_prolong_module_rep_property():
-    from nhsf.prolong import prolong_as_module
-
     nil = heisenberg(1)
     p = full_prolong(nil, der0(nil), 4)
     mod = prolong_as_module(p)
     verify_representation(mod)
     assert mod.truncation_bound == 4
+
+
+@pytest.mark.parametrize("t, r, node", [("C", 3, 1), ("G", 2, 1)])
+def test_the_prolongation_and_its_h2_hand_linalg_integer_columns(monkeypatch, t, r, node):
+    """``nullspace`` returns integer kernels, so every layer is integral by induction on
+    the degree: the prolong module's action holds only ``int`` entries, and no column
+    that the prolongation or its H^2 hands ``linalg`` holds a ``Fraction``."""
+    types: dict = {}
+
+    def wrap(mod, name):
+        real = getattr(mod, name)
+
+        def recorded(cols):
+            seen = types.setdefault(name, set())
+            for col in cols:
+                seen.update(map(type, col.values()))
+            return real(cols)
+
+        monkeypatch.setattr(mod, name, recorded)
+
+    wrap(prolong, "nullspace")
+    wrap(cohom, "pivots_mod_2")
+    wrap(cohom, "pivots")
+    fc = FlagCase(t, r, (node,))
+    p = full_prolong(fc.gminus, fc.levi_g0(), 8)
+    mod = prolong_as_module(p)
+    assert p.positive
+    assert {type(v) for mat in mod.act for col in mat.values() for v in col.values()} == {int}
+    h2 = cohomology(fc.gminus, mod, 2, full_window(fc.gminus, mod, 2))
+    assert sum(sl.dim_cochains[1] for sl in h2) > 0
+    assert types["nullspace"] == types["pivots_mod_2"] == {int}
+    assert types.get("pivots", {int}) == {int}
 
 
 # -- the constraints are built once per degree and split by weight block ------

@@ -39,6 +39,24 @@ def test_invariants_raise_invariant_error():
     assert SOURCES and not found
 
 
+def test_fractions_only_where_values_are_rational():
+    """``fractions`` is imported by ``linalg`` (``solve``, and scaling the rational input
+    of reference modules), ``rootsys`` (``to_root``, ``_weyl_product``, ``_symmetrizer``)
+    and ``decomp`` (``weight_fw``) alone: the package's complexes and layers hold integers.
+    No module takes ``linalg``'s ``Q`` alias for ``Fraction``."""
+    importers, aliased = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and "fractions" in {a.name for a in node.names}:
+                importers.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                importers.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                aliased |= {path.stem for a in node.names if a.name == "Q"}
+    assert importers == {"decomp", "linalg", "rootsys"}
+    assert not aliased
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
