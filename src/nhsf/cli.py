@@ -131,7 +131,7 @@ def cmd_cohomology(args) -> int:
         if args.coeff == "riemann":
             sub = fc.riemann_in(module)
         elif args.coeff == "coriemann":
-            module = fc.coriemann_module(module)
+            module = fc.coriemann_module(module, fc.riemann_in(module))
     window = full_window(fc.gminus, module, args.s)
     if args.min_degree is not None:
         window = [k for k in window if k >= args.min_degree]

@@ -213,7 +213,7 @@ def levi_irrep_dim(rs: RootSystem, unselected: list[int], weight: tuple, kind: s
     lam = [-c for c in weight] if kind == LOWEST else list(weight)
     if any(lam[j - 1] < 0 for j in unselected):
         raise DecompositionError(f"extremal weight {weight} not {kind}-dominant")
-    val = _weyl_product(rs, lam, [j - 1 for j in unselected])
-    if val.denominator != 1:
+    dim, rem = _weyl_product(rs, lam, [j - 1 for j in unselected])
+    if rem:
         raise DecompositionError("non-integral Weyl dimension")
-    return int(val)
+    return dim

@@ -291,9 +291,10 @@ class FlagCase:
         riem = set(self.levi.g_minus + self.levi.l1)
         return adj.submodule(m for m, amb in enumerate(self.adjoint_order) if amb in riem)
 
-    def coriemann_module(self, adj: GradedModule) -> GradedModule:
-        """g/(g_- (+) l1), the co-Riemann module (g_- (+) z)^*, cut from ``adj``."""
-        return adj.quotient(self.riemann_in(adj))
+    def coriemann_module(self, adj: GradedModule, riem: frozenset[int]) -> GradedModule:
+        """g/(g_- (+) l1), the co-Riemann module (g_- (+) z)^*, cut from ``adj`` by
+        ``riem = riemann_in(adj)``; ``GradedModule.quotient`` checks it once more."""
+        return adj.quotient(riem)
 
     def trivial_module(self) -> GradedModule:
         basis = [ModuleElt("1", 0, (0,) * self.rank)]

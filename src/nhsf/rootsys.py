@@ -17,6 +17,12 @@ coordinates.  ``root_coroot_coords`` maps simple-root to coroot coordinates
 word is a tuple of 0-based nodes (i1, i2, ...) for s_{i1} s_{i2} ..., applied
 right to left.
 
+Weyl words and root strings are read off the Cartan matrix.  The words of
+W(I) of length <= 2 that ``enumerate_w_i`` lists follow from a closed form in
+its entries (proved in its docstring), so no word is applied to a root.  The
+positive roots are found by walking alpha_i-strings, each root carrying its
+coroot coordinates: A(beta + alpha_i) = A beta + column i of A.
+
 Irreducible modules of a Levi subalgebra (the Cartan subalgebra plus the
 root vectors on a node set) are described by Weyl's dimension product
 (``_weyl_product``) and by Freudenthal's multiplicities on their dominant
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from . import InputError, InvariantError
 from .linalg import solve
@@ -161,28 +167,31 @@ class RootSystem:
     # -- construction ---------------------------------------------------
 
     def _enumerate_positive_roots(self) -> list[tuple[int, ...]]:
-        """All positive roots in simple-root coordinates, by height then lex."""
-        n = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        found = set(simple)
-        frontier = list(simple)
+        """All positive roots in simple-root coordinates, by height then lex.
+
+        Roots are found height by height: beta + alpha_i is a root exactly
+        when q = p - <beta, alpha_i^vee> > 0, p being the length of the
+        alpha_i-string below beta.  Each root carries its coroot coordinates
+        A beta, so <beta, alpha_i^vee> is read off, and beta + alpha_i gets
+        A beta plus column i of A.
+        """
+        n, a = self.rank, self.cartan_matrix
+        cols = [tuple(a[j][i] for j in range(n)) for i in range(n)]
+        found = {tuple(1 if j == i else 0 for j in range(n)): cols[i] for i in range(n)}
+        frontier = list(found.items())
         while frontier:
             new = []
-            for beta in frontier:
+            for beta, coroot in frontier:
                 for i in range(n):
-                    # p = length of the alpha_i-string below beta (stays positive
-                    # unless beta = alpha_i, in which case p = 0).
-                    p = 0
-                    down = _sub(beta, simple[i])
-                    while down in found:
+                    head, b, tail = beta[:i], beta[i], beta[i + 1:]
+                    p = 0  # the string below beta: beta - alpha_i, ..., down to coefficient 0
+                    while p < b and head + (b - p - 1,) + tail in found:
                         p += 1
-                        down = _sub(down, simple[i])
-                    q = p - self.pair_with_coroot(beta, i)
-                    if q > 0:
-                        up = _add(beta, simple[i])
+                    if p > coroot[i]:
+                        up = head + (b + 1,) + tail
                         if up not in found:
-                            found.add(up)
-                            new.append(up)
+                            found[up] = tuple(map(add, coroot, cols[i]))
+                            new.append((up, found[up]))
             frontier = new
         return sorted(found, key=lambda r: (sum(r), r))
 
@@ -213,19 +222,6 @@ class RootSystem:
 
     # -- Weyl group ------------------------------------------------------
 
-    def reflect_root(self, i: int, beta: tuple[int, ...]) -> tuple[int, ...]:
-        """s_i(beta) in simple-root coordinates (0-based i)."""
-        c = self.pair_with_coroot(beta, i)
-        out = list(beta)
-        out[i] -= c
-        return tuple(out)
-
-    def apply_word_to_root(self, word: tuple[int, ...], beta) -> tuple[int, ...]:
-        out = tuple(beta)
-        for i in reversed(word):
-            out = self.reflect_root(i, out)
-        return out
-
     def apply_word_to_weight(self, word: tuple[int, ...], mu):
         """(w mu, mu - w mu): the first in coroot, the second in simple-root coordinates.
 
@@ -239,13 +235,6 @@ class RootSystem:
             for j in n:
                 out[j] -= c * a[j][i]
         return tuple(out), tuple(diff)
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +253,22 @@ def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int],
     """W(I)_length: reduced words w with w^{-1} positive on unselected simples.
 
     ``selected`` holds 1-based node indices.  Only lengths 0..2 are needed
-    (H^0, H^1, H^2); larger lengths are rejected.  The words are built
-    directly: every (i) and every (i, j) with i != j is reduced, and
-    s_i s_j = s_j s_i exactly when a_ij = 0, so for i < j the word (j, i) is
-    kept only when a_ji != 0.
+    (H^0, H^1, H^2); larger lengths are rejected.  The words are read off the
+    Cartan matrix (a_ik = <alpha_k, alpha_i^vee>), with S the selected nodes:
+
+    * s_i is admissible iff i in S, since s_i alpha_k = alpha_k - a_ik alpha_i
+      is positive for k != i and s_i alpha_i = -alpha_i.
+    * s_i s_j (i != j) is admissible iff i in S and (j in S or a_ij != 0).
+      Take w^{-1} = s_j s_i.  For k not in {i, j} the coefficient of alpha_k
+      in w^{-1} alpha_k stays 1, so it is positive.  w^{-1} alpha_i =
+      -alpha_i + a_ji alpha_j is negative, as a_ji <= 0.  w^{-1} alpha_j =
+      -a_ij alpha_i + (a_ij a_ji - 1) alpha_j is -alpha_j if a_ij = 0, and
+      positive otherwise, as then -a_ij >= 1 and a_ij a_ji >= 1.
+
+    Every (i) and every (i, j) with i != j is reduced, and s_i s_j = s_j s_i
+    exactly when a_ij = 0, so a commuting pair is listed once, as (i, j) with
+    i < j.  For a maximal parabolic, S = {p}, this gives W(I)_2 = {(p, q) :
+    a_pq != 0}: p followed by one neighbour of p in the Dynkin diagram.
     """
     if length > 2:
         raise ValueError("only Weyl words of length <= 2 are supported")
@@ -276,26 +277,13 @@ def enumerate_w_i(rs: RootSystem, selected: frozenset[int] | set[int],
     sel0 = {i - 1 for i in selected}
     if not sel0 <= set(range(rs.rank)):
         raise ValueError(f"selected nodes {sorted(selected)} out of range 1..{rs.rank}")
-    unselected = [j for j in range(rs.rank) if j not in sel0]
     if length == 0:
         return [()]
-
-    def admissible(word: tuple[int, ...]) -> bool:
-        inv = word[::-1]
-        for j in unselected:
-            img = tuple(1 if t == j else 0 for t in range(rs.rank))
-            img = rs.apply_word_to_root(inv, img)
-            if all(c <= 0 for c in img):
-                return False
-        return True
-
-    a = rs.cartan_matrix
     if length == 1:
-        candidates = [(i,) for i in range(rs.rank)]
-    else:
-        candidates = [(i, j) for i in range(rs.rank) for j in range(rs.rank)
-                      if i != j and (i < j or a[i][j] != 0)]
-    return [w for w in candidates if admissible(w)]
+        return [(i,) for i in sorted(sel0)]
+    a = rs.cartan_matrix
+    return [(i, j) for i in sorted(sel0) for j in range(rs.rank)
+            if j != i and (a[i][j] != 0 or (j > i and j in sel0))]
 
 
 @dataclass(frozen=True)
@@ -348,23 +336,23 @@ def dynkin_split(rs: RootSystem, selected: set[int] | frozenset[int]) -> DynkinS
     return DynkinSplit(tuple(comps), len(nodes), tuple(c_values), len(comps))
 
 
-def _weyl_product(rs: RootSystem, lam, nodes) -> Fraction:
-    """Weyl's product over the positive roots supported on ``nodes`` (0-based).
+def _weyl_product(rs: RootSystem, lam, nodes) -> tuple[int, int]:
+    """Weyl's product over the positive roots supported on ``nodes`` (0-based),
+    as the quotient and remainder of its numerator by its denominator.
 
     This is the dimension of the irreducible module, with highest weight lam
     (coroot coordinates; only the entries at ``nodes`` are read), of the
-    semisimple subalgebra spanned by those nodes.
+    semisimple subalgebra spanned by those nodes.  Each factor
+    (lam + rho, beta) / (rho, beta) is sum_t (lam_t + 1) beta_t d_t over
+    sum_t beta_t d_t, since (lam, alpha_t) = lam_t d_t: numerators and
+    denominators are multiplied as integers, and divided once.
     """
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     d = rs.symmetrizer
     for beta in _roots_on(rs, nodes):
-        n2 = rs.norm2(beta)
-        lam_b = Fraction(2 * sum(lam[t] * beta[t] * d[t] for t in nodes), n2)
-        rho_b = Fraction(2 * sum(beta[t] * d[t] for t in nodes), n2)
-        num *= lam_b + rho_b
-        den *= rho_b
-    return num / den
+        num *= sum((lam[t] + 1) * beta[t] * d[t] for t in nodes)
+        den *= sum(beta[t] * d[t] for t in nodes)
+    return divmod(num, den)
 
 
 def _roots_on(rs: RootSystem, nodes) -> list[tuple[int, ...]]:

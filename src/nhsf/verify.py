@@ -385,7 +385,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
                 checks["ir_count"]["direct"] == sum(sm.multiplicity for sm in h2_summands))
 
         if spec.budget == "full":
-            cor = fc.coriemann_module(adj)
+            cor = fc.coriemann_module(adj, riem)
             cor_slices, h1_summands, _ = _decomposed(fc, cor, 1, HIGHEST)
             d_cor = _dims(fc, h1_summands)
             for k, dim in sorted(d_cor.items()):

@@ -76,7 +76,7 @@ from nhsf.linalg import (Q, SparseMat, _scaled, acc, apply, commutator, nullspac
 from nhsf.liealg import GradedNilpotent, ZGradedLieAlgebra, abelian_nilpotent
 from nhsf.gmod import Actor, FlagCase, GradedModule, ModuleElt, _simple_root
 from nhsf.prolong import G0, ProlongedAlgebra, _derivations
-from nhsf.rootsys import RootSystem
+from nhsf.rootsys import CartanMatrixSpec, RootSystem
 
 
 # -- the exact oracle kernel -----------------------------------------------
@@ -752,12 +752,30 @@ def _block_derivation_cols(p, k, pos_of):
     return cols
 
 
+def misweighted_b2() -> RootSystem:
+    """B2 with its symmetrizer reversed, so that the long and short roots swap
+    lengths: a tampered root system whose Weyl products and Freudenthal
+    multiplicities are no longer integers."""
+    rs = RootSystem(CartanMatrixSpec("B", 2))
+    rs.symmetrizer = rs.symmetrizer[::-1]
+    return rs
+
+
+def apply_word_to_root(rs: RootSystem, word: tuple[int, ...], beta) -> tuple[int, ...]:
+    """w(beta) in simple-root coordinates for the word w = s_{i1} s_{i2} ..., its
+    letters applied right to left: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
+    out = list(beta)
+    for i in reversed(word):
+        out[i] -= rs.pair_with_coroot(out, i)
+    return tuple(out)
+
+
 def inversions_of_inverse(rs: RootSystem, word: tuple[int, ...]) -> list[tuple[int, ...]]:
     """{beta > 0 : w^{-1}(beta) < 0}, the paper's R_W^- for w."""
     inv = word[::-1]
     out = []
     for beta in rs.positive_roots:
-        img = rs.apply_word_to_root(inv, beta)
+        img = apply_word_to_root(rs, inv, beta)
         if all(c <= 0 for c in img):
             out.append(beta)
     return out

@@ -134,7 +134,8 @@ def test_hei2_trivial_against_brute_force():
 
 def test_g2_node1_coriemann_against_brute_force():
     fc = FlagCase("G", 2, (1,))
-    cor = fc.coriemann_module(fc.adjoint_module())
+    adj = fc.adjoint_module()
+    cor = fc.coriemann_module(adj, fc.riemann_in(adj))
     brute = brute_ce_dims(fc.gminus, cor, 2)
     for (s, k), v in brute.items():
         if s in (1, 2):
@@ -198,7 +199,7 @@ def test_assigned_columns_match_the_reference_sums(case):
     adj = fc.adjoint_module()
     flt = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
     entries = 0
-    for mod in (adj, fc.coriemann_module(adj)):
+    for mod in (adj, fc.coriemann_module(adj, fc.riemann_in(adj))):
         for s in (0, 1, 2):
             for weights in (None, flt) if case[1] < 6 or s < 2 else (flt,):
                 for k in full_window(fc.gminus, mod, s):
@@ -232,7 +233,7 @@ def test_slices_match_the_enumerated_reference(case):
     fc = FlagCase(*case)
     flt = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
     adj = fc.adjoint_module()
-    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj)):
+    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj, fc.riemann_in(adj))):
         for s in (1, 2):
             for weights in (None, flt):
                 for k in full_window(fc.gminus, mod, s):
@@ -258,7 +259,7 @@ def test_mask_join_is_the_plain_filter(case):
     fc = FlagCase(*case)
     dropped = kept = 0
     adj = fc.adjoint_module()
-    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj)):
+    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj, fc.riemann_in(adj))):
         for kind in (LOWEST, HIGHEST):
             flt = ExtremalWeights(fc.rs, tuple(fc.unselected), kind)
             for s in (0, 1, 2):
@@ -410,7 +411,8 @@ def test_a_dropped_pivot_takes_the_certified_path(monkeypatch):
     prime of the ladder gives the pivots."""
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
-    cor, riem = fc.coriemann_module(adj), fc.riemann_in(adj)
+    riem = fc.riemann_in(adj)
+    cor = fc.coriemann_module(adj, riem)
     lowest = ExtremalWeights(fc.rs, tuple(fc.unselected), LOWEST)
     highest = ExtremalWeights(fc.rs, tuple(fc.unselected), HIGHEST)
     runs = [(adj, 2, lowest, riem), (adj, 2, None, riem), (cor, 1, highest, None)]

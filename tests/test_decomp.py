@@ -17,7 +17,7 @@ from nhsf.liealg import build_chevalley
 from nhsf.linalg import acc
 from nhsf.rootsys import build_root_system
 from nhsf.verify import g2_structure_module
-from models import reference_decompose, riemann_module
+from models import misweighted_b2, reference_decompose, riemann_module
 
 
 def slices_of(fc, mod, s):
@@ -42,7 +42,8 @@ def test_g2_node1_h2_lowest_weight():
 
 def test_g2_node1_h1_weights():
     fc = FlagCase("G", 2, (1,))
-    cor = fc.coriemann_module(fc.adjoint_module())
+    adj = fc.adjoint_module()
+    cor = fc.coriemann_module(adj, fc.riemann_in(adj))
     slices = slices_of(fc, cor, 1)
     lows = Counter()
     for sm in decompose(slices, cor, extremal(fc, LOWEST)):
@@ -97,7 +98,8 @@ def test_lowest_weights_nonpositive_at_unselected():
 
 def test_bookkeeping_totals():
     fc = FlagCase("C", 3, (3,))
-    cor = fc.coriemann_module(fc.adjoint_module())
+    adj = fc.adjoint_module()
+    cor = fc.coriemann_module(adj, fc.riemann_in(adj))
     slices = slices_of(fc, cor, 1)
     sums = decompose(slices, cor, extremal(fc, HIGHEST))
     total = sum(levi_irrep_dim(fc.rs, fc.unselected, sm.weight_cm, HIGHEST) * sm.multiplicity
@@ -120,6 +122,20 @@ def test_levi_irrep_dim():
     fc = FlagCase("F", 4, (1,))
     # the 105-dim constituent of f(4) node 1 (equals dim H^2 there)
     assert levi_irrep_dim(fc.rs, [2, 3, 4], (3, 0, -1, -1), LOWEST) == 105
+
+
+def test_levi_irrep_dim_rejects_a_weight_that_is_not_extremal():
+    rs = build_root_system("G", 2)
+    with pytest.raises(InvariantError, match="not Lowest-dominant"):
+        levi_irrep_dim(rs, [2], (0, 1), LOWEST)
+    with pytest.raises(InvariantError, match="not Highest-dominant"):
+        levi_irrep_dim(rs, [2], (0, -1), HIGHEST)
+
+
+def test_levi_irrep_dim_rejects_a_non_integral_weyl_product():
+    """With B2's root lengths swapped, Weyl's product for (1, 0) is 16/5."""
+    with pytest.raises(InvariantError, match="non-integral Weyl dimension"):
+        levi_irrep_dim(misweighted_b2(), [1, 2], (1, 0), HIGHEST)
 
 
 def filtered_slices(fc, mod, s, kind):
@@ -215,8 +231,8 @@ def test_decompose_matches_the_reference(case):
     """Adjoint H^2, co-Riemann H^1 and Riemann H^2, as ``verify`` splits them."""
     fc = FlagCase(*case)
     adj = fc.adjoint_module()
-    for mod, s, kind in ((adj, 2, LOWEST), (fc.coriemann_module(adj), 1, HIGHEST),
-                         (riemann_module(fc), 2, LOWEST)):
+    cor = fc.coriemann_module(adj, fc.riemann_in(adj))
+    for mod, s, kind in ((adj, 2, LOWEST), (cor, 1, HIGHEST), (riemann_module(fc), 2, LOWEST)):
         flt = extremal(fc, kind)
         got = decompose(filtered_slices(fc, mod, s, kind), mod, flt)
         assert got and got == reference_decompose(mod, s, flt)
@@ -266,7 +282,7 @@ def test_actors_commute_with_d(case):
     fc = FlagCase(*case)
     gm = fc.gminus
     adj = fc.adjoint_module()
-    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj)):
+    for mod in (adj, riemann_module(fc), fc.coriemann_module(adj, fc.riemann_in(adj))):
         actors = list(range(len(mod.actors)))
         nonzero = 0
         for s in (1, 2):

@@ -29,7 +29,7 @@ from models import (IrreducibleModule, abelian_negative, coriemann_z_module, rie
 ])
 def test_irreducible_dims_match_weyl_formula(t, n, hw, dim):
     rs = build_root_system(t, n)
-    assert _weyl_product(rs, hw, range(n)) == dim  # independent oracle
+    assert _weyl_product(rs, hw, range(n)) == (dim, 0)  # independent oracle
     mod = IrreducibleModule(rs, hw)
     assert mod.dim == dim
 
@@ -88,7 +88,8 @@ def test_coriemann_dims_equal_gminus_plus_z():
         fc = _case(t, n, nodes)
         z = z_basis(fc.alg)
         assert len(z) == len(nodes) and len(fc.levi.l) == len(fc.levi.l1) + len(z)
-        cor = fc.coriemann_module(fc.adjoint_module())
+        adj = fc.adjoint_module()
+        cor = fc.coriemann_module(adj, fc.riemann_in(adj))
         assert cor.dim == fc.gminus.dim + len(z)
         verify_representation(cor)
         cor.verify_additivity()
@@ -102,7 +103,8 @@ def test_cartan_outside_l1_cartan_plus_z_is_rejected():
 
 def test_coriemann_weights_mirror_positive_part():
     fc = _case("G", 2, (1,))
-    cor = fc.coriemann_module(fc.adjoint_module())
+    adj = fc.adjoint_module()
+    cor = fc.coriemann_module(adj, fc.riemann_in(adj))
     pos_weights = sorted(lab.weight for lab in fc.alg.basis if lab.degree > 0)
     quot = sorted(b.weight for b in cor.basis if b.degree > 0)
     assert quot == pos_weights
@@ -113,7 +115,8 @@ def test_coriemann_entries_are_integers():
     Cartan split, and its entries are fractions."""
     for t, n, nodes in [("G", 2, (1,)), ("C", 3, (1, 3)), ("F", 4, (3,)), ("E", 6, (2,))]:
         fc = _case(t, n, nodes)
-        cor = fc.coriemann_module(fc.adjoint_module())
+        adj = fc.adjoint_module()
+        cor = fc.coriemann_module(adj, fc.riemann_in(adj))
         mats = [*cor.act, *(xi.on_module for xi in cor.actors)]
         assert cor.actors and all(type(v) is int for mat in mats for outs in mat.values()
                                   for v in outs.values())
@@ -140,7 +143,8 @@ def test_quotient_h1_equals_the_z_realization(case):
     """g/(g_- (+) l1) and (g_- (+) z)^* on z (+) g_+ are isomorphic modules: equal
     degreewise H^1 and equal Highest and Lowest summands."""
     fc = _case(*case)
-    got = _h1_of(fc, fc.coriemann_module(fc.adjoint_module()))
+    adj = fc.adjoint_module()
+    got = _h1_of(fc, fc.coriemann_module(adj, fc.riemann_in(adj)))
     assert got[0] and got == _h1_of(fc, coriemann_z_module(fc))
 
 
@@ -472,7 +476,8 @@ def test_every_flag_module_passes_the_actor_check():
     for t, n, nodes in [("G", 2, (1,)), ("C", 3, (1, 3)), ("F", 4, (3,))]:
         fc = _case(t, n, nodes)
         adj = fc.adjoint_module()
-        for mod in (adj, riemann_module(fc), fc.coriemann_module(adj), fc.trivial_module()):
+        for mod in (adj, riemann_module(fc), fc.coriemann_module(adj, fc.riemann_in(adj)),
+                    fc.trivial_module()):
             assert mod.actors
             assert sorted(mod.actors_of("raise") + mod.actors_of("lower")) == \
                 list(range(len(mod.actors)))

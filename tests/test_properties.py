@@ -40,7 +40,7 @@ def complete_decomposition(fc, mod, s, kind):
 def test_filtered_slices_decompose_like_complete_ones(case):
     fc = FlagCase(*case)
     adj = fc.adjoint_module()
-    cor, riem = fc.coriemann_module(adj), riemann_module(fc)
+    cor, riem = fc.coriemann_module(adj, fc.riemann_in(adj)), riemann_module(fc)
     found = []
     for mod, s, kind in ((adj, 2, LOWEST), (cor, 1, HIGHEST), (cor, 1, LOWEST),
                          (riem, 2, LOWEST)):

@@ -11,11 +11,11 @@ from collections import Counter
 
 import nhsf
 from nhsf import InvariantError
-from nhsf.rootsys import (CartanMatrixSpec, InvalidCartanType, RootSystem, _weyl_product,
-                          build_root_system, dominant_multiplicities, dynkin_split,
-                          enumerate_w_i, to_root)
+from nhsf.rootsys import (CartanMatrixSpec, InvalidCartanType, RootSystem, _symmetrizer,
+                          _weyl_product, build_root_system, dominant_multiplicities,
+                          dynkin_split, enumerate_w_i, to_root)
 
-from models import IrreducibleModule, inversions_of_inverse
+from models import IrreducibleModule, apply_word_to_root, inversions_of_inverse, misweighted_b2
 
 ALL_TYPES = [("A", 1), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4),
              ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -68,7 +68,7 @@ def test_reflections_permute_roots(t, n):
     roots = set(rs.positive_roots) | {tuple(-c for c in r) for r in rs.positive_roots}
     for i in range(rs.rank):
         for beta in rs.positive_roots:
-            assert rs.reflect_root(i, beta) in roots
+            assert apply_word_to_root(rs, (i,), beta) in roots
 
 
 def test_to_root_g2_table_rows():
@@ -121,16 +121,18 @@ def test_singular_cartan_matrix_is_rejected():
         singular_cartan()
 
 
-def test_singular_cartan_matrix_is_rejected_under_python_O():
+def raises_under_python_O(tamper: str, message: str) -> None:
+    """Run ``tamper()`` of this module under ``python -O``: it must raise an
+    InvariantError whose message holds ``message``."""
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from nhsf import InvariantError\n"
-            "from test_rootsys import singular_cartan\n"
+            f"from test_rootsys import {tamper}\n"
             "assert False, 'asserts are enabled'\n"
             "try:\n"
-            "    singular_cartan()\n"
+            f"    {tamper}()\n"
             "except InvariantError as e:\n"
-            "    sys.exit(0 if 'singular' in str(e) else 4)\n"
+            f"    sys.exit(0 if {message!r} in str(e) else 4)\n"
             "sys.exit(3)\n")
     src = str(Path(nhsf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -138,6 +140,54 @@ def test_singular_cartan_matrix_is_rejected_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_singular_cartan_matrix_is_rejected_under_python_O():
+    raises_under_python_O("singular_cartan", "singular")
+
+
+def test_disconnected_diagram_is_rejected():
+    with pytest.raises(InvariantError, match="not connected"):
+        _symmetrizer([[2, 0], [0, 2]])  # A1 x A1
+
+
+class DroppedRoot(RootSystem):
+    """An enumeration that misses the highest root."""
+
+    def _enumerate_positive_roots(self):
+        return super()._enumerate_positive_roots()[:-1]
+
+
+class HighestFirst(RootSystem):
+    """An enumeration that lists the roots highest first, so that a simple root
+    is read as the maximal one."""
+
+    def _enumerate_positive_roots(self):
+        return super()._enumerate_positive_roots()[::-1]
+
+
+def dropped_root():
+    return DroppedRoot(CartanMatrixSpec("D", 4))
+
+
+def test_a_missed_positive_root_is_rejected():
+    with pytest.raises(InvariantError, match="found 11 positive roots, expected 12"):
+        dropped_root()
+
+
+def test_a_missed_positive_root_is_rejected_under_python_O():
+    raises_under_python_O("dropped_root", "expected 12")
+
+
+def test_a_maximal_root_that_fails_to_dominate_is_rejected():
+    with pytest.raises(InvariantError, match="maximal root fails to dominate"):
+        HighestFirst(CartanMatrixSpec("A", 3))
+
+
+def test_a_non_integral_freudenthal_multiplicity_is_rejected():
+    """With B2's root lengths swapped, m(0) of L(1, 0) comes out as 10/7."""
+    with pytest.raises(InvariantError, match="Freudenthal: multiplicity 10/7"):
+        dominant_multiplicities(misweighted_b2(), (1, 0), range(2))
 
 
 def test_reflect_examples():
@@ -177,7 +227,7 @@ def test_w_i_brute_force_oracle_g2():
         inv = (b, a)
         good = True
         for j in unselected:
-            img = rs.apply_word_to_root(inv, tuple(1 if t == j else 0 for t in range(2)))
+            img = apply_word_to_root(rs, inv, tuple(1 if t == j else 0 for t in range(2)))
             if all(c <= 0 for c in img):
                 good = False
         if good:
@@ -215,7 +265,8 @@ def _brute_force_w_i(rs):
 
 
 def test_w_i_built_equals_brute_force():
-    """Every type up to rank 8, every 1- and 2-node selection, lengths 0-2."""
+    """Every type up to rank 8, every node set, lengths 0-2: the closed form of
+    ``enumerate_w_i`` on maximal and non-maximal parabolics alike."""
     checked = 0
     for t in "ABCDEFG":
         for n in range(1, 9):
@@ -224,13 +275,13 @@ def test_w_i_built_equals_brute_force():
             except InvalidCartanType:
                 continue
             oracle = _brute_force_w_i(rs)
-            for k in (1, 2):
+            for k in range(1, n + 1):
                 for sel in itertools.combinations(range(1, n + 1), k):
                     for length in (0, 1, 2):
                         assert enumerate_w_i(rs, set(sel), length) == oracle(set(sel), length), \
                             (t, n, sel, length)
                         checked += 1
-    assert checked == 1716
+    assert checked == 7395
 
 
 @pytest.mark.parametrize("t,n,node", [("G", 2, 1), ("F", 4, 2), ("B", 3, 3), ("D", 4, 2)])
@@ -264,7 +315,7 @@ def test_dynkin_split_examples():
 def test_weyl_dim():
     for t, n, hw, dim in [("G", 2, (1, 0), 7), ("G", 2, (0, 1), 14), ("A", 2, (1, 1), 8),
                           ("B", 3, (0, 0, 1), 8)]:
-        assert _weyl_product(build_root_system(t, n), hw, range(n)) == dim
+        assert _weyl_product(build_root_system(t, n), hw, range(n)) == (dim, 0)
 
 
 def all_weight_multiplicities(rs, hw, nodes):
@@ -317,6 +368,7 @@ def levi_highest_weights(draw):
 @settings(max_examples=60, deadline=None)
 def test_freudenthal_sums_to_the_weyl_dimension(case):
     rs, hw, nodes = case
-    dim = _weyl_product(rs, hw, nodes)
+    dim, rem = _weyl_product(rs, hw, nodes)
     assume(dim <= 3000)
+    assert rem == 0
     assert sum(all_weight_multiplicities(rs, hw, nodes).values()) == dim

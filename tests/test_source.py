@@ -41,9 +41,9 @@ def test_invariants_raise_invariant_error():
 
 def test_fractions_only_where_values_are_rational():
     """``fractions`` is imported by ``linalg`` (``solve``, and scaling the rational input
-    of reference modules), ``rootsys`` (``to_root``, ``_weyl_product``, ``_symmetrizer``)
-    and ``decomp`` (``weight_fw``) alone: the package's complexes and layers hold integers.
-    No module takes ``linalg``'s ``Q`` alias for ``Fraction``."""
+    of reference modules), ``rootsys`` (``to_root``, ``_symmetrizer``) and ``decomp``
+    (``weight_fw``) alone: the package's complexes and layers hold integers.  No module
+    takes ``linalg``'s ``Q`` alias for ``Fraction``."""
     importers, aliased = set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):

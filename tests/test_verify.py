@@ -151,7 +151,7 @@ def test_premet_g2_node1():
 
     fc = FlagCase("G", 2, (1,))
     adj = fc.adjoint_module()
-    cor, riem = fc.coriemann_module(adj), riemann_module(fc)
+    cor, riem = fc.coriemann_module(adj, fc.riemann_in(adj)), riemann_module(fc)
     slices = lambda mod, s: [sl for sl in cohomology(fc.gminus, mod, s,
                                                      full_window(fc.gminus, mod, s)) if sl.dim_h]
     adj_slices, cor_slices, riem_slices = slices(adj, 2), slices(cor, 1), slices(riem, 2)
@@ -278,8 +278,8 @@ def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
     built, calls = [], []
     real_module, real_cohomology = FlagCase.coriemann_module, nhsf.verify.cohomology
 
-    def coriemann_module(self, adj):
-        built.append(real_module(self, adj))
+    def coriemann_module(self, adj, riem):
+        built.append(real_module(self, adj, riem))
         return built[-1]
 
     def cohomology(gm, mod, s, *args, **kwargs):
@@ -323,6 +323,22 @@ def test_full_case_reads_the_riemann_h2_off_the_adjoint(monkeypatch):
     assert sorted((s, sub) for mod, s, sub in calls if mod is adj) == [(0, False), (2, True)]
     assert [(s, sub) for mod, s, sub in calls if mod is cor] == [(1, False)]
     assert len(calls) == 3
+
+
+def test_full_case_checks_the_riemann_submodule_twice(monkeypatch):
+    """``riemann_in`` checks that g_- (+) l1 spans a submodule, and ``quotient`` checks
+    the same indices once more when it cuts the co-Riemann module."""
+    checked = []
+    real_submodule = GradedModule.submodule
+
+    def submodule(self, idx):
+        checked.append(real_submodule(self, idx))
+        return checked[-1]
+
+    monkeypatch.setattr(GradedModule, "submodule", submodule)
+    rec = run_case(CaseSpec("C", 3, (3,)))
+    assert rec["status"] == MATCH
+    assert len(checked) == 2 and checked[0] == checked[1]
 
 
 def _suite_h1_cases():
