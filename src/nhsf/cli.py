@@ -28,7 +28,7 @@ from .cohom import cohomology, full_window
 from .decomp import HIGHEST, LOWEST, ExtremalWeights, decompose
 from .prolong import full_prolong, prolong_as_module, yamaguchi_classify
 from .verify import CaseSpec, bwb_adjoint, run_case, run_g2_structure, MATCH, NO_DATA
-from .expected import TABLE1
+from .expected import SEC6, TABLE1
 from .cache import default_cache
 
 
@@ -215,10 +215,9 @@ def _suite_tables234():
 
 
 def _suite_sec6():
+    """(name, CaseSpec) for every Sec. 6 node set, in ``SEC6``'s order."""
     return [(f"sec6 {t.lower()}{r} nodes {nodes}", CaseSpec(t, r, nodes))
-            for t, r, nodes in [("A", 2, (1, 2)), ("A", 3, (1, 2)), ("A", 3, (1, 3)),
-                                ("A", 4, (1, 2)), ("A", 4, (1, 3)),
-                                ("C", 2, (1, 2)), ("C", 3, (1, 3))]]
+            for t, r, nodes in SEC6]
 
 
 def cmd_verify(args) -> int:

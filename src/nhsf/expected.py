@@ -28,8 +28,8 @@ from . import InvariantError
 
 @dataclass(frozen=True)
 class H2Row:
-    cm: tuple[int, ...]
-    fw: tuple[int, ...] | None
+    cm: tuple[int, ...] | None  # None = printed in FW only (Tables 2-4)
+    fw: tuple[int, ...]
     provenance: str
 
 
@@ -44,7 +44,6 @@ class CaseExpectation:
     type_letter: str
     rank: int
     nodes: tuple[int, ...]
-    ki: int | None
     h2: list[H2Row]
     h1: list[H1Row] | None  # None = no usable H1 data for this case
     h1_footnote: bool = True  # append the (0,..,2_i,..,0) component
@@ -186,7 +185,7 @@ def table1_case(type_letter: str, rank: int, node: int) -> CaseExpectation:
         if fw_fixed != fw:
             prov += " [corrected; see decisions ledger]"
         h1.append(H1Row(fw_fixed, prov))
-    return CaseExpectation(type_letter, rank, (node,), data["ki"], h2, h1)
+    return CaseExpectation(type_letter, rank, (node,), h2, h1)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +324,7 @@ def series_case(type_letter: str, rank: int, node: int) -> CaseExpectation | Non
     h2_fw, h1_fw, prov = rows
     h2 = [H2Row(cm=None, fw=tuple(fw), provenance=prov) for fw in h2_fw]
     h1 = None if h1_fw is None else [H1Row(tuple(fw), prov + ", H1 column") for fw in h1_fw]
-    return CaseExpectation(type_letter, rank, (node,), None, h2, h1)
+    return CaseExpectation(type_letter, rank, (node,), h2, h1)
 
 
 # --------------------------------------------------------------------------
@@ -380,11 +379,8 @@ def sec6_case(type_letter: str, rank: int, nodes: tuple[int, ...]) -> CaseExpect
     data = SEC6.get((type_letter, rank, tuple(sorted(nodes))))
     if data is None:
         return None
-    exp = CaseExpectation(type_letter, rank, tuple(sorted(nodes)), None, [], None,
-                          h1_footnote=False)
-    exp.sec6_h2 = data["h2"]
-    exp.sec6_h1 = data["h1"]
-    return exp
+    return CaseExpectation(type_letter, rank, tuple(sorted(nodes)), [], None, h1_footnote=False,
+                           sec6_h2=data["h2"], sec6_h1=data["h1"])
 
 
 # --------------------------------------------------------------------------

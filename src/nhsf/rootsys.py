@@ -13,9 +13,10 @@ coroot coordinates of alpha_j form the j-th column of A.  A weight is a tuple
 of ints in coroot coordinates (pairings with the simple coroots, the
 fundamental-weight coefficients); a root is a tuple of ints in simple-root
 coordinates.  ``root_coroot_coords`` maps simple-root to coroot coordinates
-(x -> A x) and ``to_root`` maps back (w -> A^-1 w, in Fractions).  A Weyl
-word is a tuple of 0-based nodes (i1, i2, ...) for s_{i1} s_{i2} ..., applied
-right to left.
+(x -> A x) and ``to_root`` maps back (w -> A^-1 w, in Fractions).  ``to_root``
+serves only ``decomp``'s ``weight_fw``: the BWB route starts from the maximal
+root's simple-root coordinates.  A Weyl word is a tuple of 0-based nodes (i1,
+i2, ...) for s_{i1} s_{i2} ..., applied right to left.
 
 Weyl words and root strings are read off the Cartan matrix.  The words of
 W(I) of length <= 2 that ``enumerate_w_i`` lists follow from a closed form in

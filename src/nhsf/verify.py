@@ -21,6 +21,12 @@ does not depend on the summands.  On every direct-route case the Weyl-word
 enumeration (BWB route, Kostant's theorem for the parabolic grading) and the
 direct route are computed independently and compared
 (``checks.bwb.matches_direct``); a disagreement makes the case a Mismatch.
+The BWB route takes theta, the maximal root, in simple-root coordinates: the
+lowest weights are -w(theta+rho)+rho over W(I)_2, with w acting on mu = A theta
++ rho, and the degree of w's row is the int sum over the selected nodes j of
+(mu - w mu)_j - theta_j, all read off the Cartan matrix (``bwb_h_i``).  The
+printed H^2 rows of Table 1, Tables 2-4 and Sec. 6 are read in one place
+(``_printed_h2``), for the direct route's comparison and for budget bwb's.
 
 The Sec. 7.1 G(2)-structure is a reduction of the conformal structure co(7),
 and B4 graded at node 1 holds that: g_{-1} = C^7 and g_0 = so(7) (+) C.  So
@@ -40,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import ENGINE_VERSION, InputError, InvariantError
-from .rootsys import RootSystem, build_root_system, dynkin_split, enumerate_w_i, to_root
+from .rootsys import RootSystem, build_root_system, dynkin_split, enumerate_w_i
 from .linalg import SparseMat, acc, commutator
 from .liealg import GradedNilpotent, abelian_nilpotent, build_chevalley, graded_algebra
 from .gmod import Actor, FlagCase, GradedModule, _simple_root, simple_actors
@@ -82,27 +88,25 @@ class CaseSpec:
 def bwb_h_i(rs: RootSystem, nodes, lam: tuple[int, ...], i: int):
     """Lowest weights -w(lam+rho)+rho over W(I)_i, with internal degrees.
 
-    lam is in coroot coordinates and rho = (1, ..., 1).  The degree of the
-    row of w is deg((lam+rho) - w(lam+rho)) - deg(lam) = deg(rho - w rho) -
-    deg(w lam), where deg sums the simple-root coordinates at ``nodes``; it
-    is reported when lam lies in the root lattice (adjoint, trivial) and is
-    None otherwise.
+    lam is in simple-root coordinates (``bwb_adjoint`` passes theta, the maximal
+    root), and rho = (1, ..., 1) in coroot coordinates, so w acts on mu = A lam +
+    rho, integers read off the Cartan matrix.  The degree of w's row is deg(mu - w
+    mu) - deg(lam) = sum over j in ``nodes`` of (mu - w mu)_j - lam_j, an int, where
+    mu - w mu is in simple-root coordinates.
     """
-    lam_deg = sum(to_root(rs, lam)[j - 1] for j in nodes)
-    lam_rho = tuple(c + 1 for c in lam)
+    mu = tuple(c + 1 for c in rs.root_coroot_coords(lam))
     out = []
     for w in enumerate_w_i(rs, set(nodes), i):
-        img, diff = rs.apply_word_to_weight(w, lam_rho)
-        deg = sum(diff[j - 1] for j in nodes) - lam_deg
+        img, diff = rs.apply_word_to_weight(w, mu)
         out.append({"weight_cm": tuple(1 - c for c in img),
-                    "degree": int(deg) if deg.denominator == 1 else None,
+                    "degree": sum(diff[j - 1] - lam[j - 1] for j in nodes),
                     "word": [j + 1 for j in w]})
-    out.sort(key=lambda e: (e["degree"] if e["degree"] is not None else 0, e["weight_cm"]))
+    out.sort(key=lambda e: (e["degree"], e["weight_cm"]))
     return out
 
 
 def bwb_adjoint(rs: RootSystem, nodes, i: int = 2):
-    return bwb_h_i(rs, nodes, rs.root_coroot_coords(rs.maximal_root), i)
+    return bwb_h_i(rs, nodes, rs.maximal_root, i)
 
 
 # -- counting and graph checks -------------------------------------------------
@@ -259,39 +263,52 @@ def expectation_for(spec: CaseSpec) -> CaseExpectation | None:
     return sec6_case(t, r, nodes)
 
 
-def _compare_h2(fc: FlagCase, exp: CaseExpectation, computed: list[IrreducibleSummand]) -> dict:
-    got = Counter()
-    for sm in computed:
-        got[(sm.weight_cm, sm.degree)] += sm.multiplicity
-    want = Counter()
-    rows = []
+def _printed_h2(rs: RootSystem, exp: CaseExpectation) -> list[tuple]:
+    """(cm, degree, provenance, fw_consistent) for each printed H^2 row.
+
+    Sec. 6 prints (degree, cm) and no provenance per row.  Tables 1-4 print the
+    FW (simple-root) coordinates, whose slot at the selected node is the degree;
+    Table 1 prints the CM too, and fw_consistent says that it is A.fw.
+    """
     if exp.sec6_h2 is not None:
-        for deg, cm in exp.sec6_h2:
-            want[(tuple(cm), deg)] += 1
-            rows.append({"cm": list(cm), "degree": deg})
-    else:
-        sel = fc.nodes[0]
-        for row in exp.h2:
-            cm = row.cm if row.cm is not None else fc.rs.root_coroot_coords(row.fw)
-            if row.fw is not None:
-                deg = row.fw[sel - 1]
-                if row.cm is not None and fc.rs.root_coroot_coords(row.fw) != tuple(row.cm):
-                    return {"status": MISMATCH,
-                            "note": f"expected row inconsistent: A.fw != cm ({row.provenance})"}
-            else:
-                deg = None
-            want[(tuple(cm), deg)] += 1
-            rows.append({"cm": list(cm), "degree": deg, "provenance": row.provenance})
-    if any(d is None for (_, d) in want):
-        gw = Counter({cm: n for (cm, _), n in got.items()})
-        ww = Counter({cm: n for (cm, _), n in want.items()})
-        ok = gw == ww
-    else:
-        ok = got == want
-    return {"status": MATCH if ok else MISMATCH,
+        return [(tuple(cm), deg, None, True) for deg, cm in exp.sec6_h2]
+    out = []
+    for row in exp.h2:
+        cm = rs.root_coroot_coords(row.fw)
+        out.append((cm if row.cm is None else tuple(row.cm), row.fw[exp.nodes[0] - 1],
+                    row.provenance, row.cm is None or cm == tuple(row.cm)))
+    return out
+
+
+def _compare_h2(rs: RootSystem, exp: CaseExpectation, got: Counter) -> dict:
+    """The printed H^2 rows against ``got``, the direct route's (cm, degree) Counter."""
+    want: Counter = Counter()
+    rows = []
+    for cm, deg, prov, fw_consistent in _printed_h2(rs, exp):
+        if not fw_consistent:
+            return {"status": MISMATCH,
+                    "note": f"expected row inconsistent: A.fw != cm ({prov})"}
+        want[(cm, deg)] += 1
+        row = {"cm": list(cm), "degree": deg}
+        if prov is not None:  # Sec. 6 prints none
+            row["provenance"] = prov
+        rows.append(row)
+    return {"status": MATCH if got == want else MISMATCH,
             "expected": rows,
             "computed": [{"cm": list(cm), "degree": d, "mult": n}
                          for (cm, d), n in sorted(got.items())]}
+
+
+def _compare_h2_bwb_only(rs: RootSystem, exp: CaseExpectation, bwb: list[dict]) -> dict:
+    """The printed H^2 lowest weights against the BWB rows'; ``fw_column_consistent``
+    reports whether every printed CM is A.fw, without deciding the status."""
+    printed = _printed_h2(rs, exp)
+    want = Counter(cm for cm, _, _, _ in printed)
+    got = Counter(e["weight_cm"] for e in bwb)
+    return {"status": MATCH if got == want else MISMATCH,
+            "fw_column_consistent": all(ok for _, _, _, ok in printed),
+            "expected": sorted([list(t) for t in want.elements()]),
+            "computed": sorted([list(t) for t in got.elements()])}
 
 
 def h1_not_antidominant(rs: RootSystem, nodes, exp: CaseExpectation) -> list[tuple]:
@@ -356,7 +373,7 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
     slices_out: list[dict] = []
     summands: list[dict] = []
     comparison: dict = {}
-    status = NO_DATA if exp is None else MATCH
+    status = NO_DATA
 
     if spec.budget != "bwb":
         fc = FlagCase(spec.type_letter, spec.rank, spec.nodes)
@@ -402,35 +419,17 @@ def run_case(spec: CaseSpec, cache=None) -> dict:
                 footnote_row(fc.rank, fc.nodes[0]) if len(fc.nodes) == 1 else (), 0) > 0
 
         if exp is not None:
-            if exp.sec6_h2 is not None:
-                comparison["h2"] = _compare_h2(fc, exp, h2_summands)
-                if exp.sec6_h1 is not None and spec.budget == "full":
-                    comparison["h1"] = _compare_h1_sec6(exp, h1_low)
-            else:
-                comparison["h2"] = _compare_h2(fc, exp, h2_summands)
-                if exp.h1 is not None and spec.budget == "full":
-                    comparison["h1"] = _compare_h1_table(fc, exp, low_fws)
-            bad = [v for v in comparison.values() if v["status"] != MATCH]
-            status = MISMATCH if bad else MATCH
-        if not checks["bwb"]["matches_direct"]:
-            status = MISMATCH
-    else:
-        if exp is not None and exp.sec6_h2 is None:
-            want = Counter()
-            fw_consistent = True
-            for row in exp.h2:
-                cm = row.cm if row.cm is not None else rs.root_coroot_coords(row.fw)
-                if row.cm is not None and row.fw is not None:
-                    fw_consistent &= rs.root_coroot_coords(row.fw) == tuple(row.cm)
-                want[tuple(cm)] += 1
-            got = Counter(e["weight_cm"] for e in bwb)
-            comparison["h2_bwb_only"] = {
-                "status": MATCH if got == want else MISMATCH,
-                "fw_column_consistent": fw_consistent,
-                "expected": sorted([list(t) for t in want.elements()]),
-                "computed": sorted([list(t) for t in got.elements()]),
-            }
-            status = comparison["h2_bwb_only"]["status"]
+            comparison["h2"] = _compare_h2(rs, exp, got)
+            if spec.budget == "full" and exp.sec6_h1 is not None:
+                comparison["h1"] = _compare_h1_sec6(exp, h1_low)
+            elif spec.budget == "full" and exp.h1 is not None:
+                comparison["h1"] = _compare_h1_table(fc, exp, low_fws)
+    elif exp is not None:
+        comparison["h2_bwb_only"] = _compare_h2_bwb_only(rs, exp, bwb)
+    if exp is not None:
+        status = MATCH if all(v["status"] == MATCH for v in comparison.values()) else MISMATCH
+    if spec.budget != "bwb" and not checks["bwb"]["matches_direct"]:
+        status = MISMATCH
 
     record["slices"] = slices_out
     record["summands"] = summands
@@ -462,6 +461,18 @@ def g2_on_v() -> tuple[list[SparseMat], list[tuple[int, ...]]]:
     structure constant; a remainder raises.  Then the 14 matrices are checked to
     satisfy g2's bracket on every pair, and h_1, h_2 to be diagonal, whose
     diagonals are the weights.  A violation raises ``InvariantError`` by an ``if``.
+
+    The diagonal check cannot fire once B4 passes step 1 of ``verify_jacobi``
+    (``build_chevalley`` runs it): each stored bracket lies in the sum of the two
+    weights.  h_i = [x_i, y_i], where x_i and y_i sum B4's root vectors x[a] and
+    y[a], of opposite weight, over the nodes a of ``G2_IN_B4[i]``.  They act on a
+    V whose weight spaces are one-dimensional: its basis is the root vectors of
+    B4's seven roots of degree -1.  By step 1, ad x[a] ad y[b] and ad y[b] ad x[a]
+    map the one of gamma to a multiple of the one of gamma + alpha_a - alpha_b.
+    For a = b that is gamma, a diagonal entry.  For a != b, alpha_a - alpha_b has
+    both signs, but V's weights form a chain -alpha_1, ..., -alpha_1 - 2 alpha_2
+    - 2 alpha_3 - 2 alpha_4 whose steps are simple roots, so no two differ by it,
+    and the term is 0.  The check stays, as a guard on this construction.
     """
     g2, b4 = build_chevalley("G", 2), graded_algebra("B", 4, (1,))
     rs = g2.rs
@@ -555,17 +566,16 @@ def g2_structure_module(include_center: bool) -> tuple[ProlongedAlgebra, GradedM
     return p, prolong_as_module(p, actors)
 
 
-def run_g2_structure(variant: str = "auto") -> dict:
+def run_g2_structure() -> dict:
     """H^2 of the G(2)-structure on the 7-dim fundamental module.
 
-    variant: "g2", "cg2" or "auto" (= report both, pin whichever reproduces
-    the expected table).  H^2 in ``g2_structure_module``'s coefficients, decomposed.
+    Both g_0 = g2 and g_0 = cg2 = g2 (+) C are reported, and the first that
+    reproduces the expected table is pinned.  H^2 in ``g2_structure_module``'s
+    coefficients, decomposed.
     """
     rs = build_chevalley("G", 2).rs
     out: dict = {"variants": {}}
     for name, include_center in (("g2", False), ("cg2", True)):
-        if variant not in ("auto", name):
-            continue
         p, mod = g2_structure_module(include_center)
         res: dict = {"prolong_dim_1": 0, "prolong_stabilized": p.stabilized}
         slices = [sl for sl in cohomology(p.gminus, mod, 2, [1, 2]) if sl.dim_h]

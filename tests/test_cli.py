@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -302,3 +303,34 @@ def test_cache_key_covers_the_source(tmp_path):
     decomp = copy / "nhsf" / "decomp.py"
     decomp.write_text(decomp.read_text() + "\n# edited\n")
     assert _key_hash_from(copy, tmp_path / "cache") != here
+
+
+# sha256 of ``nhsf verify --suite all --format json`` with each record's ``timing``
+# dropped (``suite_all_sha256``), the result cache off.  A refactor keeps every
+# record byte-identical, so it leaves this pin as it is.
+SUITE_ALL_SHA256 = "058085f7d1a4497d724551400c96ba16225b614a628406d79ff5bd566d13fab9"
+
+
+def suite_all_sha256(out: str) -> str:
+    """sha256 of the verify output, re-serialised as printed, without ``timing``."""
+    obj = json.loads(out)
+    for rec in obj["records"]:
+        rec.pop("timing", None)
+    return hashlib.sha256(json.dumps(obj, indent=1).encode()).hexdigest()
+
+
+def test_suite_all_records_are_pinned(capsys, monkeypatch):
+    monkeypatch.delenv(nhsf.cache.ENV_VAR, raising=False)
+    code, out = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0 and suite_all_sha256(out) == SUITE_ALL_SHA256
+
+
+def test_suite_all_records_are_the_same_under_python_O():
+    src = str(Path(nhsf.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != nhsf.cache.ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-O", "-m", "nhsf.cli", "verify", "--suite", "all",
+                          "--format", "json"], env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert suite_all_sha256(res.stdout) == SUITE_ALL_SHA256

@@ -10,10 +10,10 @@ import nhsf
 import nhsf.expected
 import nhsf.verify
 from nhsf.gmod import FlagCase, GradedModule
-from nhsf.expected import TABLE1, table1_case
+from nhsf.expected import TABLE1
 from nhsf.liealg import graded_algebra
 from nhsf.rootsys import build_root_system, enumerate_w_i
-from nhsf.verify import (CaseSpec, MATCH, bwb_adjoint, bwb_h_i, ir_count,
+from nhsf.verify import (CaseSpec, MATCH, MISMATCH, bwb_adjoint, bwb_h_i, ir_count,
                          premet_split_check, run_case, run_g2_structure,
                          statement41_check)
 
@@ -21,11 +21,11 @@ from models import riemann_module
 
 
 def test_bwb_identity_word_gives_minus_lambda():
+    """lam = (1, 1, 1) in simple-root coordinates is (1, 0, 1) in coroot coordinates."""
     rs = build_root_system("A", 3)
-    lam = (1, 0, 1)
+    lam = (1, 1, 1)
     rows = bwb_h_i(rs, (2,), lam, 0)
-    assert len(rows) == 1
-    assert tuple(int(c) for c in rows[0]["weight_cm"]) == (-1, 0, -1)
+    assert rows == [{"weight_cm": (-1, 0, -1), "degree": -1, "word": []}]
 
 
 def test_bwb_g2_and_e6_rows():
@@ -98,10 +98,12 @@ def test_bwb_rows_are_pinned(name):
     assert bwb_sha256(build_root_system(name[0], int(name[1:]))) == BWB_SHA256[name]
 
 
-def test_bwb_degree_is_none_off_the_root_lattice():
-    """(1, 0) of A2 is not in the root lattice, so no degree is reported."""
+def test_bwb_degree_is_an_int_read_off_root_coordinates():
+    """lam = alpha_1 of A2, (2, -1) in coroot coordinates: mu = (3, 0), and s_1 gives
+    -s_1 mu + rho = (4, -2) with mu - s_1 mu = 3 alpha_1, so the degree is 3 - 1."""
     rows = bwb_h_i(build_root_system("A", 2), (1,), (1, 0), 1)
-    assert rows == [{"weight_cm": (3, -2), "degree": None, "word": [1]}]
+    assert rows == [{"weight_cm": (4, -2), "degree": 2, "word": [1]}]
+    assert type(rows[0]["degree"]) is int
 
 
 def test_ir_count_examples():
@@ -126,7 +128,7 @@ def test_ir_count_examples():
 def test_table1_ki_is_the_depth(t, r, node):
     """Table 1's k_i column is the highest root's coefficient at the node, which is
     the depth of the grading."""
-    ki = table1_case(t, r, node).ki
+    ki = TABLE1[(t, r)][node]["ki"]
     assert ki == build_root_system(t, r).maximal_root[node - 1]
     assert ki == graded_algebra(t, r, (node,)).depth
 
@@ -271,6 +273,91 @@ def test_invariant_raises_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def tamper_h0_invariant():
+    """``run_case`` on G2 node 1, with the H^0 check run on the adjoint module cut so
+    that g_- kills every positive degree: g_1, g_2 and g_3 become invariants.
+    ``verify``'s ``cohomology`` is restored afterwards."""
+    real = nhsf.verify.cohomology
+
+    def cohomology(gm, mod, s, *args, **kwargs):
+        if s == 0:
+            mod = GradedModule(mod.gminus, mod.basis,
+                               [{m: outs for m, outs in mat.items() if mod.basis[m].degree <= 0}
+                                for mat in mod.act], mod.truncation_bound)
+        return real(gm, mod, s, *args, **kwargs)
+
+    nhsf.verify.cohomology = cohomology
+    try:
+        return run_case(CaseSpec("G", 2, (1,), "h2"))
+    finally:
+        nhsf.verify.cohomology = real
+
+
+H0_MESSAGE = "H^0(g-; g) nonzero in positive degree"
+
+
+def test_an_invariant_in_positive_degree_fails():
+    with pytest.raises(nhsf.InvariantError) as exc:
+        tamper_h0_invariant()
+    assert str(exc.value) == H0_MESSAGE
+    assert run_case(CaseSpec("G", 2, (1,), "h2"))["status"] == MATCH  # restored
+
+
+def test_an_invariant_in_positive_degree_fails_under_python_O():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from nhsf import InvariantError\n"
+            "from test_verify import tamper_h0_invariant\n"
+            "assert False, 'asserts are enabled'\n"
+            "try:\n"
+            "    tamper_h0_invariant()\n"
+            "except InvariantError as e:\n"
+            "    sys.exit(0 if str(e) == sys.argv[2] else 4)\n"
+            "sys.exit(3)\n")
+    src = str(Path(nhsf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", code, str(Path(__file__).parent),
+                          H0_MESSAGE], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_g2_on_v_folded_cross_terms_map_to_no_weight_of_v():
+    """The premise of ``g2_on_v``'s proof that h_1 and h_2 are diagonal: no two of V's
+    B4 weights differ by alpha_a - alpha_b for nodes a != b folded into one g2 node."""
+    b4 = graded_algebra("B", 4, (1,))
+    weights = {lab.weight for lab in b4.basis if lab.degree == -1}
+    assert len(weights) == 7
+    for nodes in nhsf.verify.G2_IN_B4:
+        for a in nodes:
+            for b in nodes:
+                step = b4.rs.root_coroot_coords(tuple(int(t == a - 1) - int(t == b - 1)
+                                                      for t in range(4)))
+                assert a == b or not {tuple(map(sum, zip(w, step))) for w in weights} & weights
+
+
+@pytest.mark.parametrize("key", list(nhsf.expected.SEC6),
+                         ids=lambda key: f"{key[0]}{key[1]}-{','.join(map(str, key[2]))}")
+def test_sec6_bwb_budget_compares_the_printed_rows(key):
+    """Budget bwb reads Sec. 6's printed H^2 rows like every other table."""
+    rec = run_case(CaseSpec(*key, budget="bwb"))
+    cmp = rec["checks"]["comparison"]["h2_bwb_only"]
+    assert rec["status"] == MATCH and cmp["status"] == MATCH
+    assert cmp["fw_column_consistent"] is True
+
+
+def test_sec6_bwb_budget_flags_an_altered_printed_weight(monkeypatch):
+    key = ("A", 3, (1, 2))
+    sec6 = dict(nhsf.expected.SEC6)
+    (deg, cm), *rest = sec6[key]["h2"]
+    sec6[key] = dict(sec6[key], h2=[(deg, (cm[0] + 1,) + cm[1:]), *rest])
+    monkeypatch.setattr(nhsf.expected, "SEC6", sec6)
+    for budget, field in (("bwb", "h2_bwb_only"), ("h2", "h2")):
+        rec = run_case(CaseSpec(*key, budget=budget))
+        assert rec["status"] == MISMATCH
+        assert rec["checks"]["comparison"][field]["status"] == MISMATCH
 
 
 def test_full_case_computes_the_coriemann_h1_once(monkeypatch):
